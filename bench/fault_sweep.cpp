@@ -77,15 +77,16 @@ FtlPoint run_ftl_leg(double rate, int writes, std::uint64_t seed) {
   // back (beyond the simulator's few-bit public-read noise).
   for (const auto& [lpn, tag] : reference) {
     ++point.pages_checked;
-    const auto read = ftl.read(lpn);
-    if (!read.is_ok()) {
+    std::vector<std::uint8_t> read(ftl.page_bits());
+    const auto cells = ftl.read_into(lpn, read);
+    if (!cells.is_ok()) {
       ++point.pages_lost;
       continue;
     }
     util::Xoshiro256 data_rng(tag);
     std::size_t diffs = 0;
-    for (std::size_t c = 0; c < read.value().size(); ++c) {
-      diffs += read.value()[c] != static_cast<std::uint8_t>(data_rng() & 1);
+    for (std::size_t c = 0; c < cells.value(); ++c) {
+      diffs += read[c] != static_cast<std::uint8_t>(data_rng() & 1);
     }
     if (diffs > 8) ++point.pages_lost;
   }

@@ -47,8 +47,6 @@ class ReadCache {
     return shards_.at(shard).capacity;
   }
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
 
  private:
   struct Shard {
@@ -56,8 +54,6 @@ class ReadCache {
     /// Front = most recently used.
     std::list<std::pair<std::uint64_t, PageRef>> lru;
     std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
     std::size_t capacity = 0;
   };
 

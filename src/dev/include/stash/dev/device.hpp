@@ -60,7 +60,7 @@
 #include "stash/par/pool.hpp"
 #include "stash/stego/volume.hpp"
 #include "stash/store/snapshot.hpp"
-#include "stash/telemetry/metrics.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/batch.hpp"
 #include "stash/util/status.hpp"
@@ -101,35 +101,42 @@ struct HiddenInfo {
   }
 };
 
-/// Point-in-time device statistics, sourced from the per-instance counters
-/// (same convention as ftl::PageMappedFtl::stats_snapshot).
+/// The device's counters, named once.  DeviceStats, the per-instance
+/// table, the "dev.*" registry mirror, stats_json() and the net stats
+/// payload are all generated from this list (stash/telemetry/
+/// counter_table.hpp), so a new counter is one entry here plus its
+/// increment site.
+#define STASH_DEV_COUNTERS(X)                                               \
+  X(reads)               /* read requests completed */                     \
+  X(writes)              /* write requests acknowledged */                 \
+  X(trims)                                                                 \
+  X(cache_hits)          /* reads served from the LRU */                   \
+  X(cache_misses)        /* LRU probes that missed (cache enabled only) */ \
+  X(buffer_hits)         /* reads served from the write-back buffer */     \
+  X(coalesced_writes)    /* buffered lpn overwritten before flush */       \
+  X(coalesced_reads)     /* duplicate lpns collapsed in a batch */         \
+  X(dispatches)          /* dispatch rounds executed */                    \
+  X(deadline_dispatches) /* rounds forced by deadline_ticks */             \
+  X(flushes)             /* flush() calls that drained something */        \
+  X(flushed_pages)       /* buffer entries made durable */                 \
+  X(lost_writes)         /* acked-unflushed entries lost to a cut */       \
+  X(gc_runs)             /* background GC rounds executed */               \
+  X(hidden_stores)       /* store_hidden requests that succeeded */        \
+  X(hidden_loads)        /* load_hidden requests that succeeded */         \
+  /* Cumulative pack pipeline totals over all successful hidden stores:    \
+     payload bytes in vs container bytes embedded (equal when packing is   \
+     disabled: a raw store counts as multiplier 1). */                     \
+  X(pack_logical_bytes)                                                    \
+  X(pack_packed_bytes)                                                     \
+  /* Page-payload bytes the device memcpy'd while serving requests.  The   \
+     zero-copy read path (BufferArena slabs + PageRef sharing) keeps this  \
+     at 0 for steady-state reads; the residual copies still charged here   \
+     are the hidden-object segment reassembly on load_hidden. */           \
+  X(bytes_copied)
+
+/// Point-in-time device statistics (StashDevice::stats_snapshot).
 struct DeviceStats {
-  std::uint64_t reads = 0;            // read requests completed
-  std::uint64_t writes = 0;           // write requests acknowledged
-  std::uint64_t trims = 0;
-  std::uint64_t cache_hits = 0;       // reads served from the LRU
-  std::uint64_t cache_misses = 0;
-  std::uint64_t buffer_hits = 0;      // reads served from the write-back buffer
-  std::uint64_t coalesced_writes = 0; // buffered lpn overwritten before flush
-  std::uint64_t coalesced_reads = 0;  // duplicate lpns collapsed in a batch
-  std::uint64_t dispatches = 0;       // dispatch rounds executed
-  std::uint64_t deadline_dispatches = 0;  // rounds forced by deadline_ticks
-  std::uint64_t flushes = 0;          // flush() calls that drained something
-  std::uint64_t flushed_pages = 0;    // buffer entries made durable
-  std::uint64_t lost_writes = 0;      // acked-unflushed entries lost to a cut
-  std::uint64_t gc_runs = 0;          // background GC rounds executed
-  std::uint64_t hidden_stores = 0;    // store_hidden requests that succeeded
-  std::uint64_t hidden_loads = 0;     // load_hidden requests that succeeded
-  // Cumulative pack pipeline totals over all successful hidden stores:
-  // payload bytes in vs container bytes embedded (equal when packing is
-  // disabled — a raw store counts as multiplier 1).
-  std::uint64_t pack_logical_bytes = 0;
-  std::uint64_t pack_packed_bytes = 0;
-  // Page-payload bytes the device memcpy'd while serving requests.  The
-  // zero-copy read path (BufferArena slabs + PageRef sharing) keeps this
-  // at 0 for steady-state reads; the residual copies still charged here
-  // are the hidden-object segment reassembly on load_hidden.
-  std::uint64_t bytes_copied = 0;
+  STASH_COUNTER_FIELDS("dev", STASH_DEV_COUNTERS)
 
   [[nodiscard]] double cache_hit_ratio() const noexcept {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -386,28 +393,7 @@ class StashDevice {
   std::vector<std::uint64_t> lost_writes_;
   std::vector<ExecutedOp> last_dispatch_;
 
-  // Per-instance counters (mirrored into the global "dev.*" registry
-  // instruments inside device.cpp).
-  struct Counters {
-    telemetry::Counter reads;
-    telemetry::Counter writes;
-    telemetry::Counter trims;
-    telemetry::Counter buffer_hits;
-    telemetry::Counter coalesced_writes;
-    telemetry::Counter coalesced_reads;
-    telemetry::Counter dispatches;
-    telemetry::Counter deadline_dispatches;
-    telemetry::Counter flushes;
-    telemetry::Counter flushed_pages;
-    telemetry::Counter lost;
-    telemetry::Counter gc_runs;
-    telemetry::Counter hidden_stores;
-    telemetry::Counter hidden_loads;
-    telemetry::Counter pack_logical_bytes;
-    telemetry::Counter pack_packed_bytes;
-    telemetry::Counter bytes_copied;
-  };
-  Counters counters_;
+  telemetry::CounterTable<DeviceStats> counters_;
 };
 
 }  // namespace stash::dev

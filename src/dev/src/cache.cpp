@@ -23,12 +23,8 @@ std::optional<PageRef> ReadCache::lookup(std::uint64_t lpn) {
   Shard& s = shard_of(lpn);
   const std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(lpn);
-  if (it == s.index.end()) {
-    ++s.misses;
-    return std::nullopt;
-  }
+  if (it == s.index.end()) return std::nullopt;
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // touch
-  ++s.hits;
   return it->second->second;
 }
 
@@ -73,24 +69,6 @@ std::size_t ReadCache::size() const {
   for (const Shard& s : shards_) {
     const std::lock_guard<std::mutex> lock(s.mu);
     n += s.lru.size();
-  }
-  return n;
-}
-
-std::uint64_t ReadCache::hits() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    n += s.hits;
-  }
-  return n;
-}
-
-std::uint64_t ReadCache::misses() const {
-  std::uint64_t n = 0;
-  for (const Shard& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    n += s.misses;
   }
   return n;
 }

@@ -14,34 +14,15 @@
 namespace stash::dev {
 
 using util::ErrorCode;
+using F = DeviceStats::Field;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters plus the instruments
-// that only make sense globally (latency histograms, queue-depth gauge).
+// Process-wide instruments that only make sense globally (latency
+// histograms, gauges).  The counters and their "dev.*" mirrors live in the
+// per-instance CounterTable.
 struct DevTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& reads = reg.counter("dev.reads");
-  telemetry::Counter& writes = reg.counter("dev.writes");
-  telemetry::Counter& trims = reg.counter("dev.trims");
-  telemetry::Counter& cache_hits = reg.counter("dev.cache_hits");
-  telemetry::Counter& cache_misses = reg.counter("dev.cache_misses");
-  telemetry::Counter& buffer_hits = reg.counter("dev.buffer_hits");
-  telemetry::Counter& coalesced_writes = reg.counter("dev.coalesced_writes");
-  telemetry::Counter& coalesced_reads = reg.counter("dev.coalesced_reads");
-  telemetry::Counter& dispatches = reg.counter("dev.dispatches");
-  telemetry::Counter& deadline_dispatches =
-      reg.counter("dev.deadline_dispatches");
-  telemetry::Counter& flushes = reg.counter("dev.flushes");
-  telemetry::Counter& flushed_pages = reg.counter("dev.flushed_pages");
-  telemetry::Counter& lost_writes = reg.counter("dev.lost_writes");
-  telemetry::Counter& gc_runs = reg.counter("dev.gc_runs");
-  telemetry::Counter& hidden_stores = reg.counter("dev.hidden_stores");
-  telemetry::Counter& hidden_loads = reg.counter("dev.hidden_loads");
-  telemetry::Counter& pack_logical_bytes =
-      reg.counter("dev.pack_logical_bytes");
-  telemetry::Counter& pack_packed_bytes = reg.counter("dev.pack_packed_bytes");
-  telemetry::Counter& bytes_copied = reg.counter("dev.bytes_copied");
   telemetry::Gauge& queue_depth = reg.gauge("dev.queue_depth");
   telemetry::Gauge& cache_hit_ratio = reg.gauge("dev.cache_hit_ratio");
   telemetry::Gauge& buffered_pages = reg.gauge("dev.buffered_pages");
@@ -302,8 +283,7 @@ void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   } else if (queue_.size() >= config_.batch_pages) {
     dispatch(lock);
   } else if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
+    counters_.add(F::deadline_dispatches);
     dispatch(lock);
   }
 }
@@ -326,9 +306,8 @@ std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
   auto fut = promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
   ++tick_;
-  counters_.writes.inc();
+  counters_.add(F::writes);
   auto& wtel = dev_telemetry();
-  wtel.writes.inc();
   wtel.queue_depth.set(static_cast<double>(queue_.size()));
   // Writes execute inline (no queue wait): the trace root, service start
   // and enqueue stamp coincide.
@@ -356,8 +335,7 @@ std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
           // Adopt, not copy: the staged PageRef feeds buffer-hit readers
           // and the flush path from the same storage.
           if (buffer_.put(lpn, PageRef::adopt(std::move(bits)))) {
-            counters_.coalesced_writes.inc();
-            wtel.coalesced_writes.inc();
+            counters_.add(F::coalesced_writes);
           }
         }
         wtel.buffered_pages.set(static_cast<double>(buffer_.size()));
@@ -378,8 +356,7 @@ std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
   // A queued read may be past its deadline now that the tick advanced.
   if (!queue_.empty() &&
       tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
+    counters_.add(F::deadline_dispatches);
     dispatch(lock);
   }
   promise.set_value(st);
@@ -391,9 +368,8 @@ std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
   auto fut = promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
   ++tick_;
-  counters_.trims.inc();
+  counters_.add(F::trims);
   auto& ttel = dev_telemetry();
-  ttel.trims.inc();
   ttel.queue_depth.set(static_cast<double>(queue_.size()));
   const trace::TraceContext root = new_request_trace(trace::Op::kTrim, lpn);
   const std::uint64_t t0 = root.active() ? trace_now() : 0;
@@ -465,9 +441,8 @@ std::future<Status> StashDevice::submit_gc() {
 void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   (void)lock;  // held throughout: dispatch is the serial scheduler heart
   if (queue_.empty()) return;
-  counters_.dispatches.inc();
+  counters_.add(F::dispatches);
   auto& tel = dev_telemetry();
-  tel.dispatches.inc();
   tel.dispatch_batch.record(queue_.size());
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
@@ -566,10 +541,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
                          trace_now(), code);
     }
   }
-  tel.cache_hit_ratio.set(
-      static_cast<double>(cache_.hits()) /
-      std::max<double>(1.0, static_cast<double>(cache_.hits() +
-                                                cache_.misses())));
+  tel.cache_hit_ratio.set(stats_snapshot().cache_hit_ratio());
 
   if (round.active()) {
     // The round root: virtual duration is the sum of its children
@@ -632,8 +604,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       continue;
     }
     if (const WriteBackBuffer::Entry* staged = buffer_.find(lpn)) {
-      counters_.buffer_hits.inc();
-      tel.buffer_hits.inc();
+      counters_.add(F::buffer_hits);
       std::uint8_t code = 0;
       if (staged->trim) {
         code = static_cast<std::uint8_t>(ErrorCode::kNotFound);
@@ -643,34 +614,32 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         // Refcount bump on the staged page, not a copy.
         reads[r].value_promise.set_value(Result<PageRef>{staged->bits});
       }
-      counters_.reads.inc();
-      tel.reads.inc();
+      counters_.add(F::reads);
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, code);
       continue;
     }
     // Coalesce before consulting the cache: a repeat of an lpn already
     // destined for flash this round is one physical miss, not N — probing
-    // the cache again would double-count it at both the shard and the
-    // global counter.
+    // the cache again would count it twice.
     std::size_t m = 0;
     while (m < misses.size() && misses[m].lpn != lpn) ++m;
     if (m < misses.size()) {
-      counters_.coalesced_reads.inc();
-      tel.coalesced_reads.inc();
+      counters_.add(F::coalesced_reads);
       repeats.emplace_back(m, r);
       continue;
     }
+    // The one cache lookup site, so the only place hits and misses are
+    // counted; a disabled cache is never probed and counts neither.
     if (auto cached = cache_.lookup(lpn)) {
-      counters_.reads.inc();
-      tel.reads.inc();
-      tel.cache_hits.inc();
+      counters_.add(F::reads);
+      counters_.add(F::cache_hits);
       reads[r].value_promise.set_value(std::move(*cached));
       tel.read_latency.record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, 0);
       continue;
     }
-    tel.cache_misses.inc();
+    if (cache_.enabled()) counters_.add(F::cache_misses);
     misses.push_back(Miss{lpn, r});
   }
 
@@ -711,8 +680,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         cache_.insert(miss.lpn, outcome.value());
       }
       const auto resolve = [&](std::size_t r) {
-        counters_.reads.inc();
-        tel.reads.inc();
+        counters_.add(F::reads);
         reads[r].value_promise.set_value(outcome);
         tel.read_latency.record(elapsed_ns(reads[r].start));
         // Serial point after this chip's batch: the miss's service span
@@ -810,13 +778,9 @@ Status StashDevice::execute_store_hidden(std::span<const std::uint8_t> data) {
     const std::uint64_t logical =
         config_.pack.enabled ? pstats.logical_bytes
                              : static_cast<std::uint64_t>(data.size());
-    counters_.hidden_stores.inc();
-    counters_.pack_logical_bytes.inc(logical);
-    counters_.pack_packed_bytes.inc(data.size());
-    auto& tel = dev_telemetry();
-    tel.hidden_stores.inc();
-    tel.pack_logical_bytes.inc(logical);
-    tel.pack_packed_bytes.inc(data.size());
+    counters_.add(F::hidden_stores);
+    counters_.add(F::pack_logical_bytes, logical);
+    counters_.add(F::pack_packed_bytes, data.size());
   }
   return first;
 }
@@ -862,8 +826,7 @@ Result<StashDevice::RawHidden> StashDevice::load_hidden_raw() {
     // Segment reassembly is the one real copy left on the hidden load
     // path (cross-chip splice into one contiguous payload); charge it so
     // bytes_copied stays an honest ledger.
-    counters_.bytes_copied.inc(ordered[i]->payload.size());
-    dev_telemetry().bytes_copied.inc(ordered[i]->payload.size());
+    counters_.add(F::bytes_copied, ordered[i]->payload.size());
     raw.bytes.insert(raw.bytes.end(), ordered[i]->payload.begin(),
                      ordered[i]->payload.end());
   }
@@ -894,14 +857,12 @@ Result<std::vector<std::uint8_t>> StashDevice::execute_load_hidden() {
                       std::to_string(raw.value().format) +
                       " newer than this build"};
   }
-  counters_.hidden_loads.inc();
-  dev_telemetry().hidden_loads.inc();
+  counters_.add(F::hidden_loads);
   return out;
 }
 
 Status StashDevice::execute_gc() {
-  counters_.gc_runs.inc();
-  dev_telemetry().gc_runs.inc();
+  counters_.add(F::gc_runs);
   util::BatchStatus results;
   results.reserve(volumes_.size());
   for (auto& volume : volumes_) {
@@ -915,8 +876,7 @@ Status StashDevice::execute_gc() {
 Status StashDevice::flush_locked() {
   if (buffer_.empty()) return Status::ok();
   auto& tel = dev_telemetry();
-  counters_.flushes.inc();
-  tel.flushes.inc();
+  counters_.add(F::flushes);
   const telemetry::ScopedTimer timer(tel.flush_latency);
   // Child of whichever context triggered the drain (a backpressured write's
   // service span, or nothing for a bare flush()).  Virtual duration = sum
@@ -950,8 +910,7 @@ Status StashDevice::flush_locked() {
     for (const Item& item : chip_items) {
       if (item.status.is_ok()) {
         flushed.push_back(item.entry->lpn);
-        counters_.flushed_pages.inc();
-        tel.flushed_pages.inc();
+        counters_.add(F::flushed_pages);
       } else if (first.is_ok()) {
         first = item.status;
       }
@@ -984,8 +943,7 @@ std::size_t StashDevice::idle_tick() {
   // queue drains through the same deadline path a submission would take.
   ++tick_;
   if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.deadline_dispatches.inc();
-    dev_telemetry().deadline_dispatches.inc();
+    counters_.add(F::deadline_dispatches);
     dispatch(lock);
   }
   return queue_.size();
@@ -1024,8 +982,7 @@ Status StashDevice::power_cycle() {
   for (const WriteBackBuffer::Entry& entry : buffer_.drop_all()) {
     if (entry.trim) continue;
     lost_writes_.push_back(entry.lpn);
-    counters_.lost.inc();
-    dev_telemetry().lost_writes.inc();
+    counters_.add(F::lost_writes);
   }
   dev_telemetry().queue_depth.set(0.0);
   dev_telemetry().buffered_pages.set(0.0);
@@ -1307,59 +1264,12 @@ BatchStatus StashDevice::write_batch(
 }
 
 DeviceStats StashDevice::stats_snapshot() const noexcept {
-  DeviceStats s;
-  s.reads = counters_.reads.value();
-  s.writes = counters_.writes.value();
-  s.trims = counters_.trims.value();
-  s.cache_hits = cache_.hits();
-  s.cache_misses = cache_.misses();
-  s.buffer_hits = counters_.buffer_hits.value();
-  s.coalesced_writes = counters_.coalesced_writes.value();
-  s.coalesced_reads = counters_.coalesced_reads.value();
-  s.dispatches = counters_.dispatches.value();
-  s.deadline_dispatches = counters_.deadline_dispatches.value();
-  s.flushes = counters_.flushes.value();
-  s.flushed_pages = counters_.flushed_pages.value();
-  s.lost_writes = counters_.lost.value();
-  s.gc_runs = counters_.gc_runs.value();
-  s.hidden_stores = counters_.hidden_stores.value();
-  s.hidden_loads = counters_.hidden_loads.value();
-  s.pack_logical_bytes = counters_.pack_logical_bytes.value();
-  s.pack_packed_bytes = counters_.pack_packed_bytes.value();
-  s.bytes_copied = counters_.bytes_copied.value();
-  return s;
+  return counters_.snapshot();
 }
 
 std::string StashDevice::stats_json() const {
-  const DeviceStats s = stats_snapshot();
   std::string out = "{";
-  const auto field = [&out](const char* key, std::uint64_t value,
-                            bool last = false) {
-    out += '"';
-    out += key;
-    out += "\":";
-    out += std::to_string(value);
-    if (!last) out += ',';
-  };
-  field("reads", s.reads);
-  field("writes", s.writes);
-  field("trims", s.trims);
-  field("cache_hits", s.cache_hits);
-  field("cache_misses", s.cache_misses);
-  field("buffer_hits", s.buffer_hits);
-  field("coalesced_writes", s.coalesced_writes);
-  field("coalesced_reads", s.coalesced_reads);
-  field("dispatches", s.dispatches);
-  field("deadline_dispatches", s.deadline_dispatches);
-  field("flushes", s.flushes);
-  field("flushed_pages", s.flushed_pages);
-  field("lost_writes", s.lost_writes);
-  field("gc_runs", s.gc_runs);
-  field("hidden_stores", s.hidden_stores);
-  field("hidden_loads", s.hidden_loads);
-  field("pack_logical_bytes", s.pack_logical_bytes);
-  field("pack_packed_bytes", s.pack_packed_bytes);
-  field("bytes_copied", s.bytes_copied, /*last=*/true);
+  telemetry::append_counters_json(stats_snapshot(), out);
   out += '}';
   return out;
 }

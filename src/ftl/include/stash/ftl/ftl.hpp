@@ -14,7 +14,7 @@
 
 #include "stash/nand/chip.hpp"
 #include "stash/par/pool.hpp"
-#include "stash/telemetry/metrics.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/util/batch.hpp"
 #include "stash/util/status.hpp"
 
@@ -46,17 +46,21 @@ struct FtlConfig {
   [[nodiscard]] Status validate() const;
 };
 
-/// Point-in-time FTL statistics.  Assembled on demand from the telemetry
-/// counters that now back the FTL (see PageMappedFtl::stats()); in builds
-/// compiled with STASH_TELEMETRY_DISABLED every field reads zero.
+/// The FTL's counters, named once (see stash/telemetry/counter_table.hpp):
+/// FtlStats, the per-instance table and the "ftl.*" registry mirror are
+/// generated from this list.
+#define STASH_FTL_COUNTERS(X)                                          \
+  X(host_writes)           /* pages written by the host */            \
+  X(nand_writes)           /* pages physically programmed */          \
+  X(gc_runs)                                                          \
+  X(relocations)           /* valid pages moved by GC/WL */           \
+  X(wear_swaps)                                                       \
+  X(program_fail_rewrites) /* pages rewritten after kProgramFail */   \
+  X(grown_bad_blocks)      /* blocks retired in the field */
+
+/// Point-in-time FTL statistics (PageMappedFtl::stats_snapshot).
 struct FtlStats {
-  std::uint64_t host_writes = 0;   // pages written by the host
-  std::uint64_t nand_writes = 0;   // pages physically programmed
-  std::uint64_t gc_runs = 0;
-  std::uint64_t relocations = 0;   // valid pages moved by GC/WL
-  std::uint64_t wear_swaps = 0;
-  std::uint64_t program_fail_rewrites = 0;  // pages rewritten after kProgramFail
-  std::uint64_t grown_bad_blocks = 0;       // blocks retired in the field
+  STASH_COUNTER_FIELDS("ftl", STASH_FTL_COUNTERS)
 
   [[nodiscard]] double write_amplification() const noexcept {
     return host_writes ? static_cast<double>(nand_writes) /
@@ -92,11 +96,12 @@ class PageMappedFtl {
   }
 
   Status write(std::uint64_t lpn, std::span<const std::uint8_t> bits);
-  [[nodiscard]] Result<std::vector<std::uint8_t>> read(std::uint64_t lpn);
-  /// Allocation-free read: the page bits land in `dest` (>= page_bits()
-  /// bytes, typically a dev::BufferArena slab).  OK carries the cells
-  /// written — 0 reproduces read()'s empty-page fault observable.  Errors
-  /// match read() (kOutOfBounds / kNotFound); `dest` is unspecified then.
+  /// Read one logical page: the page bits land in `dest` (>= page_bits()
+  /// bytes, typically a dev::BufferArena slab), so the read allocates
+  /// nothing.  OK carries the cells written; 0 means an injected fault
+  /// interrupted the read (FlashChip::read_page_into).  kOutOfBounds /
+  /// kNotFound for an lpn beyond capacity / never written; `dest` is
+  /// unspecified then.
   Result<std::size_t> read_into(std::uint64_t lpn,
                                 std::span<std::uint8_t> dest);
   Status trim(std::uint64_t lpn);
@@ -105,18 +110,12 @@ class PageMappedFtl {
 
   /// Read many logical pages, fanning the physical reads across the pool
   /// grouped by physical block (same-block reads stay in request order, so
-  /// read-disturb noise is deterministic for any thread count).  Follows
-  /// the util::BatchResult convention (stash/util/batch.hpp): result i
-  /// corresponds to lpns[i].  The mapping tables must not be concurrently
-  /// mutated: do not interleave with write()/trim()/run_gc().
-  BatchResult<std::vector<std::uint8_t>> read_batch(
-      std::span<const std::uint64_t> lpns, par::ThreadPool& pool);
-
-  /// Zero-copy read_batch: slot i's page lands in dests[i] (each >=
-  /// page_bits() bytes), result i carrying the cells written as read_into
-  /// does.  Grouping, fan-out order, and the ftl.read_batch trace spans
-  /// are identical to read_batch — the copy, not the schedule, is what
-  /// this variant removes.
+  /// read-disturb noise is deterministic for any thread count).  Slot i's
+  /// page lands in dests[i] (each >= page_bits() bytes), result i carrying
+  /// the cells written as read_into does.  Follows the util::BatchResult
+  /// convention (stash/util/batch.hpp): result i corresponds to lpns[i].
+  /// The mapping tables must not be concurrently mutated: do not
+  /// interleave with write()/trim()/run_gc().
   BatchResult<std::size_t> read_batch_into(
       std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
       std::span<const std::span<std::uint8_t>> dests);
@@ -139,17 +138,9 @@ class PageMappedFtl {
     pre_erase_hook_ = std::move(hook);
   }
 
-  /// Point-in-time snapshot of the per-instance telemetry counters.
+  /// Point-in-time snapshot of the per-instance counters.
   [[nodiscard]] FtlStats stats_snapshot() const noexcept {
-    FtlStats s;
-    s.host_writes = counters_.host_writes.value();
-    s.nand_writes = counters_.nand_writes.value();
-    s.gc_runs = counters_.gc_runs.value();
-    s.relocations = counters_.relocations.value();
-    s.wear_swaps = counters_.wear_swaps.value();
-    s.program_fail_rewrites = counters_.program_fail_rewrites.value();
-    s.grown_bad_blocks = counters_.grown_bad_blocks.value();
-    return s;
+    return counters_.snapshot();
   }
   [[nodiscard]] std::uint32_t free_blocks() const noexcept {
     return static_cast<std::uint32_t>(free_.size());
@@ -216,19 +207,9 @@ class PageMappedFtl {
   RelocationHook hook_;
   PreEraseHook pre_erase_hook_;
 
-  // Per-instance counters (gtest runs many FTLs in one process, so these
-  // cannot live in the global registry).  Mutations also mirror into the
-  // process-wide "ftl.*" registry counters; see ftl.cpp.
-  struct Counters {
-    telemetry::Counter host_writes;
-    telemetry::Counter nand_writes;
-    telemetry::Counter gc_runs;
-    telemetry::Counter relocations;
-    telemetry::Counter wear_swaps;
-    telemetry::Counter program_fail_rewrites;
-    telemetry::Counter grown_bad_blocks;
-  };
-  Counters counters_;
+  // Per-instance counts (gtest runs many FTLs in one process), each add()
+  // mirrored into the process-wide "ftl.*" registry counters.
+  telemetry::CounterTable<FtlStats> counters_;
 };
 
 }  // namespace stash::ftl

@@ -10,27 +10,14 @@ namespace stash::ftl {
 
 using nand::PageAddr;
 using util::ErrorCode;
+using F = FtlStats::Field;
 
 namespace {
 
-// Process-wide mirrors of the per-instance counters, so benchmark metric
-// sidecars and snapshots see aggregate FTL activity.
-struct FtlTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& host_writes = reg.counter("ftl.host_writes");
-  telemetry::Counter& nand_writes = reg.counter("ftl.nand_writes");
-  telemetry::Counter& gc_runs = reg.counter("ftl.gc_runs");
-  telemetry::Counter& relocations = reg.counter("ftl.relocations");
-  telemetry::Counter& wear_swaps = reg.counter("ftl.wear_swaps");
-  telemetry::Counter& program_fail_rewrites =
-      reg.counter("ftl.program_fail_rewrites");
-  telemetry::Counter& grown_bad_blocks = reg.counter("ftl.grown_bad_blocks");
-  telemetry::Gauge& write_amp = reg.gauge("ftl.write_amplification");
-};
-
-FtlTelemetry& ftl_telemetry() {
-  static FtlTelemetry t;
-  return t;
+telemetry::Gauge& write_amp_gauge() {
+  static telemetry::Gauge& g =
+      telemetry::MetricsRegistry::global().gauge("ftl.write_amplification");
+  return g;
 }
 
 }  // namespace
@@ -119,8 +106,7 @@ Result<PageAddr> PageMappedFtl::program_with_recovery(
     // The failed attempt consumed dst: the page may hold partial charge and
     // only an erase reclaims it.  Charge the failure to its block and place
     // the data elsewhere.
-    counters_.program_fail_rewrites.inc();
-    ftl_telemetry().program_fail_rewrites.inc();
+    counters_.add(F::program_fail_rewrites);
     note_program_failure(dst.block);
   }
   return Status{ErrorCode::kProgramFail, "page placement exhausted retries"};
@@ -139,8 +125,7 @@ void PageMappedFtl::note_program_failure(std::uint32_t block) {
 Status PageMappedFtl::retire_block(std::uint32_t block) {
   if (bad_[block]) return Status::ok();
   bad_[block] = true;
-  counters_.grown_bad_blocks.inc();
-  ftl_telemetry().grown_bad_blocks.inc();
+  counters_.add(F::grown_bad_blocks);
   free_.erase(std::remove(free_.begin(), free_.end(), block), free_.end());
   if (active_block_ && *active_block_ == block) {
     active_block_.reset();
@@ -170,10 +155,8 @@ Status PageMappedFtl::drain_block(std::uint32_t block) {
     l2p_[lpn] = phys_index(to);
     p2l_[phys_index(to)] = lpn;
     ++valid_count_[to.block];
-    counters_.nand_writes.inc();
-    counters_.relocations.inc();
-    ftl_telemetry().nand_writes.inc();
-    ftl_telemetry().relocations.inc();
+    counters_.add(F::nand_writes);
+    counters_.add(F::relocations);
   }
   return Status::ok();
 }
@@ -207,29 +190,12 @@ Status PageMappedFtl::write(std::uint64_t lpn,
   l2p_[lpn] = phys_index(dst);
   p2l_[phys_index(dst)] = lpn;
   ++valid_count_[dst.block];
-  counters_.host_writes.inc();
-  counters_.nand_writes.inc();
-  auto& tel = ftl_telemetry();
-  tel.host_writes.inc();
-  tel.nand_writes.inc();
-  tel.write_amp.set(stats_snapshot().write_amplification());
+  counters_.add(F::host_writes);
+  counters_.add(F::nand_writes);
+  write_amp_gauge().set(stats_snapshot().write_amplification());
 
   STASH_RETURN_IF_ERROR(maybe_wear_level());
   return Status::ok();
-}
-
-Result<std::vector<std::uint8_t>> PageMappedFtl::read(std::uint64_t lpn) {
-  if (lpn >= logical_pages_) {
-    return Status{ErrorCode::kOutOfBounds, "lpn beyond logical capacity"};
-  }
-  if (l2p_[lpn] == kUnmapped) {
-    return Status{ErrorCode::kNotFound, "logical page not written"};
-  }
-  const std::uint64_t phys = l2p_[lpn];
-  const auto& geom = chip_->geometry();
-  return chip_->read_page(
-      static_cast<std::uint32_t>(phys / geom.pages_per_block),
-      static_cast<std::uint32_t>(phys % geom.pages_per_block));
 }
 
 Result<std::size_t> PageMappedFtl::read_into(std::uint64_t lpn,
@@ -247,55 +213,15 @@ Result<std::size_t> PageMappedFtl::read_into(std::uint64_t lpn,
       static_cast<std::uint32_t>(phys % geom.pages_per_block), dest);
 }
 
-std::vector<Result<std::vector<std::uint8_t>>> PageMappedFtl::read_batch(
-    std::span<const std::uint64_t> lpns, par::ThreadPool& pool) {
+BatchResult<std::size_t> PageMappedFtl::read_batch_into(
+    std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
+    std::span<const std::span<std::uint8_t>> dests) {
   const auto& geom = chip_->geometry();
   // Group request indices by the physical block backing each lpn
   // (first-appearance order); unmapped/out-of-range lpns resolve inline.
   // Dispatch batches are small (the device caps them at batch_pages), so a
   // linear scan of the blocks seen so far beats a hash map — no node
   // allocations on the read tail.
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<std::optional<Result<std::vector<std::uint8_t>>>> slots(
-      lpns.size());
-  std::vector<std::uint32_t> group_block;
-  groups.reserve(lpns.size());
-  group_block.reserve(lpns.size());
-  for (std::size_t i = 0; i < lpns.size(); ++i) {
-    if (lpns[i] >= logical_pages_ || l2p_[lpns[i]] == kUnmapped) {
-      slots[i].emplace(read(lpns[i]));  // resolves to the error status
-      continue;
-    }
-    const auto block =
-        static_cast<std::uint32_t>(l2p_[lpns[i]] / geom.pages_per_block);
-    std::size_t g = 0;
-    while (g < group_block.size() && group_block[g] != block) ++g;
-    if (g == group_block.size()) {
-      groups.emplace_back();
-      group_block.push_back(block);
-    }
-    groups[g].push_back(i);
-  }
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    trace::ScopedSpan span(trace::Stage::kFtlReadBatch, trace::Op::kRead,
-                           group_block[g],
-                           groups[g].size() * (page_bits() / 8));
-    for (const std::size_t i : groups[g]) slots[i].emplace(read(lpns[i]));
-  });
-  std::vector<Result<std::vector<std::uint8_t>>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-BatchResult<std::size_t> PageMappedFtl::read_batch_into(
-    std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
-    std::span<const std::span<std::uint8_t>> dests) {
-  const auto& geom = chip_->geometry();
-  // Mirrors read_batch exactly — same grouping, same fan-out, same trace
-  // spans (byte-stable traces across the two variants) — but each page is
-  // thresholded straight into its caller buffer.  Same linear-scan
-  // grouping as read_batch: no per-batch hash-map churn.
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::optional<Result<std::size_t>>> slots(lpns.size());
   std::vector<std::uint32_t> group_block;
@@ -429,8 +355,7 @@ Status PageMappedFtl::run_gc() {
   if (slack < valid_count_[victim]) {
     return {ErrorCode::kNoSpace, "insufficient slack to relocate GC victim"};
   }
-  counters_.gc_runs.inc();
-  ftl_telemetry().gc_runs.inc();
+  counters_.add(F::gc_runs);
   gc_active_ = true;
   trace::ScopedSpan span(trace::Stage::kFtlGc, trace::Op::kGc, victim);
   const Status status = relocate_block(victim);
@@ -462,8 +387,7 @@ Status PageMappedFtl::maybe_wear_level() {
   }
   if (active_block_ && *active_block_ == coldest) return Status::ok();
   if (gc_active_) return Status::ok();
-  counters_.wear_swaps.inc();
-  ftl_telemetry().wear_swaps.inc();
+  counters_.add(F::wear_swaps);
   gc_active_ = true;
   const Status status = relocate_block(coldest);
   gc_active_ = false;

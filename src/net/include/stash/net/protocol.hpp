@@ -56,11 +56,9 @@ constexpr std::size_t kOpCount = 11;
 [[nodiscard]] const char* op_name(OpCode op) noexcept;
 [[nodiscard]] bool valid_op(std::uint8_t raw) noexcept;
 
-/// Protocol revision this build speaks.  v1 had ops read..ping and the
-/// 14-field stats payload; v2 adds the hello handshake, hidden_info, and
-/// the pack counters in the stats payload; v3 appends bytes_copied to the
-/// stats payload.
-constexpr std::uint32_t kProtocolVersion = 3;
+/// Protocol revision this build speaks, exchanged in the hello.  Version 4
+/// carries stats as the name/value list of encode_device_stats below.
+constexpr std::uint32_t kProtocolVersion = 4;
 
 /// Feature flags advertised in the hello exchange.
 constexpr std::uint64_t kFeatureHiddenInfo = 1ull << 0;
@@ -114,8 +112,11 @@ void encode_response(const Response& resp, std::vector<std::uint8_t>& out);
 Status decode_request(std::span<const std::uint8_t> body, Request& out);
 Status decode_response(std::span<const std::uint8_t> body, Response& out);
 
-/// DeviceStats as a stats-response payload (fixed field order, all u64;
-/// protocol v2 appends the hidden/pack counters).
+/// DeviceStats as a stats-response payload: [count:u32] then count
+/// (name:str, value:u64) pairs, one per dev counter in table order.  The
+/// decoder skips names it does not know and reads counters it does not
+/// receive as 0, so adding a counter is not a protocol change; truncation,
+/// trailing bytes, or a repeated name are kCorrupted.
 void encode_device_stats(const dev::DeviceStats& stats,
                          std::vector<std::uint8_t>& out);
 Status decode_device_stats(std::span<const std::uint8_t> bytes,

@@ -38,6 +38,7 @@
 
 #include "stash/dev/device.hpp"
 #include "stash/net/protocol.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/util/status.hpp"
 
 namespace stash::net {
@@ -61,21 +62,27 @@ struct ServerConfig {
   int poll_timeout_ms = 10;
 };
 
+/// The server's counters, named once (see stash/telemetry/
+/// counter_table.hpp): NetStats, the per-instance table, the "net.*"
+/// registry mirror and stats_json() are generated from this list.
+#define STASH_NET_COUNTERS(X)                                              \
+  X(accepted)                                                             \
+  X(disconnected)                                                         \
+  X(requests)                                                             \
+  X(responses)                                                            \
+  /* In-flight requests whose client disconnected before the response     \
+     could be sent; their results are consumed, never abandoned. */       \
+  X(dropped)                                                              \
+  X(rx_bytes)                                                             \
+  X(tx_bytes)                                                             \
+  X(pipeline_stalls)                                                      \
+  X(protocol_errors)
+
 /// Per-instance event counts.  Everything here is a pure function of the
 /// request/response byte streams (no wall-clock values), which is what
 /// makes deterministic-mode stats_json() byte-stable.
 struct NetStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t disconnected = 0;
-  std::uint64_t rx_bytes = 0;
-  std::uint64_t tx_bytes = 0;
-  std::uint64_t requests = 0;
-  std::uint64_t responses = 0;
-  /// In-flight requests whose client disconnected before the response
-  /// could be sent; their results are consumed, never abandoned.
-  std::uint64_t dropped = 0;
-  std::uint64_t pipeline_stalls = 0;
-  std::uint64_t protocol_errors = 0;
+  STASH_COUNTER_FIELDS("net", STASH_NET_COUNTERS)
   /// Requests by op, indexed by OpCode - 1 (read ... hidden_info).
   std::uint64_t ops[kOpCount] = {};
 };

@@ -1,6 +1,8 @@
 #include "stash/net/protocol.hpp"
 
 #include <algorithm>
+#include <set>
+#include <string_view>
 
 #include "stash/util/wire.hpp"
 
@@ -114,50 +116,38 @@ Status decode_response(std::span<const std::uint8_t> body, Response& out) {
 void encode_device_stats(const dev::DeviceStats& stats,
                          std::vector<std::uint8_t>& out) {
   ByteWriter w(out);
-  w.u64(stats.reads);
-  w.u64(stats.writes);
-  w.u64(stats.trims);
-  w.u64(stats.cache_hits);
-  w.u64(stats.cache_misses);
-  w.u64(stats.buffer_hits);
-  w.u64(stats.coalesced_writes);
-  w.u64(stats.coalesced_reads);
-  w.u64(stats.dispatches);
-  w.u64(stats.deadline_dispatches);
-  w.u64(stats.flushes);
-  w.u64(stats.flushed_pages);
-  w.u64(stats.lost_writes);
-  w.u64(stats.gc_runs);
-  w.u64(stats.hidden_stores);
-  w.u64(stats.hidden_loads);
-  w.u64(stats.pack_logical_bytes);
-  w.u64(stats.pack_packed_bytes);
-  w.u64(stats.bytes_copied);
+  w.u32(static_cast<std::uint32_t>(dev::DeviceStats::kNames.size()));
+  dev::DeviceStats::for_each(stats, [&](std::string_view name,
+                                        std::uint64_t value) {
+    w.str(std::string(name));
+    w.u64(value);
+  });
 }
 
 Status decode_device_stats(std::span<const std::uint8_t> bytes,
                            dev::DeviceStats& out) {
   ByteReader r(bytes);
-  STASH_RETURN_IF_ERROR(r.u64(out.reads));
-  STASH_RETURN_IF_ERROR(r.u64(out.writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.trims));
-  STASH_RETURN_IF_ERROR(r.u64(out.cache_hits));
-  STASH_RETURN_IF_ERROR(r.u64(out.cache_misses));
-  STASH_RETURN_IF_ERROR(r.u64(out.buffer_hits));
-  STASH_RETURN_IF_ERROR(r.u64(out.coalesced_writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.coalesced_reads));
-  STASH_RETURN_IF_ERROR(r.u64(out.dispatches));
-  STASH_RETURN_IF_ERROR(r.u64(out.deadline_dispatches));
-  STASH_RETURN_IF_ERROR(r.u64(out.flushes));
-  STASH_RETURN_IF_ERROR(r.u64(out.flushed_pages));
-  STASH_RETURN_IF_ERROR(r.u64(out.lost_writes));
-  STASH_RETURN_IF_ERROR(r.u64(out.gc_runs));
-  STASH_RETURN_IF_ERROR(r.u64(out.hidden_stores));
-  STASH_RETURN_IF_ERROR(r.u64(out.hidden_loads));
-  STASH_RETURN_IF_ERROR(r.u64(out.pack_logical_bytes));
-  STASH_RETURN_IF_ERROR(r.u64(out.pack_packed_bytes));
-  STASH_RETURN_IF_ERROR(r.u64(out.bytes_copied));
-  return r.expect_exhausted();
+  std::uint32_t count = 0;
+  STASH_RETURN_IF_ERROR(r.u32(count));
+  dev::DeviceStats stats;
+  std::set<std::string> seen;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::string name;
+    std::uint64_t value = 0;
+    STASH_RETURN_IF_ERROR(r.str(name));
+    STASH_RETURN_IF_ERROR(r.u64(value));
+    if (!seen.insert(name).second) {
+      return Status{ErrorCode::kCorrupted, "duplicate stats counter " + name};
+    }
+    // A name this build does not know is a newer peer's counter: skip it.
+    dev::DeviceStats::for_each(stats, [&](std::string_view field,
+                                          std::uint64_t& slot) {
+      if (field == name) slot = value;
+    });
+  }
+  STASH_RETURN_IF_ERROR(r.expect_exhausted());
+  out = stats;
+  return Status::ok();
 }
 
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>& out) {

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -18,7 +19,6 @@
 #include <future>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -30,24 +30,16 @@
 namespace stash::net {
 
 using util::ErrorCode;
+using F = NetStats::Field;
 
 namespace {
 
-// Process-wide mirrors: cross-instance counters plus the instruments that
-// only make sense globally (wall-clock latency histograms, live-connection
-// gauge).  Wall values live ONLY here — the per-instance NetStats stays a
-// pure function of the byte streams (the deterministic-export contract).
+// Process-wide instruments that only make sense globally (wall-clock latency
+// histograms, idle ticks, live-connection gauge).  Wall-driven values live
+// ONLY here — the per-instance NetStats stays a pure function of the byte
+// streams (the deterministic-export contract).
 struct NetTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& accepted = reg.counter("net.accepted");
-  telemetry::Counter& disconnected = reg.counter("net.disconnected");
-  telemetry::Counter& rx_bytes = reg.counter("net.rx_bytes");
-  telemetry::Counter& tx_bytes = reg.counter("net.tx_bytes");
-  telemetry::Counter& requests = reg.counter("net.requests");
-  telemetry::Counter& responses = reg.counter("net.responses");
-  telemetry::Counter& dropped = reg.counter("net.dropped_responses");
-  telemetry::Counter& pipeline_stalls = reg.counter("net.pipeline_stalls");
-  telemetry::Counter& protocol_errors = reg.counter("net.protocol_errors");
   telemetry::Counter& idle_ticks = reg.counter("net.idle_ticks");
   telemetry::Gauge& active = reg.gauge("net.active_connections");
   telemetry::LatencyHistogram& read_latency =
@@ -120,8 +112,9 @@ struct Server::Impl {
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> live{false};
 
-  mutable std::mutex stats_mu;
-  NetStats stats;
+  // Reactor thread counts, any thread snapshots.
+  telemetry::CounterTable<NetStats> counters;
+  std::array<std::atomic<std::uint64_t>, kOpCount> ops{};  // NetStats::ops
 
   /// One in-flight request of a connection, front-resolved in order.
   struct Pending {
@@ -155,13 +148,6 @@ struct Server::Impl {
 
   Impl(dev::StashDevice& d, ServerConfig c) : device(d), config(std::move(c)) {}
 
-  // ---- Stats helpers (reactor thread mutates, any thread snapshots) -------
-  template <typename Fn>
-  void bump(Fn&& fn) {
-    const std::lock_guard<std::mutex> lock(stats_mu);
-    fn(stats);
-  }
-
   // ---- Socket plumbing -----------------------------------------------------
   void set_epoll_events(Conn& c, std::uint32_t events) {
     if (c.events == events) return;
@@ -181,8 +167,7 @@ struct Server::Impl {
     if (c.out_off < c.outbuf.size()) events |= EPOLLOUT;
     if (!window_open && !c.throttled && !c.close_after_flush) {
       c.throttled = true;
-      bump([](NetStats& s) { ++s.pipeline_stalls; });
-      net_telemetry().pipeline_stalls.inc();
+      counters.add(F::pipeline_stalls);
     } else if (window_open && c.throttled) {
       c.throttled = false;
     }
@@ -213,8 +198,7 @@ struct Server::Impl {
         continue;
       }
       conns.emplace(fd, std::move(conn));
-      bump([](NetStats& s) { ++s.accepted; });
-      net_telemetry().accepted.inc();
+      counters.add(F::accepted);
       net_telemetry().active.set(static_cast<double>(conns.size()));
     }
   }
@@ -223,16 +207,14 @@ struct Server::Impl {
   /// Decode and submit one frame; returns true when it queued device work
   /// (something a drain round must resolve).
   bool handle_frame(Conn& c, std::span<const std::uint8_t> body) {
-    bump([](NetStats& s) { ++s.requests; });
-    net_telemetry().requests.inc();
+    counters.add(F::requests);
     Request req;
     if (const Status st = decode_request(body, req); !st.is_ok()) {
       protocol_error(c, st);
       return false;
     }
-    bump([&](NetStats& s) {
-      ++s.ops[static_cast<std::size_t>(req.op) - 1];
-    });
+    ops[static_cast<std::size_t>(req.op) - 1].fetch_add(
+        1, std::memory_order_relaxed);
 
     Pending p;
     p.op = req.op;
@@ -345,8 +327,7 @@ struct Server::Impl {
   }
 
   void protocol_error(Conn& c, const Status& st) {
-    bump([](NetStats& s) { ++s.protocol_errors; });
-    net_telemetry().protocol_errors.inc();
+    counters.add(F::protocol_errors);
     Pending p;  // answer what can still be answered, then hang up
     p.ready.op = OpCode::kPing;
     p.ready.status = static_cast<std::uint8_t>(st.code());
@@ -381,10 +362,7 @@ struct Server::Impl {
     for (;;) {
       const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
       if (n > 0) {
-        bump([&](NetStats& s) {
-          s.rx_bytes += static_cast<std::uint64_t>(n);
-        });
-        net_telemetry().rx_bytes.inc(static_cast<std::uint64_t>(n));
+        counters.add(F::rx_bytes, static_cast<std::uint64_t>(n));
         c.assembler.feed({buf, static_cast<std::size_t>(n)});
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
@@ -451,8 +429,7 @@ struct Server::Impl {
       --in_flight;
       const Response resp = take_response(p);
       encode_response(resp, c.outbuf);
-      bump([](NetStats& s) { ++s.responses; });
-      net_telemetry().responses.inc();
+      counters.add(F::responses);
       latency_of(p.op).record(wall_elapsed_ns(p.start));
     }
   }
@@ -463,10 +440,7 @@ struct Server::Impl {
                                c.outbuf.size() - c.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         c.out_off += static_cast<std::size_t>(n);
-        bump([&](NetStats& s) {
-          s.tx_bytes += static_cast<std::uint64_t>(n);
-        });
-        net_telemetry().tx_bytes.inc(static_cast<std::uint64_t>(n));
+        counters.add(F::tx_bytes, static_cast<std::uint64_t>(n));
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
@@ -500,8 +474,7 @@ struct Server::Impl {
         z.pending.pop_front();
         --in_flight;
         (void)take_response(p);  // consume, never abandon
-        bump([](NetStats& s) { ++s.dropped; });
-        net_telemetry().dropped.inc();
+        counters.add(F::dropped);
       }
       it = z.pending.empty() ? zombies.erase(it) : std::next(it);
     }
@@ -519,8 +492,7 @@ struct Server::Impl {
       (void)epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
       ::close(c.fd);
       c.fd = -1;
-      bump([](NetStats& s) { ++s.disconnected; });
-      net_telemetry().disconnected.inc();
+      counters.add(F::disconnected);
       if (!c.pending.empty()) zombies.push_back(std::move(it->second));
       it = conns.erase(it);
     }
@@ -617,8 +589,7 @@ struct Server::Impl {
         z->pending.pop_front();
         --in_flight;
         (void)take_response(p);
-        bump([](NetStats& s) { ++s.dropped; });
-        net_telemetry().dropped.inc();
+        counters.add(F::dropped);
       }
     }
     zombies.clear();
@@ -626,10 +597,8 @@ struct Server::Impl {
       ::close(epoll_fd);
       epoll_fd = -1;
     }
-    if (wake_fd >= 0) {
-      ::close(wake_fd);
-      wake_fd = -1;
-    }
+    // wake_fd stays open: stop() may be writing to it right now, so it is
+    // closed there, after the join.
     live.store(false, std::memory_order_release);
   }
 };
@@ -708,6 +677,10 @@ void Server::stop() {
     (void)!::write(im.wake_fd, &token, sizeof(token));
   }
   im.reactor.join();
+  if (im.wake_fd >= 0) {
+    ::close(im.wake_fd);
+    im.wake_fd = -1;
+  }
 }
 
 bool Server::running() const noexcept {
@@ -717,33 +690,24 @@ bool Server::running() const noexcept {
 std::uint16_t Server::port() const noexcept { return impl_->bound_port; }
 
 NetStats Server::stats_snapshot() const {
-  const std::lock_guard<std::mutex> lock(impl_->stats_mu);
-  return impl_->stats;
+  NetStats s = impl_->counters.snapshot();
+  for (std::size_t i = 0; i < kOpCount; ++i) {
+    s.ops[i] = impl_->ops[i].load(std::memory_order_relaxed);
+  }
+  return s;
 }
 
 std::string Server::stats_json() const {
   const NetStats s = stats_snapshot();
   std::string json = "{";
-  const auto field = [&json](const char* name, std::uint64_t v,
-                             bool comma = true) {
-    json += '"';
-    json += name;
-    json += "\":";
-    json += std::to_string(v);
-    if (comma) json += ',';
-  };
-  field("accepted", s.accepted);
-  field("disconnected", s.disconnected);
-  field("requests", s.requests);
-  field("responses", s.responses);
-  field("dropped", s.dropped);
-  field("rx_bytes", s.rx_bytes);
-  field("tx_bytes", s.tx_bytes);
-  field("pipeline_stalls", s.pipeline_stalls);
-  field("protocol_errors", s.protocol_errors);
-  json += "\"ops\":{";
+  telemetry::append_counters_json(s, json);
+  json += ",\"ops\":{";
   for (std::size_t i = 0; i < kOpCount; ++i) {
-    field(op_name(static_cast<OpCode>(i + 1)), s.ops[i], i + 1 < kOpCount);
+    if (i) json += ',';
+    json += '"';
+    json += op_name(static_cast<OpCode>(i + 1));
+    json += "\":";
+    json += std::to_string(s.ops[i]);
   }
   json += "}}";
   return json;

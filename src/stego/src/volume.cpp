@@ -51,7 +51,11 @@ Status StegoVolume::write_public(std::uint64_t lpn,
 }
 
 Result<std::vector<std::uint8_t>> StegoVolume::read_public(std::uint64_t lpn) {
-  return ftl_.read(lpn);
+  std::vector<std::uint8_t> bits(ftl_.page_bits());
+  auto cells = ftl_.read_into(lpn, bits);
+  if (!cells.is_ok()) return cells.status();
+  bits.resize(cells.value());
+  return bits;
 }
 
 std::size_t StegoVolume::hidden_chunk_capacity() const {

@@ -14,9 +14,10 @@
 // Compile-time kill switch: configure with -DSTASH_TELEMETRY_DISABLED=ON
 // (which defines the macro of the same name for the whole build) and every
 // mutating operation compiles to an empty inline function — zero storage,
-// zero instructions, no atomics.  Snapshots then report zeros.  Note that
-// the FTL/stego convenience stats (FtlStats, StegoStats) are backed by the
-// same instruments and read as zero in a disabled build.
+// zero instructions, no atomics.  Snapshots then report zeros.  Per-instance
+// layer statistics (DeviceStats, FtlStats, NetStats via CounterTable in
+// counter_table.hpp, and StegoStats) do not use these instruments for their
+// counts and stay on in every build; only their registry mirrors go quiet.
 
 #include <atomic>
 #include <chrono>

@@ -313,9 +313,7 @@ TEST(DevCache, CoalescedReadsCountOneMissPerUniqueLpn) {
   const auto stats = dev.stats_snapshot();
   EXPECT_EQ(stats.cache_misses, 1u);  // one probe for the one unique lpn
   EXPECT_EQ(stats.cache_hits, 0u);    // duplicates coalesce, they don't hit
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_EQ(stats.coalesced_reads, 3u);
-#endif
 
   // The next round really does hit the cache — the accounting above is
   // coalescing, not a disabled cache.
@@ -450,9 +448,7 @@ TEST(DevScheduler, IdleTicksCompleteAStarvedReadWithoutNewSubmissions) {
   ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_TRUE(read.get().is_ok());
-#ifndef STASH_TELEMETRY_DISABLED
   EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-#endif
   EXPECT_EQ(dev.idle_tick(), 0u);  // empty queue: a cheap no-op
 }
 

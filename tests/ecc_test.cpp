@@ -1,6 +1,6 @@
 // ECC substrate tests: GF(2^m) field axioms (parameterized over m), BCH
 // encode/decode round trips with random error injection up to and beyond t,
-// Hamming SEC-DED behaviour, and parity-stripe reconstruction.
+// and parity-stripe reconstruction.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "stash/ecc/bch.hpp"
 #include "stash/ecc/gf.hpp"
-#include "stash/ecc/hamming.hpp"
+#include "stash/ecc/parity.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::ecc {
@@ -477,60 +477,6 @@ TEST(BchSimdVsReference, ConcurrentBatchesShareOneCode) {
     }
   }
 }
-
-// ---------------- Hamming SEC-DED ----------------
-
-class HammingTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HammingTest, RoundTripNoErrors) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam());
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  ASSERT_EQ(cw.size(), code.codeword_bits());
-  const auto decoded = code.decode(cw);
-  ASSERT_TRUE(decoded.ok);
-  EXPECT_EQ(decoded.corrected, 0);
-  EXPECT_EQ(decoded.data_bits, data);
-}
-
-TEST_P(HammingTest, CorrectsEverySingleBitError) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam() * 3);
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  for (std::size_t pos = 0; pos < cw.size(); ++pos) {
-    auto corrupted = cw;
-    corrupted[pos] ^= 1;
-    const auto decoded = code.decode(corrupted);
-    ASSERT_TRUE(decoded.ok) << "flip at " << pos;
-    EXPECT_EQ(decoded.corrected, 1);
-    EXPECT_EQ(decoded.data_bits, data);
-  }
-}
-
-TEST_P(HammingTest, DetectsDoubleBitErrors) {
-  HammingSecDed code(GetParam());
-  Xoshiro256 rng(GetParam() * 7);
-  std::vector<std::uint8_t> data(GetParam());
-  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-  const auto cw = code.encode(data);
-  for (int trial = 0; trial < 30; ++trial) {
-    auto corrupted = cw;
-    const auto p1 = static_cast<std::size_t>(rng.below(cw.size()));
-    auto p2 = static_cast<std::size_t>(rng.below(cw.size()));
-    while (p2 == p1) p2 = static_cast<std::size_t>(rng.below(cw.size()));
-    corrupted[p1] ^= 1;
-    corrupted[p2] ^= 1;
-    const auto decoded = code.decode(corrupted);
-    EXPECT_FALSE(decoded.ok) << "flips at " << p1 << "," << p2;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, HammingTest,
-                         ::testing::Values(4, 11, 26, 57, 64, 120, 247));
 
 // ---------------- Parity stripe ----------------
 

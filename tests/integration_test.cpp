@@ -6,7 +6,7 @@
 
 #include <algorithm>
 
-#include "stash/ecc/hamming.hpp"
+#include "stash/ecc/parity.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/pthi/pthi.hpp"
 #include "stash/svm/features.hpp"

@@ -204,7 +204,7 @@ TEST(Onfi, ProtocolErrorsCountAndExplain) {
   FlashChip chip(onfi_geometry(), NoiseModel::vendor_a(), 13);
   OnfiDevice dev(chip);
   auto& bad = telemetry::MetricsRegistry::global().counter("onfi.bad_command");
-  const auto before = bad.value();
+  [[maybe_unused]] const auto before = bad.value();
 
   dev.cmd(0xAB);  // unknown opcode
   EXPECT_TRUE(dev.status() & onfi::kStatusFail);

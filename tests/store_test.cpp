@@ -6,7 +6,9 @@
 // bytes, and read-cache/write-back invalidation on restore.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <filesystem>
@@ -29,10 +31,12 @@ using util::ErrorCode;
 
 /// Per-test scratch directory under the build tree's cwd (not /tmp); removed
 /// on destruction so a failed run leaves debris only for the failing test.
+/// The name carries the process id and the full test name: `ctest -j` runs
+/// every test in its own process from one shared cwd, so a tag alone would
+/// let two tests race on the same directory.
 class ScratchDir {
  public:
-  explicit ScratchDir(const std::string& tag)
-      : path_("./store_test_scratch_" + tag) {
+  explicit ScratchDir(const std::string& tag) : path_(unique_path(tag)) {
     std::filesystem::remove_all(path_);
     EXPECT_TRUE(ensure_dir(path_).is_ok());
   }
@@ -41,6 +45,14 @@ class ScratchDir {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  static std::string unique_path(const std::string& tag) {
+    const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string(test->test_suite_name()) + "." + test->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    return "./store_test_scratch_" + std::to_string(::getpid()) + "_" + name +
+           "_" + tag;
+  }
+
   std::string path_;
 };
 
