@@ -145,6 +145,78 @@ TEST(StatsTable, DisabledCacheCountsNoMisses) {
   EXPECT_EQ(mirror("dev.cache_misses") - misses_before, kMirrorOn ? 1u : 0u);
 }
 
+template <typename Stats>
+std::vector<std::uint64_t> values_of(const Stats& stats) {
+  std::vector<std::uint64_t> out;
+  Stats::for_each(stats,
+                  [&](std::string_view, std::uint64_t v) { out.push_back(v); });
+  return out;
+}
+
+// One case per counter of every layer: the field's index in its table, and
+// a check run against it.
+struct FieldCase {
+  std::string layer;
+  std::string name;
+  std::size_t index;
+  void (*check)(std::size_t index);
+};
+
+template <typename Stats>
+std::vector<FieldCase> field_cases(void (*check)(std::size_t)) {
+  std::vector<FieldCase> cases;
+  for (std::size_t i = 0; i < Stats::kNames.size(); ++i) {
+    cases.push_back({std::string(Stats::kLayer), std::string(Stats::kNames[i]),
+                     i, check});
+  }
+  return cases;
+}
+
+std::string field_case_name(const ::testing::TestParamInfo<FieldCase>& info) {
+  return info.param.layer + "_" + info.param.name;
+}
+
+/// add() on field `index` moves that field of the snapshot, and its mirror
+/// "<layer>.<name>", and nothing else: the enum, the names and the struct
+/// fields all line up.
+template <typename Stats>
+void check_add_moves_only_its_field(std::size_t index) {
+  telemetry::CounterTable<Stats> table;
+  const std::string name =
+      std::string(Stats::kLayer) + "." + std::string(Stats::kNames[index]);
+  const std::uint64_t before = mirror(name);
+  table.add(static_cast<typename Stats::Field>(index), 5);
+  table.add(static_cast<typename Stats::Field>(index));
+  std::vector<std::uint64_t> expected(Stats::kNames.size(), 0);
+  expected[index] = 6;
+  EXPECT_EQ(values_of(table.snapshot()), expected);
+  EXPECT_EQ(mirror(name) - before, kMirrorOn ? 6u : 0u);
+}
+
+class CounterField : public ::testing::TestWithParam<FieldCase> {};
+
+TEST_P(CounterField, AddMovesOnlyItsFieldAndMirror) {
+  GetParam().check(GetParam().index);
+}
+
+std::vector<FieldCase> all_add_cases() {
+  std::vector<FieldCase> cases = field_cases<dev::DeviceStats>(
+      &check_add_moves_only_its_field<dev::DeviceStats>);
+  for (auto& c : field_cases<ftl::FtlStats>(
+           &check_add_moves_only_its_field<ftl::FtlStats>)) {
+    cases.push_back(c);
+  }
+  for (auto& c : field_cases<net::NetStats>(
+           &check_add_moves_only_its_field<net::NetStats>)) {
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLayers, CounterField,
+                         ::testing::ValuesIn(all_add_cases()),
+                         field_case_name);
+
 dev::DeviceStats distinct_stats() {
   dev::DeviceStats stats;
   std::uint64_t v = 1;
@@ -153,13 +225,6 @@ dev::DeviceStats distinct_stats() {
     ++v;
   });
   return stats;
-}
-
-std::vector<std::uint64_t> values_of(const dev::DeviceStats& stats) {
-  std::vector<std::uint64_t> out;
-  dev::DeviceStats::for_each(
-      stats, [&](std::string_view, std::uint64_t v) { out.push_back(v); });
-  return out;
 }
 
 TEST(StatsWire, DistinctValuesRoundTrip) {
@@ -222,6 +287,31 @@ TEST(StatsWire, UnknownNamesAreSkippedAndMissingNamesReadZero) {
   expected.bytes_copied = 11;
   EXPECT_EQ(values_of(got), values_of(expected));
 }
+
+/// A payload naming only counter `index` decodes into that field alone.
+void check_lone_name_decodes_into_its_field(std::size_t index) {
+  dev::DeviceStats got = distinct_stats();  // decode must overwrite all
+  ASSERT_TRUE(net::decode_device_stats(
+                  payload_of({{std::string(dev::DeviceStats::kNames[index]),
+                               42}}),
+                  got)
+                  .is_ok());
+  std::vector<std::uint64_t> expected(dev::DeviceStats::kNames.size(), 0);
+  expected[index] = 42;
+  EXPECT_EQ(values_of(got), expected);
+}
+
+class DevWireField : public ::testing::TestWithParam<FieldCase> {};
+
+TEST_P(DevWireField, LoneNameDecodesIntoItsField) {
+  GetParam().check(GetParam().index);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dev, DevWireField,
+    ::testing::ValuesIn(field_cases<dev::DeviceStats>(
+        &check_lone_name_decodes_into_its_field)),
+    field_case_name);
 
 }  // namespace
 }  // namespace stash
