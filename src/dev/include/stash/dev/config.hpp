@@ -1,6 +1,6 @@
 #pragma once
 // Configuration of the stash::dev::StashDevice frontend — the one serving
-// surface over the whole stack (ChipArray -> per-chip FTL + StegoVolume).
+// surface over the whole stack (N FlashChips -> per-chip FTL + StegoVolume).
 // Follows the uniform config contract: validate() is checked by the
 // StashDevice constructor, which throws std::invalid_argument on a non-OK
 // status; the nested FtlConfig/VthiConfig validate through it.

@@ -1,12 +1,12 @@
 #pragma once
 // stash::dev::StashDevice — the asynchronous serving frontend of the stack.
 //
-// Callers used to juggle PageMappedFtl, VthiCodec, StegoVolume and
-// ChipArray directly; StashDevice is the one block-device-shaped surface
-// over all of them (the role PEARL's deniable FTL and Copycat's request
-// frontend play in their systems).  It owns a par::ChipArray of N chips,
-// one StegoVolume (public FTL + hidden VT-HI channel) per chip, and a
-// deterministic request scheduler in front:
+// Callers used to juggle FlashChip, PageMappedFtl, VthiCodec and StegoVolume
+// directly; StashDevice is the one block-device-shaped surface over all of
+// them (the role PEARL's deniable FTL and Copycat's request frontend play in
+// their systems).  It owns N FlashChips, one StegoVolume (public FTL +
+// hidden VT-HI channel) per chip, and a deterministic request scheduler in
+// front:
 //
 //   * Asynchronous submission: submit_read / submit_write / submit_trim /
 //     submit_store_hidden / submit_load_hidden / submit_gc return futures.
@@ -18,10 +18,11 @@
 //     overtake queued background GC/hidden maintenance, and the tie-break
 //     keeps the schedule a pure function of the submission order.
 //   * Deadline-aware batching: dispatch normally waits for batch_pages
-//     requests so same-block reads coalesce into PageMappedFtl::read_batch
-//     (duplicate-lpn reads collapse to one physical read); a request older
-//     than deadline_ticks submissions forces dispatch.  Ticks, not wall
-//     clock, so the schedule is reproducible.
+//     requests so same-block reads coalesce into
+//     PageMappedFtl::read_batch_into (duplicate-lpn reads collapse to one
+//     physical read); a request older than deadline_ticks submissions
+//     forces dispatch.  Ticks, not wall clock, so the schedule is
+//     reproducible.
 //   * Sharded read LRU (ReadCache) and a write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
 //     when buffered and durable when flush() returns OK; under a
@@ -31,11 +32,11 @@
 //     completes, so torn writes leave the old version readable).
 //
 // Determinism: all flash-touching work happens inside dispatch rounds,
-// driven from the submitting thread; fan-out uses the deterministic batch
-// entry points (read_batch groups same-block requests; per-chip work is
-// independent by FlashChip's per-block RNG streams).  For a fixed
-// submission sequence the device state, every result, and the cost-ledger
-// totals are byte-identical for any DeviceConfig::threads.
+// driven from the submitting thread; fan-out goes through one
+// par::ThreadPool (PageMappedFtl::read_batch_into groups same-block reads;
+// per-chip work is independent by FlashChip's per-block RNG streams).  For
+// a fixed submission sequence the device state, every result, and the
+// cost-ledger totals are byte-identical for any DeviceConfig::threads.
 //
 // Concurrency: the public API is thread-safe (one internal mutex); the
 // scheduler executes one dispatch round at a time.  Addressing stripes the
@@ -56,7 +57,6 @@
 #include "stash/dev/config.hpp"
 #include "stash/crypto/drbg.hpp"
 #include "stash/nand/fault_injector.hpp"
-#include "stash/par/chip_array.hpp"
 #include "stash/par/pool.hpp"
 #include "stash/stego/volume.hpp"
 #include "stash/store/snapshot.hpp"
@@ -171,7 +171,7 @@ class StashDevice {
   [[nodiscard]] std::uint64_t logical_pages() const noexcept;
   [[nodiscard]] std::uint32_t page_bits() const noexcept;
   [[nodiscard]] std::uint32_t chips() const noexcept {
-    return array_.chips();
+    return static_cast<std::uint32_t>(chips_.size());
   }
   [[nodiscard]] const DeviceConfig& config() const noexcept { return config_; }
 
@@ -282,7 +282,7 @@ class StashDevice {
   /// byte-identical across runs whenever the event counts are.
   [[nodiscard]] std::string stats_json() const;
   /// Aggregate cost ledger across all chips (exact fixed-point totals).
-  [[nodiscard]] nand::CostLedger ledger() const { return array_.total_ledger(); }
+  [[nodiscard]] nand::CostLedger ledger() const;
   /// Execution order of the most recent dispatch round.
   [[nodiscard]] const std::vector<ExecutedOp>& last_dispatch_order()
       const noexcept {
@@ -295,7 +295,7 @@ class StashDevice {
   }
   /// Direct access to one chip (per-chip fault injection in tests).
   [[nodiscard]] nand::FlashChip& chip(std::uint32_t index) {
-    return array_.chip(index);
+    return *chips_.at(index);
   }
   [[nodiscard]] par::ThreadPool& pool() noexcept { return pool_; }
 
@@ -319,10 +319,10 @@ class StashDevice {
   };
 
   [[nodiscard]] std::uint32_t chip_of(std::uint64_t lpn) const noexcept {
-    return static_cast<std::uint32_t>(lpn % array_.chips());
+    return static_cast<std::uint32_t>(lpn % chips_.size());
   }
   [[nodiscard]] std::uint64_t local_lpn(std::uint64_t lpn) const noexcept {
-    return lpn / array_.chips();
+    return lpn / chips_.size();
   }
 
   /// Enqueue under lock, then run any dispatch the queue state demands.
@@ -375,7 +375,9 @@ class StashDevice {
 
   DeviceConfig config_;
   par::ThreadPool pool_;
-  par::ChipArray array_;
+  /// Chip i is seeded from (config.seed, i), so one root seed and the
+  /// geometry reproduce every chip exactly.
+  std::vector<std::unique_ptr<nand::FlashChip>> chips_;
   std::vector<std::unique_ptr<stego::StegoVolume>> volumes_;
 
   mutable std::mutex mu_;

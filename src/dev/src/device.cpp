@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "stash/pack/pack.hpp"
+#include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
 namespace stash::dev {
@@ -119,7 +120,7 @@ std::optional<Segment> unpack_segment(std::span<const std::uint8_t> raw) {
 }
 
 /// Uniform config contract: reject an invalid DeviceConfig before any
-/// member (pool, chip array) is built from it.
+/// member (pool, chips) is built from it.
 const DeviceConfig& validated(const DeviceConfig& config) {
   if (const Status valid = config.validate(); !valid.is_ok()) {
     throw std::invalid_argument(valid.to_string());
@@ -155,18 +156,20 @@ StashDevice::StashDevice(const DeviceConfig& config,
                          const crypto::HidingKey& key)
     : config_(validated(config)),
       pool_(config.threads),
-      array_(config.geometry, config.noise, config.seed, config.chips, pool_,
-             config.costs),
       // Slabs to cover a full LRU plus a queue's worth of in-flight reads,
       // faulted in at construction so cold misses never page-fault inside
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
              config.read_cache_pages + config.queue_depth),
       cache_(config.read_cache_pages, config.read_cache_shards) {
+  chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
   for (std::uint32_t c = 0; c < config_.chips; ++c) {
+    chips_.push_back(std::make_unique<nand::FlashChip>(
+        config_.geometry, config_.noise,
+        util::hash_words(config_.seed, 0xC417A55AULL, c), config_.costs));
     volumes_.push_back(std::make_unique<stego::StegoVolume>(
-        array_.chip(c), key, stego::StegoConfig{config_.ftl, config_.vthi}));
+        *chips_.back(), key, stego::StegoConfig{config_.ftl, config_.vthi}));
   }
 }
 
@@ -183,6 +186,20 @@ std::uint32_t StashDevice::page_bits() const noexcept {
   return volumes_.front()->page_bits();
 }
 
+nand::CostLedger StashDevice::ledger() const {
+  nand::CostLedger total{};
+  for (const auto& chip : chips_) {
+    const nand::CostLedger l = chip->ledger();
+    total.time_us += l.time_us;
+    total.energy_uj += l.energy_uj;
+    total.reads += l.reads;
+    total.programs += l.programs;
+    total.erases += l.erases;
+    total.partial_programs += l.partial_programs;
+  }
+  return total;
+}
+
 // ---- Tracing ---------------------------------------------------------------
 
 std::uint64_t StashDevice::sim_now() const noexcept {
@@ -190,9 +207,7 @@ std::uint64_t StashDevice::sim_now() const noexcept {
   // rounds, so reads at serial points (under mu_) are exact and
   // thread-count independent — the virtual trace clock.
   std::uint64_t ns = 0;
-  for (std::uint32_t c = 0; c < array_.chips(); ++c) {
-    ns += array_.chip(c).time_ns();
-  }
+  for (const auto& chip : chips_) ns += chip->time_ns();
   return ns;
 }
 
@@ -952,9 +967,7 @@ std::size_t StashDevice::idle_tick() {
 // ---- Fault integration -----------------------------------------------------
 
 void StashDevice::set_fault_injector(nand::FaultInjector* injector) noexcept {
-  for (std::uint32_t c = 0; c < array_.chips(); ++c) {
-    array_.chip(c).set_fault_injector(injector);
-  }
+  for (const auto& chip : chips_) chip->set_fault_injector(injector);
 }
 
 Status StashDevice::power_cycle() {
@@ -1042,7 +1055,7 @@ std::vector<store::Chunk> StashDevice::snapshot_chunks() const {
     chunks.push_back(std::move(meta));
   }
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    const nand::FlashChip& chip = array_.chip(c);
+    const nand::FlashChip& chip = *chips_[c];
     store::Chunk meta;
     meta.name = chip_meta_name(c);
     chip.serialize_meta(meta.bytes);
@@ -1135,7 +1148,7 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   }
 
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    nand::FlashChip& chip = array_.chip(c);
+    nand::FlashChip& chip = *chips_[c];
     chip.drop_all_blocks();
     const std::vector<std::uint8_t>* chip_meta = snap.find(chip_meta_name(c));
     STASH_RETURN_IF_ERROR(

@@ -29,10 +29,6 @@
 
 #include "stash/nand/chip.hpp"
 
-namespace stash::telemetry {
-class TraceSink;
-}  // namespace stash::telemetry
-
 namespace stash::nand {
 
 namespace onfi {
@@ -86,15 +82,6 @@ class OnfiDevice {
     return last_error_;
   }
 
-  /// Attach a command tracer: every subsequent cmd() cycle records opcode,
-  /// decoded row address, busy time and status into the sink's ring buffer.
-  /// Pass nullptr to detach.  While detached, the only cost is one pointer
-  /// test per command.
-  void set_trace_sink(telemetry::TraceSink* sink) noexcept { trace_ = sink; }
-  [[nodiscard]] telemetry::TraceSink* trace_sink() const noexcept {
-    return trace_;
-  }
-
   /// Bytes per page on the bus (= cells / 8).
   [[nodiscard]] std::size_t page_bytes() const noexcept {
     return chip_->geometry().cells_per_page / 8;
@@ -123,10 +110,8 @@ class OnfiDevice {
     kReadData,
     kProgramAddr,
     kProgramData,
-    kProgramArmed,    // data latched, waiting for 10h
     kProgramBusy,     // tPROG running; RESET here = partial program
     kEraseAddr,
-    kEraseArmed,
     kFeatureAddr,
     kFeatureData,
   };
@@ -147,11 +132,8 @@ class OnfiDevice {
   /// counter — for protocol errors as opposed to chip-reported failures.
   void fail_command(std::string message) noexcept;
   void unpack_bits();
-  void cmd_impl(std::uint8_t opcode);
-  void trace_cmd(std::uint8_t opcode, double busy_us) const;
 
   FlashChip* chip_;
-  telemetry::TraceSink* trace_ = nullptr;
   State state_ = State::kIdle;
   std::uint8_t status_ = onfi::kStatusReady | onfi::kStatusWriteProtectN;
   std::vector<std::uint8_t> addr_bytes_;

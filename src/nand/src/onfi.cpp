@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "stash/telemetry/metrics.hpp"
-#include "stash/telemetry/trace.hpp"
 
 namespace stash::nand {
 
@@ -87,35 +86,8 @@ void OnfiDevice::unpack_bits() {
   }
 }
 
-void OnfiDevice::trace_cmd(std::uint8_t opcode, double busy_us) const {
-  if (!trace_) return;
-  // Only the confirm cycles carry a decoded row; every other command is
-  // address-less at the bus level.
-  std::uint32_t block = telemetry::TraceEvent::kNoAddr;
-  std::uint32_t page = telemetry::TraceEvent::kNoAddr;
-  if (opcode == kReadConfirm || opcode == kProgramConfirm ||
-      opcode == kEraseConfirm) {
-    block = armed_row_.block;
-    page = armed_row_.page;
-  }
-  trace_->record(opcode, block, page, busy_us, status_);
-}
-
 void OnfiDevice::cmd(std::uint8_t opcode) {
   onfi_telemetry().cmds.inc();
-  // kReset is traced inside reset_after() (which also serves the direct
-  // partial-programming path); everything else is recorded here with the
-  // chip busy time the command consumed.
-  if (trace_ == nullptr || opcode == kReset) {
-    cmd_impl(opcode);
-    return;
-  }
-  const double t0 = chip_->ledger().time_us;
-  cmd_impl(opcode);
-  trace_cmd(opcode, chip_->ledger().time_us - t0);
-}
-
-void OnfiDevice::cmd_impl(std::uint8_t opcode) {
   switch (opcode) {
     case kReset:
       reset_after(0.5);
@@ -141,7 +113,6 @@ void OnfiDevice::cmd_impl(std::uint8_t opcode) {
         state_ = State::kIdle;
         return;
       }
-      armed_row_ = row;
       const auto bits = chip_->read_page_at(row.block, row.page, read_vref_);
       read_buffer_.assign((bits.size() + 7) / 8, 0);
       for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -190,9 +161,8 @@ void OnfiDevice::cmd_impl(std::uint8_t opcode) {
           static_cast<std::uint32_t>(addr_bytes_[0]) |
           (static_cast<std::uint32_t>(addr_bytes_[1]) << 8) |
           (static_cast<std::uint32_t>(addr_bytes_[2]) << 16);
-      const std::uint32_t block = row / chip_->geometry().pages_per_block;
-      armed_row_ = RowAddress{block, 0};
-      set_fail(!chip_->erase_block(block).is_ok());
+      set_fail(!chip_->erase_block(row / chip_->geometry().pages_per_block)
+                    .is_ok());
       state_ = State::kIdle;
       return;
     }
@@ -240,10 +210,6 @@ void OnfiDevice::data_in(std::span<const std::uint8_t> bytes) {
         // One parameter byte: the new reference in normalized units.
         read_vref_ = static_cast<double>(bytes[0]);
         onfi_telemetry().read_ref_shifts.inc();
-        // The EF command cycle was traced before the parameter arrived;
-        // fold the new reference into that event so retry sequences are
-        // visible in the JSONL trace.
-        if (trace_) trace_->amend_last_aux(read_vref_);
       }
       state_ = State::kIdle;
       return;
@@ -263,26 +229,17 @@ std::vector<std::uint8_t> OnfiDevice::data_out(std::size_t nbytes) {
 }
 
 void OnfiDevice::wait_ready() {
-  const bool was_busy = state_ == State::kProgramBusy;
-  const double t0 = chip_->ledger().time_us;
-  if (was_busy) {
+  if (state_ == State::kProgramBusy) {
     set_fail(!chip_->program_page(armed_row_.block, armed_row_.page,
                                   bit_buffer_)
                   .is_ok());
   }
   state_ = State::kIdle;
   set_ready(true);
-  if (was_busy && trace_) {
-    // The busy time elapsed after the PROGRAM-confirm cycle was recorded;
-    // fold tPROG and the final status back into that event.
-    trace_->amend_last(chip_->ledger().time_us - t0, status_);
-  }
 }
 
 void OnfiDevice::reset_after(double fraction) {
   onfi_telemetry().resets.inc();
-  const bool was_busy = state_ == State::kProgramBusy;
-  const double t0 = chip_->ledger().time_us;
   if (state_ == State::kProgramBusy) {
     // The paper's primitive: PROGRAM aborted midway leaves partial charge
     // on the cells that were being driven toward '0'.
@@ -299,13 +256,6 @@ void OnfiDevice::reset_after(double fraction) {
   }
   state_ = State::kIdle;
   set_ready(true);
-  if (trace_) {
-    trace_->record(kReset,
-                   was_busy ? armed_row_.block : telemetry::TraceEvent::kNoAddr,
-                   was_busy ? armed_row_.page : telemetry::TraceEvent::kNoAddr,
-                   chip_->ledger().time_us - t0, status_,
-                   was_busy ? fraction : 0.0);
-  }
 }
 
 // ---- Convenience sequences ---------------------------------------------------

@@ -8,9 +8,8 @@
 // instrumented region opens a ScopedSpan, which records one SpanRecord
 // (stage, op, duration, key, bytes, outcome) into a per-thread lock-free
 // buffer when it closes.  Context propagates across thread handoff
-// explicitly: par::ThreadPool::submit captures the submitter's context and
-// par::ChipArray captures a per-op context at enqueue, so child spans keep
-// their causal parent no matter which worker runs them.
+// explicitly: par::ThreadPool::submit captures the submitter's context, so
+// child spans keep their causal parent no matter which worker runs them.
 //
 // Two clocks:
 //   * ClockMode::kWall — spans carry steady_clock begin/duration (ns since
@@ -332,9 +331,8 @@ class ScopedSpan {
 };
 
 /// Installs a captured context as current for the scope — the cross-thread
-/// propagation primitive (pool tasks, chip-array strands) and the way a
-/// request context is re-entered inside shared dispatch machinery.  Emits
-/// nothing itself.
+/// propagation primitive (pool tasks) and the way a request context is
+/// re-entered inside shared dispatch machinery.  Emits nothing itself.
 class ContextGuard {
  public:
   explicit ContextGuard(TraceContext ctx) noexcept

@@ -14,8 +14,8 @@
 //     per-request outcome — and, for deterministic layers, the device
 //     state — is identical to serial submission-order execution.
 //
-// Layers that follow this convention: PageMappedFtl::{read,write}_batch,
-// VthiCodec::{hide,reveal}_batch, dev::StashDevice::{read,write}_batch.
+// Layers that follow this convention: PageMappedFtl::read_batch_into and
+// write_batch, dev::StashDevice::{read,write}_batch.
 
 #include <vector>
 

@@ -10,7 +10,6 @@
 
 #include "stash/crypto/drbg.hpp"
 #include "stash/nand/chip.hpp"
-#include "stash/par/pool.hpp"
 #include "stash/util/status.hpp"
 #include "stash/vthi/config.hpp"
 
@@ -79,29 +78,6 @@ class VthiChannel {
   /// paper's "700 cells per page" bound that caps hidden bits per page).
   Result<std::size_t> natural_above_threshold(std::uint32_t block,
                                               std::uint32_t page);
-
-  // ---- Batch entry points (stash::par) -----------------------------------
-  // Requests are grouped by block; distinct blocks embed/extract in
-  // parallel on the pool while same-block pages run sequentially in request
-  // order, so results are bit-identical for any thread count (FlashChip's
-  // per-block noise streams make the block groups order-free).  Result i
-  // always corresponds to request i.
-
-  struct PageEmbedRequest {
-    std::uint32_t block = 0;
-    std::uint32_t page = 0;
-    std::vector<std::uint8_t> bits;
-  };
-  std::vector<Result<EmbedSession>> embed_batch(
-      std::span<const PageEmbedRequest> requests, par::ThreadPool& pool);
-
-  struct PageExtractRequest {
-    std::uint32_t block = 0;
-    std::uint32_t page = 0;
-    std::uint32_t count = 0;
-  };
-  std::vector<Result<std::vector<std::uint8_t>>> extract_batch(
-      std::span<const PageExtractRequest> requests, par::ThreadPool& pool);
 
  private:
   /// Shared selection walk over a probed voltage map.

@@ -14,7 +14,6 @@
 #include "stash/crypto/sha256.hpp"
 #include "stash/ecc/bch.hpp"
 #include "stash/nand/chip.hpp"
-#include "stash/util/batch.hpp"
 #include "stash/util/status.hpp"
 #include "stash/vthi/channel.hpp"
 #include "stash/vthi/config.hpp"
@@ -116,26 +115,6 @@ class VthiCodec {
   /// exactly the hidden-'0' cells that slipped below the threshold.
   /// Public data is untouched.
   util::Result<HideReport> refresh(std::uint32_t block);
-
-  // ---- Batch entry points (stash::par) -----------------------------------
-  // Blocks are independent hiding containers, so a batch fans out one pool
-  // task per distinct block; requests naming the same block run
-  // sequentially in request order.  Both calls follow the util::BatchResult
-  // convention (stash/util/batch.hpp): result i corresponds to request i,
-  // and results are bit-identical for any thread count.
-
-  struct BlockHideRequest {
-    std::uint32_t block = 0;
-    std::vector<std::uint8_t> payload;
-  };
-  util::BatchResult<HideReport> hide_batch(
-      std::span<const BlockHideRequest> requests, par::ThreadPool& pool);
-
-  /// Reveal many blocks; when `corrected_bits` is non-null it receives one
-  /// entry per request (ECC-repaired bit count, 0 on failed reveals).
-  util::BatchResult<std::vector<std::uint8_t>> reveal_batch(
-      std::span<const std::uint32_t> blocks, par::ThreadPool& pool,
-      std::vector<int>* corrected_bits = nullptr);
 
   /// §6.3's capacity rule: the number of hidden bits per page must stay
   /// below the natural population of eligible cells already above the

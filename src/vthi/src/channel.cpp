@@ -1,8 +1,6 @@
 #include "stash/vthi/channel.hpp"
 
-#include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "stash/telemetry/metrics.hpp"
 #include "stash/trace/trace.hpp"
@@ -192,62 +190,6 @@ Result<std::vector<std::uint8_t>> VthiChannel::extract_at(std::uint32_t block,
     bits[i] = static_cast<double>(volts[chosen[i]]) >= vth ? 0 : 1;
   }
   return bits;
-}
-
-namespace {
-
-/// Request indices grouped by block in first-appearance order, preserving
-/// submission order inside each group.  First-appearance ordering (rather
-/// than sorting by block id) keeps the result layout independent of how the
-/// caller numbered its blocks.
-template <typename Req>
-std::vector<std::vector<std::size_t>> group_by_block(
-    std::span<const Req> requests) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<std::uint32_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto [it, fresh] = index_of.try_emplace(requests[i].block, groups.size());
-    if (fresh) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
-}
-
-}  // namespace
-
-std::vector<Result<EmbedSession>> VthiChannel::embed_batch(
-    std::span<const PageEmbedRequest> requests, par::ThreadPool& pool) {
-  // Result<T> has no default state, so build into optionals and unwrap once
-  // every slot is filled.
-  std::vector<std::optional<Result<EmbedSession>>> slots(requests.size());
-  const auto groups = group_by_block(requests);
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      const PageEmbedRequest& req = requests[i];
-      slots[i].emplace(embed(req.block, req.page, req.bits));
-    }
-  });
-  std::vector<Result<EmbedSession>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-std::vector<Result<std::vector<std::uint8_t>>> VthiChannel::extract_batch(
-    std::span<const PageExtractRequest> requests, par::ThreadPool& pool) {
-  std::vector<std::optional<Result<std::vector<std::uint8_t>>>> slots(
-      requests.size());
-  const auto groups = group_by_block(requests);
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      const PageExtractRequest& req = requests[i];
-      slots[i].emplace(extract(req.block, req.page, req.count));
-    }
-  });
-  std::vector<Result<std::vector<std::uint8_t>>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
 }
 
 Result<std::size_t> VthiChannel::natural_above_threshold(std::uint32_t block,

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <optional>
-#include <unordered_map>
 
 #include "stash/crypto/chacha20.hpp"
 #include "stash/telemetry/metrics.hpp"
@@ -488,62 +485,6 @@ Result<HideReport> VthiCodec::refresh(std::uint32_t block) {
   // is keyed and deterministic per block), so the embed pass only tops up
   // cells that leaked below the threshold.
   return hide(block, payload.value());
-}
-
-namespace {
-
-/// Request indices grouped by block id in first-appearance order, keeping
-/// submission order inside a group.  Even "read-only" reveals must group:
-/// every read draws read-disturb noise from the block's RNG stream, so
-/// same-block order has to stay deterministic.
-std::vector<std::vector<std::size_t>> group_blocks(
-    std::size_t n, const std::function<std::uint32_t(std::size_t)>& block_of) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<std::uint32_t, std::size_t> index_of;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto [it, fresh] = index_of.try_emplace(block_of(i), groups.size());
-    if (fresh) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
-}
-
-}  // namespace
-
-std::vector<Result<HideReport>> VthiCodec::hide_batch(
-    std::span<const BlockHideRequest> requests, par::ThreadPool& pool) {
-  const auto groups = group_blocks(
-      requests.size(), [&](std::size_t i) { return requests[i].block; });
-  std::vector<std::optional<Result<HideReport>>> slots(requests.size());
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      slots[i].emplace(hide(requests[i].block, requests[i].payload));
-    }
-  });
-  std::vector<Result<HideReport>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-std::vector<Result<std::vector<std::uint8_t>>> VthiCodec::reveal_batch(
-    std::span<const std::uint32_t> blocks, par::ThreadPool& pool,
-    std::vector<int>* corrected_bits) {
-  const auto groups =
-      group_blocks(blocks.size(), [&](std::size_t i) { return blocks[i]; });
-  std::vector<std::optional<Result<std::vector<std::uint8_t>>>> slots(
-      blocks.size());
-  std::vector<int> corrected(blocks.size(), 0);
-  pool.parallel_for(groups.size(), [&](std::size_t g) {
-    for (const std::size_t i : groups[g]) {
-      slots[i].emplace(reveal(blocks[i], &corrected[i]));
-    }
-  });
-  std::vector<Result<std::vector<std::uint8_t>>> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  if (corrected_bits != nullptr) *corrected_bits = std::move(corrected);
-  return out;
 }
 
 Result<std::uint32_t> VthiCodec::recommended_bits_per_page(

@@ -59,6 +59,14 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
+TEST(Sha256, EmptyUpdateOnPartialBufferIsANoOp) {
+  const std::string msg = "partial";
+  Sha256 h;
+  h.update(msg);                               // buffer partially full
+  h.update(std::span<const std::uint8_t>{});  // null data(), zero length
+  EXPECT_EQ(h.finish(), Sha256::hash(msg));
+}
+
 TEST(Sha256, AvalancheOnSingleBitFlip) {
   std::vector<std::uint8_t> msg(64, 0xaa);
   const auto base = Sha256::hash(msg);

@@ -487,6 +487,20 @@ TEST(DevDeterminism, ThreadCountNeverChangesResultsOrCosts) {
   EXPECT_EQ(serial_ledger.energy_uj, parallel_ledger.energy_uj);
 }
 
+// Every device digest hangs off this derivation: chip i is seeded from
+// (config.seed, i), so one root seed rebuilds every chip exactly.
+TEST(DevDeterminism, ChipsDeriveDistinctSeeds) {
+  DeviceConfig config = tiny_config();
+  config.chips = 3;
+  StashDevice dev(config, test_key());
+  EXPECT_NE(dev.chip(0).serial(), dev.chip(1).serial());
+  EXPECT_NE(dev.chip(1).serial(), dev.chip(2).serial());
+  for (std::uint32_t c = 0; c < config.chips; ++c) {
+    EXPECT_EQ(dev.chip(c).serial(),
+              util::hash_words(config.seed, 0xC417A55AULL, c));
+  }
+}
+
 // ---- Hidden volume across chips -------------------------------------------
 
 DeviceConfig hidden_config(std::uint32_t chips) {

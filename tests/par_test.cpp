@@ -1,9 +1,9 @@
 // stash::par tests: thread-pool semantics (inline mode, full coverage,
 // slot-ordered map, exception propagation), concurrency safety of the
-// telemetry primitives under multi-threaded hammering, ChipArray batch
-// dispatch from many workers, and the tentpole guarantee: a multi-threaded
-// batch produces bit-identical voltages, reads and ledger totals to a
-// serial one.
+// telemetry registry under multi-threaded hammering, and the determinism
+// guarantee the stack's fan-out relies on: FlashChip ops grouped by block
+// and run through ThreadPool::parallel_for produce bit-identical voltages,
+// reads and ledger totals at any thread count.
 //
 // The hammering tests are the ThreadSanitizer targets: they pass trivially
 // single-threaded and exist to give TSan real concurrent traffic.
@@ -13,15 +13,15 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stash/nand/chip.hpp"
-#include "stash/par/chip_array.hpp"
 #include "stash/par/pool.hpp"
 #include "stash/telemetry/metrics.hpp"
-#include "stash/telemetry/trace.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::par {
@@ -157,126 +157,64 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
-TEST(Concurrency, TraceSinkHammeredFromManyThreads) {
-  telemetry::TraceSink sink(1024);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        sink.record(0x80, static_cast<std::uint32_t>(t),
-                    static_cast<std::uint32_t>(i), 1.0, 0x40);
-        if (i % 16 == 0) sink.amend_last(2.0, 0x41);
-        if (i % 512 == 0) {
-          (void)sink.events();  // concurrent reader
-          (void)sink.size();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sink.total_recorded(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(sink.size(), sink.capacity());
-  // The retained window is a consistent ring: seq values are unique.
-  const auto events = sink.events();
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_NE(events[i].seq, events[i - 1].seq);
-  }
-}
-
-// ---------------- ChipArray ----------------
-
-TEST(ChipArray, BatchProgramAndReadFromManyWorkers) {
-  ThreadPool pool(4);
-  const auto geom = small_geometry();
-  ChipArray array(geom, nand::NoiseModel::vendor_a(), 0xA11CE, 2, pool);
-
-  // Program every page of every block on both chips through the batch API,
-  // then read everything back.  All futures must succeed and every read
-  // must round-trip the programmed bits (public reads are near-noiseless
-  // at vendor_a defaults on fresh blocks).
-  std::vector<std::future<util::Status>> programs;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
-    for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-      for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-        programs.push_back(array.submit_program(
-            c, b, p, page_bits(c, b, p, geom.cells_per_page)));
-      }
-    }
-  }
-  for (auto& fut : programs) EXPECT_TRUE(fut.get().is_ok());
-
-  std::vector<std::future<std::vector<std::uint8_t>>> reads;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
-    for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-      for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-        reads.push_back(array.submit_read(c, b, p));
-      }
-    }
-  }
-  std::size_t idx = 0;
-  std::size_t bit_errors = 0;
-  for (std::uint32_t c = 0; c < array.chips(); ++c) {
-    for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-      for (std::uint32_t p = 0; p < geom.pages_per_block; ++p, ++idx) {
-        const auto readback = reads[idx].get();
-        const auto expected = page_bits(c, b, p, geom.cells_per_page);
-        ASSERT_EQ(readback.size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          bit_errors += (readback[i] ^ expected[i]) & 1;
-        }
-      }
-    }
-  }
-  // ~1e-5 public BER: allow a small handful across 32k cells.
-  EXPECT_LE(bit_errors, 8u);
-
-  const auto ledger = array.total_ledger();
-  EXPECT_EQ(ledger.programs,
-            static_cast<std::uint64_t>(array.chips()) * geom.blocks *
-                geom.pages_per_block);
-  EXPECT_EQ(ledger.reads, ledger.programs);
-}
-
-TEST(ChipArray, ChipsDeriveDistinctSeeds) {
-  ThreadPool pool(1);
-  ChipArray array(small_geometry(), nand::NoiseModel::vendor_a(), 7, 3, pool);
-  EXPECT_NE(array.chip(0).serial(), array.chip(1).serial());
-  EXPECT_NE(array.chip(1).serial(), array.chip(2).serial());
-  EXPECT_EQ(array.chip(0).serial(), ChipArray::chip_seed(7, 0));
-}
-
-TEST(ChipArray, SubmitOnBlockSequencesWithBatchTraffic) {
-  ThreadPool pool(4);
-  const auto geom = small_geometry();
-  ChipArray array(geom, nand::NoiseModel::vendor_a(), 99, 1, pool);
-  // Program page 0 via the batch API, then run a custom op on the same
-  // block's strand: it must observe the completed program.
-  auto prog = array.submit_program(0, 5, 0, page_bits(0, 5, 0,
-                                                      geom.cells_per_page));
-  auto probe = array.submit_on_block(0, 5, [](nand::FlashChip& chip) {
-    ASSERT_EQ(chip.page_state(5, 0), nand::PageState::kProgrammed);
-  });
-  EXPECT_TRUE(prog.get().is_ok());
-  probe.get();
-}
-
 // ---------------- The determinism guarantee ----------------
 
-// Run the same mixed batch (erase, program, read, probe, interleaved across
-// chips and blocks, including same-block sequences) against two arrays
-// built from the same root seed — one on an inline pool, one on eight
-// workers — and require bit-identical probe snapshots, read results and
-// ledger totals.
-TEST(Determinism, EightThreadBatchMatchesSerialBitForBit) {
+// The fan-out PageMappedFtl::read_batch_into uses: group ops by (chip, block)
+// in first-appearance order, run one parallel_for task per group, and keep
+// submission order inside a group.  A mixed workload (programs, same-block
+// erase->program sequences, reads and probes, interleaved across two chips)
+// must give bit-identical reads, probe snapshots and ledger totals on an
+// inline pool and on eight workers.
+TEST(Determinism, BlockGroupedParallelForMatchesSerialBitForBit) {
   const auto geom = small_geometry();
-  constexpr std::uint64_t kRoot = 0xD373C7;
   constexpr std::uint32_t kChips = 2;
+  enum class Kind : std::uint8_t { kProgram, kErase, kRead, kProbe };
+  struct Op {
+    Kind kind;
+    std::uint32_t chip;
+    std::uint32_t block;
+    std::uint32_t page;
+    std::uint32_t pattern;  // page_bits() chip argument for programs
+  };
+
+  std::vector<Op> ops;
+  for (std::uint32_t b = 0; b < geom.blocks; ++b) {
+    for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+      for (std::uint32_t c = 0; c < kChips; ++c) {
+        ops.push_back({Kind::kProgram, c, b, p, c});
+      }
+    }
+  }
+  for (std::uint32_t c = 0; c < kChips; ++c) {
+    for (std::uint32_t b = 0; b < 4; ++b) {
+      ops.push_back({Kind::kErase, c, b, 0, 0});
+      ops.push_back({Kind::kProgram, c, b, 0, c + 2});
+    }
+  }
+  for (std::uint32_t b = 0; b < geom.blocks; ++b) {
+    for (std::uint32_t c = 0; c < kChips; ++c) {
+      ops.push_back({Kind::kRead, c, b, 0, 0});
+      ops.push_back({Kind::kProbe, c, b, geom.pages_per_block - 1, 0});
+    }
+  }
+
+  // Group indices by (chip, block), first appearance first.
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> group_key;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const std::pair<std::uint32_t, std::uint32_t> key{ops[i].chip,
+                                                      ops[i].block};
+    std::size_t g = 0;
+    while (g < group_key.size() && group_key[g] != key) ++g;
+    if (g == group_key.size()) {
+      groups.emplace_back();
+      group_key.push_back(key);
+    }
+    groups[g].push_back(i);
+  }
 
   struct Snapshot {
+    std::vector<util::ErrorCode> statuses;
     std::vector<std::vector<std::uint8_t>> reads;
     std::vector<std::vector<int>> probes;
     std::vector<nand::CostLedger> ledgers;
@@ -284,68 +222,66 @@ TEST(Determinism, EightThreadBatchMatchesSerialBitForBit) {
 
   auto run = [&](unsigned threads) {
     ThreadPool pool(threads);
-    ChipArray array(geom, nand::NoiseModel::vendor_a(), kRoot, kChips, pool);
-
-    // Mixed deterministic workload.  Same-block operations are submitted
-    // in a fixed order; the shard strands preserve it on any thread count.
-    std::vector<std::future<util::Status>> statuses;
+    std::vector<std::unique_ptr<nand::FlashChip>> chips;
     for (std::uint32_t c = 0; c < kChips; ++c) {
-      for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-        for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
-          statuses.push_back(array.submit_program(
-              c, b, p, page_bits(c, b, p, geom.cells_per_page)));
-        }
-      }
-    }
-    // Re-erase and re-program a few blocks: exercises erase->program
-    // ordering inside one strand while other shards still run.
-    for (std::uint32_t c = 0; c < kChips; ++c) {
-      for (std::uint32_t b = 0; b < 4; ++b) {
-        statuses.push_back(array.submit_erase(c, b));
-        statuses.push_back(array.submit_program(
-            c, b, 0, page_bits(c, b ^ 1, 0, geom.cells_per_page)));
-      }
+      chips.push_back(std::make_unique<nand::FlashChip>(
+          geom, nand::NoiseModel::vendor_a(),
+          util::hash_words(0xD373C7, 0xC417A55AULL, c)));
     }
     Snapshot snap;
-    std::vector<std::future<std::vector<std::uint8_t>>> reads;
-    std::vector<std::future<std::vector<int>>> probes;
-    for (std::uint32_t c = 0; c < kChips; ++c) {
-      for (std::uint32_t b = 0; b < geom.blocks; ++b) {
-        reads.push_back(array.submit_read(c, b, 0));
-        probes.push_back(array.submit_probe(
-            c, b, geom.pages_per_block - 1));
+    snap.statuses.resize(ops.size(), util::ErrorCode::kOk);
+    snap.reads.resize(ops.size());
+    snap.probes.resize(ops.size());
+    pool.parallel_for(groups.size(), [&](std::size_t g) {
+      for (const std::size_t i : groups[g]) {
+        const Op& op = ops[i];
+        nand::FlashChip& chip = *chips[op.chip];
+        switch (op.kind) {
+          case Kind::kProgram:
+            snap.statuses[i] =
+                chip.program_page(op.block, op.page,
+                                  page_bits(op.pattern, op.block, op.page,
+                                            geom.cells_per_page))
+                    .code();
+            break;
+          case Kind::kErase:
+            snap.statuses[i] = chip.erase_block(op.block).code();
+            break;
+          case Kind::kRead:
+            snap.reads[i] = chip.read_page(op.block, op.page);
+            break;
+          case Kind::kProbe:
+            snap.probes[i] = chip.probe_voltages(op.block, op.page);
+            break;
+        }
       }
-    }
-    for (auto& s : statuses) EXPECT_TRUE(s.get().is_ok());
-    for (auto& r : reads) snap.reads.push_back(r.get());
-    for (auto& p : probes) snap.probes.push_back(p.get());
-    array.drain();
-    for (std::uint32_t c = 0; c < kChips; ++c) {
-      snap.ledgers.push_back(array.chip(c).ledger());
-    }
+    });
+    for (const auto& chip : chips) snap.ledgers.push_back(chip->ledger());
     return snap;
   };
 
   const Snapshot serial = run(1);
   const Snapshot parallel = run(8);
 
-  ASSERT_EQ(serial.reads.size(), parallel.reads.size());
-  for (std::size_t i = 0; i < serial.reads.size(); ++i) {
-    EXPECT_EQ(serial.reads[i], parallel.reads[i]) << "read " << i;
-  }
-  ASSERT_EQ(serial.probes.size(), parallel.probes.size());
-  for (std::size_t i = 0; i < serial.probes.size(); ++i) {
-    EXPECT_EQ(serial.probes[i], parallel.probes[i])
-        << "probe snapshot " << i;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    EXPECT_EQ(serial.statuses[i], util::ErrorCode::kOk) << "op " << i;
+    EXPECT_EQ(serial.statuses[i], parallel.statuses[i]) << "op " << i;
+    EXPECT_EQ(serial.reads[i], parallel.reads[i]) << "read op " << i;
+    EXPECT_EQ(serial.probes[i], parallel.probes[i]) << "probe op " << i;
+    if (ops[i].kind == Kind::kRead) {
+      EXPECT_EQ(serial.reads[i].size(), geom.cells_per_page);
+    }
+    if (ops[i].kind == Kind::kProbe) {
+      EXPECT_EQ(serial.probes[i].size(), geom.cells_per_page);
+    }
   }
   ASSERT_EQ(serial.ledgers.size(), parallel.ledgers.size());
-  for (std::size_t i = 0; i < serial.ledgers.size(); ++i) {
-    EXPECT_EQ(serial.ledgers[i].reads, parallel.ledgers[i].reads);
-    EXPECT_EQ(serial.ledgers[i].programs, parallel.ledgers[i].programs);
-    EXPECT_EQ(serial.ledgers[i].erases, parallel.ledgers[i].erases);
-    EXPECT_DOUBLE_EQ(serial.ledgers[i].time_us, parallel.ledgers[i].time_us);
-    EXPECT_DOUBLE_EQ(serial.ledgers[i].energy_uj,
-                     parallel.ledgers[i].energy_uj);
+  for (std::size_t c = 0; c < serial.ledgers.size(); ++c) {
+    EXPECT_EQ(serial.ledgers[c].reads, parallel.ledgers[c].reads);
+    EXPECT_EQ(serial.ledgers[c].programs, parallel.ledgers[c].programs);
+    EXPECT_EQ(serial.ledgers[c].erases, parallel.ledgers[c].erases);
+    EXPECT_EQ(serial.ledgers[c].time_us, parallel.ledgers[c].time_us);
+    EXPECT_EQ(serial.ledgers[c].energy_uj, parallel.ledgers[c].energy_uj);
   }
 }
 

@@ -1,18 +1,18 @@
 // Tests for stash::telemetry: the metrics registry (counters, gauges,
-// log-bucketed histograms, snapshots/JSON export) and the ONFI command
-// tracer (ring wraparound, the PROGRAM -> RESET partial-programming
-// sequence of §5, JSONL round-trip).
+// log-bucketed histograms, snapshots/JSON export), plus the visibility of
+// each ONFI command sequence (including §5's PROGRAM -> RESET partial
+// program) as one nand.* span in stash::trace.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <sstream>
+#include <cstdint>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "stash/nand/onfi.hpp"
 #include "stash/telemetry/metrics.hpp"
-#include "stash/telemetry/trace.hpp"
+#include "stash/trace/trace.hpp"
 
 namespace stash::telemetry {
 namespace {
@@ -176,195 +176,91 @@ TEST(MetricsRegistry, ResetZeroesButKeepsReferences) {
   EXPECT_EQ(reg.snapshot().counter("n"), 1u);
 }
 
-// ---- ONFI command tracer ---------------------------------------------------
+// ---- ONFI sequences through the one tracer --------------------------------
 
-nand::Geometry trace_geometry() {
+// §5's practicality claim (hiding needs only PROGRAM, then RESET midway) stays
+// observable without an opcode-level tracer: each OnfiDevice convenience
+// sequence lands on the chip as exactly one nand.* span, addressed and costed
+// like any other FlashChip operation.
+
+struct OnfiSequence {
+  const char* name;
+  trace::Stage stage;
+  double nand::OpCosts::*cost_us;
+  std::uint32_t block;
+  std::uint32_t page;
+  util::Status (*run)(nand::OnfiDevice&, std::uint32_t, std::uint32_t);
+};
+
+const OnfiSequence kOnfiSequences[] = {
+    {"program_page", trace::Stage::kNandProgram, &nand::OpCosts::program_us, 2,
+     0,
+     [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
+       const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0xA5);
+       return dev.program_page(b, p, bytes);
+     }},
+    {"partial_program_page", trace::Stage::kNandPartialProgram,
+     &nand::OpCosts::partial_program_us, 2, 3,
+     [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
+       const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0x00);
+       return dev.partial_program_page(b, p, bytes, 0.5);
+     }},
+    {"read_page", trace::Stage::kNandRead, &nand::OpCosts::read_us, 1, 0,
+     [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
+       return dev.read_page(b, p).size() == dev.page_bytes()
+                  ? util::Status::ok()
+                  : util::Status{util::ErrorCode::kCorrupted, "short read"};
+     }},
+    {"erase_block", trace::Stage::kNandErase, &nand::OpCosts::erase_us, 1, 0,
+     [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t) {
+       return dev.erase_block(b);
+     }},
+};
+
+void PrintTo(const OnfiSequence& seq, std::ostream* os) { *os << seq.name; }
+
+class OnfiSpan : public ::testing::TestWithParam<OnfiSequence> {};
+
+TEST_P(OnfiSpan, SequenceEmitsOneNandSpan) {
+  if (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const OnfiSequence& seq = GetParam();
   nand::Geometry geom = nand::Geometry::tiny();
   geom.cells_per_page = 2048;  // divisible by 8: 256 bus bytes per page
-  return geom;
-}
+  nand::FlashChip chip(geom, nand::NoiseModel::vendor_a(), 7);
+  nand::OnfiDevice dev(chip);
+  // Untraced setup: give the read and erase cases a programmed page.
+  const std::vector<std::uint8_t> setup(dev.page_bytes(), 0x3C);
+  ASSERT_TRUE(dev.program_page(1, 0, setup).is_ok());
 
-TEST(TraceSink, RingWraparoundKeepsNewest) {
-  TraceSink sink(4);
-  for (std::uint8_t i = 0; i < 6; ++i) {
-    sink.record(i, i, i, 1.0, 0);
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  util::Status status = util::Status::ok();
+  {
+    const trace::ContextGuard guard(trace::make_root(
+        1, trace::Stage::kDevRequest, trace::Op::kNone, 0));
+    status = seq.run(dev, seq.block, seq.page);
   }
-  EXPECT_EQ(sink.capacity(), 4u);
-  EXPECT_EQ(sink.size(), 4u);
-  EXPECT_EQ(sink.total_recorded(), 6u);
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first: sequences 2..5 survive, 0 and 1 were dropped.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].seq, i + 2);
-    EXPECT_EQ(events[i].opcode, static_cast<std::uint8_t>(i + 2));
-  }
+  tracer.disable();
+  const auto spans = tracer.collect();
+  tracer.clear();
+
+  ASSERT_TRUE(status.is_ok()) << status.message();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].stage, seq.stage);
+  EXPECT_EQ(spans[0].key,
+            (static_cast<std::uint64_t>(seq.block) << 32) | seq.page);
+  EXPECT_EQ(spans[0].dur_ns,
+            static_cast<std::uint64_t>(nand::OpCosts{}.*seq.cost_us * 1e3 +
+                                       0.5));
+  EXPECT_EQ(spans[0].status, 0);
 }
 
-TEST(TraceSink, AmendLastFoldsCompletionIntoNewestEvent) {
-  TraceSink sink(8);
-  sink.record(0x10, 1, 2, 0.0, 0x00);
-  sink.amend_last(200.0, 0x40);
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_DOUBLE_EQ(events[0].busy_us, 200.0);
-  EXPECT_EQ(events[0].status, 0x40);
-}
-
-TEST(TraceSink, PartialProgramEmitsProgramThenReset) {
-  // §5: hiding with partial programming uses only PROGRAM (80h..10h)
-  // aborted by RESET (FFh).  The trace must show exactly that order, with
-  // the armed row address on the confirm and the RESET.
-  nand::FlashChip chip(trace_geometry(), nand::NoiseModel::vendor_a(), 7);
-  nand::OnfiDevice dev(chip);
-  TraceSink sink;
-  dev.set_trace_sink(&sink);
-
-  const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0x00);
-  ASSERT_TRUE(dev.partial_program_page(2, 3, bytes, 0.5).is_ok());
-  dev.set_trace_sink(nullptr);
-
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].opcode, nand::onfi::kProgram);         // 80h
-  EXPECT_EQ(events[0].block, TraceEvent::kNoAddr);
-  EXPECT_EQ(events[1].opcode, nand::onfi::kProgramConfirm);  // 10h
-  EXPECT_EQ(events[1].block, 2u);
-  EXPECT_EQ(events[1].page, 3u);
-  EXPECT_EQ(events[2].opcode, nand::onfi::kReset);           // FFh
-  EXPECT_EQ(events[2].block, 2u);
-  EXPECT_EQ(events[2].page, 3u);
-  // The abort happened mid-tPROG: the partial program costs chip time.
-  EXPECT_GT(events[2].busy_us, 0.0);
-}
-
-TEST(TraceSink, FullProgramTraceCarriesBusyTimeAndStatus) {
-  nand::FlashChip chip(trace_geometry(), nand::NoiseModel::vendor_a(), 8);
-  nand::OnfiDevice dev(chip);
-  TraceSink sink;
-  dev.set_trace_sink(&sink);
-
-  const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0xA5);
-  ASSERT_TRUE(dev.program_page(0, 0, bytes).is_ok());
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 2u);
-  // wait_ready() amends the confirm event with tPROG and the final status.
-  EXPECT_EQ(events[1].opcode, nand::onfi::kProgramConfirm);
-  EXPECT_GT(events[1].busy_us, 0.0);
-  EXPECT_TRUE(events[1].status & nand::onfi::kStatusReady);
-  EXPECT_FALSE(events[1].status & nand::onfi::kStatusFail);
-}
-
-TEST(TraceSink, EraseReadAndReferenceShiftAreTraced) {
-  // Full command coverage: READ (00h..30h), SET FEATURES (EFh, amended
-  // with the new reference in aux), and ERASE (60h..D0h) all land in the
-  // trace with row addresses and busy time.
-  nand::FlashChip chip(trace_geometry(), nand::NoiseModel::vendor_a(), 9);
-  nand::OnfiDevice dev(chip);
-  TraceSink sink;
-  dev.set_trace_sink(&sink);
-
-  const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0x00);
-  ASSERT_TRUE(dev.program_page(1, 0, bytes).is_ok());
-  (void)dev.read_page(1, 0);
-  dev.set_read_reference(34.0);
-  (void)dev.read_page(1, 0);
-  ASSERT_TRUE(dev.erase_block(1).is_ok());
-  dev.set_trace_sink(nullptr);
-
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 9u);
-  EXPECT_EQ(events[2].opcode, nand::onfi::kRead);
-  EXPECT_EQ(events[3].opcode, nand::onfi::kReadConfirm);
-  EXPECT_EQ(events[3].block, 1u);
-  EXPECT_EQ(events[3].page, 0u);
-  EXPECT_GT(events[3].busy_us, 0.0);
-  EXPECT_EQ(events[4].opcode, nand::onfi::kSetFeatures);
-  EXPECT_DOUBLE_EQ(events[4].aux, 34.0);  // amended when the parameter arrived
-  EXPECT_EQ(events[5].opcode, nand::onfi::kRead);
-  EXPECT_EQ(events[7].opcode, nand::onfi::kErase);
-  EXPECT_EQ(events[8].opcode, nand::onfi::kEraseConfirm);
-  EXPECT_EQ(events[8].block, 1u);
-  EXPECT_GT(events[8].busy_us, 0.0);
-  EXPECT_FALSE(events[8].status & nand::onfi::kStatusFail);
-}
-
-TEST(TraceSink, ResetEventCarriesAbortFraction) {
-  nand::FlashChip chip(trace_geometry(), nand::NoiseModel::vendor_a(), 10);
-  nand::OnfiDevice dev(chip);
-  TraceSink sink;
-  dev.set_trace_sink(&sink);
-  const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0x00);
-  ASSERT_TRUE(dev.partial_program_page(2, 3, bytes, 0.35).is_ok());
-  const auto events = sink.events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[2].opcode, nand::onfi::kReset);
-  EXPECT_DOUBLE_EQ(events[2].aux, 0.35);  // how far tPROG got before abort
-}
-
-TEST(TraceSink, AuxFieldRoundTripsThroughJsonl) {
-  TraceSink sink(4);
-  sink.record(0xEF, TraceEvent::kNoAddr, TraceEvent::kNoAddr, 0.0, 0xC0, 34.0);
-  sink.record(0xFF, 2, 3, 12.5, 0x40, 0.5);
-  const auto parsed = TraceSink::parse_jsonl(sink.to_jsonl());
-  const auto original = sink.events();
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed[0].aux, 34.0);
-  EXPECT_DOUBLE_EQ(parsed[1].aux, 0.5);
-  EXPECT_EQ(parsed[0], original[0]);
-  EXPECT_EQ(parsed[1], original[1]);
-  // Traces written before the aux field existed still parse (aux -> 0).
-  const auto legacy = TraceSink::parse_jsonl(
-      "{\"seq\":1,\"op\":16,\"block\":0,\"page\":0,\"busy_us\":1.0,"
-      "\"status\":64}\n");
-  ASSERT_EQ(legacy.size(), 1u);
-  EXPECT_DOUBLE_EQ(legacy[0].aux, 0.0);
-}
-
-TEST(TraceSink, JsonlRoundTrip) {
-  TraceSink sink(8);
-  sink.record(0x80, TraceEvent::kNoAddr, TraceEvent::kNoAddr, 0.0, 0xC0);
-  sink.record(0x10, 5, 17, 200.0, 0xC0);
-  sink.record(0xFF, 5, 17, 100.125, 0x40);
-
-  const std::string text = sink.to_jsonl();
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
-
-  const auto parsed = TraceSink::parse_jsonl(text);
-  const auto original = sink.events();
-  ASSERT_EQ(parsed.size(), original.size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i], original[i]) << "event " << i;
-  }
-}
-
-TEST(TraceSink, ParseSkipsGarbageLines) {
-  const auto parsed = TraceSink::parse_jsonl(
-      "not json\n"
-      "{\"seq\":3,\"op\":16,\"block\":1,\"page\":2,\"busy_us\":4.5,"
-      "\"status\":64}\n"
-      "{\"seq\":broken\n");
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_EQ(parsed[0].seq, 3u);
-  EXPECT_EQ(parsed[0].opcode, 0x10);
-  EXPECT_EQ(parsed[0].block, 1u);
-  EXPECT_EQ(parsed[0].page, 2u);
-  EXPECT_DOUBLE_EQ(parsed[0].busy_us, 4.5);
-  EXPECT_EQ(parsed[0].status, 0x40);
-}
-
-TEST(TraceSink, DumpJsonlStreamsOldestFirst) {
-  TraceSink sink(2);
-  sink.record(0x60, 1, 0, 0.0, 0xC0);
-  sink.record(0xD0, 1, 0, 500.0, 0xC0);
-  sink.record(0x70, TraceEvent::kNoAddr, TraceEvent::kNoAddr, 0.0, 0xC0);
-  std::ostringstream os;
-  sink.dump_jsonl(os);
-  const auto parsed = TraceSink::parse_jsonl(os.str());
-  ASSERT_EQ(parsed.size(), 2u);  // capacity 2: the erase-confirm + status
-  EXPECT_EQ(parsed[0].opcode, 0xD0);
-  EXPECT_EQ(parsed[1].opcode, 0x70);
-}
+INSTANTIATE_TEST_SUITE_P(
+    AllSequences, OnfiSpan, ::testing::ValuesIn(kOnfiSequences),
+    [](const ::testing::TestParamInfo<OnfiSequence>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace stash::telemetry
