@@ -1,6 +1,7 @@
 // stash::par tests: thread-pool semantics (inline mode, full coverage,
 // slot-ordered map, exception propagation), concurrency safety of the
-// telemetry registry under multi-threaded hammering, and the determinism
+// telemetry registry and the span tracer under multi-threaded hammering,
+// block-grouped program/read fan-out on a worker pool, and the determinism
 // guarantee the stack's fan-out relies on: FlashChip ops grouped by block
 // and run through ThreadPool::parallel_for produce bit-identical voltages,
 // reads and ledger totals at any thread count.
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
@@ -22,6 +24,7 @@
 #include "stash/nand/chip.hpp"
 #include "stash/par/pool.hpp"
 #include "stash/telemetry/metrics.hpp"
+#include "stash/trace/trace.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::par {
@@ -157,6 +160,59 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
+// The one tracer under the same treatment: eight threads, each inside its
+// own request trace, record spans while one of them also snapshots the
+// buffers.  Every span must be kept, attributed to its own trace and root.
+TEST(Concurrency, TracerHammeredFromManyThreads) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 3000;
+  auto root = [](int t) {
+    return trace::make_root(static_cast<std::uint64_t>(t) + 1,
+                            trace::Stage::kDevRequest, trace::Op::kNone, 0);
+  };
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tracer, &root, t] {
+      const trace::ContextGuard guard(root(t));
+      for (int i = 0; i < kPerThread; ++i) {
+        trace::ScopedSpan span(trace::Stage::kNandRead, trace::Op::kRead,
+                               static_cast<std::uint64_t>(i), 32);
+        span.set_cost_ns(static_cast<std::uint64_t>(i));
+        if (t == 0 && i % 512 == 0) {
+          (void)tracer.collect();  // concurrent reader
+          (void)tracer.span_count();
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  tracer.disable();
+  const auto spans = tracer.collect();
+  tracer.clear();
+  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kThreads) * kPerThread);
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  for (const auto& rec : spans) {
+    ASSERT_GE(rec.trace_id, 1u);
+    ASSERT_LE(rec.trace_id, static_cast<std::uint64_t>(kThreads));
+    const int t = static_cast<int>(rec.trace_id - 1);
+    EXPECT_EQ(rec.parent_id, root(t).span_id);
+    EXPECT_EQ(rec.dur_ns, rec.key);
+    ids[t].push_back(rec.span_id);
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(ids[t].size(), static_cast<std::size_t>(kPerThread));
+    std::sort(ids[t].begin(), ids[t].end());
+    EXPECT_EQ(std::adjacent_find(ids[t].begin(), ids[t].end()), ids[t].end())
+        << "duplicate span id in trace " << t + 1;
+  }
+}
+
 // ---------------- The determinism guarantee ----------------
 
 // The fan-out PageMappedFtl::read_batch_into uses: group ops by (chip, block)
@@ -282,6 +338,73 @@ TEST(Determinism, BlockGroupedParallelForMatchesSerialBitForBit) {
     EXPECT_EQ(serial.ledgers[c].erases, parallel.ledgers[c].erases);
     EXPECT_EQ(serial.ledgers[c].time_us, parallel.ledgers[c].time_us);
     EXPECT_EQ(serial.ledgers[c].energy_uj, parallel.ledgers[c].energy_uj);
+  }
+}
+
+// Programs and reads fanned out one (chip, block) group per task on four
+// workers: every program succeeds, every page reads back its bits (public
+// reads are near-noiseless at vendor_a defaults on fresh blocks) and the
+// ledgers count each op exactly once.
+TEST(Determinism, BlockGroupedProgramThenReadRoundTrips) {
+  const auto geom = small_geometry();
+  constexpr std::uint32_t kChips = 2;
+  ThreadPool pool(4);
+  std::vector<std::unique_ptr<nand::FlashChip>> chips;
+  for (std::uint32_t c = 0; c < kChips; ++c) {
+    chips.push_back(std::make_unique<nand::FlashChip>(
+        geom, nand::NoiseModel::vendor_a(),
+        util::hash_words(0xA11CE, 0xC417A55AULL, c)));
+  }
+  const std::size_t groups = static_cast<std::size_t>(kChips) * geom.blocks;
+  const std::size_t pages = groups * geom.pages_per_block;
+  auto page_index = [&](std::uint32_t c, std::uint32_t b, std::uint32_t p) {
+    return (static_cast<std::size_t>(c) * geom.blocks + b) *
+               geom.pages_per_block +
+           p;
+  };
+
+  std::vector<util::ErrorCode> statuses(pages, util::ErrorCode::kOk);
+  pool.parallel_for(groups, [&](std::size_t g) {
+    const auto c = static_cast<std::uint32_t>(g / geom.blocks);
+    const auto b = static_cast<std::uint32_t>(g % geom.blocks);
+    for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+      statuses[page_index(c, b, p)] =
+          chips[c]
+              ->program_page(b, p, page_bits(c, b, p, geom.cells_per_page))
+              .code();
+    }
+  });
+  std::vector<std::vector<std::uint8_t>> reads(pages);
+  pool.parallel_for(groups, [&](std::size_t g) {
+    const auto c = static_cast<std::uint32_t>(g / geom.blocks);
+    const auto b = static_cast<std::uint32_t>(g % geom.blocks);
+    for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+      reads[page_index(c, b, p)] = chips[c]->read_page(b, p);
+    }
+  });
+
+  std::size_t bit_errors = 0;
+  for (std::uint32_t c = 0; c < kChips; ++c) {
+    for (std::uint32_t b = 0; b < geom.blocks; ++b) {
+      for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+        const std::size_t i = page_index(c, b, p);
+        EXPECT_EQ(statuses[i], util::ErrorCode::kOk) << "page " << i;
+        const auto expected = page_bits(c, b, p, geom.cells_per_page);
+        ASSERT_EQ(reads[i].size(), expected.size());
+        for (std::size_t k = 0; k < expected.size(); ++k) {
+          bit_errors += (reads[i][k] ^ expected[k]) & 1;
+        }
+      }
+    }
+  }
+  // ~1e-5 public BER: allow a small handful across 32k cells.
+  EXPECT_LE(bit_errors, 8u);
+  for (const auto& chip : chips) {
+    const auto ledger = chip->ledger();
+    EXPECT_EQ(ledger.programs,
+              static_cast<std::uint64_t>(geom.blocks) * geom.pages_per_block);
+    EXPECT_EQ(ledger.reads, ledger.programs);
+    EXPECT_EQ(ledger.erases, 0u);
   }
 }
 

@@ -186,6 +186,8 @@ TEST(MetricsRegistry, ResetZeroesButKeepsReferences) {
 struct OnfiSequence {
   const char* name;
   trace::Stage stage;
+  trace::Op op;
+  std::uint32_t bytes;  // bus bytes the span reports (256 per full page)
   double nand::OpCosts::*cost_us;
   std::uint32_t block;
   std::uint32_t page;
@@ -193,25 +195,27 @@ struct OnfiSequence {
 };
 
 const OnfiSequence kOnfiSequences[] = {
-    {"program_page", trace::Stage::kNandProgram, &nand::OpCosts::program_us, 2,
-     0,
+    {"program_page", trace::Stage::kNandProgram, trace::Op::kWrite, 256,
+     &nand::OpCosts::program_us, 2, 0,
      [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
        const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0xA5);
        return dev.program_page(b, p, bytes);
      }},
     {"partial_program_page", trace::Stage::kNandPartialProgram,
-     &nand::OpCosts::partial_program_us, 2, 3,
+     trace::Op::kWrite, 0, &nand::OpCosts::partial_program_us, 2, 3,
      [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
        const std::vector<std::uint8_t> bytes(dev.page_bytes(), 0x00);
        return dev.partial_program_page(b, p, bytes, 0.5);
      }},
-    {"read_page", trace::Stage::kNandRead, &nand::OpCosts::read_us, 1, 0,
+    {"read_page", trace::Stage::kNandRead, trace::Op::kRead, 256,
+     &nand::OpCosts::read_us, 1, 0,
      [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t p) {
        return dev.read_page(b, p).size() == dev.page_bytes()
                   ? util::Status::ok()
                   : util::Status{util::ErrorCode::kCorrupted, "short read"};
      }},
-    {"erase_block", trace::Stage::kNandErase, &nand::OpCosts::erase_us, 1, 0,
+    {"erase_block", trace::Stage::kNandErase, trace::Op::kErase, 0,
+     &nand::OpCosts::erase_us, 1, 0,
      [](nand::OnfiDevice& dev, std::uint32_t b, std::uint32_t) {
        return dev.erase_block(b);
      }},
@@ -219,41 +223,84 @@ const OnfiSequence kOnfiSequences[] = {
 
 void PrintTo(const OnfiSequence& seq, std::ostream* os) { *os << seq.name; }
 
-class OnfiSpan : public ::testing::TestWithParam<OnfiSequence> {};
+const trace::TraceContext kRequestRoot =
+    trace::make_root(1, trace::Stage::kDevRequest, trace::Op::kNone, 0);
 
-TEST_P(OnfiSpan, SequenceEmitsOneNandSpan) {
-  if (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  const OnfiSequence& seq = GetParam();
+struct TracedRun {
+  util::Status status = util::Status::ok();
+  std::vector<trace::SpanRecord> spans;
+};
+
+// Run one sequence on a fresh chip with the tracer on in virtual-clock mode,
+// inside kRequestRoot when `in_request`, and return what the tracer saw.
+TracedRun run_traced(const OnfiSequence& seq, bool in_request) {
   nand::Geometry geom = nand::Geometry::tiny();
   geom.cells_per_page = 2048;  // divisible by 8: 256 bus bytes per page
   nand::FlashChip chip(geom, nand::NoiseModel::vendor_a(), 7);
   nand::OnfiDevice dev(chip);
   // Untraced setup: give the read and erase cases a programmed page.
   const std::vector<std::uint8_t> setup(dev.page_bytes(), 0x3C);
-  ASSERT_TRUE(dev.program_page(1, 0, setup).is_ok());
+  EXPECT_TRUE(dev.program_page(1, 0, setup).is_ok());
 
   trace::Tracer& tracer = trace::Tracer::global();
   tracer.clear();
   tracer.enable(trace::ClockMode::kVirtual);
-  util::Status status = util::Status::ok();
+  TracedRun out;
   {
-    const trace::ContextGuard guard(trace::make_root(
-        1, trace::Stage::kDevRequest, trace::Op::kNone, 0));
-    status = seq.run(dev, seq.block, seq.page);
+    const trace::ContextGuard guard(in_request ? kRequestRoot
+                                               : trace::TraceContext{});
+    out.status = seq.run(dev, seq.block, seq.page);
   }
   tracer.disable();
-  const auto spans = tracer.collect();
+  out.spans = tracer.collect();
   tracer.clear();
+  return out;
+}
 
-  ASSERT_TRUE(status.is_ok()) << status.message();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].stage, seq.stage);
-  EXPECT_EQ(spans[0].key,
+class OnfiSpan : public ::testing::TestWithParam<OnfiSequence> {};
+
+TEST_P(OnfiSpan, SequenceEmitsOneNandSpan) {
+  if (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const OnfiSequence& seq = GetParam();
+  const TracedRun run = run_traced(seq, /*in_request=*/true);
+
+  ASSERT_TRUE(run.status.is_ok()) << run.status.message();
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_EQ(run.spans[0].stage, seq.stage);
+  EXPECT_EQ(run.spans[0].key,
             (static_cast<std::uint64_t>(seq.block) << 32) | seq.page);
-  EXPECT_EQ(spans[0].dur_ns,
+  EXPECT_EQ(run.spans[0].dur_ns,
             static_cast<std::uint64_t>(nand::OpCosts{}.*seq.cost_us * 1e3 +
                                        0.5));
-  EXPECT_EQ(spans[0].status, 0);
+  EXPECT_EQ(run.spans[0].status, 0);
+}
+
+// The span is attributed to the request that issued the sequence: same
+// trace, parented directly on the request root, tagged with the operation
+// class and the bus bytes it moved.
+TEST_P(OnfiSpan, SpanNestsUnderIssuingRequest) {
+  if (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const OnfiSequence& seq = GetParam();
+  const TracedRun run = run_traced(seq, /*in_request=*/true);
+
+  ASSERT_TRUE(run.status.is_ok()) << run.status.message();
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_EQ(run.spans[0].trace_id, kRequestRoot.trace_id);
+  EXPECT_EQ(run.spans[0].parent_id, kRequestRoot.span_id);
+  EXPECT_NE(run.spans[0].span_id, kRequestRoot.span_id);
+  EXPECT_EQ(run.spans[0].op, seq.op);
+  EXPECT_EQ(run.spans[0].bytes, seq.bytes);
+}
+
+// NAND traffic issued outside any sampled request (setup, background GC,
+// recovery) records nothing, even while the tracer is collecting.
+TEST_P(OnfiSpan, SequenceOutsideARequestEmitsNothing) {
+  if (!kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const OnfiSequence& seq = GetParam();
+  const TracedRun run = run_traced(seq, /*in_request=*/false);
+
+  ASSERT_TRUE(run.status.is_ok()) << run.status.message();
+  EXPECT_TRUE(run.spans.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(
