@@ -181,7 +181,6 @@ PointResult run_point(const Options& opt, unsigned threads,
   digest.u64(stats_after.buffer_hits);
   digest.u64(stats_after.coalesced_reads);
   digest.u64(stats_after.dispatches);
-  digest.u64(stats_after.deadline_dispatches);
   point.digest = digest.h;
   return point;
 }

@@ -40,24 +40,17 @@ struct DeviceConfig {
   unsigned threads = 1;
 
   // ---- Request scheduler --------------------------------------------------
-  /// Bound of the submission queue.  Reaching it dispatches inline on the
-  /// submitting caller (backpressure: the producer pays for the drain).
-  std::size_t queue_depth = 64;
-  /// Requests coalesced into one *_batch call per dispatch round.
+  /// Requests coalesced into one dispatch round.  The round runs inline on
+  /// the submitting caller once this many requests are queued (backpressure:
+  /// the producer pays for the drain), or when a caller drains.
   std::size_t batch_pages = 16;
-  /// Deadline, in submission ticks: a request that has waited this many
-  /// submissions is dispatched on the next submit even if the batch is not
-  /// full.  Tick-based (not wall-clock) so the schedule stays a pure
-  /// function of the submission sequence.
-  std::uint64_t deadline_ticks = 32;
 
   // ---- Caching ------------------------------------------------------------
-  /// Read LRU capacity in pages across all shards; 0 disables the cache.
+  /// Read LRU capacity in pages; 0 disables the cache.
   std::size_t read_cache_pages = 256;
-  std::uint32_t read_cache_shards = 4;
-  /// Write-back buffer capacity in pages; reaching it forces a flush
-  /// (backpressure).  0 selects write-through: every write is durable
-  /// before its future resolves.
+  /// Write-back buffer capacity in pages (>= 1); reaching it forces a
+  /// flush (backpressure).  1 makes every write durable before its future
+  /// resolves.
   std::size_t write_back_pages = 64;
 
   // ---- Per-chip layers ----------------------------------------------------
@@ -84,21 +77,13 @@ struct DeviceConfig {
       return Status{ErrorCode::kInvalidArgument,
                     "DeviceConfig: chips must be >= 1"};
     }
-    if (queue_depth == 0) {
+    if (batch_pages == 0) {
       return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: queue_depth must be >= 1"};
+                    "DeviceConfig: batch_pages must be >= 1"};
     }
-    if (batch_pages == 0 || batch_pages > queue_depth) {
+    if (write_back_pages == 0) {
       return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: batch_pages must be in [1, queue_depth]"};
-    }
-    if (deadline_ticks == 0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: deadline_ticks must be >= 1"};
-    }
-    if (read_cache_shards == 0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: read_cache_shards must be >= 1"};
+                    "DeviceConfig: write_back_pages must be >= 1"};
     }
     STASH_RETURN_IF_ERROR(ftl.validate());
     STASH_RETURN_IF_ERROR(vthi.validate());

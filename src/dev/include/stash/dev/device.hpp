@@ -10,19 +10,18 @@
 //
 //   * Asynchronous submission: submit_read / submit_write / submit_trim /
 //     submit_store_hidden / submit_load_hidden / submit_gc return futures.
-//     The submission queue is bounded (DeviceConfig::queue_depth); filling
-//     it dispatches inline on the submitting caller — backpressure where
-//     the producer pays for the drain.
+//     Writes and trims stage into the write-back buffer and resolve at
+//     once; the other kinds queue for a dispatch round.
+//   * One dispatch rule: a round runs when DeviceConfig::batch_pages
+//     requests are queued (inline on the submitting caller, so the
+//     producer pays for the drain) or when a caller drains.  Same-block
+//     reads of a round coalesce into PageMappedFtl::read_batch_into
+//     (duplicate-lpn reads collapse to one physical read).  There is no
+//     clock: the schedule is a pure function of the submit/drain sequence.
 //   * QoS priority classes (Priority): within a dispatch round requests
 //     execute sorted by (priority, submission sequence) — foreground reads
 //     overtake queued background GC/hidden maintenance, and the tie-break
 //     keeps the schedule a pure function of the submission order.
-//   * Deadline-aware batching: dispatch normally waits for batch_pages
-//     requests so same-block reads coalesce into
-//     PageMappedFtl::read_batch_into (duplicate-lpn reads collapse to one
-//     physical read); a request older than deadline_ticks submissions
-//     forces dispatch.  Ticks, not wall clock, so the schedule is
-//     reproducible.
 //   * Sharded read LRU (ReadCache) and a write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
 //     when buffered and durable when flush() returns OK; under a
@@ -116,7 +115,6 @@ struct HiddenInfo {
   X(coalesced_writes)    /* buffered lpn overwritten before flush */       \
   X(coalesced_reads)     /* duplicate lpns collapsed in a batch */         \
   X(dispatches)          /* dispatch rounds executed */                    \
-  X(deadline_dispatches) /* rounds forced by deadline_ticks */             \
   X(flushes)             /* flush() calls that drained something */        \
   X(flushed_pages)       /* buffer entries made durable */                 \
   X(lost_writes)         /* acked-unflushed entries lost to a cut */       \
@@ -181,9 +179,8 @@ class StashDevice {
   /// holds).
   std::future<Result<PageRef>> submit_read(
       std::uint64_t lpn, Priority priority = Priority::kForeground);
-  /// Stage a write.  Write-back mode acknowledges as soon as the data is
-  /// buffered (durable only after flush()); write-through mode
-  /// (write_back_pages == 0) is durable before the future resolves.
+  /// Stage a write; acknowledged as soon as the data is buffered, durable
+  /// after flush() (or the backpressure flush a full buffer forces).
   std::future<Status> submit_write(std::uint64_t lpn,
                                    std::vector<std::uint8_t> bits);
   std::future<Status> submit_trim(std::uint64_t lpn);
@@ -224,15 +221,9 @@ class StashDevice {
   /// write acknowledged before this call is durable.  On failure (e.g. a
   /// power cut mid-drain) the un-persisted entries stay buffered.
   Status flush();
-  /// Dispatch everything queued (does not flush).
+  /// Dispatch everything queued (does not flush): afterwards every
+  /// future handed out so far is ready.
   void drain();
-  /// Advance the deadline clock without submitting: the tick clock
-  /// otherwise only moves with submissions, so when clients go quiet a
-  /// sub-batch queue would wait forever.  Idle callers (the stash::net
-  /// poll loop, a timer thread) call this periodically; a request older
-  /// than deadline_ticks dispatches exactly as a submission-driven
-  /// deadline would.  Returns the queue depth after any dispatch.
-  std::size_t idle_tick();
 
   // ---- Fault integration --------------------------------------------------
   /// Attach `injector` to every chip of the array (nullptr detaches).
@@ -304,7 +295,6 @@ class StashDevice {
     OpKind kind = OpKind::kRead;
     Priority priority = Priority::kForeground;
     std::uint64_t seq = 0;
-    std::uint64_t enqueue_tick = 0;
     std::uint64_t lpn = 0;
     std::vector<std::uint8_t> data;  // store_hidden payload
     std::promise<Result<PageRef>> value_promise;
@@ -325,8 +315,12 @@ class StashDevice {
     return lpn / chips_.size();
   }
 
-  /// Enqueue under lock, then run any dispatch the queue state demands.
+  /// Enqueue under lock; a full batch dispatches inline.
   void enqueue(Request req, std::unique_lock<std::mutex>& lock);
+  /// Stage a write (`op` kWrite, `bits` one page) or a trim tombstone
+  /// (`op` kTrim) into the write-back buffer; the status is ready at once.
+  std::future<Status> stage(trace::Op op, std::uint64_t lpn,
+                            std::vector<std::uint8_t> bits);
   /// Execute every queued request in (priority, seq) order.  Called with
   /// the lock held; the lock stays held throughout (dispatch is the
   /// single-threaded heart of the deterministic schedule).
@@ -383,7 +377,6 @@ class StashDevice {
   mutable std::mutex mu_;
   std::list<Request> queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t tick_ = 0;
   std::uint64_t trace_seq_ = 0;     // requests considered for sampling
   std::uint64_t dispatch_seq_ = 0;  // dispatch-round trace ids
   /// Slab pool behind every read result: misses threshold straight into

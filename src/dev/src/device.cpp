@@ -119,6 +119,9 @@ std::optional<Segment> unpack_segment(std::span<const std::uint8_t> raw) {
   return seg;
 }
 
+/// Read LRU shards (lpn % shards), each with its own lock and LRU order.
+constexpr std::uint32_t kReadCacheShards = 4;
+
 /// Uniform config contract: reject an invalid DeviceConfig before any
 /// member (pool, chips) is built from it.
 const DeviceConfig& validated(const DeviceConfig& config) {
@@ -156,12 +159,12 @@ StashDevice::StashDevice(const DeviceConfig& config,
                          const crypto::HidingKey& key)
     : config_(validated(config)),
       pool_(config.threads),
-      // Slabs to cover a full LRU plus a queue's worth of in-flight reads,
+      // Slabs to cover a full LRU plus a batch's worth of in-flight reads,
       // faulted in at construction so cold misses never page-fault inside
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
-             config.read_cache_pages + config.queue_depth),
-      cache_(config.read_cache_pages, config.read_cache_shards) {
+             config.read_cache_pages + config.batch_pages),
+      cache_(config.read_cache_pages, kReadCacheShards) {
   chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
   for (std::uint32_t c = 0; c < config_.chips; ++c) {
@@ -287,20 +290,12 @@ void StashDevice::emit_request_trace(const trace::TraceContext& root,
 
 void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.seq = next_seq_++;
-  req.enqueue_tick = ++tick_;
   req.start = std::chrono::steady_clock::now();
   req.trace = new_request_trace(op_of(req.kind), req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
   queue_.push_back(std::move(req));
   dev_telemetry().queue_depth.set(static_cast<double>(queue_.size()));
-  if (queue_.size() >= config_.queue_depth) {
-    dispatch(lock);  // backpressure: the submitting caller pays the drain
-  } else if (queue_.size() >= config_.batch_pages) {
-    dispatch(lock);
-  } else if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.add(F::deadline_dispatches);
-    dispatch(lock);
-  }
+  if (queue_.size() >= config_.batch_pages) dispatch(lock);
 }
 
 std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
@@ -317,102 +312,59 @@ std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
 
 std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
                                               std::vector<std::uint8_t> bits) {
+  return stage(trace::Op::kWrite, lpn, std::move(bits));
+}
+
+std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
+  return stage(trace::Op::kTrim, lpn, {});
+}
+
+std::future<Status> StashDevice::stage(trace::Op op, std::uint64_t lpn,
+                                       std::vector<std::uint8_t> bits) {
+  const bool trim = op == trace::Op::kTrim;
   std::promise<Status> promise;
   auto fut = promise.get_future();
-  std::unique_lock<std::mutex> lock(mu_);
-  ++tick_;
-  counters_.add(F::writes);
-  auto& wtel = dev_telemetry();
-  wtel.queue_depth.set(static_cast<double>(queue_.size()));
-  // Writes execute inline (no queue wait): the trace root, service start
-  // and enqueue stamp coincide.
-  const trace::TraceContext root = new_request_trace(trace::Op::kWrite, lpn);
+  const std::lock_guard<std::mutex> lock(mu_);
+  // Staging runs inline (no queue wait): the trace root, service start and
+  // enqueue stamp coincide.
+  const trace::TraceContext root = new_request_trace(op, lpn);
   const std::uint64_t t0 = root.active() ? trace_now() : 0;
   Status st = Status::ok();
   {
-    const trace::ContextGuard service_guard(
-        service_ctx(root, trace::Op::kWrite, lpn));
+    const trace::ContextGuard service_guard(service_ctx(root, op, lpn));
     if (lpn >= logical_pages()) {
       st = Status{ErrorCode::kOutOfBounds, "lpn beyond device capacity"};
-    } else if (bits.size() != page_bits()) {
+    } else if (!trim && bits.size() != page_bits()) {
       st = Status{ErrorCode::kInvalidArgument, "write size != page size"};
     } else {
       cache_.invalidate(lpn);
-      if (config_.write_back_pages == 0) {
-        // Write-through: durable before the future resolves.
-        st = volumes_[chip_of(lpn)]->write_public(local_lpn(lpn),
-                                                  std::move(bits));
-      } else {
-        {
-          trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer,
-                                        trace::Op::kWrite, lpn,
-                                        bits.size() / 8);
+      {
+        const trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer, op, lpn,
+                                            bits.size() / 8);
+        if (trim) {
+          buffer_.put_trim(lpn);
+          counters_.add(F::trims);
+        } else {
           // Adopt, not copy: the staged PageRef feeds buffer-hit readers
           // and the flush path from the same storage.
           if (buffer_.put(lpn, PageRef::adopt(std::move(bits)))) {
             counters_.add(F::coalesced_writes);
           }
+          counters_.add(F::writes);
         }
-        wtel.buffered_pages.set(static_cast<double>(buffer_.size()));
-        wtel.acked_unflushed.set(
-            static_cast<double>(buffer_.pending_writes()));
-        if (buffer_.size() >= config_.write_back_pages) {
-          // Backpressure flush.  The staged data survives a failure (it stays
-          // buffered); the triggering writer carries the health report.
-          st = flush_locked();
-        }
+      }
+      auto& tel = dev_telemetry();
+      tel.buffered_pages.set(static_cast<double>(buffer_.size()));
+      tel.acked_unflushed.set(static_cast<double>(buffer_.pending_writes()));
+      if (buffer_.size() >= config_.write_back_pages) {
+        // Backpressure flush.  The staged data survives a failure (it stays
+        // buffered); the triggering request carries the health report.
+        st = flush_locked();
       }
     }
   }
   if (root.active()) {
-    emit_request_trace(root, t0, trace::Op::kWrite, lpn, t0, trace_now(),
-                       static_cast<std::uint8_t>(st.code()));
-  }
-  // A queued read may be past its deadline now that the tick advanced.
-  if (!queue_.empty() &&
-      tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.add(F::deadline_dispatches);
-    dispatch(lock);
-  }
-  promise.set_value(st);
-  return fut;
-}
-
-std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
-  std::promise<Status> promise;
-  auto fut = promise.get_future();
-  std::unique_lock<std::mutex> lock(mu_);
-  ++tick_;
-  counters_.add(F::trims);
-  auto& ttel = dev_telemetry();
-  ttel.queue_depth.set(static_cast<double>(queue_.size()));
-  const trace::TraceContext root = new_request_trace(trace::Op::kTrim, lpn);
-  const std::uint64_t t0 = root.active() ? trace_now() : 0;
-  Status st = Status::ok();
-  {
-    const trace::ContextGuard service_guard(
-        service_ctx(root, trace::Op::kTrim, lpn));
-    if (lpn >= logical_pages()) {
-      st = Status{ErrorCode::kOutOfBounds, "lpn beyond device capacity"};
-    } else {
-      cache_.invalidate(lpn);
-      if (config_.write_back_pages == 0) {
-        st = volumes_[chip_of(lpn)]->ftl().trim(local_lpn(lpn));
-      } else {
-        {
-          const trace::ScopedSpan buffer_span(trace::Stage::kDevBuffer,
-                                              trace::Op::kTrim, lpn);
-          buffer_.put_trim(lpn);
-        }
-        ttel.buffered_pages.set(static_cast<double>(buffer_.size()));
-        ttel.acked_unflushed.set(
-            static_cast<double>(buffer_.pending_writes()));
-        if (buffer_.size() >= config_.write_back_pages) st = flush_locked();
-      }
-    }
-  }
-  if (root.active()) {
-    emit_request_trace(root, t0, trace::Op::kTrim, lpn, t0, trace_now(),
+    emit_request_trace(root, t0, op, lpn, t0, trace_now(),
                        static_cast<std::uint8_t>(st.code()));
   }
   promise.set_value(st);
@@ -492,16 +444,14 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
     last_dispatch_.push_back(ExecutedOp{req.kind, req.seq, req.priority});
   }
 
-  // Execute: consecutive reads coalesce into one batched round (capped at
-  // batch_pages per round); everything else runs singly, in order.
+  // Execute: consecutive reads coalesce into one batched round (the queue
+  // never holds more than batch_pages); everything else runs singly, in
+  // order.
   std::size_t i = 0;
   while (i < batch.size()) {
     if (batch[i].kind == OpKind::kRead) {
       std::size_t j = i;
-      while (j < batch.size() && batch[j].kind == OpKind::kRead &&
-             j - i < config_.batch_pages) {
-        ++j;
-      }
+      while (j < batch.size() && batch[j].kind == OpKind::kRead) ++j;
       std::vector<Request> reads(std::make_move_iterator(batch.begin() + i),
                                  std::make_move_iterator(batch.begin() + j));
       execute_reads(reads);
@@ -947,21 +897,6 @@ Status StashDevice::flush() {
 void StashDevice::drain() {
   std::unique_lock<std::mutex> lock(mu_);
   dispatch(lock);
-}
-
-std::size_t StashDevice::idle_tick() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (queue_.empty()) return 0;
-  // The deadline clock only advances with submissions, so a queue whose
-  // clients go quiet would starve its last requests forever.  An idle
-  // caller (the net server's poll loop, a timer) advances it here; the
-  // queue drains through the same deadline path a submission would take.
-  ++tick_;
-  if (tick_ - queue_.front().enqueue_tick >= config_.deadline_ticks) {
-    counters_.add(F::deadline_dispatches);
-    dispatch(lock);
-  }
-  return queue_.size();
 }
 
 // ---- Fault integration -----------------------------------------------------

@@ -17,14 +17,16 @@
 //   * QoS: the frame's priority byte maps straight onto dev::Priority, so
 //     a foreground read overtakes queued background hidden maintenance in
 //     the device's dispatch order, exactly as local submitters would.
-//   * Starvation-free: when the wire goes quiet with requests still
-//     queued, each poll timeout advances the device's deadline clock
-//     (StashDevice::idle_tick), so a lone queued read completes without a
-//     follow-up submission.
-//   * Graceful shutdown: stop() stops accepting, dispatches everything
-//     queued on the device, resolves every in-flight request (responses
-//     flushed best-effort; futures of disconnected clients consumed and
-//     counted as dropped), then closes.  No future is ever abandoned.
+//   * Quiescence rule: after handling its socket events the reactor
+//     repeats drain-then-sweep — drain the device queue, then resolve,
+//     transmit and refill every connection — until a sweep handles no
+//     frame.  It then blocks in epoll until the next event: no request
+//     waits on a timer, and no poll timeout exists.
+//   * Graceful shutdown: stop() stops accepting, runs the same loop until
+//     quiescent, flushes responses best-effort, then closes.  A
+//     disconnected client's futures are ready after one drain; they are
+//     consumed and counted as dropped when it is reaped.  No future is
+//     ever abandoned.
 //   * Deterministic mode: each request is submitted, dispatched, and its
 //     response encoded before the next frame is processed.  With a single
 //     client driving a fixed workload, the per-instance stats (and hence
@@ -54,12 +56,6 @@ struct ServerConfig {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Dispatch-and-respond after every frame; see the header comment.
   bool deterministic = false;
-  /// Dispatch the device queue at the end of every poll round that
-  /// submitted something (low latency).  Off, the device's own batch /
-  /// deadline triggers rule, which favours coalescing over latency.
-  bool drain_per_round = true;
-  /// epoll timeout; each timeout with work in flight is one idle tick.
-  int poll_timeout_ms = 10;
 };
 
 /// The server's counters, named once (see stash/telemetry/

@@ -17,7 +17,6 @@
 #include <cstring>
 #include <deque>
 #include <future>
-#include <list>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -35,12 +34,11 @@ using F = NetStats::Field;
 namespace {
 
 // Process-wide instruments that only make sense globally (wall-clock latency
-// histograms, idle ticks, live-connection gauge).  Wall-driven values live
-// ONLY here — the per-instance NetStats stays a pure function of the byte
-// streams (the deterministic-export contract).
+// histograms, live-connection gauge).  Wall-driven values live ONLY here —
+// the per-instance NetStats stays a pure function of the byte streams (the
+// deterministic-export contract).
 struct NetTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& idle_ticks = reg.counter("net.idle_ticks");
   telemetry::Gauge& active = reg.gauge("net.active_connections");
   telemetry::LatencyHistogram& read_latency =
       reg.histogram("net.read_latency_ns");
@@ -141,10 +139,6 @@ struct Server::Impl {
   };
 
   std::unordered_map<int, std::unique_ptr<Conn>> conns;
-  /// Disconnected clients whose in-flight futures are still owed a
-  /// consumer; swept until empty, counted as dropped responses.
-  std::list<std::unique_ptr<Conn>> zombies;
-  std::size_t in_flight = 0;
 
   Impl(dev::StashDevice& d, ServerConfig c) : device(d), config(std::move(c)) {}
 
@@ -204,14 +198,13 @@ struct Server::Impl {
   }
 
   // ---- Request handling ----------------------------------------------------
-  /// Decode and submit one frame; returns true when it queued device work
-  /// (something a drain round must resolve).
-  bool handle_frame(Conn& c, std::span<const std::uint8_t> body) {
+  /// Decode and submit one frame.
+  void handle_frame(Conn& c, std::span<const std::uint8_t> body) {
     counters.add(F::requests);
     Request req;
     if (const Status st = decode_request(body, req); !st.is_ok()) {
       protocol_error(c, st);
-      return false;
+      return;
     }
     ops[static_cast<std::size_t>(req.op) - 1].fetch_add(
         1, std::memory_order_relaxed);
@@ -220,12 +213,10 @@ struct Server::Impl {
     p.op = req.op;
     p.id = req.id;
     p.start = std::chrono::steady_clock::now();
-    bool queued = false;
     switch (req.op) {
       case OpCode::kRead:
         p.kind = Pending::Kind::kValue;
         p.value_fut = device.submit_read(req.lpn, to_priority(req.priority));
-        queued = true;
         break;
       case OpCode::kWrite:
         p.kind = Pending::Kind::kStatus;
@@ -238,17 +229,14 @@ struct Server::Impl {
       case OpCode::kStoreHidden:
         p.kind = Pending::Kind::kStatus;
         p.status_fut = device.submit_store_hidden(std::move(req.data));
-        queued = true;
         break;
       case OpCode::kLoadHidden:
         p.kind = Pending::Kind::kValue;
         p.value_fut = device.submit_load_hidden();
-        queued = true;
         break;
       case OpCode::kGc:
         p.kind = Pending::Kind::kStatus;
         p.status_fut = device.submit_gc();
-        queued = true;
         break;
       case OpCode::kFlush: {
         const Status st = device.flush();
@@ -279,7 +267,7 @@ struct Server::Impl {
                                : std::uint8_t{0};
         if (const Status st = decode_hello(req.data, theirs); !st.is_ok()) {
           protocol_error(c, st);  // queues its own answer and hangs up
-          return false;
+          return;
         }
         // Version or pack-format disagreement: answer kUnsupported (with
         // what we speak, so the peer can log it) and close after the
@@ -317,13 +305,11 @@ struct Server::Impl {
       }
     }
     c.pending.push_back(std::move(p));
-    ++in_flight;
-    if (config.deterministic && queued) {
+    if (config.deterministic) {
       // One request, one dispatch round, one response — the serial
       // schedule whose stats export is byte-identical run-to-run.
       device.drain();
     }
-    return queued;
   }
 
   void protocol_error(Conn& c, const Status& st) {
@@ -333,14 +319,13 @@ struct Server::Impl {
     p.ready.status = static_cast<std::uint8_t>(st.code());
     p.ready.message = st.message();
     c.pending.push_back(std::move(p));
-    ++in_flight;
     c.close_after_flush = true;
   }
 
   /// Pop complete frames while the pipeline window is open.  Returns true
-  /// when any frame queued device work.
+  /// when it handled any frame.
   bool process_frames(Conn& c) {
-    bool queued = false;
+    bool handled = false;
     while (!c.dead && !c.close_after_flush &&
            c.pending.size() < config.max_pipeline) {
       std::vector<std::uint8_t> body;
@@ -351,10 +336,11 @@ struct Server::Impl {
         break;
       }
       if (!frame_ready) break;
-      queued = handle_frame(c, body) || queued;
+      handle_frame(c, body);
+      handled = true;
     }
     update_interest(c);
-    return queued;
+    return handled;
   }
 
   void on_readable(Conn& c) {
@@ -426,7 +412,6 @@ struct Server::Impl {
     while (!c.pending.empty() && pending_ready(c.pending.front())) {
       Pending p = std::move(c.pending.front());
       c.pending.pop_front();
-      --in_flight;
       const Response resp = take_response(p);
       encode_response(resp, c.outbuf);
       counters.add(F::responses);
@@ -455,33 +440,36 @@ struct Server::Impl {
     }
   }
 
-  /// Resolve / transmit / refill every connection; consume zombie results.
-  /// Returns true when leftover buffered frames queued new device work.
+  /// Resolve / transmit / refill every connection, then reap the dead.
+  /// Returns true when it handled any frame.
   bool sweep() {
-    bool queued = false;
+    bool handled = false;
     for (auto& [fd, conn] : conns) {
       Conn& c = *conn;
       if (c.dead) continue;
       resolve_ready(c);
       flush_out(c);
-      if (!c.dead) queued = process_frames(c) || queued;
+      if (!c.dead) handled = process_frames(c) || handled;
       if (!c.dead) flush_out(c);
     }
-    for (auto it = zombies.begin(); it != zombies.end();) {
-      Conn& z = **it;
-      while (!z.pending.empty() && pending_ready(z.pending.front())) {
-        Pending p = std::move(z.pending.front());
-        z.pending.pop_front();
-        --in_flight;
-        (void)take_response(p);  // consume, never abandon
-        counters.add(F::dropped);
-      }
-      it = z.pending.empty() ? zombies.erase(it) : std::next(it);
-    }
     reap();
-    return queued;
+    return handled;
   }
 
+  /// Drain the device, then sweep, until a sweep handles no frame.  Every
+  /// round drains, so when this returns the device queue is empty and
+  /// every live connection's responses are encoded; what a sweep leaves
+  /// behind is only a partial frame or a full socket, each of which epoll
+  /// reports.
+  void pump() {
+    do {
+      device.drain();
+    } while (sweep());
+  }
+
+  /// Close and free dead connections.  One drain makes every future of a
+  /// dead connection ready; each is consumed, never abandoned, and counted
+  /// as dropped.
   void reap() {
     for (auto it = conns.begin(); it != conns.end();) {
       if (!it->second->dead) {
@@ -491,9 +479,12 @@ struct Server::Impl {
       Conn& c = *it->second;
       (void)epoll_ctl(epoll_fd, EPOLL_CTL_DEL, c.fd, nullptr);
       ::close(c.fd);
-      c.fd = -1;
       counters.add(F::disconnected);
-      if (!c.pending.empty()) zombies.push_back(std::move(it->second));
+      if (!c.pending.empty()) device.drain();
+      for (Pending& p : c.pending) {
+        (void)take_response(p);
+        counters.add(F::dropped);
+      }
       it = conns.erase(it);
     }
     net_telemetry().active.set(static_cast<double>(conns.size()));
@@ -504,20 +495,11 @@ struct Server::Impl {
     std::vector<epoll_event> events(64);
     while (!stop_requested.load(std::memory_order_acquire)) {
       const int n = epoll_wait(epoll_fd, events.data(),
-                               static_cast<int>(events.size()),
-                               config.poll_timeout_ms);
+                               static_cast<int>(events.size()), -1);
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
       }
-      if (n == 0 && in_flight > 0) {
-        // The wire went quiet with requests still queued: advance the
-        // device's deadline clock so they cannot starve (the satellite
-        // bugfix this server depends on).
-        (void)device.idle_tick();
-        net_telemetry().idle_ticks.inc();
-      }
-      bool queued = false;
       for (int i = 0; i < n; ++i) {
         const int fd = events[static_cast<std::size_t>(i)].data.fd;
         const std::uint32_t ev = events[static_cast<std::size_t>(i)].events;
@@ -539,19 +521,11 @@ struct Server::Impl {
         }
         if (ev & EPOLLIN) {
           on_readable(c);
-          if (!c.dead) queued = process_frames(c) || queued;
+          if (!c.dead) (void)process_frames(c);
         }
         if ((ev & EPOLLOUT) && !c.dead) flush_out(c);
       }
-      // Dispatch what this round submitted, then resolve/transmit.  A
-      // sweep can unthrottle buffered frames that queue more work, so
-      // iterate until the round is quiescent.
-      do {
-        if (queued && config.drain_per_round && !config.deterministic) {
-          device.drain();
-        }
-        queued = sweep();
-      } while (queued && (config.drain_per_round || config.deterministic));
+      pump();
     }
     shutdown_graceful();
   }
@@ -562,10 +536,9 @@ struct Server::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    // Everything queued on the device executes now; every in-flight
-    // future becomes ready.
-    device.drain();
-    (void)sweep();
+    // Answer every frame already received: the same loop as a reactor
+    // round, run until quiescent.
+    pump();
     // Best-effort transmit of the encoded responses: short-poll each
     // still-connected client, then close regardless.
     for (auto& [fd, conn] : conns) {
@@ -581,18 +554,6 @@ struct Server::Impl {
       c.dead = true;
     }
     reap();
-    // Zombie results (including clients that vanished mid-shutdown) are
-    // all ready after the drain above; consume them.
-    for (auto& z : zombies) {
-      while (!z->pending.empty()) {
-        Pending p = std::move(z->pending.front());
-        z->pending.pop_front();
-        --in_flight;
-        (void)take_response(p);
-        counters.add(F::dropped);
-      }
-    }
-    zombies.clear();
     if (epoll_fd >= 0) {
       ::close(epoll_fd);
       epoll_fd = -1;

@@ -1,9 +1,10 @@
 // StashDevice tests: the async frontend's request scheduler (QoS ordering,
-// deadline dispatch, batching/coalescing), read cache and write-back buffer
+// full-batch dispatch, coalescing), read cache and write-back buffer
 // semantics, the uniform config-validation contract, batch-API convention,
-// thread-count determinism, device-level hidden-volume sharding, and the
-// power-cut durability battery (flush-acknowledged data survives a cut at
-// every operation index; unflushed data is reported lost, never corrupted).
+// thread-count determinism, concurrent submitters, device-level
+// hidden-volume sharding, and the power-cut durability battery
+// (flush-acknowledged data survives a cut at every operation index;
+// unflushed data is reported lost, never corrupted).
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "stash/dev/cache.hpp"
@@ -72,16 +74,10 @@ TEST(DevConfig, ValidateRejectsBadSchedulerKnobs) {
   config.chips = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
   config = tiny_config();
-  config.queue_depth = 0;
+  config.batch_pages = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
   config = tiny_config();
-  config.batch_pages = config.queue_depth + 1;
-  EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
-  config = tiny_config();
-  config.deadline_ticks = 0;
-  EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
-  config = tiny_config();
-  config.read_cache_shards = 0;
+  config.write_back_pages = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
 }
 
@@ -97,7 +93,7 @@ TEST(DevConfig, ValidatePropagatesNestedLayerConfigs) {
 
 TEST(DevConfig, ConstructorThrowsOnInvalidConfig) {
   DeviceConfig config = tiny_config();
-  config.queue_depth = 0;
+  config.batch_pages = 0;
   EXPECT_THROW(StashDevice(config, test_key()), std::invalid_argument);
 }
 
@@ -161,11 +157,16 @@ TEST(DevIo, BoundsAndSizeErrorsAreStatuses) {
   EXPECT_EQ(dev.trim(dev.logical_pages()).code(), ErrorCode::kOutOfBounds);
   EXPECT_EQ(dev.write(0, std::vector<std::uint8_t>(3)).code(),
             ErrorCode::kInvalidArgument);
+  // A rejected request is not an acknowledged one.
+  const DeviceStats stats = dev.stats_snapshot();
+  EXPECT_EQ(stats.writes, 0u);
+  EXPECT_EQ(stats.trims, 0u);
 }
 
 TEST(DevIo, WriteThroughModeIsDurableOnAck) {
+  // A one-page write-back buffer flushes on every write, before the ack.
   DeviceConfig config = tiny_config();
-  config.write_back_pages = 0;  // write-through
+  config.write_back_pages = 1;
   StashDevice dev(config, test_key());
   const auto page = page_pattern(dev.page_bits(), 21);
   const auto programs_before = dev.ledger().programs;
@@ -360,7 +361,7 @@ TEST(DevBatch, WriteBatchReportsPerItemStatus) {
   EXPECT_EQ(util::first_error(statuses).code(), ErrorCode::kOutOfBounds);
 }
 
-// ---- Scheduler: QoS ordering and deadline dispatch ------------------------
+// ---- Scheduler: QoS ordering and full-batch dispatch ----------------------
 
 TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
   DeviceConfig config = tiny_config();
@@ -384,72 +385,27 @@ TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
   EXPECT_GE(dev.stats_snapshot().gc_runs, 1u);
 }
 
-TEST(DevScheduler, QueueDepthForcesInlineDispatch) {
+TEST(DevScheduler, FullBatchDispatchesInline) {
   DeviceConfig config = tiny_config();
-  config.queue_depth = 4;
   config.batch_pages = 4;
   StashDevice dev(config, test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 111)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
 
   std::vector<std::future<util::Result<dev::PageRef>>> futs;
-  for (int i = 0; i < 4; ++i) futs.push_back(dev.submit_read(0));
-  // Filling the queue dispatched inline: all futures are already ready.
+  for (int i = 0; i < 3; ++i) futs.push_back(dev.submit_read(0));
+  // Below a full batch nothing dispatches without a drain...
+  EXPECT_EQ(futs.front().wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  futs.push_back(dev.submit_read(0));
+  // ...and the submission that fills it dispatches inline: all futures
+  // are already ready.
   for (auto& f : futs) {
     ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     EXPECT_TRUE(f.get().is_ok());
   }
-  EXPECT_GE(dev.stats_snapshot().dispatches, 1u);
-}
-
-TEST(DevScheduler, DeadlineTicksBoundQueueingWithoutDrain) {
-  DeviceConfig config = tiny_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;    // batch size alone would never trigger
-  config.deadline_ticks = 3;  // ...but age does
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 121)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  auto read = dev.submit_read(0);
-  // Each write advances the tick; the queued read ages past its deadline
-  // and is dispatched by a later submission, with no explicit drain().
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        dev.write(1 + i, page_pattern(dev.page_bits(), 130 + i)).is_ok());
-  }
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_TRUE(read.get().is_ok());
-  EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-}
-
-TEST(DevScheduler, IdleTicksCompleteAStarvedReadWithoutNewSubmissions) {
-  // Deadline ticks only advanced on submissions, so a lone queued request
-  // with no follow-up traffic waited forever — exactly the shape a network
-  // client produces when it sends one read and blocks on the response.
-  // idle_tick() lets an idle poll loop age the queue instead.
-  DeviceConfig config = tiny_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;    // never dispatches on queue depth
-  config.deadline_ticks = 3;  // ages out after three idle ticks
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 141)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  auto read = dev.submit_read(0);
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::timeout);  // genuinely starved
-
-  std::size_t depth = 1;
-  for (int tick = 0; tick < 8 && depth > 0; ++tick) depth = dev.idle_tick();
-  EXPECT_EQ(depth, 0u);
-  ASSERT_EQ(read.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_TRUE(read.get().is_ok());
-  EXPECT_GE(dev.stats_snapshot().deadline_dispatches, 1u);
-  EXPECT_EQ(dev.idle_tick(), 0u);  // empty queue: a cheap no-op
+  EXPECT_EQ(dev.stats_snapshot().dispatches, 1u);
 }
 
 // ---- Determinism ----------------------------------------------------------
@@ -499,6 +455,48 @@ TEST(DevDeterminism, ChipsDeriveDistinctSeeds) {
     EXPECT_EQ(dev.chip(c).serial(),
               util::hash_words(config.seed, 0xC417A55AULL, c));
   }
+}
+
+// ---- Concurrent submitters ------------------------------------------------
+
+TEST(DevConcurrency, ParallelSubmittersSeeTheirOwnWrites) {
+  // Threads share the device mutex, the arena freelist, the read LRU and
+  // the flush fan-out; each must still read back exactly what it wrote.
+  DeviceConfig config = tiny_config();
+  config.chips = 2;
+  config.threads = 4;
+  config.write_back_pages = 8;  // backpressure flushes race the submitters
+  StashDevice dev(config, test_key());
+  constexpr std::uint64_t kThreads = 4;
+  const std::uint64_t span = dev.logical_pages() / kThreads;
+  ASSERT_GE(span, 4u);
+
+  std::vector<std::thread> workers;
+  std::array<int, kThreads> mismatches{};
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const std::uint64_t first = t * span;
+      for (std::uint64_t lpn = first; lpn < first + span; ++lpn) {
+        if (!dev.write(lpn, page_pattern(dev.page_bits(), 7000 + lpn))
+                 .is_ok()) {
+          ++mismatches[t];
+        }
+      }
+      if (!dev.flush().is_ok()) ++mismatches[t];
+      for (std::uint64_t lpn = first; lpn < first + span; ++lpn) {
+        auto r = dev.read(lpn);
+        if (!r.is_ok() ||
+            !matches(r.value(), page_pattern(dev.page_bits(), 7000 + lpn))) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+  EXPECT_EQ(dev.stats_snapshot().writes, kThreads * span);
 }
 
 // ---- Hidden volume across chips -------------------------------------------
@@ -775,7 +773,6 @@ TEST(DevPowerCut, CutWithNonEmptyQueueResolvesEveryKindAndKeepsDurableData) {
   // flush-acknowledged data is still readable afterward.
   DeviceConfig config = tiny_config();
   config.batch_pages = 16;  // below this nothing dispatches on its own
-  config.queue_depth = 64;
   StashDevice dev(config, test_key());
 
   for (std::uint64_t lpn = 0; lpn < kCutLpns; ++lpn) {

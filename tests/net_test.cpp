@@ -3,16 +3,18 @@
 // hidden payloads, pipelined in-order responses, QoS passthrough), the
 // version/feature handshake (negotiation on connect; version or pack-format
 // mismatch refused as clean kUnsupported plus hangup, never mid-stream
-// corruption), hidden_info parity across the wire, graceful shutdown
-// accounting (requests == responses + dropped, no abandoned futures),
-// mid-flight disconnects, deterministic-mode byte-identical stats export,
-// and idle-tick starvation rescue of a lone remote read.
+// corruption), hidden_info parity across the wire, the reactor's quiescence
+// rule (a burst past the pipeline window completes with no timer), graceful
+// shutdown accounting (requests == responses + dropped, no abandoned
+// futures) including frames still buffered at stop(), mid-flight resets,
+// and deterministic-mode byte-identical stats export.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <array>
@@ -61,6 +63,63 @@ bool eventually(Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred();
+}
+
+/// Dial the server raw: no Client, so no kHello handshake.  recv() gives up
+/// after 5 s, so a reactor that stalls fails the test instead of hanging
+/// it.  Returns -1 on failure.
+int dial(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{5, 0};
+  (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  if (inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Next response frame off a raw socket; false on timeout, EOF or a
+/// malformed frame.
+bool recv_response(int fd, FrameAssembler& assembler, Response& resp) {
+  std::vector<std::uint8_t> frame;
+  for (;;) {
+    bool ready = false;
+    if (!assembler.poll(frame, ready).is_ok()) return false;
+    if (ready) return decode_response(frame, resp).is_ok();
+    std::uint8_t buf[4096];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return false;
+    assembler.feed({buf, static_cast<std::size_t>(n)});
+  }
+}
+
+/// Encode requests of the given ops (ids 1, 2, ...) into one wire buffer:
+/// writes carry `page` to lpn = id - 1, reads target lpn 0.
+std::vector<std::uint8_t> burst(const std::vector<OpCode>& ops,
+                                const std::vector<std::uint8_t>& page) {
+  std::vector<std::uint8_t> wire;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    Request req;
+    req.op = ops[i];
+    req.id = i + 1;
+    if (ops[i] == OpCode::kWrite) {
+      req.lpn = i;
+      req.data = page;
+    }
+    encode_request(req, wire);
+  }
+  return wire;
+}
+
+bool send_all(int fd, const std::vector<std::uint8_t>& wire) {
+  return ::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(wire.size());
 }
 
 // ---- Protocol: framing and body codecs ------------------------------------
@@ -276,14 +335,8 @@ TEST(NetServer, HandshakeNegotiatesVersionFeaturesAndPackFormat) {
 /// carrying `mine`, and expect a clean kUnsupported refusal followed by the
 /// server hanging up — never a mid-stream kCorrupted.
 void expect_hello_refused(std::uint16_t port, const Hello& mine) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial(port);
   ASSERT_GE(fd, 0);
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)),
-            0);
 
   Request req;
   req.op = OpCode::kHello;
@@ -291,31 +344,19 @@ void expect_hello_refused(std::uint16_t port, const Hello& mine) {
   encode_hello(mine, req.data);
   std::vector<std::uint8_t> wire;
   encode_request(req, wire);
-  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(wire.size()));
+  ASSERT_TRUE(send_all(fd, wire));
 
   FrameAssembler assembler;
   Response resp;
-  bool got = false;
-  std::uint8_t buf[4096];
-  while (!got) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    ASSERT_GT(n, 0) << "connection closed before the refusal arrived";
-    assembler.feed({buf, static_cast<std::size_t>(n)});
-    std::vector<std::uint8_t> frame;
-    bool ready = false;
-    ASSERT_TRUE(assembler.poll(frame, ready).is_ok());
-    if (ready) {
-      ASSERT_TRUE(decode_response(frame, resp).is_ok());
-      got = true;
-    }
-  }
+  ASSERT_TRUE(recv_response(fd, assembler, resp))
+      << "connection closed before the refusal arrived";
   EXPECT_EQ(resp.op, OpCode::kHello);
   EXPECT_EQ(resp.status, static_cast<std::uint8_t>(ErrorCode::kUnsupported))
       << resp.message;
   EXPECT_FALSE(resp.message.empty());
   // The refusal is the last thing on the wire: the server closes after the
   // flush rather than limping into undecodable traffic.
+  std::uint8_t buf[64];
   EXPECT_EQ(::recv(fd, buf, sizeof(buf), 0), 0);
   ::close(fd);
 }
@@ -456,119 +497,110 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
   EXPECT_EQ(net.requests, net.responses + net.dropped);
 }
 
-TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
-  // Requests parked in the device queue when stop() is called must all
-  // resolve — dispatched, answered, flushed best-effort — never abandoned.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;         // nothing dispatches on its own...
-  config.deadline_ticks = 1 << 20; // ...and the deadline never fires
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 71)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
+TEST(NetServer, PipelinedBurstPastTheWindowCompletes) {
+  // A window of one filled by writes, whose responses are ready at once:
+  // with nothing left for epoll to report, only the reactor's own
+  // drain-then-sweep loop can reach the frames still in the assembler.
+  StashDevice dev(net_config(), test_key());
   ServerConfig sconfig;
-  sconfig.drain_per_round = false;  // keep the burst queued on the device
+  sconfig.max_pipeline = 1;
   Server server(dev, sconfig);
   ASSERT_TRUE(server.start().is_ok());
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
 
-  constexpr std::size_t kParked = 4;
-  for (std::size_t i = 0; i < kParked; ++i) {
-    Request req;
-    req.op = OpCode::kRead;
-    req.lpn = 0;
-    ASSERT_TRUE(client.send(req).is_ok());
+  const auto page = page_pattern(dev.page_bits(), 23);
+  std::vector<OpCode> ops(8, OpCode::kWrite);
+  ops.push_back(OpCode::kRead);
+  ASSERT_TRUE(send_all(fd, burst(ops, page)));
+
+  FrameAssembler assembler;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    Response resp;
+    ASSERT_TRUE(recv_response(fd, assembler, resp)) << "response " << i;
+    EXPECT_EQ(resp.id, i + 1) << "response " << i << " out of order";
+    EXPECT_EQ(resp.op, ops[i]);
+    EXPECT_EQ(resp.status, 0) << resp.message;
   }
-  // + 1 everywhere: connect()'s kHello handshake is a request too, and its
-  // response was already consumed inside connect().
-  ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().requests >= kParked + 1; }));
+  ::close(fd);
+  server.stop();
+  const NetStats net = server.stats_snapshot();
+  EXPECT_EQ(net.requests, ops.size());
+  EXPECT_EQ(net.requests, net.responses + net.dropped);
+}
+
+TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
+  // stop() lands while frames are still buffered behind a window of one:
+  // shutdown must answer them all (the trailing read included) and
+  // return, never block on a future nothing will resolve.
+  StashDevice dev(net_config(), test_key());
+  ServerConfig sconfig;
+  sconfig.max_pipeline = 1;
+  Server server(dev, sconfig);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::vector<OpCode> ops = {OpCode::kWrite, OpCode::kWrite,
+                                   OpCode::kWrite, OpCode::kRead};
+  ASSERT_TRUE(send_all(fd, burst(ops, page_pattern(dev.page_bits(), 71))));
+  ASSERT_TRUE(
+      eventually([&] { return server.stats_snapshot().requests >= 2; }));
 
   server.stop();
   const NetStats net = server.stats_snapshot();
-  EXPECT_EQ(net.requests, kParked + 1);
+  EXPECT_EQ(net.requests, ops.size());
   EXPECT_EQ(net.requests, net.responses + net.dropped);
-  EXPECT_EQ(net.responses, kParked + 1);  // client still connected: delivered
+  EXPECT_EQ(net.responses, ops.size());  // client still connected: delivered
 
   // The best-effort flush really reached the wire: all four responses are
   // readable before the server-side close.
-  for (std::size_t i = 0; i < kParked; ++i) {
+  FrameAssembler assembler;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
     Response resp;
-    ASSERT_TRUE(client.recv(resp).is_ok()) << "response " << i;
+    ASSERT_TRUE(recv_response(fd, assembler, resp)) << "response " << i;
+    EXPECT_EQ(resp.id, i + 1);
     EXPECT_EQ(resp.status, 0) << resp.message;
   }
+  ::close(fd);
 }
 
 TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
-  // A client that vanishes with requests in flight must not hang stop()
-  // or leak futures: the results are consumed and counted as dropped.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;
-  config.deadline_ticks = 1 << 20;
-  StashDevice dev(config, test_key());
+  // Clients that reset with reads in flight and more buffered past the
+  // window must not hang stop() or leak futures: whatever was submitted is
+  // answered or consumed and counted as dropped.  How many are dropped
+  // depends on when each reset is seen, so only the balance is asserted.
+  StashDevice dev(net_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 81)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
-
   ServerConfig sconfig;
-  sconfig.drain_per_round = false;
+  sconfig.max_pipeline = 2;
   Server server(dev, sconfig);
   ASSERT_TRUE(server.start().is_ok());
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
 
-  constexpr std::size_t kParked = 4;
-  for (std::size_t i = 0; i < kParked; ++i) {
-    Request req;
-    req.op = OpCode::kRead;
-    req.lpn = 0;
-    ASSERT_TRUE(client.send(req).is_ok());
+  constexpr std::size_t kClients = 4;
+  std::vector<int> fds;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    fds.push_back(dial(server.port()));
+    ASSERT_GE(fds.back(), 0);
+  }
+  ASSERT_TRUE(
+      eventually([&] { return server.stats_snapshot().accepted == kClients; }));
+
+  const auto wire = burst(std::vector<OpCode>(8, OpCode::kRead), {});
+  const linger reset{1, 0};  // close() sends RST, not FIN
+  for (const int fd : fds) {
+    ASSERT_TRUE(send_all(fd, wire));
+    ASSERT_EQ(setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+    ::close(fd);
   }
   ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().requests >= kParked + 1; }));
-
-  client.close();  // vanish mid-flight
-  ASSERT_TRUE(eventually(
-      [&] { return server.stats_snapshot().disconnected >= 1; }));
+      [&] { return server.stats_snapshot().disconnected == kClients; }));
 
   server.stop();  // must return promptly (ctest would time the hang out)
   const NetStats net = server.stats_snapshot();
-  // connect()'s kHello was answered before the disconnect, so requests and
-  // responses each carry one handshake on top of the parked reads.
-  EXPECT_EQ(net.requests, kParked + 1);
   EXPECT_EQ(net.requests, net.responses + net.dropped);
-  EXPECT_EQ(net.dropped, kParked);
-  EXPECT_EQ(net.disconnected, 1u);
-}
-
-TEST(NetServer, IdleTicksCompleteAStarvedRemoteRead) {
-  // One client, one read, no follow-up traffic, no per-round drain: only
-  // the poll loop's idle ticks can age the request past its deadline.
-  // Before the idle_tick() hook this blocked forever.
-  DeviceConfig config = net_config();
-  config.queue_depth = 64;
-  config.batch_pages = 64;
-  config.deadline_ticks = 3;
-  StashDevice dev(config, test_key());
-  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 91)).is_ok());
-  ASSERT_TRUE(dev.flush().is_ok());
-
-  ServerConfig sconfig;
-  sconfig.drain_per_round = false;
-  sconfig.poll_timeout_ms = 2;
-  Server server(dev, sconfig);
-  ASSERT_TRUE(server.start().is_ok());
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
-
-  auto r = client.read(0);  // blocks until the idle ticks dispatch it
-  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-  EXPECT_EQ(r.value().size(), dev.page_bits());
-
-  client.close();
-  server.stop();
+  EXPECT_EQ(net.disconnected, net.accepted);
 }
 
 TEST(NetServer, DeterministicModeStatsExportIsByteIdentical) {

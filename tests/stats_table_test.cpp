@@ -99,14 +99,11 @@ TEST(StatsTable, NetJsonKeysAndRegistryNamesAreTheTable) {
     expected.push_back(net::op_name(static_cast<net::OpCode>(i + 1)));
   }
   EXPECT_EQ(json_keys(server.stats_json()), expected);
-  // Every table counter is mirrored under its field name; the only other
-  // "net.*" counter is idle_ticks, which counts poll timeouts (wall-clock
-  // driven, so it stays out of the deterministic per-instance stats).
+  // Every table counter is mirrored under its field name, and the registry
+  // holds no other "net.*" counter.
   const auto names = table_names<net::NetStats>();
-  std::set<std::string> mirrored(names.begin(), names.end());
-  std::set<std::string> registered = registry_names("net");
-  registered.erase("idle_ticks");
-  EXPECT_EQ(registered, mirrored);
+  EXPECT_EQ(registry_names("net"),
+            std::set<std::string>(names.begin(), names.end()));
 }
 
 TEST(StatsTable, InstanceCountsAndMirrorMoveTogether) {
