@@ -177,6 +177,42 @@ TEST(DevIo, WriteThroughModeIsDurableOnAck) {
   EXPECT_TRUE(matches(r.value(), page));
 }
 
+TEST(DevIo, OnePageBufferAcksOnlyDurableWritesAndTrims) {
+  // With a one-page buffer nothing acknowledged is left volatile: a power
+  // cut right after the acks loses nothing, and the trim sticks.
+  DeviceConfig config = tiny_config();
+  config.write_back_pages = 1;
+  StashDevice dev(config, test_key());
+  const auto kept = page_pattern(dev.page_bits(), 22);
+  ASSERT_TRUE(dev.write(4, kept).is_ok());
+  ASSERT_TRUE(dev.write(6, page_pattern(dev.page_bits(), 23)).is_ok());
+  ASSERT_TRUE(dev.trim(6).is_ok());
+
+  ASSERT_TRUE(dev.power_cycle().is_ok());
+  EXPECT_TRUE(dev.lost_writes().empty());
+  EXPECT_EQ(dev.stats_snapshot().lost_writes, 0u);
+  auto r = dev.read(4);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(matches(r.value(), kept));
+  EXPECT_EQ(dev.read(6).status().code(), ErrorCode::kNotFound);
+}
+
+TEST(DevIo, OnlyStagedWritesAndTrimsAreCounted) {
+  // Accepted and rejected calls interleaved: the counters track exactly
+  // the accepted ones.
+  StashDevice dev(tiny_config(), test_key());
+  const auto page = page_pattern(dev.page_bits(), 24);
+  ASSERT_TRUE(dev.write(0, page).is_ok());
+  ASSERT_FALSE(dev.write(dev.logical_pages(), page).is_ok());
+  ASSERT_TRUE(dev.write(1, page).is_ok());
+  ASSERT_FALSE(dev.write(2, std::vector<std::uint8_t>(5)).is_ok());
+  ASSERT_TRUE(dev.trim(1).is_ok());
+  ASSERT_FALSE(dev.trim(dev.logical_pages() + 3).is_ok());
+  const DeviceStats stats = dev.stats_snapshot();
+  EXPECT_EQ(stats.writes, 2u);
+  EXPECT_EQ(stats.trims, 1u);
+}
+
 TEST(DevIo, RewritesCoalesceInTheBuffer) {
   StashDevice dev(tiny_config(), test_key());
   const auto v1 = page_pattern(dev.page_bits(), 31);
@@ -406,6 +442,33 @@ TEST(DevScheduler, FullBatchDispatchesInline) {
     EXPECT_TRUE(f.get().is_ok());
   }
   EXPECT_EQ(dev.stats_snapshot().dispatches, 1u);
+}
+
+TEST(DevScheduler, DrainRunsAPartialBatchAsOneRound) {
+  // Below a full batch only a caller's drain() dispatches, and it runs
+  // everything queued in a single round.
+  DeviceConfig config = tiny_config();
+  config.batch_pages = 8;
+  StashDevice dev(config, test_key());
+  const auto page = page_pattern(dev.page_bits(), 112);
+  ASSERT_TRUE(dev.write(1, page).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+
+  const std::uint64_t rounds = dev.stats_snapshot().dispatches;
+  std::vector<std::future<util::Result<dev::PageRef>>> futs;
+  for (int i = 0; i < 5; ++i) futs.push_back(dev.submit_read(1));
+  EXPECT_EQ(dev.stats_snapshot().dispatches, rounds);
+  dev.drain();
+  EXPECT_EQ(dev.stats_snapshot().dispatches, rounds + 1);
+  for (auto& f : futs) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    auto r = f.get();
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_TRUE(matches(r.value(), page));
+  }
+  dev.drain();  // empty queue: no round
+  EXPECT_EQ(dev.stats_snapshot().dispatches, rounds + 1);
 }
 
 // ---- Determinism ----------------------------------------------------------

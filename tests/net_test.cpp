@@ -4,10 +4,11 @@
 // version/feature handshake (negotiation on connect; version or pack-format
 // mismatch refused as clean kUnsupported plus hangup, never mid-stream
 // corruption), hidden_info parity across the wire, the reactor's quiescence
-// rule (a burst past the pipeline window completes with no timer), graceful
-// shutdown accounting (requests == responses + dropped, no abandoned
-// futures) including frames still buffered at stop(), mid-flight resets,
-// and deterministic-mode byte-identical stats export.
+// rule (a burst of writes or pings past the pipeline window completes with
+// no timer; stop() wakes a reactor blocked in epoll), graceful shutdown
+// accounting (requests == responses + dropped, no abandoned futures)
+// including frames still buffered at stop(), mid-flight resets, and
+// deterministic-mode byte-identical stats export.
 
 #include <gtest/gtest.h>
 
@@ -527,6 +528,56 @@ TEST(NetServer, PipelinedBurstPastTheWindowCompletes) {
   const NetStats net = server.stats_snapshot();
   EXPECT_EQ(net.requests, ops.size());
   EXPECT_EQ(net.requests, net.responses + net.dropped);
+}
+
+TEST(NetServer, PingsPastTheDefaultWindowComplete) {
+  // Ten windows' worth of pings in one send(): none touches the device, so
+  // every frame after the first window is reached by the reactor's own
+  // loop, not by a later socket event.
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+
+  const std::vector<OpCode> ops(10 * ServerConfig{}.max_pipeline,
+                                OpCode::kPing);
+  ASSERT_TRUE(send_all(fd, burst(ops, {})));
+  FrameAssembler assembler;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    Response resp;
+    ASSERT_TRUE(recv_response(fd, assembler, resp)) << "response " << i;
+    EXPECT_EQ(resp.id, i + 1) << "response " << i << " out of order";
+    EXPECT_EQ(resp.op, OpCode::kPing);
+  }
+  ::close(fd);
+  server.stop();
+  const NetStats net = server.stats_snapshot();
+  EXPECT_EQ(net.requests, ops.size());
+  EXPECT_EQ(net.responses, ops.size());
+}
+
+TEST(NetServer, StopWakesAnIdleReactor) {
+  // With no poll timeout the reactor sleeps in epoll until an event; stop()
+  // must wake it even when a client is connected and silent.
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(
+      eventually([&] { return server.stats_snapshot().accepted == 1; }));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  const NetStats net = server.stats_snapshot();
+  EXPECT_EQ(net.requests, 0u);
+  EXPECT_EQ(net.disconnected, net.accepted);
+  // The server closed its end: the client sees EOF, not a timeout.
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
 }
 
 TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
