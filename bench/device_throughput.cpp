@@ -18,8 +18,9 @@
 //   diff a.json b.json                                         # empty
 //
 // JSON lines go to stdout (one object per sweep point plus a summary);
-// the common harness also writes a telemetry sidecar with the dev.* p50/p99
-// latency histograms.
+// the common harness also writes a telemetry sidecar with the dev.*
+// counters and gauges and the dev.read_latency_ns / dev.flush_latency_ns
+// histograms.
 
 // --pack appends the hidden-capacity packing sweep: per-corpus (text, log,
 // already-compressed) effective-capacity multipliers from hidden_info(),

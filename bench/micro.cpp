@@ -182,10 +182,10 @@ void BM_VthiReveal(benchmark::State& state) {
 BENCHMARK(BM_VthiReveal);
 
 // ---- Telemetry overhead ----------------------------------------------------
-// The instrumentation budget (ISSUE: <2% on a fig06 run) hangs on these two
-// numbers: a counter increment and a scoped timer are the only operations on
-// any hot path.  Compare BM_TelemetryCounterInc (~1 ns) against
-// BM_NandProbePage (~10 us): one increment per probe is ~0.01%.
+// The instrumentation budget (<2% on a fig06 run) hangs on these two
+// numbers: a counter increment and a histogram record are the only
+// operations on any hot path.  Compare BM_TelemetryCounterInc (~1 ns)
+// against BM_NandProbePage (~10 us): one increment per probe is ~0.01%.
 
 void BM_TelemetryCounterInc(benchmark::State& state) {
   auto& counter =
@@ -209,17 +209,6 @@ void BM_TelemetryHistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TelemetryHistogramRecord);
-
-void BM_TelemetryScopedTimer(benchmark::State& state) {
-  auto& hist =
-      telemetry::MetricsRegistry::global().histogram("bench.micro.timer");
-  for (auto _ : state) {
-    telemetry::ScopedTimer timer(hist);
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetryScopedTimer);
 
 void BM_TelemetryRegistryLookup(benchmark::State& state) {
   // Setup-path cost: what cached-reference call sites avoid paying per hit.

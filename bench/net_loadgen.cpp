@@ -51,6 +51,7 @@
 #include "stash/net/client.hpp"
 #include "stash/net/server.hpp"
 #include "stash/util/rng.hpp"
+#include "stash/util/stats.hpp"
 
 namespace {
 
@@ -203,11 +204,9 @@ void run_worker(const std::string& host, std::uint16_t port, const Mix& mix,
   }
 }
 
-double percentile(const std::vector<std::uint64_t>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return static_cast<double>(sorted[std::min(idx, sorted.size() - 1)]) / 1e3;
+/// Nearest-rank q-th quantile of the sorted latencies, in microseconds.
+double quantile_us(const std::vector<std::uint64_t>& sorted, double q) {
+  return static_cast<double>(stash::util::quantile(sorted, q)) / 1e3;
 }
 
 /// The self-hosted device+server: hidden-capable geometry, full public
@@ -399,8 +398,8 @@ int main(int argc, char** argv) {
             "\"ops\":%llu,\"errors\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f,"
             "\"p999_us\":%.1f,\"throughput_ops_s\":%.1f}\n",
             conns, depth, mix.name, static_cast<unsigned long long>(ok),
-            static_cast<unsigned long long>(errors), percentile(merged, 0.50),
-            percentile(merged, 0.99), percentile(merged, 0.999),
+            static_cast<unsigned long long>(errors), quantile_us(merged, 0.50),
+            quantile_us(merged, 0.99), quantile_us(merged, 0.999),
             wall_s > 0 ? static_cast<double>(merged.size()) / wall_s : 0.0);
         std::fflush(stdout);
       }

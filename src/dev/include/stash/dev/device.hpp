@@ -299,6 +299,7 @@ class StashDevice {
     std::vector<std::uint8_t> data;  // store_hidden payload
     std::promise<Result<PageRef>> value_promise;
     std::promise<Status> status_promise;
+    /// Submission time: dev.read_latency_ns measures reads from here.
     std::chrono::steady_clock::time_point start;
     /// Root span of this request's trace (inactive when tracing is off or
     /// the request was not sampled).

@@ -19,7 +19,7 @@ using F = DeviceStats::Field;
 
 namespace {
 
-// Process-wide instruments that only make sense globally (latency
+// Process-wide instruments that only make sense globally (the two latency
 // histograms, gauges).  The counters and their "dev.*" mirrors live in the
 // per-instance CounterTable.
 struct DevTelemetry {
@@ -32,12 +32,8 @@ struct DevTelemetry {
   telemetry::Gauge& acked_unflushed = reg.gauge("dev.acked_unflushed");
   telemetry::LatencyHistogram& read_latency =
       reg.histogram("dev.read_latency_ns");
-  telemetry::LatencyHistogram& hidden_latency =
-      reg.histogram("dev.hidden_latency_ns");
   telemetry::LatencyHistogram& flush_latency =
       reg.histogram("dev.flush_latency_ns");
-  telemetry::LatencyHistogram& dispatch_batch =
-      reg.histogram("dev.dispatch_batch");
 };
 
 DevTelemetry& dev_telemetry() {
@@ -45,18 +41,12 @@ DevTelemetry& dev_telemetry() {
   return t;
 }
 
-/// Nanoseconds since a request's submission (0 in telemetry-disabled
-/// builds, where the histograms are compiled out anyway).
+/// Wall-clock nanoseconds since `start`.
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
-#ifndef STASH_TELEMETRY_DISABLED
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-#else
-  (void)start;
-  return 0;
-#endif
 }
 
 // Device-level framing of one per-chip hidden segment: the hidden payload
@@ -215,14 +205,10 @@ std::uint64_t StashDevice::sim_now() const noexcept {
 }
 
 std::uint64_t StashDevice::trace_now() const noexcept {
-#ifndef STASH_TELEMETRY_DISABLED
   if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
     return sim_now();
   }
   return trace::detail::wall_now_ns();
-#else
-  return 0;
-#endif
 }
 
 trace::TraceContext StashDevice::new_request_trace(trace::Op op,
@@ -410,7 +396,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   if (queue_.empty()) return;
   counters_.add(F::dispatches);
   auto& tel = dev_telemetry();
-  tel.dispatch_batch.record(queue_.size());
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
   // their FTL/NAND fan-out) hangs here; sampled per-request work re-enters
@@ -473,7 +458,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
           code = static_cast<std::uint8_t>(st.code());
           span.set_status(code);
           req.status_promise.set_value(std::move(st));
-          tel.hidden_latency.record(elapsed_ns(req.start));
           break;
         }
         case OpKind::kLoadHidden: {
@@ -488,7 +472,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
           } else {
             req.value_promise.set_value(loaded.status());
           }
-          tel.hidden_latency.record(elapsed_ns(req.start));
           break;
         }
         case OpKind::kGc: {
@@ -840,9 +823,9 @@ Status StashDevice::execute_gc() {
 
 Status StashDevice::flush_locked() {
   if (buffer_.empty()) return Status::ok();
+  const auto start = std::chrono::steady_clock::now();
   auto& tel = dev_telemetry();
   counters_.add(F::flushes);
-  const telemetry::ScopedTimer timer(tel.flush_latency);
   // Child of whichever context triggered the drain (a backpressured write's
   // service span, or nothing for a bare flush()).  Virtual duration = sum
   // of the per-page FTL/NAND work underneath.
@@ -886,6 +869,7 @@ Status StashDevice::flush_locked() {
   tel.acked_unflushed.set(static_cast<double>(buffer_.pending_writes()));
   flush_span.set_status(static_cast<std::uint8_t>(first.code()));
   flush_span.set_bytes(flushed.size());
+  tel.flush_latency.record(elapsed_ns(start));
   return first;
 }
 

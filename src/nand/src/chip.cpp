@@ -1,7 +1,6 @@
 #include "stash/nand/chip.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -56,12 +55,6 @@ struct ChipTelemetry {
   telemetry::Counter& reads = reg.counter("nand.reads");
   telemetry::Counter& probes = reg.counter("nand.probes");
   telemetry::Counter& stress_ops = reg.counter("nand.stress_ops");
-  /// Per-block PEC observed at each erase: the wear distribution.
-  telemetry::LatencyHistogram& pec_at_erase = reg.histogram("nand.pec_at_erase");
-  /// Wall-clock nanoseconds per cell of the voltage-domain hot loops
-  /// (program_page and read_page_at) — the perf-baseline harness asserts on
-  /// this same quantity.
-  telemetry::LatencyHistogram& ns_per_cell = reg.histogram("nand.ns_per_cell");
 };
 
 ChipTelemetry& chip_telemetry() {
@@ -279,7 +272,6 @@ Status FlashChip::erase_block(std::uint32_t block) {
                    : ErrorCode::kOk));
   ledger_->erases.fetch_add(1, std::memory_order_relaxed);
   chip_telemetry().erases.inc();
-  chip_telemetry().pec_at_erase.record(blk.pec);
   if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during erase"};
   if (fd.fail) return {ErrorCode::kEraseFail, "erase reported status failure"};
   return Status::ok();
@@ -313,9 +305,6 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
           ? std::clamp(fd.completed_fraction, 0.0, 1.0)
           : 0.5;
 
-#ifndef STASH_TELEMETRY_DISABLED
-  const auto hot_start = std::chrono::steady_clock::now();
-#endif
   const double wear_k = static_cast<double>(blk.pec) / 1000.0;
   const double mu = noise_.prog_mu + chip_mu_offset() + block_mu_offset(block) +
                     page_mu_offset(block, page) +
@@ -359,15 +348,6 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
   blk.next_program_page = std::max(blk.next_program_page, page + 1);
 
   disturb_neighbors(blk, block, page, frac);
-#ifndef STASH_TELEMETRY_DISABLED
-  {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - hot_start)
-                        .count();
-    chip_telemetry().ns_per_cell.record(
-        static_cast<std::uint64_t>(ns) / std::max<std::uint32_t>(1, cells));
-  }
-#endif
 
   charge(costs_.program_us, costs_.program_uj);
   span.set_cost_us(costs_.program_us);
@@ -414,9 +394,6 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
   span.set_cost_us(costs_.read_us);
   const std::lock_guard<std::mutex> lock(block_lock(block));
   Block& blk = touch(block);
-#ifndef STASH_TELEMETRY_DISABLED
-  const auto hot_start = std::chrono::steady_clock::now();
-#endif
   const std::uint32_t cells = geom_.cells_per_page;
   const float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
   kernels::threshold_row(row, vref, out.data(), cells);
@@ -446,15 +423,6 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
           0.0, kVmax));
     }
   }
-#ifndef STASH_TELEMETRY_DISABLED
-  {
-    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        std::chrono::steady_clock::now() - hot_start)
-                        .count();
-    chip_telemetry().ns_per_cell.record(
-        static_cast<std::uint64_t>(ns) / std::max<std::uint32_t>(1, cells));
-  }
-#endif
 
   charge(costs_.read_us, costs_.read_uj);
   ledger_->reads.fetch_add(1, std::memory_order_relaxed);

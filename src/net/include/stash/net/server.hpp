@@ -31,8 +31,7 @@
 //     response encoded before the next frame is processed.  With a single
 //     client driving a fixed workload, the per-instance stats (and hence
 //     stats_json()) are byte-identical run-to-run — stats_json() contains
-//     only event counts, never wall-clock values; wall latencies go to the
-//     global net.* histograms instead.
+//     only event counts, never wall-clock values.
 
 #include <cstdint>
 #include <memory>

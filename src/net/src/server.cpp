@@ -33,38 +33,17 @@ using F = NetStats::Field;
 
 namespace {
 
-// Process-wide instruments that only make sense globally (wall-clock latency
-// histograms, live-connection gauge).  Wall-driven values live ONLY here —
-// the per-instance NetStats stays a pure function of the byte streams (the
-// deterministic-export contract).
+// Process-wide live-connection gauge.  Wall-driven values live ONLY in the
+// registry — the per-instance NetStats stays a pure function of the byte
+// streams (the deterministic-export contract).
 struct NetTelemetry {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   telemetry::Gauge& active = reg.gauge("net.active_connections");
-  telemetry::LatencyHistogram& read_latency =
-      reg.histogram("net.read_latency_ns");
-  telemetry::LatencyHistogram& write_latency =
-      reg.histogram("net.write_latency_ns");
-  telemetry::LatencyHistogram& hidden_latency =
-      reg.histogram("net.hidden_latency_ns");
-  telemetry::LatencyHistogram& misc_latency =
-      reg.histogram("net.misc_latency_ns");
 };
 
 NetTelemetry& net_telemetry() {
   static NetTelemetry t;
   return t;
-}
-
-telemetry::LatencyHistogram& latency_of(OpCode op) {
-  NetTelemetry& tel = net_telemetry();
-  switch (op) {
-    case OpCode::kRead: return tel.read_latency;
-    case OpCode::kWrite:
-    case OpCode::kTrim: return tel.write_latency;
-    case OpCode::kStoreHidden:
-    case OpCode::kLoadHidden: return tel.hidden_latency;
-    default: return tel.misc_latency;
-  }
 }
 
 dev::Priority to_priority(std::uint8_t raw) noexcept {
@@ -87,13 +66,6 @@ bool set_nonblocking_cloexec(int fd) {
 bool resolve_host(const std::string& host, in_addr& out) {
   const std::string numeric = host == "localhost" ? "127.0.0.1" : host;
   return inet_pton(AF_INET, numeric.c_str(), &out) == 1;
-}
-
-std::uint64_t wall_elapsed_ns(std::chrono::steady_clock::time_point start) {
-  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
 }  // namespace
@@ -123,7 +95,6 @@ struct Server::Impl {
     std::future<Status> status_fut;
     std::future<Result<dev::PageRef>> value_fut;
     Response ready;  // kKind::kReady payload
-    std::chrono::steady_clock::time_point start;
   };
 
   struct Conn {
@@ -212,7 +183,6 @@ struct Server::Impl {
     Pending p;
     p.op = req.op;
     p.id = req.id;
-    p.start = std::chrono::steady_clock::now();
     switch (req.op) {
       case OpCode::kRead:
         p.kind = Pending::Kind::kValue;
@@ -415,7 +385,6 @@ struct Server::Impl {
       const Response resp = take_response(p);
       encode_response(resp, c.outbuf);
       counters.add(F::responses);
-      latency_of(p.op).record(wall_elapsed_ns(p.start));
     }
   }
 

@@ -73,9 +73,7 @@ void StandardScaler::transform_in_place(
 }
 
 SvmModel SvmModel::train(const Dataset& data, const SvmConfig& config) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  reg.counter("svm.trainings").inc();
-  telemetry::ScopedTimer timer(reg.histogram("svm.train_ns"));
+  telemetry::MetricsRegistry::global().counter("svm.trainings").inc();
   const std::size_t n = data.size();
   if (n == 0) throw std::invalid_argument("SvmModel::train: empty dataset");
   for (int label : data.y) {

@@ -18,10 +18,6 @@
 // bumps the instance count and its process-wide registry mirror
 // "<layer>.<name>" in one call.  Adding a counter is therefore one list
 // entry plus its add() site.
-//
-// Instance counts are always on.  STASH_TELEMETRY_DISABLED compiles out
-// only the mirror: the registry names stay registered and read zero, like
-// every other instrument in such a build.
 
 #include <array>
 #include <atomic>
@@ -62,9 +58,7 @@ class CounterTable {
   void add(Field field, std::uint64_t delta = 1) noexcept {
     const auto i = static_cast<std::size_t>(field);
     counts_[i].fetch_add(delta, std::memory_order_relaxed);
-#ifndef STASH_TELEMETRY_DISABLED
     mirror_[i]->inc(delta);
-#endif
   }
 
   [[nodiscard]] Stats snapshot() const noexcept {

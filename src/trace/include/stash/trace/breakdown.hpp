@@ -2,11 +2,9 @@
 // LatencyBreakdown — folds a collected span set into per-stage latency
 // attribution.
 //
-// Every span's resolved duration is recorded twice: into an exact in-memory
-// sample list (for the p50/p99/p999 attribution table — the table quotes
-// true order statistics, not log-bucket approximations) and into the
-// process MetricsRegistry under "trace.<stage>" (so the standard metrics
-// sidecar exports the same shape every other instrument uses).
+// Every span's resolved duration is recorded into an exact in-memory sample
+// list, so the p50/p99/p999 attribution table quotes true order statistics
+// (util::quantile), not log-bucket approximations.
 //
 // Request traces (root stage dev.request) additionally get a RequestRecord:
 // end-to-end duration, the sum of the root's direct children
@@ -23,19 +21,10 @@
 #include "stash/trace/export.hpp"
 #include "stash/trace/trace.hpp"
 
-namespace stash::telemetry {
-class MetricsRegistry;
-}
-
 namespace stash::trace {
 
 class LatencyBreakdown {
  public:
-  /// Durations fold into `registry` ("trace.<stage>" histograms); pass
-  /// nullptr to skip registry integration (pure in-memory analysis).
-  explicit LatencyBreakdown(telemetry::MetricsRegistry* registry);
-  LatencyBreakdown();  // uses MetricsRegistry::global()
-
   /// Fold a span set (durations resolved via canonicalize()).  May be
   /// called repeatedly to accumulate.
   void fold(const std::vector<SpanRecord>& spans, ClockMode mode);
@@ -81,7 +70,6 @@ class LatencyBreakdown {
   [[nodiscard]] std::string attribution_table() const;
 
  private:
-  telemetry::MetricsRegistry* registry_;
   std::vector<std::uint64_t> samples_[static_cast<std::size_t>(Stage::kCount)];
   std::vector<RequestRecord> requests_;
 };

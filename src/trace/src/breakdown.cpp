@@ -1,27 +1,13 @@
 #include "stash/trace/breakdown.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
-#include "stash/telemetry/metrics.hpp"
+#include "stash/util/stats.hpp"
 
 namespace stash::trace {
 
 namespace {
-
-/// Exact order statistic: the ceil(q*n)-th smallest sample.
-std::uint64_t quantile_of(std::vector<std::uint64_t> sorted, double q) {
-  if (sorted.empty()) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto n = sorted.size();
-  std::size_t idx = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (idx > 0) --idx;
-  if (idx >= n) idx = n - 1;
-  return sorted[idx];
-}
 
 /// ns -> "x.y" microseconds (one decimal, integer math).
 void format_us(char* buf, std::size_t cap, std::uint64_t ns) {
@@ -32,28 +18,12 @@ void format_us(char* buf, std::size_t cap, std::uint64_t ns) {
 
 }  // namespace
 
-LatencyBreakdown::LatencyBreakdown(telemetry::MetricsRegistry* registry)
-    : registry_(registry) {}
-
-LatencyBreakdown::LatencyBreakdown()
-    : registry_(&telemetry::MetricsRegistry::global()) {}
-
 void LatencyBreakdown::fold(const std::vector<SpanRecord>& spans,
                             ClockMode mode) {
   const std::vector<LaidSpan> laid = canonicalize(spans, mode);
 
-  telemetry::LatencyHistogram*
-      hists[static_cast<std::size_t>(Stage::kCount)] = {};
   for (const LaidSpan& l : laid) {
-    const auto si = static_cast<std::size_t>(l.rec.stage);
-    samples_[si].push_back(l.dur_ns);
-    if (registry_ != nullptr) {
-      if (hists[si] == nullptr) {
-        hists[si] = &registry_->histogram(std::string("trace.") +
-                                          stage_name(l.rec.stage));
-      }
-      hists[si]->record(l.dur_ns);
-    }
+    samples_[static_cast<std::size_t>(l.rec.stage)].push_back(l.dur_ns);
   }
 
   // Request traces: the canonical order is pre-order per trace, so a
@@ -96,7 +66,7 @@ std::uint64_t LatencyBreakdown::request_total_quantile(double q) const {
   totals.reserve(requests_.size());
   for (const RequestRecord& r : requests_) totals.push_back(r.total_ns);
   std::sort(totals.begin(), totals.end());
-  return quantile_of(std::move(totals), q);
+  return util::quantile(totals, q);
 }
 
 std::vector<LatencyBreakdown::StageStats> LatencyBreakdown::stage_stats()
@@ -111,9 +81,9 @@ std::vector<LatencyBreakdown::StageStats> LatencyBreakdown::stage_stats()
     s.stage = static_cast<Stage>(si);
     s.count = sorted.size();
     for (std::uint64_t v : sorted) s.total_ns += v;
-    s.p50_ns = quantile_of(sorted, 0.5);
-    s.p99_ns = quantile_of(sorted, 0.99);
-    s.p999_ns = quantile_of(std::move(sorted), 0.999);
+    s.p50_ns = util::quantile(sorted, 0.5);
+    s.p99_ns = util::quantile(sorted, 0.99);
+    s.p999_ns = util::quantile(sorted, 0.999);
     out.push_back(s);
   }
   return out;

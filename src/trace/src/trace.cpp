@@ -39,8 +39,6 @@ const char* op_name(Op o) noexcept {
   return i < static_cast<std::size_t>(Op::kCount) ? kOpNames[i] : "unknown";
 }
 
-#ifndef STASH_TELEMETRY_DISABLED
-
 namespace detail {
 
 std::atomic<std::uint8_t> g_enabled{0};
@@ -222,30 +220,5 @@ TraceContext current() noexcept {
   detail::Frame* top = detail::tls_top();
   return top != nullptr ? top->ctx : TraceContext{};
 }
-
-#else  // STASH_TELEMETRY_DISABLED
-
-struct Tracer::Impl {};
-Tracer::Tracer() : impl_(nullptr) {}
-Tracer::~Tracer() = default;
-
-Tracer& Tracer::global() {
-  static Tracer* tracer = new Tracer();
-  return *tracer;
-}
-
-void Tracer::enable(ClockMode, std::uint64_t) {}
-void Tracer::disable() {}
-ClockMode Tracer::clock_mode() const noexcept { return ClockMode::kWall; }
-std::uint64_t Tracer::sample_every() const noexcept { return 1; }
-bool Tracer::should_sample(std::uint64_t) const noexcept { return false; }
-void Tracer::emit(const SpanRecord&) noexcept {}
-std::vector<SpanRecord> Tracer::collect() const { return {}; }
-std::size_t Tracer::span_count() const { return 0; }
-void Tracer::clear() {}
-
-TraceContext current() noexcept { return {}; }
-
-#endif  // STASH_TELEMETRY_DISABLED
 
 }  // namespace stash::trace

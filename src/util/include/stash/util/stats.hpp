@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <vector>
@@ -69,8 +70,11 @@ class RunningStats {
 [[nodiscard]] double variance(std::span<const double> xs) noexcept;
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// q-th quantile (0 <= q <= 1) with linear interpolation; copies the input.
-[[nodiscard]] double quantile(std::span<const double> xs, double q);
+/// Nearest-rank q-th quantile of the ascending `sorted`: its ceil(q*n)-th
+/// smallest value, with q clamped to [0, 1] (q = 0 gives the minimum).
+/// 0 when empty.
+[[nodiscard]] std::uint64_t quantile(std::span<const std::uint64_t> sorted,
+                                     double q) noexcept;
 
 /// Pearson correlation coefficient; 0 for degenerate inputs.
 [[nodiscard]] double pearson(std::span<const double> xs,

@@ -24,17 +24,13 @@ double stddev(std::span<const double> xs) noexcept {
   return std::sqrt(variance(xs));
 }
 
-double quantile(std::span<const double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  if (q <= 0.0) return v.front();
-  if (q >= 1.0) return v.back();
-  const double pos = q * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= v.size()) return v.back();
-  return v[lo] * (1.0 - frac) + v[lo + 1] * frac;
+std::uint64_t quantile(std::span<const std::uint64_t> sorted,
+                       double q) noexcept {
+  if (sorted.empty()) return 0;
+  const double rank =
+      std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size()));
+  const auto idx = static_cast<std::size_t>(std::max(rank, 1.0)) - 1;
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) noexcept {

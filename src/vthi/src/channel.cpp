@@ -17,9 +17,6 @@ struct ChannelTelemetry {
   telemetry::Counter& embed_steps = reg.counter("vthi.embed_steps");
   telemetry::Counter& extracts = reg.counter("vthi.extracts");
   telemetry::Counter& select_shortfalls = reg.counter("vthi.select_shortfalls");
-  telemetry::LatencyHistogram& embed_step_ns =
-      reg.histogram("vthi.embed_step_ns");
-  telemetry::LatencyHistogram& embed_ns = reg.histogram("vthi.embed_ns");
 };
 
 ChannelTelemetry& channel_telemetry() {
@@ -99,9 +96,7 @@ Result<EmbedSession> VthiChannel::begin(std::uint32_t block,
 }
 
 Result<int> VthiChannel::step(EmbedSession& session) {
-  auto& tel = channel_telemetry();
-  tel.embed_steps.inc();
-  telemetry::ScopedTimer timer(tel.embed_step_ns);
+  channel_telemetry().embed_steps.inc();
   // One Algorithm-1 round, one read + (at most) one program: probe the
   // page, then partially program every hidden-'0' cell still below vth.
   // Returns the number of cells that were below vth at probe time; 0 means
@@ -139,7 +134,6 @@ Result<int> VthiChannel::step(EmbedSession& session) {
 Result<EmbedSession> VthiChannel::embed(std::uint32_t block,
                                         std::uint32_t page,
                                         std::span<const std::uint8_t> bits) {
-  telemetry::ScopedTimer timer(channel_telemetry().embed_ns);
   trace::ScopedSpan span(trace::Stage::kVthiEmbed, trace::Op::kEmbed,
                          (static_cast<std::uint64_t>(block) << 32) | page,
                          bits.size() / 8);

@@ -158,10 +158,6 @@ struct CodecTelemetry {
   telemetry::Counter& read_retries = reg.counter("vthi.read_retries");
   telemetry::Counter& read_retry_recoveries =
       reg.counter("vthi.read_retry_recoveries");
-  telemetry::LatencyHistogram& hide_ns = reg.histogram("vthi.hide_ns");
-  telemetry::LatencyHistogram& reveal_ns = reg.histogram("vthi.reveal_ns");
-  telemetry::LatencyHistogram& retries_per_reveal =
-      reg.histogram("vthi.retries_per_reveal");
 };
 
 CodecTelemetry& codec_telemetry() {
@@ -186,7 +182,6 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
                                    std::span<const std::uint8_t> payload,
                                    HideJournal* journal) {
   codec_telemetry().hides.inc();
-  telemetry::ScopedTimer timer(codec_telemetry().hide_ns);
   const Layout lay = layout();
   const std::size_t capacity = capacity_bytes();
   if (capacity == 0) {
@@ -439,12 +434,10 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
                                                     int* corrected_bits) {
   auto& tel = codec_telemetry();
   tel.reveals.inc();
-  telemetry::ScopedTimer timer(tel.reveal_ns);
 
   auto result = reveal_at(block, config_.channel.vth, corrected_bits);
   if (result.is_ok() || config_.max_read_retries <= 0 ||
       !read_retryable(result.status().code())) {
-    if (result.is_ok()) tel.retries_per_reveal.record(0);
     return result;
   }
 
@@ -463,14 +456,11 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
     auto retried = reveal_at(block, vth, corrected_bits);
     if (retried.is_ok()) {
       tel.read_retry_recoveries.inc();
-      tel.retries_per_reveal.record(static_cast<std::uint64_t>(attempt));
       return retried;
     }
     if (!read_retryable(retried.status().code())) return retried;
     result = std::move(retried);
   }
-  tel.retries_per_reveal.record(
-      static_cast<std::uint64_t>(config_.max_read_retries));
   return result;
 }
 

@@ -19,6 +19,7 @@
 #include "stash/dev/cache.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/fault/plan.hpp"
+#include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
@@ -241,6 +242,51 @@ TEST(DevIo, BufferCapacityTriggersBackpressureFlush) {
   const auto stats = dev.stats_snapshot();
   EXPECT_GE(stats.flushes, 1u);
   EXPECT_GE(stats.flushed_pages, 4u);
+}
+
+// ---- Latency histograms ---------------------------------------------------
+// perfbench sums dev.flush_latency_ns and perf_baseline gates the p99 of
+// dev.read_latency_ns, so each must see exactly one sample per event.
+
+TEST(DevLatency, EachFlushRecordsOneTimedSample) {
+  StashDevice dev(tiny_config(), test_key());
+  const auto& hist =
+      telemetry::MetricsRegistry::global().histogram("dev.flush_latency_ns");
+  for (std::uint64_t lpn = 0; lpn < 3; ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 60 + lpn)).is_ok());
+    const std::uint64_t count = hist.count();
+    const std::uint64_t sum = hist.sum();
+    ASSERT_TRUE(dev.flush().is_ok());
+    EXPECT_EQ(hist.count(), count + 1);
+    EXPECT_GT(hist.sum(), sum);
+  }
+  // Nothing staged: the flush does no work and records nothing.
+  const std::uint64_t count = hist.count();
+  ASSERT_TRUE(dev.flush().is_ok());
+  EXPECT_EQ(hist.count(), count);
+}
+
+TEST(DevLatency, EachServedReadRecordsOneSample) {
+  StashDevice dev(tiny_config(), test_key());
+  const auto& hist =
+      telemetry::MetricsRegistry::global().histogram("dev.read_latency_ns");
+  ASSERT_TRUE(dev.write(1, page_pattern(dev.page_bits(), 71)).is_ok());
+  ASSERT_TRUE(dev.write(4, page_pattern(dev.page_bits(), 74)).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  ASSERT_TRUE(dev.write(2, page_pattern(dev.page_bits(), 72)).is_ok());
+  const std::uint64_t count = hist.count();
+  const std::uint64_t reads = dev.stats_snapshot().reads;
+
+  ASSERT_TRUE(dev.read(2).is_ok());  // write-back buffer hit
+  ASSERT_TRUE(dev.read(1).is_ok());  // flash
+  ASSERT_TRUE(dev.read(1).is_ok());  // read cache hit
+  const std::vector<std::uint64_t> twice = {4, 4};  // one miss, one coalesced
+  for (const auto& r : dev.read_batch(twice)) ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(dev.read(dev.logical_pages()).status().code(),
+            ErrorCode::kOutOfBounds);  // rejected, not served
+
+  EXPECT_EQ(hist.count(), count + 5);
+  EXPECT_EQ(dev.stats_snapshot().reads - reads, 5u);
 }
 
 // ---- Read cache -----------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -28,6 +29,8 @@
 #include "stash/net/client.hpp"
 #include "stash/net/server.hpp"
 #include "stash/pack/pack.hpp"
+#include "stash/telemetry/metrics.hpp"
+#include "stash/trace/breakdown.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::net {
@@ -313,6 +316,59 @@ TEST(NetServer, HiddenPayloadRoundTripsOverTheWire) {
 
   client.close();
   server.stop();
+}
+
+// Every latency histogram the stack registers has a reader: perfbench sums
+// dev.flush_latency_ns and perf_baseline gates dev.read_latency_ns's p99.
+// Driving every request kind through the server, traced and folded, must
+// register no third one.
+TEST(NetServer, OnlyHistogramsWithReadersAreRegistered) {
+  DeviceConfig config;
+  config.geometry.blocks = 12;
+  config.geometry.pages_per_block = 8;
+  config.geometry.cells_per_page = 8192;  // production VT-HI needs real pages
+  config.seed = 89;
+  StashDevice dev(config, test_key());
+  for (std::uint64_t lpn = 0; lpn < dev.logical_pages(); ++lpn) {
+    ASSERT_TRUE(
+        dev.write(lpn, page_pattern(dev.page_bits(), 5000 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+
+  auto& tracer = trace::Tracer::global();
+  tracer.enable(trace::ClockMode::kVirtual);
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  ASSERT_TRUE(client.ping().is_ok());
+  ASSERT_TRUE(client.write(0, page_pattern(dev.page_bits(), 9)).is_ok());
+  ASSERT_TRUE(client.read(0).is_ok());  // write-back buffer
+  ASSERT_TRUE(client.flush().is_ok());
+  ASSERT_TRUE(client.read(1).is_ok());  // flash
+  ASSERT_TRUE(client.trim(2).is_ok());
+  const std::vector<std::uint8_t> secret(48, 0xa5);
+  ASSERT_TRUE(client.store_hidden(secret).is_ok());
+  auto loaded = client.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
+  (void)client.gc();
+  ASSERT_TRUE(client.stats().is_ok());
+  client.close();
+  server.stop();
+  tracer.disable();
+
+  trace::LatencyBreakdown breakdown;
+  breakdown.fold(tracer.collect(), trace::ClockMode::kVirtual);
+  tracer.clear();
+  EXPECT_FALSE(breakdown.requests().empty());
+
+  std::vector<std::string> names;
+  for (const auto& h : telemetry::MetricsRegistry::global().snapshot().histograms) {
+    names.push_back(h.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"dev.flush_latency_ns",
+                                             "dev.read_latency_ns"}));
 }
 
 TEST(NetServer, HandshakeNegotiatesVersionFeaturesAndPackFormat) {

@@ -30,12 +30,6 @@
 namespace stash::par {
 namespace {
 
-#ifndef STASH_TELEMETRY_DISABLED
-constexpr bool kTelemetryEnabled = true;
-#else
-constexpr bool kTelemetryEnabled = false;
-#endif
-
 nand::Geometry small_geometry() {
   nand::Geometry geom;
   geom.blocks = 16;
@@ -145,9 +139,8 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
     });
   }
   for (auto& t : threads) t.join();
-  // The hammering itself is the TSan payload; value checks only hold when
-  // the instruments are compiled in.
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
+  // The hammering itself is the TSan payload; the totals show no update
+  // was lost.
   EXPECT_EQ(reg.counter("par.shared").value(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
   for (int t = 0; t < kThreads; ++t) {
@@ -193,7 +186,6 @@ TEST(Concurrency, TracerHammeredFromManyThreads) {
   tracer.disable();
   const auto spans = tracer.collect();
   tracer.clear();
-  if (!kTelemetryEnabled) GTEST_SKIP() << "telemetry compiled out";
 
   ASSERT_EQ(spans.size(), static_cast<std::size_t>(kThreads) * kPerThread);
   std::vector<std::vector<std::uint64_t>> ids(kThreads);

@@ -24,12 +24,6 @@ namespace {
 
 using util::ErrorCode;
 
-#ifndef STASH_TELEMETRY_DISABLED
-constexpr bool kMirrorOn = true;
-#else
-constexpr bool kMirrorOn = false;  // the kill switch removes only the mirror
-#endif
-
 crypto::HidingKey test_key() {
   std::array<std::uint8_t, 32> raw{};
   raw.fill(0x6b);
@@ -114,7 +108,7 @@ TEST(StatsTable, InstanceCountsAndMirrorMoveTogether) {
     ASSERT_TRUE(dev.write(lpn, page).is_ok());
   }
   EXPECT_EQ(dev.stats_snapshot().writes, 3u);
-  EXPECT_EQ(mirror("dev.writes") - writes_before, kMirrorOn ? 3u : 0u);
+  EXPECT_EQ(mirror("dev.writes") - writes_before, 3u);
 }
 
 TEST(StatsTable, DisabledCacheCountsNoMisses) {
@@ -139,7 +133,7 @@ TEST(StatsTable, DisabledCacheCountsNoMisses) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(cached.read(0).is_ok());
   EXPECT_EQ(cached.stats_snapshot().cache_misses, 1u);
   EXPECT_EQ(cached.stats_snapshot().cache_hits, 3u);
-  EXPECT_EQ(mirror("dev.cache_misses") - misses_before, kMirrorOn ? 1u : 0u);
+  EXPECT_EQ(mirror("dev.cache_misses") - misses_before, 1u);
 }
 
 template <typename Stats>
@@ -187,7 +181,7 @@ void check_add_moves_only_its_field(std::size_t index) {
   std::vector<std::uint64_t> expected(Stats::kNames.size(), 0);
   expected[index] = 6;
   EXPECT_EQ(values_of(table.snapshot()), expected);
-  EXPECT_EQ(mirror(name) - before, kMirrorOn ? 6u : 0u);
+  EXPECT_EQ(mirror(name) - before, 6u);
 }
 
 class CounterField : public ::testing::TestWithParam<FieldCase> {};

@@ -47,8 +47,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace stash::trace {
 namespace {
 
-#ifndef STASH_TELEMETRY_DISABLED
-
 /// Quiesce the global tracer between tests.
 void reset_tracer() {
   Tracer::global().disable();
@@ -331,7 +329,7 @@ TEST(TraceExport, CanonicalLayoutIsSumOfChildrenAndOrdered) {
 // ---- LatencyBreakdown ------------------------------------------------------
 
 TEST(TraceBreakdown, RequestAttributionIsConsistent) {
-  LatencyBreakdown breakdown(nullptr);
+  LatencyBreakdown breakdown;
   breakdown.fold(sample_trace(), ClockMode::kVirtual);
 
   ASSERT_EQ(breakdown.requests().size(), 1u);
@@ -357,7 +355,7 @@ TEST(TraceBreakdown, GapSurfacesWhenChildrenDoNotCoverRoot) {
   for (auto& rec : spans) {
     if (rec.stage == Stage::kDevQueueWait) rec.dur_ns = 1000;  // 500 short
   }
-  LatencyBreakdown breakdown(nullptr);
+  LatencyBreakdown breakdown;
   breakdown.fold(spans, ClockMode::kVirtual);
   EXPECT_EQ(breakdown.max_request_gap_ns(), 500u);
 }
@@ -403,9 +401,7 @@ TEST(TraceSampling, DeviceSamplesOneRequestInN) {
   tracer.clear();
 }
 
-#endif  // STASH_TELEMETRY_DISABLED
-
-// ---- Span-id derivation (compiled in every configuration) ------------------
+// ---- Span-id derivation ----------------------------------------------------
 
 TEST(TraceSpanId, DerivationIsStableAndContentSensitive) {
   constexpr std::uint64_t a =

@@ -143,11 +143,16 @@ TEST(RunningStats, MergeBothEmptyStaysEmpty) {
   EXPECT_TRUE(std::isnan(a.max()));
 }
 
-TEST(Stats, QuantileInterpolates) {
-  const std::vector<double> xs = {10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 10);
-  EXPECT_DOUBLE_EQ(quantile(xs, 1.0), 40);
-  EXPECT_DOUBLE_EQ(quantile(xs, 0.5), 25);
+TEST(Stats, QuantileIsNearestRank) {
+  const std::vector<std::uint64_t> xs = {10, 20, 30, 40};
+  EXPECT_EQ(quantile(xs, 0.0), 10u);
+  EXPECT_EQ(quantile(xs, 0.25), 10u);
+  EXPECT_EQ(quantile(xs, 0.26), 20u);
+  EXPECT_EQ(quantile(xs, 0.5), 20u);
+  EXPECT_EQ(quantile(xs, 0.99), 40u);
+  EXPECT_EQ(quantile(xs, 1.0), 40u);
+  EXPECT_EQ(quantile(xs, 2.0), 40u);
+  EXPECT_EQ(quantile(std::vector<std::uint64_t>{}, 0.5), 0u);
 }
 
 TEST(Stats, PearsonDetectsCorrelation) {
