@@ -27,7 +27,6 @@
 #include "stash/par/pool.hpp"
 #include "stash/svm/features.hpp"
 #include "stash/svm/svm.hpp"
-#include "stash/telemetry/metrics.hpp"
 #include "stash/util/stats.hpp"
 #include "stash/vthi/codec.hpp"
 
@@ -87,54 +86,10 @@ inline crypto::HidingKey bench_key() {
   return crypto::HidingKey::from_passphrase("stash-in-a-flash", "bench", 500);
 }
 
-namespace detail {
-
-inline std::string& metrics_sidecar_path() {
-  static std::string path;
-  return path;
-}
-
-inline void write_metrics_sidecar() {
-  const std::string& path = metrics_sidecar_path();
-  if (path.empty()) return;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return;
-  const std::string json =
-      telemetry::MetricsRegistry::global().snapshot().to_json();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
-}
-
-/// "Fig. 6: BER vs PP steps" -> "fig_6_ber_vs_pp_steps".
-inline std::string slugify(const char* figure) {
-  std::string slug;
-  for (const char* p = figure; *p; ++p) {
-    const char c = *p;
-    if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9')) {
-      slug.push_back(c);
-    } else if (c >= 'A' && c <= 'Z') {
-      slug.push_back(static_cast<char>(c - 'A' + 'a'));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug.push_back('_');
-    }
-  }
-  while (!slug.empty() && slug.back() == '_') slug.pop_back();
-  return slug.empty() ? std::string("bench") : slug;
-}
-
-}  // namespace detail
-
 inline void print_header(const char* figure, const char* description) {
   std::printf("================================================================\n");
   std::printf("%s\n%s\n", figure, description);
   std::printf("================================================================\n");
-  // Every harness calls print_header() once up front; piggyback on it to
-  // emit a machine-readable telemetry sidecar when the process exits.
-  if (detail::metrics_sidecar_path().empty()) {
-    detail::metrics_sidecar_path() = detail::slugify(figure) + ".metrics.json";
-    std::atexit(detail::write_metrics_sidecar);
-  }
 }
 
 inline void print_geometry(const Options& opt) {

@@ -17,10 +17,9 @@
 //   bench_device_throughput --quick --deterministic --threads 8 > b.json
 //   diff a.json b.json                                         # empty
 //
-// JSON lines go to stdout (one object per sweep point plus a summary);
-// the common harness also writes a telemetry sidecar with the dev.*
-// counters and gauges and the dev.read_latency_ns / dev.flush_latency_ns
-// histograms.
+// JSON lines go to stdout, one object per sweep point plus a summary.
+// Every count in them comes from the device's own DeviceStats snapshot and
+// cost ledger.
 
 // --pack appends the hidden-capacity packing sweep: per-corpus (text, log,
 // already-compressed) effective-capacity multipliers from hidden_info(),

@@ -135,9 +135,10 @@ int main(int argc, char** argv) {
               ">10%% at one step to <1%% by ~10 steps, largely independent "
               "of interval and bit count.\n");
 
-  // End-to-end coda: one full VT-HI hide/reveal so the telemetry sidecar
-  // covers the complete stack (framing, interleaving, BCH decode totals)
-  // rather than only the raw channel the sweep above exercises.
+  // End-to-end coda: one full VT-HI hide/reveal through the production
+  // codec (framing, interleaving, BCH decode), so every run also checks the
+  // complete stack rather than only the raw channel the sweep above
+  // exercises.
   {
     nand::FlashChip chip(opt.geometry(2), nand::NoiseModel::vendor_a(),
                          opt.seed + 9001);

@@ -7,9 +7,11 @@
 
 #include "stash/crypto/chacha20.hpp"
 #include "stash/crypto/sha256.hpp"
+#include "stash/dev/device.hpp"
 #include "stash/ecc/bch.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/svm/svm.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/vthi/codec.hpp"
@@ -183,15 +185,15 @@ BENCHMARK(BM_VthiReveal);
 
 // ---- Telemetry overhead ----------------------------------------------------
 // The instrumentation budget (<2% on a fig06 run) hangs on these two
-// numbers: a counter increment and a histogram record are the only
-// operations on any hot path.  Compare BM_TelemetryCounterInc (~1 ns)
-// against BM_NandProbePage (~10 us): one increment per probe is ~0.01%.
+// numbers: a per-instance counter add and a latency-histogram record are
+// the only telemetry operations on any hot path.  Compare
+// BM_TelemetryCounterInc (one relaxed atomic add, ~9 ns) against
+// BM_NandProbePage (~7 us): one add per probe is about 0.1%.
 
 void BM_TelemetryCounterInc(benchmark::State& state) {
-  auto& counter =
-      telemetry::MetricsRegistry::global().counter("bench.micro.counter");
+  telemetry::CounterTable<dev::DeviceStats> table;
   for (auto _ : state) {
-    counter.inc();
+    table.add(dev::DeviceStats::Field::reads);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
@@ -214,7 +216,7 @@ void BM_TelemetryRegistryLookup(benchmark::State& state) {
   // Setup-path cost: what cached-reference call sites avoid paying per hit.
   auto& reg = telemetry::MetricsRegistry::global();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(&reg.counter("bench.micro.lookup"));
+    benchmark::DoNotOptimize(&reg.histogram("bench.micro.lookup"));
   }
   state.SetItemsProcessed(state.iterations());
 }

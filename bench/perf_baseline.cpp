@@ -35,6 +35,7 @@
 #include "common.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/ecc/bch.hpp"
+#include "stash/telemetry/metrics.hpp"
 #include "stash/vthi/channel.hpp"
 
 using namespace stash;

@@ -2,24 +2,7 @@
 
 #include <cstring>
 
-#include "stash/telemetry/metrics.hpp"
-
 namespace stash::crypto {
-
-namespace {
-
-struct DrbgTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& instantiations = reg.counter("crypto.drbg.instantiations");
-  telemetry::Counter& refills = reg.counter("crypto.drbg.refills");
-};
-
-DrbgTelemetry& drbg_telemetry() {
-  static DrbgTelemetry t;
-  return t;
-}
-
-}  // namespace
 
 Sha256Drbg::Sha256Drbg(std::span<const std::uint8_t> seed,
                        const std::string& personalization) {
@@ -27,11 +10,9 @@ Sha256Drbg::Sha256Drbg(std::span<const std::uint8_t> seed,
   h.update(seed);
   h.update(personalization);
   key_ = h.finish();
-  drbg_telemetry().instantiations.inc();
 }
 
 void Sha256Drbg::refill() noexcept {
-  drbg_telemetry().refills.inc();
   std::array<std::uint8_t, 40> input{};
   std::memcpy(input.data(), key_.data(), key_.size());
   for (int i = 0; i < 8; ++i) {

@@ -89,12 +89,6 @@ class WriteBackBuffer {
   }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
-  /// Staged entries that are acknowledged writes (excludes trim
-  /// tombstones): the data a power cut would lose.  Maintained
-  /// incrementally through put/put_trim/erase conversions.
-  [[nodiscard]] std::size_t pending_writes() const noexcept {
-    return pending_writes_;
-  }
 
   /// Remove one flushed entry.
   void erase(std::uint64_t lpn);
@@ -105,7 +99,6 @@ class WriteBackBuffer {
  private:
   std::list<Entry> entries_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-  std::size_t pending_writes_ = 0;
 };
 
 }  // namespace stash::dev

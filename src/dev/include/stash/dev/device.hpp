@@ -101,8 +101,8 @@ struct HiddenInfo {
 };
 
 /// The device's counters, named once.  DeviceStats, the per-instance
-/// table, the "dev.*" registry mirror, stats_json() and the net stats
-/// payload are all generated from this list (stash/telemetry/
+/// table, stats_json() and the net stats payload are all generated from
+/// this list (stash/telemetry/
 /// counter_table.hpp), so a new counter is one entry here plus its
 /// increment site.
 #define STASH_DEV_COUNTERS(X)                                               \

@@ -75,20 +75,17 @@ std::size_t ReadCache::size() const {
 
 bool WriteBackBuffer::put(std::uint64_t lpn, PageRef bits) {
   if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (it->second->trim) ++pending_writes_;  // tombstone becomes a write
     it->second->bits = std::move(bits);
     it->second->trim = false;
     return true;
   }
   entries_.push_back(Entry{lpn, std::move(bits), false});
   index_.emplace(lpn, std::prev(entries_.end()));
-  ++pending_writes_;
   return false;
 }
 
 bool WriteBackBuffer::put_trim(std::uint64_t lpn) {
   if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (!it->second->trim) --pending_writes_;  // write becomes a tombstone
     it->second->bits = PageRef{};
     it->second->trim = true;
     return true;
@@ -105,7 +102,6 @@ const WriteBackBuffer::Entry* WriteBackBuffer::find(std::uint64_t lpn) const {
 
 void WriteBackBuffer::erase(std::uint64_t lpn) {
   if (const auto it = index_.find(lpn); it != index_.end()) {
-    if (!it->second->trim) --pending_writes_;
     entries_.erase(it->second);
     index_.erase(it);
   }
@@ -113,7 +109,6 @@ void WriteBackBuffer::erase(std::uint64_t lpn) {
 
 std::list<WriteBackBuffer::Entry> WriteBackBuffer::drop_all() {
   index_.clear();
-  pending_writes_ = 0;
   return std::exchange(entries_, {});
 }
 

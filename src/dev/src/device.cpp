@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "stash/pack/pack.hpp"
+#include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
@@ -19,26 +20,18 @@ using F = DeviceStats::Field;
 
 namespace {
 
-// Process-wide instruments that only make sense globally (the two latency
-// histograms, gauges).  The counters and their "dev.*" mirrors live in the
+// The two process-wide latency histograms; every count lives in the
 // per-instance CounterTable.
-struct DevTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Gauge& queue_depth = reg.gauge("dev.queue_depth");
-  telemetry::Gauge& cache_hit_ratio = reg.gauge("dev.cache_hit_ratio");
-  telemetry::Gauge& buffered_pages = reg.gauge("dev.buffered_pages");
-  // Acked-but-not-durable writes staged in the write-back buffer (excludes
-  // trim tombstones): what a power cut right now would report lost.
-  telemetry::Gauge& acked_unflushed = reg.gauge("dev.acked_unflushed");
-  telemetry::LatencyHistogram& read_latency =
-      reg.histogram("dev.read_latency_ns");
-  telemetry::LatencyHistogram& flush_latency =
-      reg.histogram("dev.flush_latency_ns");
-};
+telemetry::LatencyHistogram& read_latency() {
+  static telemetry::LatencyHistogram& h =
+      telemetry::MetricsRegistry::global().histogram("dev.read_latency_ns");
+  return h;
+}
 
-DevTelemetry& dev_telemetry() {
-  static DevTelemetry t;
-  return t;
+telemetry::LatencyHistogram& flush_latency() {
+  static telemetry::LatencyHistogram& h =
+      telemetry::MetricsRegistry::global().histogram("dev.flush_latency_ns");
+  return h;
 }
 
 /// Wall-clock nanoseconds since `start`.
@@ -280,7 +273,6 @@ void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.trace = new_request_trace(op_of(req.kind), req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
   queue_.push_back(std::move(req));
-  dev_telemetry().queue_depth.set(static_cast<double>(queue_.size()));
   if (queue_.size() >= config_.batch_pages) dispatch(lock);
 }
 
@@ -339,9 +331,6 @@ std::future<Status> StashDevice::stage(trace::Op op, std::uint64_t lpn,
           counters_.add(F::writes);
         }
       }
-      auto& tel = dev_telemetry();
-      tel.buffered_pages.set(static_cast<double>(buffer_.size()));
-      tel.acked_unflushed.set(static_cast<double>(buffer_.pending_writes()));
       if (buffer_.size() >= config_.write_back_pages) {
         // Backpressure flush.  The staged data survives a failure (it stays
         // buffered); the triggering request carries the health report.
@@ -395,7 +384,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   (void)lock;  // held throughout: dispatch is the serial scheduler heart
   if (queue_.empty()) return;
   counters_.add(F::dispatches);
-  auto& tel = dev_telemetry();
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
   // their FTL/NAND fan-out) hangs here; sampled per-request work re-enters
@@ -415,7 +403,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   batch.reserve(queue_.size());
   for (auto& req : queue_) batch.push_back(std::move(req));
   queue_.clear();
-  tel.queue_depth.set(0.0);
 
   // QoS order: priority class first, submission sequence as tie-break —
   // a deterministic function of the submission order alone.
@@ -489,7 +476,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
                          trace_now(), code);
     }
   }
-  tel.cache_hit_ratio.set(stats_snapshot().cache_hit_ratio());
 
   if (round.active()) {
     // The round root: virtual duration is the sum of its children
@@ -512,7 +498,6 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
 }
 
 void StashDevice::execute_reads(std::vector<Request>& reads) {
-  auto& tel = dev_telemetry();
   const std::uint64_t t0 = trace::enabled() ? trace_now() : 0;
   // Emit a sampled read's trace: a dev.cache marker under its service span
   // when the request resolved without flash, then the request skeleton.
@@ -563,7 +548,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         reads[r].value_promise.set_value(Result<PageRef>{staged->bits});
       }
       counters_.add(F::reads);
-      tel.read_latency.record(elapsed_ns(reads[r].start));
+      read_latency().record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, code);
       continue;
     }
@@ -583,7 +568,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       counters_.add(F::reads);
       counters_.add(F::cache_hits);
       reads[r].value_promise.set_value(std::move(*cached));
-      tel.read_latency.record(elapsed_ns(reads[r].start));
+      read_latency().record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, 0);
       continue;
     }
@@ -630,7 +615,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       const auto resolve = [&](std::size_t r) {
         counters_.add(F::reads);
         reads[r].value_promise.set_value(outcome);
-        tel.read_latency.record(elapsed_ns(reads[r].start));
+        read_latency().record(elapsed_ns(reads[r].start));
         // Serial point after this chip's batch: the miss's service span
         // covers the whole chip round it rode on.  The FTL/NAND fan-out
         // spans themselves live under the dispatch-round trace.
@@ -824,7 +809,6 @@ Status StashDevice::execute_gc() {
 Status StashDevice::flush_locked() {
   if (buffer_.empty()) return Status::ok();
   const auto start = std::chrono::steady_clock::now();
-  auto& tel = dev_telemetry();
   counters_.add(F::flushes);
   // Child of whichever context triggered the drain (a backpressured write's
   // service span, or nothing for a bare flush()).  Virtual duration = sum
@@ -865,11 +849,9 @@ Status StashDevice::flush_locked() {
     }
   }
   for (const std::uint64_t lpn : flushed) buffer_.erase(lpn);
-  tel.buffered_pages.set(static_cast<double>(buffer_.size()));
-  tel.acked_unflushed.set(static_cast<double>(buffer_.pending_writes()));
   flush_span.set_status(static_cast<std::uint8_t>(first.code()));
   flush_span.set_bytes(flushed.size());
-  tel.flush_latency.record(elapsed_ns(start));
+  flush_latency().record(elapsed_ns(start));
   return first;
 }
 
@@ -916,9 +898,6 @@ Status StashDevice::power_cycle() {
     lost_writes_.push_back(entry.lpn);
     counters_.add(F::lost_writes);
   }
-  dev_telemetry().queue_depth.set(0.0);
-  dev_telemetry().buffered_pages.set(0.0);
-  dev_telemetry().acked_unflushed.set(0.0);
   return Status::ok();
 }
 
@@ -1101,9 +1080,6 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   // lost_writes().
   cache_.clear();
   (void)buffer_.drop_all();
-  auto& tel = dev_telemetry();
-  tel.buffered_pages.set(0.0);
-  tel.acked_unflushed.set(0.0);
   return Status::ok();
 }
 

@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "stash/telemetry/metrics.hpp"
-
 namespace stash::ecc {
 
 namespace detail {
@@ -237,40 +235,13 @@ std::vector<std::uint8_t> BchCode::encode(
   return codeword;
 }
 
-namespace {
-
-struct BchTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& decodes = reg.counter("ecc.bch.decodes");
-  telemetry::Counter& decode_failures = reg.counter("ecc.bch.decode_failures");
-  telemetry::Counter& corrected_bits = reg.counter("ecc.bch.corrected_bits");
-};
-
-BchTelemetry& bch_telemetry() {
-  static BchTelemetry t;
-  return t;
-}
-
-BchCode::DecodeResult record(BchCode::DecodeResult result) {
-  auto& tel = bch_telemetry();
-  tel.decodes.inc();
-  if (!result.ok) {
-    tel.decode_failures.inc();
-  } else if (result.corrected > 0) {
-    tel.corrected_bits.inc(static_cast<std::uint64_t>(result.corrected));
-  }
-  return result;
-}
-
-}  // namespace
-
 BchCode::DecodeResult BchCode::decode_with(
     std::span<const std::uint8_t> codeword_bits, const detail::BchKernels& k,
     detail::BchScratch& scratch) const {
   DecodeResult result;
   const std::size_t r = parity_bits();
   if (codeword_bits.size() <= r || codeword_bits.size() > n()) {
-    return record(result);  // ok = false: not a valid shortened codeword length
+    return result;  // ok = false: not a valid shortened codeword length
   }
   const std::size_t len = codeword_bits.size();
   const bchk::DecodeTables& tb = data_->tables;
@@ -294,7 +265,7 @@ BchCode::DecodeResult BchCode::decode_with(
     result.data_bits.assign(codeword_bits.begin(),
                             codeword_bits.end() - static_cast<long>(r));
     result.ok = true;
-    return record(result);
+    return result;
   }
 
   // Berlekamp-Massey: find the minimal error-locator polynomial Lambda(x).
@@ -340,7 +311,7 @@ BchCode::DecodeResult BchCode::decode_with(
   while (lambda.size() > 1 && lambda.back() == 0) lambda.pop_back();
   const int nu = static_cast<int>(lambda.size()) - 1;
   if (nu > t_ || nu != l) {
-    return record(result);  // more errors than the design distance supports
+    return result;  // more errors than the design distance supports
   }
 
   // Chien search restricted to transmitted degrees [0, len): an error at
@@ -352,7 +323,7 @@ BchCode::DecodeResult BchCode::decode_with(
   const int found = k.chien(scratch.chien, lambda[0], len,
                             scratch.positions.data(), nu);
   if (found != nu) {
-    return record(result);  // roots outside the shortened range: uncorrectable
+    return result;  // roots outside the shortened range: uncorrectable
   }
 
   // Verify the repair really zeroes the syndromes (guards against
@@ -372,7 +343,7 @@ BchCode::DecodeResult BchCode::decode_with(
     }
   }
   for (const std::uint32_t s : syndromes) {
-    if (s != 0) return record(result);
+    if (s != 0) return result;
   }
 
   result.data_bits.assign(codeword_bits.begin(),
@@ -385,7 +356,7 @@ BchCode::DecodeResult BchCode::decode_with(
   }
   result.corrected = found;
   result.ok = true;
-  return record(result);
+  return result;
 }
 
 BchCode::DecodeResult BchCode::decode(

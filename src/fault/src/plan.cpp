@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::fault {
@@ -13,23 +12,6 @@ using nand::FaultDecision;
 using nand::FaultOp;
 using util::hash_words;
 using util::Xoshiro256;
-
-struct FaultTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& program_fails = reg.counter("fault.program_fails");
-  telemetry::Counter& erase_fails = reg.counter("fault.erase_fails");
-  telemetry::Counter& read_fails = reg.counter("fault.read_fails");
-  telemetry::Counter& power_cuts = reg.counter("fault.power_cuts");
-  telemetry::Counter& read_glitches = reg.counter("fault.read_glitches");
-  telemetry::Counter& bad_block_rejections =
-      reg.counter("fault.bad_block_rejections");
-  telemetry::Counter& dark_ops = reg.counter("fault.dark_ops");
-};
-
-FaultTelemetry& fault_telemetry() {
-  static FaultTelemetry t;
-  return t;
-}
 
 bool is_program_class(FaultOp op) noexcept {
   return op == FaultOp::kProgram || op == FaultOp::kPartialProgram ||
@@ -140,7 +122,6 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
 
   if (!powered_) {
     ++stats_.dark_ops;
-    fault_telemetry().dark_ops.inc();
     return {.fail = false, .power_cut = true, .completed_fraction = 0.0};
   }
 
@@ -159,13 +140,9 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
     note_fired(idx, kind, op, block, page);
     if (kind == FaultKind::kPowerCut) {
       powered_ = false;
-      fault_telemetry().power_cuts.inc();
       return {.fail = false, .power_cut = true,
               .completed_fraction = fraction};
     }
-    if (kind == FaultKind::kProgramFail) fault_telemetry().program_fails.inc();
-    if (kind == FaultKind::kEraseFail) fault_telemetry().erase_fails.inc();
-    if (kind == FaultKind::kReadFail) fault_telemetry().read_fails.inc();
     return {.fail = true, .power_cut = false, .completed_fraction = fraction};
   }
 
@@ -173,7 +150,6 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
   // must be able to drain a block it is retiring).
   if (op != FaultOp::kRead && bad_blocks_.contains(block)) {
     note_fired(idx, FaultKind::kGrownBadBlock, op, block, page);
-    fault_telemetry().bad_block_rejections.inc();
     return {.fail = true, .power_cut = false, .completed_fraction = 0.0};
   }
 
@@ -187,13 +163,11 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
   if (is_program_class(op) && program_fail_rate_ > 0.0 &&
       draw(0xFA17'0001ULL, idx) < program_fail_rate_) {
     note_fired(idx, FaultKind::kProgramFail, op, block, page);
-    fault_telemetry().program_fails.inc();
     return {.fail = true, .power_cut = false, .completed_fraction = 0.0};
   }
   if (op == FaultOp::kErase && erase_fail_rate_ > 0.0 &&
       draw(0xFA17'0002ULL, idx) < erase_fail_rate_) {
     note_fired(idx, FaultKind::kEraseFail, op, block, page);
-    fault_telemetry().erase_fails.inc();
     return {.fail = true, .power_cut = false, .completed_fraction = 0.0};
   }
   if (op == FaultOp::kRead && read_glitch_rate_ > 0.0 &&
@@ -202,7 +176,6 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
     // corrupt_probe, keyed by this op index so the damage is reproducible.
     pending_glitch_ = idx;
     note_fired(idx, FaultKind::kReadGlitch, op, block, page);
-    fault_telemetry().read_glitches.inc();
   }
 
   return {};

@@ -47,8 +47,8 @@ struct FtlConfig {
 };
 
 /// The FTL's counters, named once (see stash/telemetry/counter_table.hpp):
-/// FtlStats, the per-instance table and the "ftl.*" registry mirror are
-/// generated from this list.
+/// FtlStats, the per-instance table and its JSON keys are generated from
+/// this list.
 #define STASH_FTL_COUNTERS(X)                                          \
   X(host_writes)           /* pages written by the host */            \
   X(nand_writes)           /* pages physically programmed */          \
@@ -207,8 +207,8 @@ class PageMappedFtl {
   RelocationHook hook_;
   PreEraseHook pre_erase_hook_;
 
-  // Per-instance counts (gtest runs many FTLs in one process), each add()
-  // mirrored into the process-wide "ftl.*" registry counters.
+  // Per-instance counts: a multi-chip device runs one FTL per chip, and
+  // each reports its own write amplification.
   telemetry::CounterTable<FtlStats> counters_;
 };
 

@@ -12,16 +12,6 @@ using nand::PageAddr;
 using util::ErrorCode;
 using F = FtlStats::Field;
 
-namespace {
-
-telemetry::Gauge& write_amp_gauge() {
-  static telemetry::Gauge& g =
-      telemetry::MetricsRegistry::global().gauge("ftl.write_amplification");
-  return g;
-}
-
-}  // namespace
-
 Status FtlConfig::validate() const {
   if (!(overprovision >= 0.0) || overprovision >= 1.0) {
     return {ErrorCode::kInvalidArgument,
@@ -192,7 +182,6 @@ Status PageMappedFtl::write(std::uint64_t lpn,
   ++valid_count_[dst.block];
   counters_.add(F::host_writes);
   counters_.add(F::nand_writes);
-  write_amp_gauge().set(stats_snapshot().write_amplification());
 
   STASH_RETURN_IF_ERROR(maybe_wear_level());
   return Status::ok();

@@ -101,7 +101,7 @@ class FlashChip {
   /// writes into an arena slab here).  Returns the cells written — 0 on a
   /// bad address or an interrupting injected fault, reproducing
   /// read_page's empty-vector observable.  Same noise, ledger costs, and
-  /// telemetry as read_page.
+  /// trace span as read_page.
   std::size_t read_page_into(std::uint32_t block, std::uint32_t page,
                              std::span<std::uint8_t> out);
 

@@ -128,8 +128,8 @@ class OnfiDevice {
                                             const char* fallback) const;
   void set_ready(bool ready) noexcept;
   void set_fail(bool fail) noexcept;
-  /// set_fail(true) plus a diagnostic message and the onfi.bad_command
-  /// counter — for protocol errors as opposed to chip-reported failures.
+  /// set_fail(true) plus a diagnostic message in last_error() — for
+  /// protocol errors as opposed to chip-reported failures.
   void fail_command(std::string message) noexcept;
   void unpack_bits();
 

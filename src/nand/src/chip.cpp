@@ -6,7 +6,6 @@
 
 #include "stash/kernels/draws.hpp"
 #include "stash/kernels/kernels.hpp"
-#include "stash/telemetry/metrics.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/wire.hpp"
 
@@ -41,25 +40,6 @@ struct Scratch {
 Scratch& scratch() {
   thread_local Scratch s;
   return s;
-}
-
-/// Process-wide instrument handles, resolved once so the per-operation cost
-/// is a single relaxed atomic add.  Counts mirror the CostLedger semantics
-/// (a voltage probe is charged as a read; a stress cycle as a program).
-struct ChipTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& programs = reg.counter("nand.programs");
-  telemetry::Counter& partial_programs = reg.counter("nand.partial_programs");
-  telemetry::Counter& fine_programs = reg.counter("nand.fine_programs");
-  telemetry::Counter& erases = reg.counter("nand.erases");
-  telemetry::Counter& reads = reg.counter("nand.reads");
-  telemetry::Counter& probes = reg.counter("nand.probes");
-  telemetry::Counter& stress_ops = reg.counter("nand.stress_ops");
-};
-
-ChipTelemetry& chip_telemetry() {
-  static ChipTelemetry t;
-  return t;
 }
 
 }  // namespace
@@ -271,7 +251,6 @@ Status FlashChip::erase_block(std::uint32_t block) {
       : fd.fail    ? ErrorCode::kEraseFail
                    : ErrorCode::kOk));
   ledger_->erases.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().erases.inc();
   if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during erase"};
   if (fd.fail) return {ErrorCode::kEraseFail, "erase reported status failure"};
   return Status::ok();
@@ -356,7 +335,6 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
   ledger_->programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().programs.inc();
   if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during program"};
   if (fd.fail) return {ErrorCode::kProgramFail, "program reported status failure"};
   return Status::ok();
@@ -426,7 +404,6 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
 
   charge(costs_.read_us, costs_.read_uj);
   ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().reads.inc();
   if (fault_) {
     const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
     fault_->corrupt_read(block, page, {out.data(), cells}, vref);
@@ -461,8 +438,6 @@ Status FlashChip::probe_voltages_into(std::uint32_t block, std::uint32_t page,
   kernels::quantize_row(row, out.data(), geom_.cells_per_page);
   charge(costs_.read_us, costs_.read_uj);
   ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().reads.inc();
-  chip_telemetry().probes.inc();
   if (fault_) {
     const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
     fault_->corrupt_probe(block, page, {out.data(), out.size()});
@@ -518,7 +493,6 @@ Status FlashChip::partial_program(std::uint32_t block, std::uint32_t page,
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
   ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().partial_programs.inc();
   if (fd.power_cut) {
     return {ErrorCode::kPowerLoss, "power lost during partial program"};
   }
@@ -571,8 +545,6 @@ Status FlashChip::fine_program(std::uint32_t block, std::uint32_t page,
       : fd.fail    ? ErrorCode::kProgramFail
                    : ErrorCode::kOk));
   ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  chip_telemetry().partial_programs.inc();
-  chip_telemetry().fine_programs.inc();
   if (fd.power_cut) {
     return {ErrorCode::kPowerLoss, "power lost during fine program"};
   }
@@ -599,8 +571,6 @@ Status FlashChip::stress_cells(std::uint32_t block, std::uint32_t page,
   // Ledger: PT-HI pays one program per stress cycle on this page.
   charge(costs_.program_us * cycles, costs_.program_uj * cycles);
   ledger_->programs.fetch_add(cycles, std::memory_order_relaxed);
-  chip_telemetry().programs.inc(cycles);
-  chip_telemetry().stress_ops.inc();
   return Status::ok();
 }
 
@@ -665,7 +635,6 @@ Status FlashChip::age_cycles(std::uint32_t block, std::uint32_t n,
   if (charge_ledger) {
     charge(costs_.erase_us * n, costs_.erase_uj * n);
     ledger_->erases.fetch_add(n, std::memory_order_relaxed);
-    chip_telemetry().erases.inc(n);
   }
   // Equivalent end state of n random-data cycles: block left erased.
   blk.next_program_page = 0;

@@ -4,28 +4,9 @@
 #include <cstdio>
 #include <utility>
 
-#include "stash/telemetry/metrics.hpp"
-
 namespace stash::nand {
 
 using namespace onfi;
-
-namespace {
-
-struct OnfiTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& cmds = reg.counter("onfi.cmds");
-  telemetry::Counter& resets = reg.counter("onfi.resets");
-  telemetry::Counter& read_ref_shifts = reg.counter("onfi.read_ref_shifts");
-  telemetry::Counter& bad_commands = reg.counter("onfi.bad_command");
-};
-
-OnfiTelemetry& onfi_telemetry() {
-  static OnfiTelemetry t;
-  return t;
-}
-
-}  // namespace
 
 OnfiDevice::OnfiDevice(FlashChip& chip)
     : chip_(&chip), read_vref_(chip.noise().public_read_vref) {}
@@ -50,7 +31,6 @@ void OnfiDevice::set_fail(bool fail) noexcept {
 void OnfiDevice::fail_command(std::string message) noexcept {
   set_fail(true);
   last_error_ = std::move(message);
-  onfi_telemetry().bad_commands.inc();
 }
 
 std::array<std::uint8_t, 5> OnfiDevice::id() const noexcept {
@@ -87,7 +67,6 @@ void OnfiDevice::unpack_bits() {
 }
 
 void OnfiDevice::cmd(std::uint8_t opcode) {
-  onfi_telemetry().cmds.inc();
   switch (opcode) {
     case kReset:
       reset_after(0.5);
@@ -209,7 +188,6 @@ void OnfiDevice::data_in(std::span<const std::uint8_t> bytes) {
       if (feature_addr_ == kFeatureReadReference && !bytes.empty()) {
         // One parameter byte: the new reference in normalized units.
         read_vref_ = static_cast<double>(bytes[0]);
-        onfi_telemetry().read_ref_shifts.inc();
       }
       state_ = State::kIdle;
       return;
@@ -239,7 +217,6 @@ void OnfiDevice::wait_ready() {
 }
 
 void OnfiDevice::reset_after(double fraction) {
-  onfi_telemetry().resets.inc();
   if (state_ == State::kProgramBusy) {
     // The paper's primitive: PROGRAM aborted midway leaves partial charge
     // on the cells that were being driven toward '0'.

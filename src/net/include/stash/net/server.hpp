@@ -12,8 +12,8 @@
 //     responses always come back in request order (the per-connection
 //     in-flight queue resolves front-only).  The in-flight window is
 //     bounded (ServerConfig::max_pipeline): a connection at its bound
-//     stops being read — TCP backpressure, surfaced to telemetry as
-//     net.pipeline_stalls — until responses drain.
+//     stops being read — TCP backpressure, counted in NetStats as
+//     pipeline_stalls — until responses drain.
 //   * QoS: the frame's priority byte maps straight onto dev::Priority, so
 //     a foreground read overtakes queued background hidden maintenance in
 //     the device's dispatch order, exactly as local submitters would.
@@ -58,8 +58,8 @@ struct ServerConfig {
 };
 
 /// The server's counters, named once (see stash/telemetry/
-/// counter_table.hpp): NetStats, the per-instance table, the "net.*"
-/// registry mirror and stats_json() are generated from this list.
+/// counter_table.hpp): NetStats, the per-instance table and stats_json()
+/// are generated from this list.
 #define STASH_NET_COUNTERS(X)                                              \
   X(accepted)                                                             \
   X(disconnected)                                                         \

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "stash/pack/pack.hpp"
-#include "stash/telemetry/metrics.hpp"
 
 namespace stash::net {
 
@@ -32,19 +31,6 @@ using util::ErrorCode;
 using F = NetStats::Field;
 
 namespace {
-
-// Process-wide live-connection gauge.  Wall-driven values live ONLY in the
-// registry — the per-instance NetStats stays a pure function of the byte
-// streams (the deterministic-export contract).
-struct NetTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Gauge& active = reg.gauge("net.active_connections");
-};
-
-NetTelemetry& net_telemetry() {
-  static NetTelemetry t;
-  return t;
-}
 
 dev::Priority to_priority(std::uint8_t raw) noexcept {
   if (raw >= 2) return dev::Priority::kBackground;
@@ -164,7 +150,6 @@ struct Server::Impl {
       }
       conns.emplace(fd, std::move(conn));
       counters.add(F::accepted);
-      net_telemetry().active.set(static_cast<double>(conns.size()));
     }
   }
 
@@ -456,7 +441,6 @@ struct Server::Impl {
       }
       it = conns.erase(it);
     }
-    net_telemetry().active.set(static_cast<double>(conns.size()));
   }
 
   // ---- Reactor -------------------------------------------------------------

@@ -4,25 +4,7 @@
 #include <numeric>
 #include <string>
 
-#include "stash/telemetry/metrics.hpp"
-
 namespace stash::pthi {
-
-namespace {
-
-struct PthiTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& encode_pages = reg.counter("pthi.encode_pages");
-  telemetry::Counter& decode_pages = reg.counter("pthi.decode_pages");
-  telemetry::Counter& race_steps = reg.counter("pthi.race_steps");
-};
-
-PthiTelemetry& pthi_telemetry() {
-  static PthiTelemetry t;
-  return t;
-}
-
-}  // namespace
 
 using util::ErrorCode;
 
@@ -77,7 +59,6 @@ Status PthiCodec::encode_page(std::uint32_t block, std::uint32_t page,
   if (bits.size() > cap.bits_per_page) {
     return {ErrorCode::kNoSpace, "too many hidden bits for one page"};
   }
-  pthi_telemetry().encode_pages.inc();
   const auto cells =
       group_cells_for(block, page, static_cast<std::uint32_t>(bits.size()));
   const std::uint32_t g = config_.group_cells;
@@ -139,7 +120,6 @@ Result<std::vector<std::uint8_t>> PthiCodec::decode_page(std::uint32_t block,
     return Status{ErrorCode::kInvalidArgument,
                   "PT-HI race decode needs an erased page"};
   }
-  pthi_telemetry().decode_pages.inc();
   const auto cells = group_cells_for(block, page, count);
   const std::uint32_t g = config_.group_cells;
   const std::uint32_t half = g / 2;
@@ -149,7 +129,6 @@ Result<std::vector<std::uint8_t>> PthiCodec::decode_page(std::uint32_t block,
   // earlier.
   std::vector<int> crossing(cells.size(), config_.decode_pp_steps + 1);
   for (int step = 1; step <= config_.decode_pp_steps; ++step) {
-    pthi_telemetry().race_steps.inc();
     STASH_RETURN_IF_ERROR(chip_->partial_program(block, page, cells));
     const auto volts = chip_->probe_voltages(block, page);
     for (std::size_t i = 0; i < cells.size(); ++i) {

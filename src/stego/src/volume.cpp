@@ -3,31 +3,11 @@
 #include <algorithm>
 #include <array>
 
-#include "stash/telemetry/metrics.hpp"
 #include "stash/util/wire.hpp"
 
 namespace stash::stego {
 
 using util::ErrorCode;
-
-namespace {
-
-struct StegoTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& hides = reg.counter("stego.store_hidden");
-  telemetry::Counter& loads = reg.counter("stego.load_hidden");
-  telemetry::Counter& rescues = reg.counter("stego.rescues");
-  telemetry::Counter& reembeds = reg.counter("stego.reembeds");
-  telemetry::Counter& lost_chunks = reg.counter("stego.lost_chunks");
-  telemetry::Counter& failed_embeds = reg.counter("stego.failed_embeds");
-};
-
-StegoTelemetry& stego_telemetry() {
-  static StegoTelemetry t;
-  return t;
-}
-
-}  // namespace
 
 StegoVolume::StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
                          StegoConfig config)
@@ -119,7 +99,6 @@ Status StegoVolume::store_hidden(std::span<const std::uint8_t> data) {
 
 Result<StegoVolume::HiddenTxn> StegoVolume::prepare_store_hidden(
     std::span<const std::uint8_t> data) {
-  stego_telemetry().hides.inc();
   const std::size_t per_chunk = hidden_chunk_capacity();
   if (per_chunk == 0) {
     return Status{ErrorCode::kNoSpace, "hidden chunk capacity is zero"};
@@ -220,7 +199,6 @@ void StegoVolume::scrub_block(std::uint32_t block) {
 }
 
 Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
-  stego_telemetry().loads.inc();
   // Key-only mount: reveal every candidate block; the MAC rejects blocks
   // without (our) hidden data.  When this instance already tracks hidden
   // blocks, restrict to those; otherwise scan everything fully programmed.
@@ -288,16 +266,13 @@ void StegoVolume::on_relocation(nand::PageAddr from) {
   auto revealed = codec_.reveal(from.block);
   if (!revealed.is_ok()) {
     ++stats_.lost_chunks;
-    stego_telemetry().lost_chunks.inc();
     return;
   }
   if (auto chunk = unpack_chunk(revealed.value())) {
     pending_.push_back(std::move(*chunk));
     ++stats_.rescues;
-    stego_telemetry().rescues.inc();
   } else {
     ++stats_.lost_chunks;
-    stego_telemetry().lost_chunks.inc();
   }
 }
 
@@ -316,7 +291,6 @@ bool StegoVolume::embed_verified(std::uint32_t block, const Chunk& chunk) {
     }
   }
   ++stats_.failed_embeds;
-  stego_telemetry().failed_embeds.inc();
   return false;
 }
 
@@ -328,7 +302,6 @@ Status StegoVolume::reembed_pending() {
     if (embed_verified(targets[used], pending_.back())) {
       pending_.pop_back();
       ++stats_.reembeds;
-      stego_telemetry().reembeds.inc();
     }
     ++used;
   }

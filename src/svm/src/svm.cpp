@@ -5,7 +5,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 
 namespace stash::svm {
@@ -73,7 +72,6 @@ void StandardScaler::transform_in_place(
 }
 
 SvmModel SvmModel::train(const Dataset& data, const SvmConfig& config) {
-  telemetry::MetricsRegistry::global().counter("svm.trainings").inc();
   const std::size_t n = data.size();
   if (n == 0) throw std::invalid_argument("SvmModel::train: empty dataset");
   for (int label : data.y) {

@@ -14,10 +14,11 @@
 // which declares one std::uint64_t field per counter, the Field index enum,
 // the names in list order (kNames), and for_each(), the walk every derived
 // view uses: snapshot(), append_counters_json(), and the stash::net stats
-// payload.  CounterTable<Stats> is the per-instance storage: add(Field)
-// bumps the instance count and its process-wide registry mirror
-// "<layer>.<name>" in one call.  Adding a counter is therefore one list
-// entry plus its add() site.
+// payload.  CounterTable<Stats> is the per-instance storage: add(Field) is
+// one relaxed atomic add on the instance, and snapshot() copies the counts
+// into a Stats value.  These per-instance tables are the stack's only event
+// counts; nothing is mirrored process-wide.  Adding a counter is therefore
+// one list entry plus its add() site.
 
 #include <array>
 #include <atomic>
@@ -25,8 +26,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-
-#include "stash/telemetry/metrics.hpp"
 
 #define STASH_COUNTER_FIELD_(name) std::uint64_t name = 0;
 #define STASH_COUNTER_ENUM_(name) name,
@@ -54,11 +53,10 @@ class CounterTable {
   using Field = typename Stats::Field;
   static constexpr std::size_t kSize = Stats::kNames.size();
 
-  /// Count one event (or `delta` units) on this instance and the mirror.
+  /// Count one event (or `delta` units) on this instance.
   void add(Field field, std::uint64_t delta = 1) noexcept {
-    const auto i = static_cast<std::size_t>(field);
-    counts_[i].fetch_add(delta, std::memory_order_relaxed);
-    mirror_[i]->inc(delta);
+    counts_[static_cast<std::size_t>(field)].fetch_add(
+        delta, std::memory_order_relaxed);
   }
 
   [[nodiscard]] Stats snapshot() const noexcept {
@@ -71,21 +69,7 @@ class CounterTable {
   }
 
  private:
-  /// The registry counters "<layer>.<name>", looked up once per process.
-  static const std::array<Counter*, kSize>& registry_mirror() {
-    static const std::array<Counter*, kSize> mirror = [] {
-      std::array<Counter*, kSize> out{};
-      for (std::size_t i = 0; i < kSize; ++i) {
-        out[i] = &MetricsRegistry::global().counter(
-            std::string(Stats::kLayer) + "." + std::string(Stats::kNames[i]));
-      }
-      return out;
-    }();
-    return mirror;
-  }
-
   std::array<std::atomic<std::uint64_t>, kSize> counts_{};
-  const std::array<Counter*, kSize>& mirror_ = registry_mirror();
 };
 
 /// `"name":value` for every counter of `stats`, comma-separated, in list

@@ -1,19 +1,16 @@
 #pragma once
-// stash::telemetry — the unified observability surface for the whole stack.
+// stash::telemetry — the process-wide latency histograms.
 //
-// Every layer (FlashChip, OnfiDevice, BchCode, VthiChannel, PthiCodec,
-// PageMappedFtl, StegoVolume, SvmModel, Sha256Drbg) reports named counters,
-// gauges, and log-bucketed latency histograms into a MetricsRegistry.  The
-// registry hands out stable references at setup time, so the hot path is a
-// single relaxed atomic add — safe to leave on in production and cheap
-// enough that the bench harnesses keep it enabled while reproducing the
-// paper's figures (bench/micro.cpp quantifies the cost: a counter increment
-// is a few nanoseconds against the ~microsecond NAND-simulator operations
-// it annotates, far below the 2% budget).
+// A MetricsRegistry holds named, log-bucketed LatencyHistograms.  Only two
+// are registered, and each has a reader: StashDevice records
+// dev.read_latency_ns (gated by bench_perf_baseline) and
+// dev.flush_latency_ns (apportioned by perfbench's flush attribution).
+// Lookup hands out a stable reference at setup time, so the hot path is a
+// few relaxed atomic adds.
 //
-// Per-instance layer statistics (DeviceStats, FtlStats, NetStats via
-// CounterTable in counter_table.hpp, and StegoStats) keep their own counts;
-// the registry only mirrors them.
+// Event counts are not kept here: every layer counts its own events per
+// instance (DeviceStats, FtlStats, NetStats via CounterTable in
+// counter_table.hpp; FlashChip's CostLedger; StegoStats; FaultStats).
 
 #include <atomic>
 #include <cstdint>
@@ -22,45 +19,6 @@
 #include <vector>
 
 namespace stash::telemetry {
-
-/// Monotonic event count.  Increment is one relaxed atomic add.
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written point-in-time value (free blocks, wear spread, ...).
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-
-  void add(double delta) noexcept {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  [[nodiscard]] double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 /// Log-bucketed histogram of non-negative integer samples.  Bucket i holds
 /// samples whose bit width is i (i.e. values in [2^(i-1), 2^i)), so 64
@@ -116,16 +74,8 @@ class LatencyHistogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Point-in-time export of a registry, suitable for machine consumption.
+/// Point-in-time export of a registry's histograms, sorted by name.
 struct Snapshot {
-  struct CounterValue {
-    std::string name;
-    std::uint64_t value = 0;
-  };
-  struct GaugeValue {
-    std::string name;
-    double value = 0.0;
-  };
   struct HistogramSummary {
     std::string name;
     std::uint64_t count = 0;
@@ -136,15 +86,7 @@ struct Snapshot {
     std::uint64_t p999 = 0;
   };
 
-  std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
   std::vector<HistogramSummary> histograms;
-
-  [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
-
-  /// Compact JSON object: {"counters":{...},"gauges":{...},"histograms":
-  /// {name:{count,sum,mean,p50,p99,p999},...}}.
-  [[nodiscard]] std::string to_json() const;
 };
 
 /// Named instrument directory.  Lookup takes a mutex (do it at setup and
@@ -161,14 +103,9 @@ class MetricsRegistry {
   /// The process-wide registry every built-in instrumentation point uses.
   static MetricsRegistry& global();
 
-  Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   LatencyHistogram& histogram(std::string_view name);
 
   [[nodiscard]] Snapshot snapshot() const;
-
-  /// Zero every instrument; names stay registered and references valid.
-  void reset();
 
  private:
   struct Impl;

@@ -1,7 +1,6 @@
 #include "stash/telemetry/metrics.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,8 +39,6 @@ struct MetricsRegistry::Impl {
   mutable std::mutex mu;
   // std::map keeps snapshot output deterministically sorted and never
   // invalidates element addresses, so handed-out references stay stable.
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
   std::map<std::string, std::unique_ptr<LatencyHistogram>, std::less<>>
       histograms;
 };
@@ -51,33 +48,11 @@ MetricsRegistry::~MetricsRegistry() { delete impl_; }
 
 MetricsRegistry& MetricsRegistry::global() {
   // Intentionally leaked: instrumentation call sites cache references into
-  // the registry and atexit hooks (the bench metric sidecars) snapshot it,
-  // both of which may outlive any function-local static's destructor under
-  // the unsequenced static-destruction order.  An immortal registry makes
-  // every phase of shutdown safe.
+  // the registry, and those may outlive any function-local static's
+  // destructor under the unsequenced static-destruction order.  An immortal
+  // registry makes every phase of shutdown safe.
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
-}
-
-Counter& MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->counters.find(name);
-  if (it == impl_->counters.end()) {
-    it = impl_->counters
-             .emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-  }
-  return *it->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  auto it = impl_->gauges.find(name);
-  if (it == impl_->gauges.end()) {
-    it = impl_->gauges.emplace(std::string(name), std::make_unique<Gauge>())
-             .first;
-  }
-  return *it->second;
 }
 
 LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
@@ -94,14 +69,6 @@ LatencyHistogram& MetricsRegistry::histogram(std::string_view name) {
 Snapshot MetricsRegistry::snapshot() const {
   Snapshot snap;
   std::lock_guard<std::mutex> lock(impl_->mu);
-  snap.counters.reserve(impl_->counters.size());
-  for (const auto& [name, c] : impl_->counters) {
-    snap.counters.push_back({name, c->value()});
-  }
-  snap.gauges.reserve(impl_->gauges.size());
-  for (const auto& [name, g] : impl_->gauges) {
-    snap.gauges.push_back({name, g->value()});
-  }
   snap.histograms.reserve(impl_->histograms.size());
   for (const auto& [name, h] : impl_->histograms) {
     snap.histograms.push_back({name, h->count(), h->sum(), h->mean(),
@@ -109,70 +76,6 @@ Snapshot MetricsRegistry::snapshot() const {
                                h->quantile(0.999)});
   }
   return snap;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  for (auto& [name, c] : impl_->counters) c->reset();
-  for (auto& [name, g] : impl_->gauges) g->reset();
-  for (auto& [name, h] : impl_->histograms) h->reset();
-}
-
-std::uint64_t Snapshot::counter(std::string_view name) const noexcept {
-  for (const auto& c : counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    out.push_back(ch);
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
-
-}  // namespace
-
-std::string Snapshot::to_json() const {
-  std::string out = "{\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i) out.push_back(',');
-    append_json_string(out, counters[i].name);
-    out.push_back(':');
-    out += std::to_string(counters[i].value);
-  }
-  out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i) out.push_back(',');
-    append_json_string(out, gauges[i].name);
-    out.push_back(':');
-    append_double(out, gauges[i].value);
-  }
-  out += "},\"histograms\":{";
-  for (std::size_t i = 0; i < histograms.size(); ++i) {
-    const auto& h = histograms[i];
-    if (i) out.push_back(',');
-    append_json_string(out, h.name);
-    out += ":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) + ",\"mean\":";
-    append_double(out, h.mean);
-    out += ",\"p50\":" + std::to_string(h.p50) +
-           ",\"p99\":" + std::to_string(h.p99) +
-           ",\"p999\":" + std::to_string(h.p999) + "}";
-  }
-  out += "}}";
-  return out;
 }
 
 }  // namespace stash::telemetry

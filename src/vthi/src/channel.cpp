@@ -2,29 +2,11 @@
 
 #include <string>
 
-#include "stash/telemetry/metrics.hpp"
 #include "stash/trace/trace.hpp"
 
 namespace stash::vthi {
 
 using util::ErrorCode;
-
-namespace {
-
-struct ChannelTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& embed_sessions = reg.counter("vthi.embed_sessions");
-  telemetry::Counter& embed_steps = reg.counter("vthi.embed_steps");
-  telemetry::Counter& extracts = reg.counter("vthi.extracts");
-  telemetry::Counter& select_shortfalls = reg.counter("vthi.select_shortfalls");
-};
-
-ChannelTelemetry& channel_telemetry() {
-  static ChannelTelemetry t;
-  return t;
-}
-
-}  // namespace
 
 VthiChannel::VthiChannel(nand::FlashChip& chip,
                          std::array<std::uint8_t, 32> selection_key,
@@ -75,7 +57,6 @@ Result<std::vector<std::uint32_t>> VthiChannel::select_cells(
   }
   auto chosen = select_from_voltages(block, page, count, volts);
   if (chosen.size() < count) {
-    channel_telemetry().select_shortfalls.inc();
     return Status{ErrorCode::kNoSpace, "not enough eligible cells in page"};
   }
   return chosen;
@@ -86,7 +67,6 @@ Result<EmbedSession> VthiChannel::begin(std::uint32_t block,
                                         std::span<const std::uint8_t> bits) {
   auto cells = select_cells(block, page, static_cast<std::uint32_t>(bits.size()));
   if (!cells.is_ok()) return cells.status();
-  channel_telemetry().embed_sessions.inc();
   EmbedSession session;
   session.block = block;
   session.page = page;
@@ -96,7 +76,6 @@ Result<EmbedSession> VthiChannel::begin(std::uint32_t block,
 }
 
 Result<int> VthiChannel::step(EmbedSession& session) {
-  channel_telemetry().embed_steps.inc();
   // One Algorithm-1 round, one read + (at most) one program: probe the
   // page, then partially program every hidden-'0' cell still below vth.
   // Returns the number of cells that were below vth at probe time; 0 means
@@ -163,7 +142,6 @@ Result<std::vector<std::uint8_t>> VthiChannel::extract_at(std::uint32_t block,
                                                           std::uint32_t page,
                                                           std::uint32_t count,
                                                           double vth) {
-  channel_telemetry().extracts.inc();
   trace::ScopedSpan span(trace::Stage::kVthiExtract, trace::Op::kExtract,
                          (static_cast<std::uint64_t>(block) << 32) | page,
                          count / 8);

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "stash/crypto/chacha20.hpp"
-#include "stash/telemetry/metrics.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/bitvec.hpp"
 
@@ -148,25 +147,6 @@ std::vector<std::uint8_t> VthiCodec::frame_payload(
   return frame;
 }
 
-namespace {
-
-struct CodecTelemetry {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& hides = reg.counter("vthi.hides");
-  telemetry::Counter& reveals = reg.counter("vthi.reveals");
-  telemetry::Counter& hide_resumes = reg.counter("vthi.hide_resumes");
-  telemetry::Counter& read_retries = reg.counter("vthi.read_retries");
-  telemetry::Counter& read_retry_recoveries =
-      reg.counter("vthi.read_retry_recoveries");
-};
-
-CodecTelemetry& codec_telemetry() {
-  static CodecTelemetry t;
-  return t;
-}
-
-}  // namespace
-
 bool HideJournal::matches(std::uint32_t for_block,
                           std::span<const std::uint8_t> payload) const {
   return block == for_block && payload_bytes == payload.size() &&
@@ -181,7 +161,6 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
 Result<HideReport> VthiCodec::hide(std::uint32_t block,
                                    std::span<const std::uint8_t> payload,
                                    HideJournal* journal) {
-  codec_telemetry().hides.inc();
   const Layout lay = layout();
   const std::size_t capacity = capacity_bytes();
   if (capacity == 0) {
@@ -243,9 +222,6 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
   if (journal) {
     if (journal->matches(block, payload) && !journal->complete) {
       start_page = std::min<std::size_t>(journal->pages_completed, pages.size());
-      if (start_page > 0 || journal->steps_in_current_page > 0) {
-        codec_telemetry().hide_resumes.inc();
-      }
     } else {
       *journal = HideJournal{};
       journal->block = block;
@@ -432,9 +408,6 @@ bool read_retryable(ErrorCode code) noexcept {
 
 Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
                                                     int* corrected_bits) {
-  auto& tel = codec_telemetry();
-  tel.reveals.inc();
-
   auto result = reveal_at(block, config_.channel.vth, corrected_bits);
   if (result.is_ok() || config_.max_read_retries <= 0 ||
       !read_retryable(result.status().code())) {
@@ -447,17 +420,13 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
   // populations get re-sliced at a friendlier reference.
   double magnitude = config_.read_retry_shift;
   for (int attempt = 1; attempt <= config_.max_read_retries; ++attempt) {
-    tel.read_retries.inc();
     const double shift = (attempt % 2 == 1) ? magnitude : -magnitude;
     if (attempt % 2 == 0) magnitude *= 2.0;
     const double vth =
         std::clamp(config_.channel.vth + shift, 1.0,
                    config_.channel.select_guard - 1.0);
     auto retried = reveal_at(block, vth, corrected_bits);
-    if (retried.is_ok()) {
-      tel.read_retry_recoveries.inc();
-      return retried;
-    }
+    if (retried.is_ok()) return retried;
     if (!read_retryable(retried.status().code())) return retried;
     result = std::move(retried);
   }

@@ -1,10 +1,11 @@
 // stash::par tests: thread-pool semantics (inline mode, full coverage,
 // slot-ordered map, exception propagation), concurrency safety of the
-// telemetry registry and the span tracer under multi-threaded hammering,
-// block-grouped program/read fan-out on a worker pool, and the determinism
-// guarantee the stack's fan-out relies on: FlashChip ops grouped by block
-// and run through ThreadPool::parallel_for produce bit-identical voltages,
-// reads and ledger totals at any thread count.
+// latency-histogram registry, the per-instance counter table and the span
+// tracer under multi-threaded hammering, block-grouped program/read fan-out
+// on a worker pool, and the determinism guarantee the stack's fan-out relies
+// on: FlashChip ops grouped by block and run through
+// ThreadPool::parallel_for produce bit-identical voltages, reads and ledger
+// totals at any thread count.
 //
 // The hammering tests are the ThreadSanitizer targets: they pass trivially
 // single-threaded and exist to give TSan real concurrent traffic.
@@ -17,12 +18,15 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "stash/dev/device.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/par/pool.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/rng.hpp"
@@ -122,18 +126,15 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, t] {
       // Mix registry lookups (map mutation under its mutex) with
-      // instrument updates (atomics) — the production access pattern.
-      auto& shared = reg.counter("par.shared");
-      auto& mine = reg.counter("par.thread." + std::to_string(t));
-      auto& gauge = reg.gauge("par.gauge");
-      auto& hist = reg.histogram("par.lat");
+      // histogram updates (atomics) — the production access pattern.
+      auto& shared = reg.histogram("par.shared");
+      auto& mine = reg.histogram("par.thread." + std::to_string(t));
       for (int i = 0; i < kPerThread; ++i) {
-        shared.inc();
-        mine.inc();
-        gauge.add(1);
-        hist.record(static_cast<std::uint64_t>(i));
+        shared.record(static_cast<std::uint64_t>(i));
+        mine.record(1);
         if (i % 1000 == 0) {
-          (void)reg.counter("par.shared");  // concurrent re-lookup
+          (void)reg.histogram("par.shared");  // concurrent re-lookup
+          (void)reg.snapshot();               // concurrent export
         }
       }
     });
@@ -141,16 +142,67 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
   for (auto& t : threads) t.join();
   // The hammering itself is the TSan payload; the totals show no update
   // was lost.
-  EXPECT_EQ(reg.counter("par.shared").value(),
+  constexpr std::uint64_t kSumPerThread =
+      static_cast<std::uint64_t>(kPerThread) * (kPerThread - 1) / 2;
+  EXPECT_EQ(reg.histogram("par.shared").count(),
             static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(reg.histogram("par.shared").sum(), kThreads * kSumPerThread);
   for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(reg.counter("par.thread." + std::to_string(t)).value(),
-              static_cast<std::uint64_t>(kPerThread));
+    const auto& mine = reg.histogram("par.thread." + std::to_string(t));
+    EXPECT_EQ(mine.count(), static_cast<std::uint64_t>(kPerThread));
+    EXPECT_EQ(mine.bucket_count(1), static_cast<std::uint64_t>(kPerThread));
   }
-  EXPECT_DOUBLE_EQ(reg.gauge("par.gauge").value(),
-                   static_cast<double>(kThreads) * kPerThread);
-  EXPECT_EQ(reg.histogram("par.lat").count(),
-            static_cast<std::uint64_t>(kThreads) * kPerThread);
+  EXPECT_EQ(reg.snapshot().histograms.size(),
+            static_cast<std::size_t>(kThreads) + 1);
+}
+
+// The one counter primitive: eight threads add() to one device's counter
+// table while another thread snapshots it.  Every snapshot sees each
+// field only grow, and the final totals are exact.
+TEST(Concurrency, CounterTableAddedWhileSnapshotted) {
+  using F = dev::DeviceStats::Field;
+  telemetry::CounterTable<dev::DeviceStats> table;
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20000;
+  std::atomic<bool> stop{false};
+  std::atomic<int> snapshots{0};
+  bool monotone = true;
+  std::thread reader([&] {
+    dev::DeviceStats last;
+    while (!stop.load(std::memory_order_acquire)) {
+      const dev::DeviceStats now = table.snapshot();
+      if (now.reads < last.reads || now.writes < last.writes ||
+          now.bytes_copied < last.bytes_copied) {
+        monotone = false;
+      }
+      last = now;
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&table, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        table.add(F::reads);
+        table.add(F::bytes_copied, 3);
+        if (t % 2 == 0) table.add(F::writes);
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  const dev::DeviceStats total = table.snapshot();
+  constexpr auto kAll = static_cast<std::uint64_t>(kThreads) * kPerThread;
+  EXPECT_EQ(total.reads, kAll);
+  EXPECT_EQ(total.bytes_copied, 3 * kAll);
+  EXPECT_EQ(total.writes, kAll / 2);
+  EXPECT_EQ(total.trims, 0u);
+  EXPECT_EQ(total.dispatches, 0u);
+  EXPECT_TRUE(monotone);
+  EXPECT_GT(snapshots.load(), 0);
 }
 
 // The one tracer under the same treatment: eight threads, each inside its

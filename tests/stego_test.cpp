@@ -1,9 +1,13 @@
 // StegoVolume tests: public I/O passthrough, hidden store/load with
 // key-only discovery, chunking across blocks, GC rescue + re-embedding,
-// panic erase, and wrong-key behaviour.
+// skipping a carrier whose embedding fails verification, panic erase, and
+// wrong-key behaviour.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "stash/fault/plan.hpp"
 #include "stash/stego/volume.hpp"
 
 namespace stash::stego {
@@ -151,10 +155,43 @@ TEST(Stego, HiddenDataSurvivesGarbageCollection) {
   ASSERT_TRUE(volume.reembed_pending().is_ok());
   EXPECT_EQ(volume.stats().lost_chunks, 0u);
   EXPECT_GT(volume.stats().rescues, 0u);
+  EXPECT_GT(volume.stats().reembeds, 0u);
 
   const auto loaded = volume.load_hidden();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value(), secret);
+}
+
+TEST(Stego, CarrierThatFailsVerificationIsSkippedAndCounted) {
+  FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 118);
+  StegoVolume volume(chip, test_key());
+  fill_public(volume, 40, 950);
+
+  // The first block VT-HI tries to embed into refuses every partial
+  // program, so its embedding cannot verify; later carriers are healthy.
+  std::optional<std::uint32_t> bad_carrier;
+  fault::FaultPlan plan(118);
+  plan.fail_when([&](nand::FaultOp op, std::uint32_t block, std::uint32_t) {
+    if (op != nand::FaultOp::kPartialProgram &&
+        op != nand::FaultOp::kFineProgram) {
+      return false;
+    }
+    if (!bad_carrier) bad_carrier = block;
+    return block == *bad_carrier;
+  });
+  chip.set_fault_injector(&plan);
+
+  const std::vector<std::uint8_t> secret(40, 0x3e);
+  ASSERT_TRUE(volume.store_hidden(secret).is_ok());
+  ASSERT_TRUE(bad_carrier.has_value());
+  EXPECT_GT(plan.stats().predicate_fails, 0u);
+  EXPECT_GE(volume.stats().failed_embeds, 1u);
+  EXPECT_EQ(volume.stats().lost_chunks, 0u);
+
+  const auto loaded = volume.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
+  chip.set_fault_injector(nullptr);
 }
 
 TEST(Stego, ReplacingThePayloadSupersedesItForAFreshReader) {

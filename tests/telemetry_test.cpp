@@ -1,7 +1,7 @@
-// Tests for stash::telemetry: the metrics registry (counters, gauges,
-// log-bucketed histograms, snapshots/JSON export), plus the visibility of
-// each ONFI command sequence (including §5's PROGRAM -> RESET partial
-// program) as one nand.* span in stash::trace.
+// Tests for stash::telemetry: the metrics registry (log-bucketed latency
+// histograms and their snapshot), plus the visibility of each ONFI command
+// sequence (including §5's PROGRAM -> RESET partial program) as one nand.*
+// span in stash::trace.
 
 #include <gtest/gtest.h>
 
@@ -15,25 +15,6 @@
 
 namespace stash::telemetry {
 namespace {
-
-TEST(Counter, IncrementAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Gauge, SetAddReset) {
-  Gauge g;
-  g.set(2.5);
-  g.add(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-  g.reset();
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
 
 TEST(LatencyHistogram, LogBucketing) {
   LatencyHistogram h;
@@ -101,52 +82,59 @@ TEST(LatencyHistogram, SnapshotCarriesP999) {
   ASSERT_EQ(snap.histograms.size(), 1u);
   EXPECT_EQ(snap.histograms[0].p999, h.quantile(0.999));
   EXPECT_GT(snap.histograms[0].p999, snap.histograms[0].p99);
-  EXPECT_NE(snap.to_json().find("\"p999\":"), std::string::npos);
+}
+
+TEST(LatencyHistogram, ResetZeroesEveryBucket) {
+  LatencyHistogram h;
+  h.record(0);
+  h.record(1500);
+  h.record(~0ull);
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  EXPECT_EQ(h.quantile(0.5), 0u);
+  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
+    EXPECT_EQ(h.bucket_count(b), 0u) << "bucket " << b;
+  }
+  h.record(4);  // usable again after a reset
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.bucket_count(3), 1u);
 }
 
 TEST(MetricsRegistry, HandsOutStableReferences) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("x");
+  LatencyHistogram& a = reg.histogram("x");
   // A burst of other registrations must not invalidate `a`.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
+    reg.histogram("h" + std::to_string(i));
   }
-  Counter& b = reg.counter("x");
+  LatencyHistogram& b = reg.histogram("x");
   EXPECT_EQ(&a, &b);
-  a.inc();
-  EXPECT_EQ(b.value(), 1u);
+  a.record(7);
+  EXPECT_EQ(b.count(), 1u);
+  EXPECT_EQ(b.sum(), 7u);
 }
 
-TEST(MetricsRegistry, SnapshotAndJson) {
+TEST(MetricsRegistry, SnapshotSummarizesHistogramsSortedByName) {
   MetricsRegistry reg;
-  reg.counter("ops").inc(7);
-  reg.gauge("level").set(0.5);
-  reg.histogram("lat").record(100);
+  reg.histogram("b.lat").record(100);
+  reg.histogram("a.lat").record(4);
+  reg.histogram("a.lat").record(12);
+  (void)reg.histogram("c.empty");
 
   const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.counter("ops"), 7u);
-  EXPECT_EQ(snap.counter("missing"), 0u);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 0.5);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_EQ(snap.histograms[0].sum, 100u);
-
-  const std::string json = snap.to_json();
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"ops\":7"), std::string::npos);
-  EXPECT_NE(json.find("\"level\":0.5"), std::string::npos);
-  EXPECT_NE(json.find("\"lat\""), std::string::npos);
-}
-
-TEST(MetricsRegistry, ResetZeroesButKeepsReferences) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("n");
-  c.inc(5);
-  reg.reset();
-  EXPECT_EQ(c.value(), 0u);
-  c.inc();
-  EXPECT_EQ(reg.snapshot().counter("n"), 1u);
+  ASSERT_EQ(snap.histograms.size(), 3u);
+  EXPECT_EQ(snap.histograms[0].name, "a.lat");
+  EXPECT_EQ(snap.histograms[1].name, "b.lat");
+  EXPECT_EQ(snap.histograms[2].name, "c.empty");
+  EXPECT_EQ(snap.histograms[0].count, 2u);
+  EXPECT_EQ(snap.histograms[0].sum, 16u);
+  EXPECT_DOUBLE_EQ(snap.histograms[0].mean, 8.0);
+  EXPECT_EQ(snap.histograms[0].p50, reg.histogram("a.lat").quantile(0.5));
+  EXPECT_EQ(snap.histograms[1].count, 1u);
+  EXPECT_EQ(snap.histograms[1].sum, 100u);
+  EXPECT_EQ(snap.histograms[2].count, 0u);
+  EXPECT_EQ(snap.histograms[2].p99, 0u);
 }
 
 // ---- ONFI sequences through the one tracer --------------------------------
