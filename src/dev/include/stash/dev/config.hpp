@@ -59,10 +59,8 @@ struct DeviceConfig {
 
   // ---- Hidden-capacity packing --------------------------------------------
   /// Dedup + compression stage in front of the stego path (stash::pack).
-  /// Enabled, store_hidden embeds a versioned pack container; the raw
-  /// payload is recovered transparently on load.  Loading stays
-  /// format-aware either way: the per-chip segment framing records how
-  /// each generation was stored.
+  /// store_hidden always embeds a versioned pack container; load reverses
+  /// it transparently.
   pack::PackConfig pack{};
 
   [[nodiscard]] util::Status validate() const {

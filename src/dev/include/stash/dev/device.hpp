@@ -79,17 +79,17 @@ struct HiddenInfo {
   std::uint64_t logical_bytes = 0;
   /// Container bytes actually embedded in the voltage channel.
   std::uint64_t packed_bytes = 0;
-  /// CDC chunks in the payload / distinct chunks after dedup (equal to
-  /// each other and meaningless when the generation was stored raw).
+  /// CDC chunks in the payload / distinct chunks after dedup.
   std::uint64_t chunks = 0;
   std::uint64_t unique_chunks = 0;
-  /// Segment format of the stored generation: 0 = raw bytes, otherwise
-  /// the pack container format version.
+  /// Segment format of the stored generation: the pack container format
+  /// version (pack::kFormatVersion).
   std::uint16_t format = 0;
-  /// Logical bytes per deduped byte (1.0 when stored raw).
+  /// Logical bytes per deduped byte.
   double dedup_ratio = 1.0;
-  /// Hidden bytes the device could still accept right now (headroom on
-  /// blocks not already carrying this generation).
+  /// Packed bytes a replacement store could take right now: each chip's
+  /// free carrier room past its segment header, in chip order, up to the
+  /// first chip with none (the store's own split plan).
   std::uint64_t remaining_capacity_bytes = 0;
 
   /// Effective hidden-capacity multiplier of the stored generation.
@@ -122,8 +122,7 @@ struct HiddenInfo {
   X(hidden_stores)       /* store_hidden requests that succeeded */        \
   X(hidden_loads)        /* load_hidden requests that succeeded */         \
   /* Cumulative pack pipeline totals over all successful hidden stores:    \
-     payload bytes in vs container bytes embedded (equal when packing is   \
-     disabled: a raw store counts as multiplier 1). */                     \
+     payload bytes in vs container bytes embedded. */                      \
   X(pack_logical_bytes)                                                    \
   X(pack_packed_bytes)                                                     \
   /* Page-payload bytes the device memcpy'd while serving requests.  The   \
@@ -194,10 +193,9 @@ class StashDevice {
   Result<PageRef> read(std::uint64_t lpn);
   Status write(std::uint64_t lpn, std::span<const std::uint8_t> bits);
   Status trim(std::uint64_t lpn);
-  /// Store (replace) the hidden object.  With DeviceConfig::pack enabled
-  /// the payload goes through the dedup + compression pipeline first; load
-  /// transparently reverses it.  Both remain thin wrappers over the
-  /// versioned hidden-object surface below.
+  /// Store (replace) the hidden object.  The payload goes through the
+  /// dedup + compression pipeline (DeviceConfig::pack) first; load
+  /// transparently reverses it.
   Status store_hidden(std::span<const std::uint8_t> data);
   Result<PageRef> load_hidden();
 
@@ -327,15 +325,6 @@ class StashDevice {
   /// single-threaded heart of the deterministic schedule).
   void dispatch(std::unique_lock<std::mutex>& lock);
   void execute_reads(std::vector<Request>& reads);
-  Status execute_store_hidden(std::span<const std::uint8_t> data);
-  /// The reassembled device payload exactly as embedded (pack container or
-  /// raw bytes) plus the segment format that tags it.
-  struct RawHidden {
-    std::uint16_t format = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  Result<RawHidden> load_hidden_raw();
-  Result<std::vector<std::uint8_t>> execute_load_hidden();
   Status execute_gc();
   /// Flush body; requires the lock.
   Status flush_locked();

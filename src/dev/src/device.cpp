@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <iterator>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
 
-#include "stash/pack/pack.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
+#include "hidden.hpp"
 
 namespace stash::dev {
 
@@ -40,66 +39,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
                       std::chrono::steady_clock::now() - start)
                       .count();
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
-}
-
-// Device-level framing of one per-chip hidden segment: the hidden payload
-// is split across chips in chip order, and each chip's StegoVolume stores
-// [index:u16][used_chips:u16][format:u16][payload_len:u32][digest:u64]
-// [payload].  The header is what lets load detect a missing middle segment
-// instead of silently splicing the remainder; the digest (FNV-1a of the
-// *whole* device payload, identical in every segment) additionally pins
-// all segments to one store generation, so even segments with mutually
-// consistent counts cannot splice across generations.  `format` records
-// how the device payload was encoded — 0 for raw bytes, otherwise the
-// pack container version — so load stays correct across generations that
-// toggled DeviceConfig::pack, and a future format fails kUnsupported
-// instead of feeding an undecodable container to the caller.
-constexpr std::size_t kSegmentHeaderBytes = 18;
-
-/// Segment format values.  kFormatRaw predates the pack pipeline; packed
-/// generations carry the container version (currently pack::kFormatVersion).
-constexpr std::uint16_t kFormatRaw = 0;
-
-std::vector<std::uint8_t> pack_segment(std::uint16_t index,
-                                       std::uint16_t used_chips,
-                                       std::uint16_t format,
-                                       std::uint64_t digest,
-                                       std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  util::ByteWriter w(out);
-  w.u16(index);
-  w.u16(used_chips);
-  w.u16(format);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u64(digest);
-  w.raw(payload);
-  return out;
-}
-
-struct Segment {
-  std::uint16_t index = 0;
-  std::uint16_t used_chips = 0;
-  std::uint16_t format = kFormatRaw;
-  std::uint64_t digest = 0;
-  std::vector<std::uint8_t> payload;
-};
-
-std::optional<Segment> unpack_segment(std::span<const std::uint8_t> raw) {
-  if (raw.size() < kSegmentHeaderBytes) return std::nullopt;
-  util::ByteReader r(raw);
-  Segment seg;
-  std::uint32_t len = 0;
-  if (!r.u16(seg.index).is_ok() || !r.u16(seg.used_chips).is_ok() ||
-      !r.u16(seg.format).is_ok() || !r.u32(len).is_ok() ||
-      !r.u64(seg.digest).is_ok()) {
-    return std::nullopt;
-  }
-  if (seg.used_chips == 0 || seg.index >= seg.used_chips ||
-      raw.size() - kSegmentHeaderBytes != len) {
-    return std::nullopt;
-  }
-  seg.payload.assign(raw.begin() + kSegmentHeaderBytes, raw.end());
-  return seg;
 }
 
 /// Read LRU shards (lpn % shards), each with its own lock and LRU order.
@@ -441,7 +380,8 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
         case OpKind::kStoreHidden: {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op, 0,
                                  req.data.size() / 8);
-          Status st = execute_store_hidden(req.data);
+          Status st =
+              hidden::store(volumes_, req.data, config_.pack, counters_);
           code = static_cast<std::uint8_t>(st.code());
           span.set_status(code);
           req.status_promise.set_value(std::move(st));
@@ -449,7 +389,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
         }
         case OpKind::kLoadHidden: {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op);
-          auto loaded = execute_load_hidden();
+          auto loaded = hidden::load(volumes_, counters_);
           code = static_cast<std::uint8_t>(loaded.status().code());
           span.set_status(code);
           if (loaded.is_ok()) {
@@ -630,169 +570,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
   }
 }
 
-// ---- Hidden volume and GC --------------------------------------------------
-
-Status StashDevice::execute_store_hidden(std::span<const std::uint8_t> data) {
-  // Dedup + compress first (stash::pack): the voltage channel then embeds
-  // the container instead of the raw payload, and the segment format tags
-  // the generation so load can reverse it.  A container that fails to beat
-  // raw is still embedded (pack guarantees near-zero overhead by storing
-  // incompressible payloads verbatim inside the container).
-  std::uint16_t format = kFormatRaw;
-  std::vector<std::uint8_t> packed;
-  pack::PackStats pstats;
-  if (config_.pack.enabled) {
-    auto packed_r = pack::pack(data, config_.pack, &pstats);
-    if (!packed_r.is_ok()) return packed_r.status();
-    packed = std::move(packed_r.value());
-    format = pack::kFormatVersion;
-    data = {packed.data(), packed.size()};
-  }
-
-  // Plan the split next so a too-large payload fails before any chip is
-  // touched: chip i takes min(remaining, capacity_i - header).
-  std::vector<std::size_t> take(volumes_.size(), 0);
-  std::size_t remaining = data.size();
-  std::size_t used = 0;
-  for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    const std::size_t cap = volumes_[c]->hidden_capacity_bytes();
-    if (cap <= kSegmentHeaderBytes) break;  // later chips would leave a gap
-    take[c] = std::min(remaining, cap - kSegmentHeaderBytes);
-    remaining -= take[c];
-    used = c + 1;
-    if (remaining == 0) break;
-  }
-  if (remaining > 0 || used == 0) {
-    return Status{ErrorCode::kNoSpace,
-                  "hidden payload exceeds device hidden capacity"};
-  }
-  const std::uint64_t digest = util::fnv1a(data);
-
-  // Phase 1: prepare every chip's segment beside its old generation.  A
-  // failure on chip k (worn carriers, injected program faults, ...) aborts
-  // the k segments already prepared, leaving the previous device payload
-  // fully loadable — never the mixed-generation splice a chip-by-chip
-  // store would leave behind.
-  std::vector<std::pair<std::uint32_t, stego::StegoVolume::HiddenTxn>> prepared;
-  prepared.reserve(used);
-  std::size_t offset = 0;
-  for (std::uint32_t c = 0; c < used; ++c) {
-    const auto segment =
-        pack_segment(static_cast<std::uint16_t>(c),
-                     static_cast<std::uint16_t>(used), format, digest,
-                     data.subspan(offset, take[c]));
-    auto txn = volumes_[c]->prepare_store_hidden(segment);
-    if (!txn.is_ok()) {
-      for (auto& [pc, ptxn] : prepared) {
-        (void)volumes_[pc]->abort_store_hidden(ptxn);
-      }
-      return txn.status();
-    }
-    prepared.emplace_back(c, std::move(txn.value()));
-    offset += take[c];
-  }
-
-  // Phase 2: every chip verified its new segment; release the old
-  // generation everywhere.  Commit scrubs are best-effort — a straggler
-  // that survives is caught by the per-generation digest at load time.
-  Status first = Status::ok();
-  for (auto& [c, txn] : prepared) {
-    if (Status st = volumes_[c]->commit_store_hidden(txn);
-        !st.is_ok() && first.is_ok()) {
-      first = st;
-    }
-  }
-  // A previous, longer payload may have left segments on chips past this
-  // store's span; discard them so load never sees two generations.
-  for (std::uint32_t c = used; c < volumes_.size(); ++c) {
-    (void)volumes_[c]->discard_hidden();
-  }
-  if (first.is_ok()) {
-    const std::uint64_t logical =
-        config_.pack.enabled ? pstats.logical_bytes
-                             : static_cast<std::uint64_t>(data.size());
-    counters_.add(F::hidden_stores);
-    counters_.add(F::pack_logical_bytes, logical);
-    counters_.add(F::pack_packed_bytes, data.size());
-  }
-  return first;
-}
-
-Result<StashDevice::RawHidden> StashDevice::load_hidden_raw() {
-  std::vector<Segment> found;
-  for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    auto loaded = volumes_[c]->load_hidden();
-    if (!loaded.is_ok()) continue;  // MAC rejects chips without our data
-    if (auto seg = unpack_segment(loaded.value())) {
-      found.push_back(std::move(*seg));
-    }
-  }
-  if (found.empty()) {
-    return Status{ErrorCode::kNotFound, "no hidden volume under this key"};
-  }
-  const std::uint16_t total = found.front().used_chips;
-  const std::uint16_t format = found.front().format;
-  const std::uint64_t digest = found.front().digest;
-  std::vector<const Segment*> ordered(total, nullptr);
-  for (const Segment& seg : found) {
-    if (seg.used_chips != total || seg.index >= total ||
-        seg.digest != digest || seg.format != format) {
-      return Status{ErrorCode::kCorrupted,
-                    "inconsistent hidden segment set across chips"};
-    }
-    if (ordered[seg.index] != nullptr) {
-      // Two chips answering for the same slot means two store generations
-      // are interleaved; splicing either copy in silently would hand back
-      // a payload that never existed.
-      return Status{ErrorCode::kCorrupted,
-                    "duplicate hidden segment " + std::to_string(seg.index)};
-    }
-    ordered[seg.index] = &seg;
-  }
-  RawHidden raw;
-  raw.format = format;
-  for (std::uint16_t i = 0; i < total; ++i) {
-    if (!ordered[i]) {
-      return Status{ErrorCode::kCorrupted,
-                    "hidden segment " + std::to_string(i) + " missing"};
-    }
-    // Segment reassembly is the one real copy left on the hidden load
-    // path (cross-chip splice into one contiguous payload); charge it so
-    // bytes_copied stays an honest ledger.
-    counters_.add(F::bytes_copied, ordered[i]->payload.size());
-    raw.bytes.insert(raw.bytes.end(), ordered[i]->payload.begin(),
-                     ordered[i]->payload.end());
-  }
-  if (util::fnv1a(raw.bytes) != digest) {
-    return Status{ErrorCode::kCorrupted,
-                  "reassembled hidden payload fails its stored digest"};
-  }
-  return raw;
-}
-
-Result<std::vector<std::uint8_t>> StashDevice::execute_load_hidden() {
-  auto raw = load_hidden_raw();
-  if (!raw.is_ok()) return raw.status();
-  std::vector<std::uint8_t> out;
-  if (raw.value().format == kFormatRaw) {
-    out = std::move(raw.value().bytes);
-  } else if (raw.value().format == pack::kFormatVersion) {
-    auto unpacked = pack::unpack(
-        {raw.value().bytes.data(), raw.value().bytes.size()});
-    if (!unpacked.is_ok()) return unpacked.status();
-    out = std::move(unpacked.value());
-  } else {
-    // A segment format this build does not know: the data is intact (it
-    // passed the generation digest) but not decodable here — that is
-    // kUnsupported, not kCorrupted.
-    return Status{ErrorCode::kUnsupported,
-                  "hidden segment format " +
-                      std::to_string(raw.value().format) +
-                      " newer than this build"};
-  }
-  counters_.add(F::hidden_loads);
-  return out;
-}
+// ---- GC --------------------------------------------------------------------
 
 Status StashDevice::execute_gc() {
   counters_.add(F::gc_runs);
@@ -1117,36 +895,7 @@ Result<HiddenInfo> StashDevice::hidden_info() {
   // anything queued first so it describes the committed generation.
   std::unique_lock<std::mutex> lock(mu_);
   dispatch(lock);
-  auto raw = load_hidden_raw();
-  if (!raw.is_ok()) return raw.status();
-
-  HiddenInfo info;
-  info.format = raw.value().format;
-  if (raw.value().format == kFormatRaw) {
-    info.logical_bytes = raw.value().bytes.size();
-    info.packed_bytes = raw.value().bytes.size();
-  } else {
-    // Any pack version: inspect() reads the header and reports version
-    // mismatches itself (kUnsupported), keeping one error surface.
-    auto stats = pack::inspect(
-        {raw.value().bytes.data(), raw.value().bytes.size()});
-    if (!stats.is_ok()) return stats.status();
-    info.logical_bytes = stats.value().logical_bytes;
-    info.packed_bytes = stats.value().packed_bytes;
-    info.chunks = stats.value().chunks;
-    info.unique_chunks = stats.value().unique_chunks;
-    info.dedup_ratio = stats.value().dedup_ratio();
-  }
-  // Headroom of a *replacement* store: store_hidden swaps the whole object,
-  // so the capacity of every hidden-capable chip counts, minus per-chip
-  // segment framing.
-  for (const auto& volume : volumes_) {
-    const std::size_t cap = volume->hidden_capacity_bytes();
-    if (cap > kSegmentHeaderBytes) {
-      info.remaining_capacity_bytes += cap - kSegmentHeaderBytes;
-    }
-  }
-  return info;
+  return hidden::describe(volumes_, counters_);
 }
 
 BatchResult<PageRef> StashDevice::read_batch(

@@ -32,17 +32,13 @@ class Client {
   ~Client();
 
   /// Connect to a numeric IPv4 host ("localhost" accepted) and perform
-  /// the protocol handshake: a kHello exchange pinning protocol version
-  /// and pack container format.  A disagreeing server answers
+  /// the protocol handshake: a kHello exchange pinning the protocol
+  /// version.  A disagreeing server answers
   /// kUnsupported (surfaced verbatim here) and closes — the connection is
   /// never left half-open in a version no-man's-land.
   Status connect(const std::string& host, std::uint16_t port);
   void close();
   [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
-  /// The server's side of the handshake (valid after connect()).
-  [[nodiscard]] const Hello& server_hello() const noexcept {
-    return server_hello_;
-  }
 
   // ---- Pipelined interface ------------------------------------------------
   /// Transmit one request frame (blocking until fully written).  Assigns
@@ -74,7 +70,6 @@ class Client {
   std::uint64_t next_id_ = 1;
   FrameAssembler assembler_;
   std::vector<std::uint8_t> txbuf_;
-  Hello server_hello_{};
 };
 
 }  // namespace stash::net

@@ -48,7 +48,7 @@ enum class OpCode : std::uint8_t {
   kFlush = 7,
   kStats = 8,
   kPing = 9,
-  kHello = 10,       // version + feature-flag handshake (data: Hello)
+  kHello = 10,       // protocol-version handshake (data: Hello)
   kHiddenInfo = 11,  // versioned hidden-object query (data: HiddenInfo)
 };
 constexpr std::size_t kOpCount = 11;
@@ -57,24 +57,17 @@ constexpr std::size_t kOpCount = 11;
 [[nodiscard]] bool valid_op(std::uint8_t raw) noexcept;
 
 /// Protocol revision this build speaks, exchanged in the hello.  Version 4
-/// carries stats as the name/value list of encode_device_stats below.
-constexpr std::uint32_t kProtocolVersion = 4;
-
-/// Feature flags advertised in the hello exchange.
-constexpr std::uint64_t kFeatureHiddenInfo = 1ull << 0;
-constexpr std::uint64_t kFeaturePackV1 = 1ull << 1;
+/// carries stats as the name/value list of encode_device_stats below;
+/// version 5 shrinks the hello to the version alone.
+constexpr std::uint32_t kProtocolVersion = 5;
 
 /// Handshake payload of a kHello request *and* its response: each side
-/// states its protocol version, feature set, and the pack container
-/// format it writes.  The server rejects a mismatched version or pack
-/// format with kUnsupported and closes after the response — a clean
-/// refusal at connect time instead of a kCorrupted mid-stream surprise
-/// when the first packed payload crosses the wire.
+/// states its protocol version.  The server rejects a mismatched version
+/// with kUnsupported and closes after the response — a clean refusal at
+/// connect time instead of a kCorrupted mid-stream surprise at the first
+/// frame the peer lays out differently.
 struct Hello {
   std::uint32_t version = kProtocolVersion;
-  std::uint64_t features = kFeatureHiddenInfo | kFeaturePackV1;
-  /// pack::kFormatVersion of the sender (0 = packing disabled/unknown).
-  std::uint8_t pack_format = 0;
 };
 
 constexpr std::size_t kFrameHeaderBytes = 4;
@@ -122,7 +115,10 @@ void encode_device_stats(const dev::DeviceStats& stats,
 Status decode_device_stats(std::span<const std::uint8_t> bytes,
                            dev::DeviceStats& out);
 
-/// Hello as a request/response data payload.
+/// Hello as a request/response data payload.  The version leads every
+/// hello layout, so decode reads it first and, for another version, stops
+/// there: the rest of a foreign hello is that version's business, and the
+/// caller refuses the mismatch cleanly.
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>& out);
 Status decode_hello(std::span<const std::uint8_t> bytes, Hello& out);
 

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <utility>
 
-#include "stash/pack/pack.hpp"
 
 namespace stash::net {
 
@@ -70,15 +69,14 @@ Status Client::connect(const std::string& host, std::uint16_t port) {
 Status Client::handshake() {
   Request req;
   req.op = OpCode::kHello;
-  Hello mine;
-  mine.pack_format = pack::kFormatVersion;
-  encode_hello(mine, req.data);
+  encode_hello(Hello{}, req.data);
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
   // A refusal still carries the server's hello; surface the clean
   // kUnsupported verdict, not a decode error.
   STASH_RETURN_IF_ERROR(wire_status(resp));
-  return decode_hello(resp.data, server_hello_);
+  Hello theirs;
+  return decode_hello(resp.data, theirs);
 }
 
 void Client::close() {

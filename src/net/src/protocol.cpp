@@ -153,15 +153,12 @@ Status decode_device_stats(std::span<const std::uint8_t> bytes,
 void encode_hello(const Hello& hello, std::vector<std::uint8_t>& out) {
   ByteWriter w(out);
   w.u32(hello.version);
-  w.u64(hello.features);
-  w.u8(hello.pack_format);
 }
 
 Status decode_hello(std::span<const std::uint8_t> bytes, Hello& out) {
   ByteReader r(bytes);
   STASH_RETURN_IF_ERROR(r.u32(out.version));
-  STASH_RETURN_IF_ERROR(r.u64(out.features));
-  STASH_RETURN_IF_ERROR(r.u8(out.pack_format));
+  if (out.version != kProtocolVersion) return Status::ok();
   return r.expect_exhausted();
 }
 

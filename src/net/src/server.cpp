@@ -23,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "stash/pack/pack.hpp"
 
 namespace stash::net {
 
@@ -216,34 +215,23 @@ struct Server::Impl {
         p.ready.op = req.op;
         p.ready.id = req.id;
         Hello theirs;
-        Hello ours;
-        ours.pack_format = device.config().pack.enabled
-                               ? pack::kFormatVersion
-                               : std::uint8_t{0};
         if (const Status st = decode_hello(req.data, theirs); !st.is_ok()) {
           protocol_error(c, st);  // queues its own answer and hangs up
           return;
         }
-        // Version or pack-format disagreement: answer kUnsupported (with
-        // what we speak, so the peer can log it) and close after the
-        // flush.  The alternative — letting a v1 peer stream on — fails
-        // kCorrupted at the first packed payload or unknown op, long
-        // after the cause is diagnosable.
+        // Version disagreement: answer kUnsupported (with what we speak,
+        // so the peer can log it) and close after the flush.  The
+        // alternative — letting an old peer stream on — fails kCorrupted
+        // at the first frame it lays out differently, long after the cause
+        // is diagnosable.
         if (theirs.version != kProtocolVersion) {
           p.ready.status = static_cast<std::uint8_t>(ErrorCode::kUnsupported);
           p.ready.message =
               "protocol version " + std::to_string(theirs.version) +
               " != server version " + std::to_string(kProtocolVersion);
           c.close_after_flush = true;
-        } else if (theirs.pack_format != 0 && ours.pack_format != 0 &&
-                   theirs.pack_format != ours.pack_format) {
-          p.ready.status = static_cast<std::uint8_t>(ErrorCode::kUnsupported);
-          p.ready.message =
-              "pack format " + std::to_string(theirs.pack_format) +
-              " != server pack format " + std::to_string(ours.pack_format);
-          c.close_after_flush = true;
         }
-        encode_hello(ours, p.ready.data);
+        encode_hello(Hello{}, p.ready.data);
         break;
       }
       case OpCode::kHiddenInfo: {

@@ -45,8 +45,6 @@ enum class Method : std::uint8_t {
 /// Pack pipeline knobs.  Uniform config contract: validated through the
 /// owning DeviceConfig::validate().
 struct PackConfig {
-  /// Off, store_hidden embeds raw payload bytes exactly as before.
-  bool enabled = true;
   ChunkerConfig chunker{};
 
   [[nodiscard]] Status validate() const { return chunker.validate(); }

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "stash/crypto/drbg.hpp"
-#include "stash/crypto/sha256.hpp"
 #include "stash/ecc/bch.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/util/status.hpp"
@@ -29,31 +28,6 @@ struct HideReport {
   /// Cells that never reached vth within the step budget (raw errors the
   /// ECC must absorb).
   int unconverged_cells = 0;
-};
-
-/// Write-ahead journal of an in-flight hide session.  The hiding software
-/// keeps it in its own durable storage (it is tiny); after a power cut it
-/// tells hide() where the interrupted embed stopped so the session resumes
-/// instead of restarting — and, because every derivation is keyed and
-/// deterministic, re-running an already-embedded page is harmless (partial
-/// programming only tops up cells still below the threshold).
-struct HideJournal {
-  std::uint32_t block = 0;
-  std::size_t payload_bytes = 0;
-  /// SHA-256 of the payload — guards against resuming with different data,
-  /// which would splice two half-embedded frames together.
-  crypto::Digest256 payload_digest{};
-  /// Hidden pages whose Algorithm-1 loop fully completed.
-  std::uint32_t pages_completed = 0;
-  /// Steps already taken inside the page being embedded when the journal
-  /// was last advanced (audit trail; resume re-runs the page from step 0).
-  int steps_in_current_page = 0;
-  bool complete = false;
-
-  /// True when this journal describes an interrupted hide of exactly this
-  /// payload into exactly this block.
-  [[nodiscard]] bool matches(std::uint32_t for_block,
-                             std::span<const std::uint8_t> payload) const;
 };
 
 class VthiCodec {
@@ -79,15 +53,6 @@ class VthiCodec {
   util::Result<HideReport> hide(std::uint32_t block,
                                 std::span<const std::uint8_t> payload);
 
-  /// hide() with power-loss protection: progress is journaled into
-  /// `journal` before each embed step.  Pass a journal recovered after a
-  /// power cut (same block, same payload) to resume the interrupted
-  /// session; pass a fresh journal to start one.  On success the journal
-  /// is marked complete.
-  util::Result<HideReport> hide(std::uint32_t block,
-                                std::span<const std::uint8_t> payload,
-                                HideJournal* journal);
-
   /// Recover and authenticate the hidden payload of `block`.  When
   /// `corrected_bits` is non-null it receives the number of raw channel
   /// errors the ECC repaired — the health metric a refresh policy watches.
@@ -99,14 +64,6 @@ class VthiCodec {
   /// Destroy hidden data instantly by erasing the block (the paper's
   /// "almost instantaneous" panic path; public data dies with it).
   util::Status erase_hidden(std::uint32_t block);
-
-  /// Re-embed a previously revealed payload into a freshly written block —
-  /// the §5.1 migration path used when the FTL moves the public pages that
-  /// carried the hidden data.
-  util::Result<HideReport> reembed(std::uint32_t new_block,
-                                   std::span<const std::uint8_t> payload) {
-    return hide(new_block, payload);
-  }
 
   /// Refresh hidden data in place (§8 "Reliability": "re-writing
   /// (refreshing) hidden data every several months ... can significantly

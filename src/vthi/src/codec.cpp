@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "stash/crypto/chacha20.hpp"
+#include "stash/crypto/sha256.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/bitvec.hpp"
 
@@ -147,20 +148,8 @@ std::vector<std::uint8_t> VthiCodec::frame_payload(
   return frame;
 }
 
-bool HideJournal::matches(std::uint32_t for_block,
-                          std::span<const std::uint8_t> payload) const {
-  return block == for_block && payload_bytes == payload.size() &&
-         payload_digest == crypto::Sha256::hash(payload);
-}
-
 Result<HideReport> VthiCodec::hide(std::uint32_t block,
                                    std::span<const std::uint8_t> payload) {
-  return hide(block, payload, nullptr);
-}
-
-Result<HideReport> VthiCodec::hide(std::uint32_t block,
-                                   std::span<const std::uint8_t> payload,
-                                   HideJournal* journal) {
   const Layout lay = layout();
   const std::size_t capacity = capacity_bytes();
   if (capacity == 0) {
@@ -215,48 +204,16 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
     page_bits[i % pages.size()][i / pages.size()] = coded[i];
   }
 
-  // Resume an interrupted session when the journal matches; pages whose
-  // embed loop completed are skipped (their cells already sit above vth).
-  // A stale or foreign journal is reinitialized — restart, not resume.
-  std::size_t start_page = 0;
-  if (journal) {
-    if (journal->matches(block, payload) && !journal->complete) {
-      start_page = std::min<std::size_t>(journal->pages_completed, pages.size());
-    } else {
-      *journal = HideJournal{};
-      journal->block = block;
-      journal->payload_bytes = payload.size();
-      journal->payload_digest = crypto::Sha256::hash(payload);
-    }
-  }
-
   HideReport report;
   report.pages_used = lay.pages_used;
   report.codewords = lay.codewords;
   report.payload_bytes = payload.size();
   report.capacity_bytes = capacity;
-  for (std::size_t pi = start_page; pi < pages.size(); ++pi) {
-    // Inline Algorithm-1 loop (rather than channel_.embed) so the journal
-    // advances before every step: a power cut between any two bus
-    // operations leaves a journal that points at the exact page to redo.
-    auto begun = channel_.begin(block, pages[pi], page_bits[pi]);
-    if (!begun.is_ok()) return begun.status();
-    EmbedSession session = std::move(begun).take();
-    for (int s = 0; s < config_.channel.max_pp_steps && !session.converged;
-         ++s) {
-      if (journal) {
-        journal->pages_completed = static_cast<std::uint32_t>(pi);
-        journal->steps_in_current_page = s;
-      }
-      auto stepped = channel_.step(session);
-      if (!stepped.is_ok()) return stepped.status();
-    }
-    if (journal) {
-      journal->pages_completed = static_cast<std::uint32_t>(pi) + 1;
-      journal->steps_in_current_page = 0;
-    }
+  for (std::size_t pi = 0; pi < pages.size(); ++pi) {
+    auto embedded = channel_.embed(block, pages[pi], page_bits[pi]);
+    if (!embedded.is_ok()) return embedded.status();
     report.max_pp_steps_taken =
-        std::max(report.max_pp_steps_taken, session.steps_taken);
+        std::max(report.max_pp_steps_taken, embedded.value().steps_taken);
     // Count residual raw errors on this page (one extra probe).
     auto readback = channel_.extract(
         block, pages[pi], config_.hidden_bits_per_page);
@@ -267,7 +224,6 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
       }
     }
   }
-  if (journal) journal->complete = true;
   return report;
 }
 

@@ -13,12 +13,14 @@
 #include <set>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "stash/dev/cache.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/fault/plan.hpp"
+#include "stash/pack/pack.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
@@ -628,6 +630,32 @@ void fill_public(StashDevice& dev, std::uint64_t seed) {
   ASSERT_TRUE(dev.flush().is_ok());
 }
 
+/// `size` xoshiro bytes: incompressible, so the pack container is no
+/// smaller than the payload and a payload sized past one chip spans chips.
+std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
+  std::vector<std::uint8_t> out(size);
+  util::Xoshiro256 rng(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// Hand-frame one device-level hidden segment and store it straight into
+/// chip `c`'s volume, bypassing the device's store path.
+void plant_segment(StashDevice& dev, std::uint32_t c, std::uint16_t index,
+                   std::uint16_t used_chips, std::uint16_t format,
+                   std::uint64_t digest,
+                   std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> segment;
+  util::ByteWriter w(segment);
+  w.u16(index);
+  w.u16(used_chips);
+  w.u16(format);
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.u64(digest);
+  w.raw(payload);
+  ASSERT_TRUE(dev.volume(c).store_hidden(segment).is_ok());
+}
+
 TEST(DevHidden, PayloadShardsAcrossChipsAndRoundTrips) {
   StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 5000);
@@ -635,9 +663,7 @@ TEST(DevHidden, PayloadShardsAcrossChipsAndRoundTrips) {
   // Larger than chip 0 alone can hold, so the payload must span chips.
   const std::size_t chip0_capacity = dev.volume(0).hidden_capacity_bytes();
   ASSERT_GT(chip0_capacity, 0u);
-  std::vector<std::uint8_t> secret(chip0_capacity + 64);
-  util::Xoshiro256 rng(99);
-  for (auto& b : secret) b = static_cast<std::uint8_t>(rng());
+  const auto secret = random_bytes(chip0_capacity + 64, 99);
 
   ASSERT_TRUE(dev.store_hidden(secret).is_ok());
   auto loaded = dev.load_hidden();
@@ -646,14 +672,11 @@ TEST(DevHidden, PayloadShardsAcrossChipsAndRoundTrips) {
 }
 
 TEST(DevHidden, MissingSegmentIsCorruptionNotSilence) {
-  // Raw framing mechanics under test: packing off, so the constant-fill
-  // payload keeps its size and must span both chips.
-  DeviceConfig config = hidden_config(2);
-  config.pack.enabled = false;
-  StashDevice dev(config, test_key());
+  // An incompressible payload larger than chip 0 must span both chips.
+  StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 6000);
   const std::size_t chip0_capacity = dev.volume(0).hidden_capacity_bytes();
-  std::vector<std::uint8_t> secret(chip0_capacity + 64, 0xa5);
+  const auto secret = random_bytes(chip0_capacity + 64, 6001);
   ASSERT_TRUE(dev.store_hidden(secret).is_ok());
 
   // Destroy chip 1's segment; the device-level framing must flag the
@@ -669,15 +692,13 @@ TEST(DevHidden, NoHiddenVolumeIsNotFound) {
 }
 
 TEST(DevHidden, OversizedPayloadIsRejectedBeforeTouchingFlash) {
-  DeviceConfig config = hidden_config(1);
-  config.pack.enabled = false;  // constant fill would pack down and fit
-  StashDevice dev(config, test_key());
+  StashDevice dev(hidden_config(1), test_key());
   fill_public(dev, 8000);
   std::size_t capacity = 0;
   for (std::uint32_t c = 0; c < dev.chips(); ++c) {
     capacity += dev.volume(c).hidden_capacity_bytes();
   }
-  std::vector<std::uint8_t> too_big(capacity + 4096, 0x11);
+  const auto too_big = random_bytes(capacity + 4096, 8001);
   EXPECT_EQ(dev.store_hidden(too_big).code(), ErrorCode::kNoSpace);
 }
 
@@ -688,16 +709,12 @@ TEST(DevHidden, FailedSpanningStoreKeepsPreviousPayloadLoadable) {
   // has to abort chip 0's already-prepared segment and leave the previous
   // generation fully loadable.  Before the fix chip 0 had already been
   // overwritten by the time chip 1 failed.
-  DeviceConfig config = hidden_config(2);
-  config.pack.enabled = false;  // constant-fill payloads must span chips
-  StashDevice dev(config, test_key());
+  StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 9000);
 
   const std::size_t cap0 = dev.volume(0).hidden_capacity_bytes();
   ASSERT_GT(cap0, 0u);
-  std::vector<std::uint8_t> first(cap0 + 64);
-  util::Xoshiro256 rng(41);
-  for (auto& b : first) b = static_cast<std::uint8_t>(rng());
+  const auto first = random_bytes(cap0 + 64, 41);
   ASSERT_TRUE(dev.store_hidden(first).is_ok());
 
   fault::FaultPlan plan(9);
@@ -705,8 +722,8 @@ TEST(DevHidden, FailedSpanningStoreKeepsPreviousPayloadLoadable) {
   dev.chip(1).set_fault_injector(&plan);
   // Sized to span again (capacities may have shrunk since the first
   // store), so chip 1 must carry a segment — and fail.
-  std::vector<std::uint8_t> second(dev.volume(0).hidden_capacity_bytes() + 64,
-                                   0x2e);
+  const auto second =
+      random_bytes(dev.volume(0).hidden_capacity_bytes() + 64, 42);
   EXPECT_FALSE(dev.store_hidden(second).is_ok());
   dev.chip(1).set_fault_injector(nullptr);
 
@@ -723,25 +740,132 @@ TEST(DevHidden, DuplicateHiddenSegmentIndexIsCorruption) {
   StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 9500);
 
-  // Hand-pack a device-framed segment claiming index 0 of a 1-segment
-  // payload and plant the identical frame on BOTH chips, bypassing the
-  // device-level store path.
+  // Plant the identical segment, index 0 of a 1-segment payload, on BOTH
+  // chips.
   const std::vector<std::uint8_t> payload(48, 0x77);
-  std::vector<std::uint8_t> segment;
-  util::ByteWriter w(segment);
-  w.u16(0);                                          // index
-  w.u16(1);                                          // used_chips
-  w.u16(0);                                          // format (raw)
-  w.u32(static_cast<std::uint32_t>(payload.size()));  // payload_len
-  w.u64(util::fnv1a(payload));                       // digest
-  w.raw(payload);
-  ASSERT_TRUE(dev.volume(0).store_hidden(segment).is_ok());
-  ASSERT_TRUE(dev.volume(1).store_hidden(segment).is_ok());
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    plant_segment(dev, c, 0, 1, pack::kFormatVersion, util::fnv1a(payload),
+                  payload);
+  }
 
   const auto loaded = dev.load_hidden();
   ASSERT_FALSE(loaded.is_ok());
   EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupted);
 }
+
+TEST(DevHidden, InfoHeadroomStopsAtFirstChipWithoutRoom) {
+  // Chip 1 gets no public data, so it has no hidden capacity.  The store
+  // planner fills chips in order and stops at the first one with no room
+  // (a later segment would leave a gap in the index), so chip 2's
+  // capacity is unreachable and must not count as headroom.
+  StashDevice dev(hidden_config(3), test_key());
+  for (std::uint64_t lpn = 0; lpn < dev.logical_pages(); ++lpn) {
+    if (lpn % 3 == 1) continue;  // lpn -> chip lpn % 3
+    ASSERT_TRUE(
+        dev.write(lpn, page_pattern(dev.page_bits(), 9700 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+  ASSERT_EQ(dev.volume(1).hidden_capacity_bytes(), 0u);
+  ASSERT_GT(dev.volume(2).hidden_capacity_bytes(), 18u);
+  ASSERT_TRUE(dev.store_hidden(random_bytes(32, 9701)).is_ok());
+
+  const auto info = dev.hidden_info();
+  ASSERT_TRUE(info.is_ok()) << info.status().to_string();
+  // 18 = the device's per-chip segment header.
+  EXPECT_EQ(info.value().remaining_capacity_bytes,
+            dev.volume(0).hidden_capacity_bytes() - 18);
+}
+
+// ---- Hidden segment-set input checks ---------------------------------------
+//
+// A real pack container, split over two chips and planted segment by
+// segment, with one header field or payload byte disturbed per case.
+
+/// How a planted two-chip segment set departs from a consistent one.
+enum class SetFault { kNone, kDigest, kUsedChips, kFormat, kPayload };
+
+struct PlantedSet {
+  std::vector<std::uint8_t> secret;  // what a consistent set loads as
+};
+
+PlantedSet plant_two_chip_set(StashDevice& dev, SetFault fault) {
+  PlantedSet out;
+  out.secret = random_bytes(96, 9800);
+  auto container = pack::pack(out.secret, pack::PackConfig{});
+  EXPECT_TRUE(container.is_ok());
+  const std::vector<std::uint8_t>& bytes = container.value();
+  const std::uint64_t digest = util::fnv1a(bytes);
+  const std::size_t half = bytes.size() / 2;
+  const std::span<const std::uint8_t> head(bytes.data(), half);
+  std::vector<std::uint8_t> tail(bytes.begin() + static_cast<long>(half),
+                                 bytes.end());
+  if (fault == SetFault::kPayload) tail.back() ^= 0x01;
+  plant_segment(dev, 0, 0, 2, pack::kFormatVersion, digest, head);
+  plant_segment(dev, 1, 1, fault == SetFault::kUsedChips ? 3 : 2,
+                fault == SetFault::kFormat ? 0 : pack::kFormatVersion,
+                fault == SetFault::kDigest ? digest ^ 1 : digest, tail);
+  return out;
+}
+
+TEST(DevHidden, ConsistentPlantedSegmentSetLoads) {
+  // Control for the cases below: the undisturbed plant reassembles, so
+  // each of them fails because of its one disturbance.
+  StashDevice dev(hidden_config(2), test_key());
+  fill_public(dev, 9800);
+  const PlantedSet set = plant_two_chip_set(dev, SetFault::kNone);
+  const auto loaded = dev.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), set.secret);
+}
+
+class DevHiddenInput : public ::testing::TestWithParam<SetFault> {};
+
+TEST_P(DevHiddenInput, InconsistentSegmentSetIsCorruption) {
+  StashDevice dev(hidden_config(2), test_key());
+  fill_public(dev, 9800);
+  (void)plant_two_chip_set(dev, GetParam());
+  EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(dev.hidden_info().status().code(), ErrorCode::kCorrupted);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , DevHiddenInput,
+    ::testing::Values(SetFault::kDigest, SetFault::kUsedChips,
+                      SetFault::kFormat, SetFault::kPayload),
+    [](const ::testing::TestParamInfo<SetFault>& param) -> std::string {
+      switch (param.param) {
+        case SetFault::kDigest: return "digest_differs";
+        case SetFault::kUsedChips: return "used_chips_differs";
+        case SetFault::kFormat: return "format_differs";
+        case SetFault::kPayload: return "payload_altered";
+        case SetFault::kNone: break;
+      }
+      return "none";
+    });
+
+class DevHiddenFormat : public ::testing::TestWithParam<std::uint16_t> {};
+
+TEST_P(DevHiddenFormat, UnwrittenSegmentFormatIsUnsupported) {
+  // An intact generation (digest matches) tagged with a format this build
+  // does not write — the old raw tag 0 or a future container version —
+  // is kUnsupported from both load and describe, never bytes.
+  StashDevice dev(hidden_config(1), test_key());
+  fill_public(dev, 9900);
+  auto container = pack::pack(random_bytes(64, 9901), pack::PackConfig{});
+  ASSERT_TRUE(container.is_ok());
+  plant_segment(dev, 0, 0, 1, GetParam(), util::fnv1a(container.value()),
+                container.value());
+  EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kUnsupported);
+  EXPECT_EQ(dev.hidden_info().status().code(), ErrorCode::kUnsupported);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , DevHiddenFormat,
+    ::testing::Values(std::uint16_t{0},
+                      static_cast<std::uint16_t>(pack::kFormatVersion + 1)),
+    [](const ::testing::TestParamInfo<std::uint16_t>& param) {
+      return "format" + std::to_string(param.param);
+    });
 
 // ---- Power-cut battery (satellite: write-back cache under stash::fault) ---
 

@@ -28,10 +28,10 @@
 #include "stash/dev/device.hpp"
 #include "stash/net/client.hpp"
 #include "stash/net/server.hpp"
-#include "stash/pack/pack.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/trace/breakdown.hpp"
 #include "stash/util/rng.hpp"
+#include "stash/util/wire.hpp"
 
 namespace stash::net {
 namespace {
@@ -371,42 +371,34 @@ TEST(NetServer, OnlyHistogramsWithReadersAreRegistered) {
                                              "dev.read_latency_ns"}));
 }
 
-TEST(NetServer, HandshakeNegotiatesVersionFeaturesAndPackFormat) {
-  StashDevice dev(net_config(), test_key());
-  Server server(dev);
-  ASSERT_TRUE(server.start().is_ok());
-  Client client;
-  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
-
-  const Hello& hello = client.server_hello();
-  EXPECT_EQ(hello.version, kProtocolVersion);
-  EXPECT_TRUE(hello.features & kFeatureHiddenInfo);
-  EXPECT_TRUE(hello.features & kFeaturePackV1);
-  EXPECT_EQ(hello.pack_format, pack::kFormatVersion);
-
-  client.close();
-  server.stop();
-}
-
 /// Dial the server raw (no Client, no auto-handshake), send one kHello
-/// carrying `mine`, and expect a clean kUnsupported refusal followed by the
-/// server hanging up — never a mid-stream kCorrupted.
-void expect_hello_refused(std::uint16_t port, const Hello& mine) {
-  const int fd = dial(port);
-  ASSERT_GE(fd, 0);
-
+/// carrying `hello` as its data, and return the server's one response.
+/// The connection is handed back open in `fd_out`.
+Response raw_hello(std::uint16_t port, std::vector<std::uint8_t> hello,
+                   int& fd_out) {
+  fd_out = dial(port);
+  EXPECT_GE(fd_out, 0);
   Request req;
   req.op = OpCode::kHello;
   req.id = 1;
-  encode_hello(mine, req.data);
+  req.data = std::move(hello);
   std::vector<std::uint8_t> wire;
   encode_request(req, wire);
-  ASSERT_TRUE(send_all(fd, wire));
-
+  EXPECT_TRUE(send_all(fd_out, wire));
   FrameAssembler assembler;
   Response resp;
-  ASSERT_TRUE(recv_response(fd, assembler, resp))
-      << "connection closed before the refusal arrived";
+  EXPECT_TRUE(recv_response(fd_out, assembler, resp))
+      << "connection closed before the hello answer arrived";
+  return resp;
+}
+
+/// Send `hello` raw and expect a clean kUnsupported refusal followed by the
+/// server hanging up — never a mid-stream kCorrupted.
+void expect_hello_refused(std::uint16_t port,
+                          std::vector<std::uint8_t> hello) {
+  int fd = -1;
+  const Response resp = raw_hello(port, std::move(hello), fd);
+  ASSERT_GE(fd, 0);
   EXPECT_EQ(resp.op, OpCode::kHello);
   EXPECT_EQ(resp.status, static_cast<std::uint8_t>(ErrorCode::kUnsupported))
       << resp.message;
@@ -418,19 +410,57 @@ void expect_hello_refused(std::uint16_t port, const Hello& mine) {
   ::close(fd);
 }
 
+std::vector<std::uint8_t> hello_bytes(std::uint32_t version) {
+  Hello hello;
+  hello.version = version;
+  std::vector<std::uint8_t> out;
+  encode_hello(hello, out);
+  return out;
+}
+
+TEST(NetServer, HandshakeNegotiatesVersion) {
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
+  EXPECT_TRUE(client.ping().is_ok());
+  client.close();
+
+  // The server's answer is its version and nothing else.
+  int fd = -1;
+  const Response resp =
+      raw_hello(server.port(), hello_bytes(kProtocolVersion), fd);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  EXPECT_EQ(resp.status, 0) << resp.message;
+  EXPECT_EQ(resp.data, hello_bytes(kProtocolVersion));
+  server.stop();
+}
+
 TEST(NetServer, ProtocolVersionMismatchIsUnsupportedNotCorrupted) {
   StashDevice dev(net_config(), test_key());
   Server server(dev);
   ASSERT_TRUE(server.start().is_ok());
+  expect_hello_refused(server.port(), hello_bytes(kProtocolVersion - 1));
+  expect_hello_refused(server.port(), hello_bytes(kProtocolVersion + 1));
+  server.stop();
+}
 
-  Hello old_client;
-  old_client.version = kProtocolVersion - 1;
-  expect_hello_refused(server.port(), old_client);
-
-  Hello alien_pack;
-  alien_pack.pack_format = pack::kFormatVersion + 1;
-  expect_hello_refused(server.port(), alien_pack);
-
+TEST(NetServer, V4HelloLayoutIsRefusedCleanly) {
+  // A version-4 peer sends its 13-byte hello: version, a u64 feature set
+  // and a u8 pack format.  Its tail is not a decode error here — the
+  // leading version alone earns the clean refusal.
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  std::vector<std::uint8_t> v4;
+  util::ByteWriter w(v4);
+  w.u32(4);
+  w.u64(0x3);  // hidden-info + pack-v1 feature bits
+  w.u8(1);     // pack container format
+  ASSERT_EQ(v4.size(), 13u);
+  expect_hello_refused(server.port(), v4);
   server.stop();
 }
 

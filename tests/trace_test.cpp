@@ -1,8 +1,9 @@
 // stash::trace tests: span context propagation across thread-pool handoff,
 // the disabled-path zero-allocation guarantee, deterministic (virtual-clock)
 // export byte-identity at 1 vs 8 threads through the full StashDevice stack,
-// exporter schema round-trips, the LatencyBreakdown attribution-consistency
-// invariant, and the 1-in-N sampling knob.
+// the vthi.embed spans of a served hidden store, exporter schema
+// round-trips, the LatencyBreakdown attribution-consistency invariant, and
+// the 1-in-N sampling knob.
 //
 // This binary also runs under TSan in CI: the parallel tests hammer the
 // per-thread lock-free span buffers (emit from 8 threads, collect from the
@@ -13,6 +14,7 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <new>
 #include <set>
 #include <string>
@@ -220,6 +222,110 @@ TEST(TraceDeterminism, ExportsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.spans, eight.spans);
   EXPECT_EQ(one.jsonl, eight.jsonl);        // byte-identical, 1 vs 8 threads
   EXPECT_EQ(one.perfetto, eight.perfetto);
+}
+
+// ---- Hidden store trees ----------------------------------------------------
+
+TEST(TraceHidden, StoreHiddenTreeHasOneEmbedSpanPerHiddenPage) {
+  // VthiCodec::hide runs the channel's embed once per hidden page, so a
+  // sampled store_hidden shows a vthi.embed span per page, parenting that
+  // page's probes and partial programs — and the request root still
+  // equals queue wait + service.
+  auto& tracer = Tracer::global();
+  tracer.clear();
+  dev::DeviceConfig config;
+  config.geometry.blocks = 12;
+  config.geometry.pages_per_block = 8;
+  config.geometry.cells_per_page = 8192;  // production VT-HI needs real pages
+  config.seed = 31;
+  dev::StashDevice device(config, crypto::HidingKey(raw_key()));
+  for (std::uint64_t lpn = 0; lpn < device.logical_pages(); ++lpn) {
+    ASSERT_TRUE(
+        device.write(lpn, page_pattern(device.page_bits(), 300 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(device.flush().is_ok());
+
+  tracer.enable(ClockMode::kVirtual);
+  const std::vector<std::uint8_t> secret(200, 0x5a);
+  ASSERT_TRUE(device.store_hidden(secret).is_ok());
+  tracer.disable();
+  const auto spans = tracer.collect();
+  tracer.clear();
+
+  const SpanRecord* root = nullptr;
+  for (const SpanRecord& rec : spans) {
+    if (rec.stage == Stage::kDevRequest && rec.op == Op::kStoreHidden) {
+      ASSERT_EQ(root, nullptr) << "one sampled store_hidden";
+      root = &rec;
+    }
+  }
+  ASSERT_NE(root, nullptr);
+  std::vector<const SpanRecord*> tree;
+  for (const SpanRecord& rec : spans) {
+    if (rec.trace_id == root->trace_id) tree.push_back(&rec);
+  }
+  const auto find = [&](std::uint64_t span_id) -> const SpanRecord* {
+    for (const SpanRecord* rec : tree) {
+      if (rec->span_id == span_id) return rec;
+    }
+    return nullptr;
+  };
+
+  std::uint64_t wait = 0;
+  std::uint64_t service = 0;
+  std::set<std::uint64_t> embeds;  // span ids
+  std::map<std::uint64_t, std::size_t> embeds_per_block;
+  std::set<std::uint64_t> probed_embeds;
+  std::size_t partial_programs = 0;
+  for (const SpanRecord* rec : tree) {
+    if (rec->parent_id == root->span_id) {
+      if (rec->stage == Stage::kDevQueueWait) wait += rec->dur_ns;
+      if (rec->stage == Stage::kFtlService) service += rec->dur_ns;
+    }
+    if (rec->stage == Stage::kVthiEmbed) {
+      embeds.insert(rec->span_id);
+      ++embeds_per_block[rec->key >> 32];
+    }
+  }
+  EXPECT_EQ(root->dur_ns, wait + service);
+  ASSERT_FALSE(embeds.empty());
+  // One embed per hidden page of every carrier block hidden into.
+  const std::uint32_t stride = config.vthi.page_interval + 1;
+  const std::uint32_t hidden_pages =
+      (config.geometry.pages_per_block + stride - 1) / stride;
+  for (const auto& [block, count] : embeds_per_block) {
+    EXPECT_EQ(count % hidden_pages, 0u) << "block " << block;
+  }
+
+  for (const SpanRecord* rec : tree) {
+    if (rec->stage != Stage::kNandPartialProgram &&
+        rec->stage != Stage::kNandProbe) {
+      continue;
+    }
+    const SpanRecord* parent = find(rec->parent_id);
+    ASSERT_NE(parent, nullptr);
+    if (rec->stage == Stage::kNandPartialProgram) {
+      ++partial_programs;
+      // Every partial program is an embed step of its own page.
+      EXPECT_EQ(parent->stage, Stage::kVthiEmbed);
+      EXPECT_EQ(parent->key, rec->key);
+    } else if (parent->stage == Stage::kVthiEmbed) {
+      EXPECT_EQ(parent->key, rec->key);
+      probed_embeds.insert(parent->span_id);
+    }
+  }
+  EXPECT_GT(partial_programs, 0u);
+  // Every embed probes its page: cell selection, then each step.
+  EXPECT_EQ(probed_embeds, embeds);
+  // Embeds hang under the device's hidden-volume machinery.
+  for (const std::uint64_t id : embeds) {
+    const SpanRecord* embed = find(id);
+    const SpanRecord* up = find(embed->parent_id);
+    while (up != nullptr && up->stage != Stage::kDevHidden) {
+      up = find(up->parent_id);
+    }
+    EXPECT_NE(up, nullptr) << "vthi.embed outside dev.hidden";
+  }
 }
 
 // ---- Exporter schema round-trips ------------------------------------------

@@ -357,7 +357,7 @@ TEST(Codec, ReembedAfterMigration) {
   ASSERT_TRUE(codec.hide(0, payload).is_ok());
   const auto rescued = codec.reveal(0);
   ASSERT_TRUE(rescued.is_ok());
-  ASSERT_TRUE(codec.reembed(1, rescued.value()).is_ok());
+  ASSERT_TRUE(codec.hide(1, rescued.value()).is_ok());
   ASSERT_TRUE(chip.erase_block(0).is_ok());
   const auto revealed = codec.reveal(1);
   ASSERT_TRUE(revealed.is_ok());
