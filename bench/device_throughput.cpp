@@ -105,11 +105,9 @@ PointResult run_point(const Options& opt, unsigned threads,
   // Fill the public volume (also makes blocks eligible to carry hidden
   // data), then embed one hidden payload for the mixed-read phase.
   const std::uint64_t pages = dev.logical_pages();
-  std::vector<stash::ftl::PageMappedFtl::WriteRequest> fill(pages);
   for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
-    fill[lpn] = {lpn, page_pattern(dev.page_bits(), opt.seed + lpn)};
+    (void)dev.write(lpn, page_pattern(dev.page_bits(), opt.seed + lpn));
   }
-  (void)dev.write_batch(fill);
   (void)dev.flush();
   std::vector<std::uint8_t> secret(512);
   stash::util::Xoshiro256 secret_rng(opt.seed ^ 0x5ec7e7ULL);
@@ -354,11 +352,9 @@ bool run_pack_phase(const Options& opt) {
     config.threads = opt.threads;
     StashDevice dev(config, stash::bench::bench_key());
     const std::uint64_t pages = dev.logical_pages();
-    std::vector<stash::ftl::PageMappedFtl::WriteRequest> fill(pages);
     for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
-      fill[lpn] = {lpn, page_pattern(dev.page_bits(), opt.seed + lpn)};
+      (void)dev.write(lpn, page_pattern(dev.page_bits(), opt.seed + lpn));
     }
-    (void)dev.write_batch(fill);
     (void)dev.flush();
     std::size_t raw_capacity = 0;
     for (std::uint32_t c = 0; c < dev.chips(); ++c) {

@@ -21,7 +21,7 @@
 // store-heavy stream would measure nothing but cover-page churn.
 //
 // --deterministic switches to the acceptance workload: one connection,
-// depth 1, a fixed op sequence against a deterministic-mode server.  All
+// depth 1, a fixed op sequence against the self-hosted server.  All
 // wall-clock fields are dropped; the output is a response digest plus
 // event counts, and --server-stats-out FILE captures the server's
 // canonical stats JSON.  Two runs must produce byte-identical output:
@@ -62,7 +62,6 @@ using stash::net::OpCode;
 using stash::net::Request;
 using stash::net::Response;
 using stash::net::Server;
-using stash::net::ServerConfig;
 
 struct Options {
   bool quick = false;
@@ -246,9 +245,7 @@ struct SelfHost {
                    st.to_string().c_str());
       std::exit(1);
     }
-    ServerConfig sconfig;
-    sconfig.deterministic = opt.deterministic;
-    server = std::make_unique<Server>(*device, sconfig);
+    server = std::make_unique<Server>(*device);
     if (!server->start().is_ok()) {
       std::fprintf(stderr, "server start failed\n");
       std::exit(1);

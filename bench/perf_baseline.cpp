@@ -236,13 +236,11 @@ void run_device_phase(const Options& opt, PerfResult& result) {
 
   const std::uint64_t pages = device.logical_pages();
   util::Xoshiro256 fill_rng(opt.seed ^ 0xf111ULL);
-  std::vector<ftl::PageMappedFtl::WriteRequest> fill(pages);
+  std::vector<std::uint8_t> page(device.page_bits());
   for (std::uint64_t lpn = 0; lpn < pages; ++lpn) {
-    std::vector<std::uint8_t> page(device.page_bits());
     for (auto& b : page) b = static_cast<std::uint8_t>(fill_rng() & 1);
-    fill[lpn] = {lpn, std::move(page)};
+    (void)device.write(lpn, page);
   }
-  (void)device.write_batch(fill);
   (void)device.flush();
 
   auto& hist =
@@ -285,13 +283,11 @@ void run_snapshot_phase(const Options& opt, PerfResult& result) {
   dev::StashDevice device(config, bench_key());
 
   util::Xoshiro256 fill_rng(opt.seed ^ 0x5a75ULL);
-  std::vector<ftl::PageMappedFtl::WriteRequest> fill(device.logical_pages());
-  for (std::uint64_t lpn = 0; lpn < fill.size(); ++lpn) {
-    std::vector<std::uint8_t> page(device.page_bits());
+  std::vector<std::uint8_t> page(device.page_bits());
+  for (std::uint64_t lpn = 0; lpn < device.logical_pages(); ++lpn) {
     for (auto& b : page) b = static_cast<std::uint8_t>(fill_rng() & 1);
-    fill[lpn] = {lpn, std::move(page)};
+    (void)device.write(lpn, page);
   }
-  (void)device.write_batch(fill);
   (void)device.flush();
 
   const std::string dir = "./perf_baseline_snapshot.tmp";

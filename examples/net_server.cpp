@@ -16,7 +16,6 @@
 //   --port N         listen port (default 0 = ephemeral)
 //   --port-file F    write the bound port to F (for scripts using port 0)
 //   --stats-out F    write the final canonical stats JSON to F
-//   --deterministic  deterministic server mode (see stash::net docs)
 //   --chips N --blocks N --pages N --cells N --seed S   device geometry
 
 #include <csignal>
@@ -72,8 +71,6 @@ int main(int argc, char** argv) {
       port_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--stats-out") && i + 1 < argc) {
       stats_out = argv[++i];
-    } else if (!std::strcmp(argv[i], "--deterministic")) {
-      sconfig.deterministic = true;
     } else if (!std::strcmp(argv[i], "--chips") && i + 1 < argc) {
       config.chips = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else if (!std::strcmp(argv[i], "--blocks") && i + 1 < argc) {
@@ -121,9 +118,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "server start failed: %s\n", st.to_string().c_str());
     return 1;
   }
-  std::printf("# listening on %s:%u%s\n", sconfig.host.c_str(),
-              static_cast<unsigned>(server.port()),
-              sconfig.deterministic ? " (deterministic)" : "");
+  std::printf("# listening on %s:%u\n", sconfig.host.c_str(),
+              static_cast<unsigned>(server.port()));
   std::fflush(stdout);
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "w");

@@ -1,5 +1,5 @@
 #pragma once
-// Zero-copy page buffers for the StashDevice read path (ISSUE 10 tentpole).
+// Zero-copy page buffers for the StashDevice read path.
 //
 // PageRef — an immutable, ref-counted view of one page's bits.  The read
 // LRU, the write-back buffer, every pending read future, and a stash::net
@@ -128,7 +128,6 @@ class BufferArena {
     Lease& operator=(const Lease&) = delete;
     ~Lease() { release(); }
 
-    [[nodiscard]] std::uint8_t* data() noexcept { return slab_; }
     [[nodiscard]] std::span<std::uint8_t> span() noexcept;
 
     /// Freeze the first `used` bytes into a shared PageRef and give up the
@@ -148,12 +147,6 @@ class BufferArena {
   };
 
   [[nodiscard]] Lease acquire();
-
-  /// Slabs ever allocated / currently idle (test introspection: a
-  /// steady-state read loop stops growing slabs_allocated()).
-  [[nodiscard]] std::size_t slabs_allocated() const;
-  [[nodiscard]] std::size_t slabs_free() const;
-  [[nodiscard]] std::size_t page_bytes() const noexcept;
 
  private:
   std::shared_ptr<detail::ArenaState> state_;

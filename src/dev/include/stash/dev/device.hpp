@@ -67,7 +67,6 @@
 namespace stash::dev {
 
 using util::BatchResult;
-using util::BatchStatus;
 using util::Result;
 using util::Status;
 
@@ -210,9 +209,6 @@ class StashDevice {
   // ---- Batch entry points (util::BatchResult convention) ------------------
   /// Read many pages in one dispatch round; result i <-> lpns[i].
   BatchResult<PageRef> read_batch(std::span<const std::uint64_t> lpns);
-  /// Stage many writes; slot i <-> requests[i] (acknowledge status).
-  BatchStatus write_batch(
-      std::span<const ftl::PageMappedFtl::WriteRequest> requests);
 
   // ---- Durability ---------------------------------------------------------
   /// Drain the write-back buffer to flash in staging order.  On OK, every

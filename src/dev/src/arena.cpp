@@ -12,9 +12,8 @@ namespace detail {
 struct ArenaState {
   std::size_t page_bytes = 0;
   std::size_t alignment = 0;
-  mutable std::mutex mu;
+  std::mutex mu;
   std::vector<std::uint8_t*> free;
-  std::size_t allocated = 0;
 
   ~ArenaState() {
     for (std::uint8_t* slab : free) {
@@ -30,7 +29,6 @@ struct ArenaState {
         free.pop_back();
         return slab;
       }
-      ++allocated;
     }
     return static_cast<std::uint8_t*>(
         ::operator new(page_bytes, std::align_val_t{alignment}));
@@ -102,20 +100,6 @@ BufferArena::~BufferArena() = default;
 
 BufferArena::Lease BufferArena::acquire() {
   return Lease{state_, state_->take()};
-}
-
-std::size_t BufferArena::slabs_allocated() const {
-  const std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->allocated;
-}
-
-std::size_t BufferArena::slabs_free() const {
-  const std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->free.size();
-}
-
-std::size_t BufferArena::page_bytes() const noexcept {
-  return state_->page_bytes;
 }
 
 }  // namespace stash::dev

@@ -910,16 +910,6 @@ BatchResult<PageRef> StashDevice::read_batch(
   return out;
 }
 
-BatchStatus StashDevice::write_batch(
-    std::span<const ftl::PageMappedFtl::WriteRequest> requests) {
-  BatchStatus out;
-  out.reserve(requests.size());
-  for (const auto& req : requests) {
-    out.push_back(submit_write(req.lpn, req.bits).get());
-  }
-  return out;
-}
-
 DeviceStats StashDevice::stats_snapshot() const noexcept {
   return counters_.snapshot();
 }

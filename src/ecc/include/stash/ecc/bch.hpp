@@ -89,17 +89,12 @@ class BchCode {
            static_cast<double>(data_len + parity_bits());
   }
 
-  /// Choose the smallest t (for this m) whose correction power covers the
-  /// given raw bit error rate on data_len-bit payloads with margin_sigmas
-  /// standard deviations of headroom.  Returns 0 if even the max t fails.
-  [[nodiscard]] static int pick_t(int m, std::size_t data_len, double raw_ber,
-                                  double margin_sigmas = 3.0);
-
-  /// Same, but for a fixed total (shortened) codeword length: t covers the
-  /// expected errors across the whole codeword_bits with margin, and the
-  /// parity must still leave room for data.  Suits layouts that fix the
-  /// channel budget first (VT-HI fixes hidden bits per block) and carve
-  /// data capacity out of it.  Returns 0 when infeasible.
+  /// Choose t for a fixed total (shortened) codeword length: t covers the
+  /// expected errors across the whole codeword_bits with margin_sigmas
+  /// standard deviations of headroom, and the parity must still leave room
+  /// for data.  Suits layouts that fix the channel budget first (VT-HI
+  /// fixes hidden bits per block) and carve data capacity out of it.
+  /// Returns 0 when infeasible.
   [[nodiscard]] static int pick_t_for_codeword(int m, std::size_t codeword_bits,
                                                double raw_ber,
                                                double margin_sigmas = 3.0);

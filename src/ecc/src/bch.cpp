@@ -410,18 +410,4 @@ int BchCode::pick_t_for_codeword(int m, std::size_t codeword_bits,
   return t;
 }
 
-int BchCode::pick_t(int m, std::size_t data_len, double raw_ber,
-                    double margin_sigmas) {
-  const int n = (1 << m) - 1;
-  for (int t = 1; m * t < n - 1; ++t) {
-    const double total_bits =
-        static_cast<double>(data_len) + static_cast<double>(m * t);
-    if (total_bits > static_cast<double>(n)) break;
-    const double mu = total_bits * raw_ber;
-    const double sigma = std::sqrt(total_bits * raw_ber * (1.0 - raw_ber));
-    if (static_cast<double>(t) >= mu + margin_sigmas * sigma) return t;
-  }
-  return 0;
-}
-
 }  // namespace stash::ecc

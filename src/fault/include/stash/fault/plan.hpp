@@ -36,7 +36,6 @@ namespace stash::fault {
 enum class FaultKind : std::uint8_t {
   kProgramFail,
   kEraseFail,
-  kReadFail,
   kPowerCut,
   kReadGlitch,
   kGrownBadBlock,
@@ -60,7 +59,6 @@ struct FaultStats {
   std::uint64_t ops_seen = 0;
   std::uint64_t program_fails = 0;
   std::uint64_t erase_fails = 0;
-  std::uint64_t read_fails = 0;
   std::uint64_t power_cuts = 0;
   std::uint64_t read_glitches = 0;
   std::uint64_t bad_block_rejections = 0;
@@ -81,7 +79,6 @@ class FaultPlan final : public nand::FaultInjector {
   FaultPlan& fail_program_at(std::uint64_t op_index,
                              double completed_fraction = 0.5);
   FaultPlan& fail_erase_at(std::uint64_t op_index);
-  FaultPlan& fail_read_at(std::uint64_t op_index);
   /// Cut power during operation `op_index`: the op applies only
   /// `completed_fraction` of its physical effect and the device goes dark.
   FaultPlan& power_cut_at(std::uint64_t op_index,

@@ -24,7 +24,6 @@ const char* fault_kind_name(FaultKind kind) noexcept {
   switch (kind) {
     case FaultKind::kProgramFail: return "program_fail";
     case FaultKind::kEraseFail: return "erase_fail";
-    case FaultKind::kReadFail: return "read_fail";
     case FaultKind::kPowerCut: return "power_cut";
     case FaultKind::kReadGlitch: return "read_glitch";
     case FaultKind::kGrownBadBlock: return "grown_bad_block";
@@ -46,11 +45,6 @@ FaultPlan& FaultPlan::fail_program_at(std::uint64_t op_index,
 
 FaultPlan& FaultPlan::fail_erase_at(std::uint64_t op_index) {
   scheduled_.push_back({op_index, FaultKind::kEraseFail, 0.0});
-  return *this;
-}
-
-FaultPlan& FaultPlan::fail_read_at(std::uint64_t op_index) {
-  scheduled_.push_back({op_index, FaultKind::kReadFail, 0.0});
   return *this;
 }
 
@@ -100,7 +94,6 @@ void FaultPlan::note_fired(std::uint64_t op_index, FaultKind kind, FaultOp op,
   switch (kind) {
     case FaultKind::kProgramFail: ++stats_.program_fails; break;
     case FaultKind::kEraseFail: ++stats_.erase_fails; break;
-    case FaultKind::kReadFail: ++stats_.read_fails; break;
     case FaultKind::kPowerCut: ++stats_.power_cuts; break;
     case FaultKind::kReadGlitch: ++stats_.read_glitches; break;
     case FaultKind::kGrownBadBlock: ++stats_.bad_block_rejections; break;
@@ -132,8 +125,7 @@ FaultDecision FaultPlan::on_operation(FaultOp op, std::uint32_t block,
     const bool matches =
         kind == FaultKind::kPowerCut ||
         (kind == FaultKind::kProgramFail && is_program_class(op)) ||
-        (kind == FaultKind::kEraseFail && op == FaultOp::kErase) ||
-        (kind == FaultKind::kReadFail && op == FaultOp::kRead);
+        (kind == FaultKind::kEraseFail && op == FaultOp::kErase);
     if (!matches) continue;
     const double fraction = it->completed_fraction;
     scheduled_.erase(it);  // one-shot

@@ -2,10 +2,10 @@
 // Page-mapping flash translation layer (paper §3): logical pages are
 // remapped on every write, invalidated versions are garbage collected, and
 // wear is leveled across blocks.  The steganographic layer (§9.2) sits on
-// top of this and uses the relocation hook to re-embed hidden data before
-// the block containing it is erased (§5.1: "The HU must either re-embed the
-// hidden data in a new location ... before the old NU page containing it is
-// permanently erased").
+// top of this and uses the pre-erase hook to lift hidden data out of a
+// victim block and re-embed it elsewhere before that block is erased (§5.1:
+// "The HU must either re-embed the hidden data in a new location ... before
+// the old NU page containing it is permanently erased").
 
 #include <cstdint>
 #include <functional>
@@ -21,7 +21,6 @@
 namespace stash::ftl {
 
 using util::BatchResult;
-using util::BatchStatus;
 using util::Result;
 using util::Status;
 
@@ -71,13 +70,6 @@ struct FtlStats {
 
 class PageMappedFtl {
  public:
-  /// Called just before a valid page is relocated: (old physical address,
-  /// new physical address, page data being carried over).  The hidden-data
-  /// layer re-embeds here; the data itself may not be modified.
-  using RelocationHook = std::function<void(nand::PageAddr from,
-                                            nand::PageAddr to,
-                                            const std::vector<std::uint8_t>&)>;
-
   /// Called once per victim block, before the first page moves and before
   /// the erase — while every cell of the block is still physically intact.
   /// This is the last chance to lift hidden data out of the block, and it
@@ -120,20 +112,9 @@ class PageMappedFtl {
       std::span<const std::uint64_t> lpns, par::ThreadPool& pool,
       std::span<const std::span<std::uint8_t>> dests);
 
-  struct WriteRequest {
-    std::uint64_t lpn = 0;
-    std::vector<std::uint8_t> bits;
-  };
-  /// Writes execute sequentially in request order (the mapping tables,
-  /// allocator and GC are global state — parallelizing them would reorder
-  /// placement).  Follows the util::BatchStatus convention: slot i holds
-  /// request i's outcome, and one failure does not abort the rest.
-  BatchStatus write_batch(std::span<const WriteRequest> requests);
-
   /// Physical location of a logical page, if mapped.
   [[nodiscard]] std::optional<nand::PageAddr> locate(std::uint64_t lpn) const;
 
-  void set_relocation_hook(RelocationHook hook) { hook_ = std::move(hook); }
   void set_pre_erase_hook(PreEraseHook hook) {
     pre_erase_hook_ = std::move(hook);
   }
@@ -204,7 +185,6 @@ class PageMappedFtl {
   std::optional<std::uint32_t> active_block_;
   std::uint32_t active_next_page_ = 0;
   bool gc_active_ = false;  // prevents re-entrant collection
-  RelocationHook hook_;
   PreEraseHook pre_erase_hook_;
 
   // Per-instance counts: a multi-chip device runs one FTL per chip, and

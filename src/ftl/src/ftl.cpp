@@ -138,7 +138,6 @@ Status PageMappedFtl::drain_block(std::uint32_t block) {
     auto dst = program_with_recovery(data);
     if (!dst.is_ok()) return dst.status();
     const PageAddr to = dst.value();
-    if (hook_) hook_(PageAddr{block, p}, to, data);
 
     p2l_[phys] = kUnmapped;
     --valid_count_[block];
@@ -242,15 +241,6 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
   BatchResult<std::size_t> out;
   out.reserve(slots.size());
   for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-BatchStatus PageMappedFtl::write_batch(std::span<const WriteRequest> requests) {
-  BatchStatus out;
-  out.reserve(requests.size());
-  for (const WriteRequest& req : requests) {
-    out.push_back(write(req.lpn, req.bits));
-  }
   return out;
 }
 

@@ -9,8 +9,8 @@
 // retention charge leakage.
 //
 // Standard (ONFI-available) operations: erase_block, program_page,
-// read_page.  Vendor operations the paper obtained under NDA:
-// read_page_at (shifted reference read), probe_voltages (per-cell voltage
+// read_page.  Vendor operations the paper obtained under NDA: read_page
+// at a shifted vref (read-retry), probe_voltages (per-cell voltage
 // measurement), partial_program (PROGRAM aborted midway), and fine_program
 // (the controller-internal precise pass §6.2 argues vendors could expose).
 //
@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -92,42 +93,32 @@ class FlashChip {
   Status program_page(std::uint32_t block, std::uint32_t page,
                       std::span<const std::uint8_t> bits);
 
-  /// Read a page at the standard public reference voltage: 1 below, 0 above.
-  [[nodiscard]] std::vector<std::uint8_t> read_page(std::uint32_t block,
-                                                    std::uint32_t page);
+  /// Read a page against a reference voltage: 1 for v < vref, 0 for
+  /// v >= vref, per cell.  Without `vref` this is the standard ONFI read at
+  /// the public reference; a shifted `vref` is the vendor read-retry
+  /// command (OnfiDevice issues it after SET READ REFERENCE).  Empty on a
+  /// bad address or an interrupting injected fault.
+  [[nodiscard]] std::vector<std::uint8_t> read_page(
+      std::uint32_t block, std::uint32_t page,
+      std::optional<double> vref = std::nullopt);
 
-  /// Allocation-free variant: threshold the page straight into a caller
+  /// Allocation-free read: threshold the page straight into a caller
   /// buffer of at least cells_per_page bytes (the zero-copy read path
   /// writes into an arena slab here).  Returns the cells written — 0 on a
   /// bad address or an interrupting injected fault, reproducing
   /// read_page's empty-vector observable.  Same noise, ledger costs, and
   /// trace span as read_page.
   std::size_t read_page_into(std::uint32_t block, std::uint32_t page,
-                             std::span<std::uint8_t> out);
+                             std::span<std::uint8_t> out,
+                             std::optional<double> vref = std::nullopt);
 
   // ---- Vendor operations (NDA commands on real hardware) -----------------
 
-  /// Read with a shifted reference voltage — the command VT-HI's decoder
-  /// uses.  Returns 1 for v < vref, 0 for v >= vref, per cell.
-  [[nodiscard]] std::vector<std::uint8_t> read_page_at(std::uint32_t block,
-                                                       std::uint32_t page,
-                                                       double vref);
-
-  /// Allocation-free shifted read (see read_page_into).
-  std::size_t read_page_at_into(std::uint32_t block, std::uint32_t page,
-                                double vref, std::span<std::uint8_t> out);
-
   /// Per-cell voltage measurement in the tester's discrete normalized units.
-  /// Costs one read operation.
+  /// Costs one read operation.  Empty on a bad address or an interrupting
+  /// injected fault.
   [[nodiscard]] std::vector<int> probe_voltages(std::uint32_t block,
                                                 std::uint32_t page);
-
-  /// Allocation-free variant: quantize the page's voltages into a caller
-  /// buffer of exactly cells_per_page entries.  Same semantics and ledger
-  /// costs as probe_voltages; hot callers (the VT-HI step loop) reuse one
-  /// buffer across probes.
-  Status probe_voltages_into(std::uint32_t block, std::uint32_t page,
-                             std::span<int> out);
 
   /// Partial program: a PROGRAM aborted midway (§6.2).  Applies one coarse,
   /// noisy voltage increment to the listed cells and program-disturb to

@@ -23,7 +23,7 @@ namespace stash::nand {
 enum class FaultOp : std::uint8_t {
   kProgram,
   kErase,
-  kRead,            // read_page / read_page_at / probe_voltages
+  kRead,            // read_page / read_page_into / probe_voltages
   kPartialProgram,  // the PROGRAM->RESET step (and stress passes)
   kFineProgram,
 };

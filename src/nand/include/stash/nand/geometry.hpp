@@ -19,10 +19,6 @@ struct Geometry {
   /// Real NAND requires pages within a block to be programmed in order.
   bool enforce_sequential_program = true;
 
-  [[nodiscard]] std::uint64_t total_cells() const noexcept {
-    return static_cast<std::uint64_t>(blocks) * pages_per_block * cells_per_page;
-  }
-
   /// The paper's primary chip model, full scale.
   [[nodiscard]] static Geometry vendor_a() noexcept {
     return {.blocks = 2048,

@@ -131,7 +131,6 @@ class OnfiDevice {
   /// set_fail(true) plus a diagnostic message in last_error() — for
   /// protocol errors as opposed to chip-reported failures.
   void fail_command(std::string message) noexcept;
-  void unpack_bits();
 
   FlashChip* chip_;
   State state_ = State::kIdle;

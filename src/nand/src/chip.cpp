@@ -341,32 +341,23 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
 }
 
 std::vector<std::uint8_t> FlashChip::read_page(std::uint32_t block,
-                                               std::uint32_t page) {
-  return read_page_at(block, page, noise_.public_read_vref);
-}
-
-std::size_t FlashChip::read_page_into(std::uint32_t block, std::uint32_t page,
-                                      std::span<std::uint8_t> out) {
-  return read_page_at_into(block, page, noise_.public_read_vref, out);
-}
-
-std::vector<std::uint8_t> FlashChip::read_page_at(std::uint32_t block,
-                                                  std::uint32_t page,
-                                                  double vref) {
+                                               std::uint32_t page,
+                                               std::optional<double> vref) {
   std::vector<std::uint8_t> out(geom_.cells_per_page);
-  const std::size_t cells = read_page_at_into(block, page, vref, out);
+  const std::size_t cells = read_page_into(block, page, out, vref);
   if (cells == 0) return {};
   return out;
 }
 
-std::size_t FlashChip::read_page_at_into(std::uint32_t block,
-                                         std::uint32_t page, double vref,
-                                         std::span<std::uint8_t> out) {
+std::size_t FlashChip::read_page_into(std::uint32_t block, std::uint32_t page,
+                                      std::span<std::uint8_t> out,
+                                      std::optional<double> vref_opt) {
   if (!check_addr(block, page).is_ok()) return 0;
   if (out.size() < geom_.cells_per_page) return 0;
   if (fault_ && consult_fault(FaultOp::kRead, block, page).interrupts()) {
     return 0;
   }
+  const double vref = vref_opt.value_or(noise_.public_read_vref);
   trace::ScopedSpan span(trace::Stage::kNandRead, trace::Op::kRead,
                          span_key(block, page), geom_.cells_per_page / 8);
   span.set_cost_us(costs_.read_us);
@@ -414,20 +405,10 @@ std::size_t FlashChip::read_page_at_into(std::uint32_t block,
 std::vector<int> FlashChip::probe_voltages(std::uint32_t block,
                                            std::uint32_t page) {
   if (!check_addr(block, page).is_ok()) return {};
-  std::vector<int> out(geom_.cells_per_page);
-  if (!probe_voltages_into(block, page, out).is_ok()) return {};
-  return out;
-}
-
-Status FlashChip::probe_voltages_into(std::uint32_t block, std::uint32_t page,
-                                      std::span<int> out) {
-  STASH_RETURN_IF_ERROR(check_addr(block, page));
-  if (out.size() != geom_.cells_per_page) {
-    return {ErrorCode::kInvalidArgument, "probe buffer != cells per page"};
-  }
   if (fault_ && consult_fault(FaultOp::kRead, block, page).interrupts()) {
-    return {ErrorCode::kCorrupted, "probe dropped by fault injection"};
+    return {};
   }
+  std::vector<int> out(geom_.cells_per_page);
   trace::ScopedSpan span(trace::Stage::kNandProbe, trace::Op::kProbe,
                          span_key(block, page));
   span.set_cost_us(costs_.read_us);
@@ -442,7 +423,7 @@ Status FlashChip::probe_voltages_into(std::uint32_t block, std::uint32_t page,
     const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
     fault_->corrupt_probe(block, page, {out.data(), out.size()});
   }
-  return Status::ok();
+  return out;
 }
 
 // ---- Vendor programming ---------------------------------------------------

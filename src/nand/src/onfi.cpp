@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "stash/util/bitvec.hpp"
+
 namespace stash::nand {
 
 using namespace onfi;
@@ -56,16 +58,6 @@ bool OnfiDevice::decode_row(RowAddress& out) const {
   return out.block < geom.blocks;
 }
 
-void OnfiDevice::unpack_bits() {
-  bit_buffer_.assign(chip_->geometry().cells_per_page, 1);
-  const std::size_t n =
-      std::min<std::size_t>(data_buffer_.size() * 8, bit_buffer_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    bit_buffer_[i] =
-        static_cast<std::uint8_t>((data_buffer_[i / 8] >> (7 - i % 8)) & 1);
-  }
-}
-
 void OnfiDevice::cmd(std::uint8_t opcode) {
   switch (opcode) {
     case kReset:
@@ -92,14 +84,8 @@ void OnfiDevice::cmd(std::uint8_t opcode) {
         state_ = State::kIdle;
         return;
       }
-      const auto bits = chip_->read_page_at(row.block, row.page, read_vref_);
-      read_buffer_.assign((bits.size() + 7) / 8, 0);
-      for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i] & 1) {
-          read_buffer_[i / 8] |=
-              static_cast<std::uint8_t>(1u << (7 - i % 8));
-        }
-      }
+      read_buffer_ = util::bits_to_bytes(
+          chip_->read_page(row.block, row.page, read_vref_));
       read_pos_ = 0;
       state_ = State::kReadData;
       return;
@@ -119,7 +105,10 @@ void OnfiDevice::cmd(std::uint8_t opcode) {
         return;
       }
       armed_row_ = row;
-      unpack_bits();
+      // Bytes past the page are dropped; a short transfer leaves the
+      // remaining cells erased ('1').
+      bit_buffer_ = util::bytes_to_bits(data_buffer_);
+      bit_buffer_.resize(chip_->geometry().cells_per_page, 1);
       state_ = State::kProgramBusy;
       set_ready(false);
       return;

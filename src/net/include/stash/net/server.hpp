@@ -27,11 +27,11 @@
 //     disconnected client's futures are ready after one drain; they are
 //     consumed and counted as dropped when it is reaped.  No future is
 //     ever abandoned.
-//   * Deterministic mode: each request is submitted, dispatched, and its
-//     response encoded before the next frame is processed.  With a single
-//     client driving a fixed workload, the per-instance stats (and hence
-//     stats_json()) are byte-identical run-to-run — stats_json() contains
-//     only event counts, never wall-clock values.
+//   * Determinism: a serial client (one connection, one request in flight)
+//     gets each request drained and answered by the quiescence loop before
+//     it can send the next frame, so with a fixed workload the per-instance
+//     stats (and hence stats_json()) are byte-identical run-to-run —
+//     stats_json() contains only event counts, never wall-clock values.
 
 #include <cstdint>
 #include <memory>
@@ -53,8 +53,6 @@ struct ServerConfig {
   /// not read until responses drain (TCP backpressure).
   std::size_t max_pipeline = 64;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Dispatch-and-respond after every frame; see the header comment.
-  bool deterministic = false;
 };
 
 /// The server's counters, named once (see stash/telemetry/
@@ -75,7 +73,7 @@ struct ServerConfig {
 
 /// Per-instance event counts.  Everything here is a pure function of the
 /// request/response byte streams (no wall-clock values), which is what
-/// makes deterministic-mode stats_json() byte-stable.
+/// makes a serial client's stats_json() byte-stable.
 struct NetStats {
   STASH_COUNTER_FIELDS("net", STASH_NET_COUNTERS)
   /// Requests by op, indexed by OpCode - 1 (read ... hidden_info).

@@ -248,11 +248,6 @@ struct Server::Impl {
       }
     }
     c.pending.push_back(std::move(p));
-    if (config.deterministic) {
-      // One request, one dispatch round, one response — the serial
-      // schedule whose stats export is byte-identical run-to-run.
-      device.drain();
-    }
   }
 
   void protocol_error(Conn& c, const Status& st) {

@@ -58,11 +58,6 @@ class StegoVolume {
  public:
   StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
               StegoConfig config = {});
-  /// Convenience overload for call sites configuring only one layer.
-  StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
-              ftl::FtlConfig ftl_config,
-              vthi::VthiConfig vthi_config = vthi::VthiConfig::production())
-      : StegoVolume(chip, key, StegoConfig{ftl_config, vthi_config}) {}
 
   // ---- Public (normal user) volume ---------------------------------------
   Status write_public(std::uint64_t lpn, std::span<const std::uint8_t> bits);

@@ -17,8 +17,8 @@ StegoVolume::StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
   }
   // Rescue on the pre-erase hook: it fires exactly once per victim block,
   // before any cell is touched — even for blocks whose public pages are all
-  // invalid (a relocation hook alone would miss those and the erase would
-  // silently destroy the hidden chunk).
+  // invalid (a per-page relocation callback would miss those and the erase
+  // would silently destroy the hidden chunk).
   ftl_.set_pre_erase_hook(
       [this](std::uint32_t block) { on_relocation({block, 0}); });
 }

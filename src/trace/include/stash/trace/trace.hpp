@@ -47,11 +47,11 @@ enum class Stage : std::uint8_t {
   kDevFlush,            // write-back flush (sync or backpressure)
   kDevHidden,           // hidden-volume store/load machinery
   kFtlReadBatch,        // PageMappedFtl::read_batch per-chip slice
-  kFtlWrite,            // PageMappedFtl::write / write_batch element
+  kFtlWrite,            // PageMappedFtl::write
   kFtlGc,               // PageMappedFtl::run_gc
   kVthiEmbed,           // VthiChannel::embed
   kVthiExtract,         // VthiChannel::extract
-  kNandRead,            // FlashChip::read_page(_at)
+  kNandRead,            // FlashChip::read_page / read_page_into
   kNandProgram,         // FlashChip::program_page
   kNandErase,           // FlashChip::erase_block
   kNandPartialProgram,  // FlashChip::partial_program

@@ -15,7 +15,8 @@
 //     state — is identical to serial submission-order execution.
 //
 // Layers that follow this convention: PageMappedFtl::read_batch_into and
-// write_batch, dev::StashDevice::{read,write}_batch.
+// dev::StashDevice::read_batch.  dev::StashDevice's GC pass collects one
+// Status per chip into a BatchStatus and reports first_error.
 
 #include <vector>
 
@@ -27,17 +28,9 @@ namespace stash::util {
 template <typename T>
 using BatchResult = std::vector<Result<T>>;
 
-/// Outcomes of a value-less batch (writes, trims): slot i holds request i's
-/// Status.
+/// Outcomes of a value-less batch (the per-chip GC passes): slot i holds
+/// request i's Status.
 using BatchStatus = std::vector<Status>;
-
-/// True when every slot of a BatchStatus succeeded.
-[[nodiscard]] inline bool all_ok(const BatchStatus& batch) noexcept {
-  for (const Status& s : batch) {
-    if (!s.is_ok()) return false;
-  }
-  return true;
-}
 
 /// First non-OK status of a batch, or OK — for callers that only need a
 /// summary verdict out of the per-item convention.

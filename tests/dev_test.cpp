@@ -430,21 +430,6 @@ TEST(DevBatch, ResultSlotsAlignWithRequestsAndFailuresAreIndependent) {
   EXPECT_GE(dev.stats_snapshot().coalesced_reads, 1u);
 }
 
-TEST(DevBatch, WriteBatchReportsPerItemStatus) {
-  StashDevice dev(tiny_config(), test_key());
-  std::vector<ftl::PageMappedFtl::WriteRequest> reqs(3);
-  reqs[0] = {0, page_pattern(dev.page_bits(), 91)};
-  reqs[1] = {dev.logical_pages(), page_pattern(dev.page_bits(), 92)};
-  reqs[2] = {1, page_pattern(dev.page_bits(), 93)};
-  auto statuses = dev.write_batch(reqs);
-  ASSERT_EQ(statuses.size(), 3u);
-  EXPECT_TRUE(statuses[0].is_ok());
-  EXPECT_EQ(statuses[1].code(), ErrorCode::kOutOfBounds);
-  EXPECT_TRUE(statuses[2].is_ok());
-  EXPECT_FALSE(util::all_ok(statuses));
-  EXPECT_EQ(util::first_error(statuses).code(), ErrorCode::kOutOfBounds);
-}
-
 // ---- Scheduler: QoS ordering and full-batch dispatch ----------------------
 
 TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {

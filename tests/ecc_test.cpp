@@ -200,21 +200,6 @@ TEST(Bch, ParityBitsAtMostMTimesT) {
   }
 }
 
-TEST(Bch, PickTCoversExpectedErrors) {
-  // 256-bit payloads at the paper's production raw BER (~0.5%).
-  const int t = BchCode::pick_t(9, 256, 0.005);
-  ASSERT_GT(t, 0);
-  // Must exceed the expected error count with margin.
-  EXPECT_GE(t, 3);
-  EXPECT_LE(t, 12);
-  // Higher BER demands more correction.
-  EXPECT_GT(BchCode::pick_t(9, 256, 0.02), t);
-}
-
-TEST(Bch, PickTReturnsZeroWhenHopeless) {
-  EXPECT_EQ(BchCode::pick_t(4, 14, 0.45), 0);
-}
-
 TEST(Bch, PickTForCodewordCoversExpectedErrors) {
   // Fixed-codeword sizing (the VT-HI layout path): t must exceed the mean
   // error count with margin and leave room for data.
@@ -268,13 +253,15 @@ TEST(Bch, RejectsOversizedData) {
 }
 
 TEST(Bch, RandomBerSurvivalSweep) {
-  // Statistical property: at raw BER p and t picked by pick_t, nearly all
-  // codewords decode.  Mirrors the codec's operating point.
+  // Statistical property: at raw BER p and t picked by
+  // pick_t_for_codeword, nearly all codewords decode.  Mirrors the codec's
+  // operating point.
   const double p = 0.008;
-  const std::size_t data_len = 2000;
-  const int t = BchCode::pick_t(13, data_len, p);
+  const std::size_t cw_bits = 2400;
+  const int t = BchCode::pick_t_for_codeword(13, cw_bits, p);
   ASSERT_GT(t, 0);
   BchCode code(13, t);
+  const std::size_t data_len = cw_bits - code.parity_bits();
   Xoshiro256 rng(777);
   int ok = 0;
   const int trials = 20;

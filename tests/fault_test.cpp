@@ -235,6 +235,31 @@ TEST(FaultPlan, PredicateFailsMatchingOps) {
   EXPECT_EQ(plan.stats().predicate_fails, 1u);
 }
 
+TEST(FaultPlan, PredicateFailsReadsAndProbes) {
+  FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 52);
+  ASSERT_TRUE(chip.program_page(0, 0, page_pattern(chip, 40)).is_ok());
+  FaultPlan plan(8);
+  plan.fail_when([](FaultOp op, std::uint32_t block, std::uint32_t) {
+    return op == FaultOp::kRead && block == 0;
+  });
+  chip.set_fault_injector(&plan);
+  const std::uint64_t reads_before = chip.ledger().reads;
+
+  // Every read entry point reports the fault: an empty result, or 0 cells
+  // written, at the public and at a shifted reference alike.
+  EXPECT_TRUE(chip.read_page(0, 0).empty());
+  std::vector<std::uint8_t> out(chip.geometry().cells_per_page);
+  EXPECT_EQ(chip.read_page_into(0, 0, out), 0u);
+  EXPECT_EQ(chip.read_page_into(0, 0, out, 100.0), 0u);
+  EXPECT_TRUE(chip.probe_voltages(0, 0).empty());
+  EXPECT_EQ(plan.stats().predicate_fails, 4u);
+  EXPECT_EQ(chip.ledger().reads, reads_before);  // a vetoed read costs nothing
+
+  // Reads the predicate does not match still execute.
+  EXPECT_FALSE(chip.read_page(1, 0).empty());
+  EXPECT_EQ(plan.stats().predicate_fails, 4u);
+}
+
 TEST(FaultPlan, InjectedProgramFailSurfacesInOnfiStatus) {
   Geometry geom = Geometry::tiny();
   geom.cells_per_page = 2048;  // divisible by 8 for the byte-wide bus

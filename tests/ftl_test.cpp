@@ -1,5 +1,5 @@
 // FTL tests: mapping correctness against a reference model, GC invariants,
-// trim, wear leveling, relocation hook, and no-space behaviour.
+// trim, wear leveling, the pre-erase hook, and no-space behaviour.
 
 #include <gtest/gtest.h>
 
@@ -156,34 +156,62 @@ TEST(Ftl, WriteAmplificationNearOneForSequentialOverwrite) {
   EXPECT_LT(ftl.stats_snapshot().write_amplification(), 1.6);
 }
 
-TEST(Ftl, RelocationHookFiresWithValidData) {
+TEST(Ftl, PreEraseHookSeesEachVictimIntactBeforeItsErase) {
   FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 49);
   PageMappedFtl ftl(chip);
-  std::uint64_t hook_calls = 0;
-  ftl.set_relocation_hook([&](nand::PageAddr from, nand::PageAddr to,
-                              const std::vector<std::uint8_t>& data) {
-    ++hook_calls;
-    EXPECT_NE(from, to);
-    EXPECT_EQ(data.size(), ftl.page_bits());
+  std::map<std::uint64_t, std::uint64_t> reference;  // lpn -> tag
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> victims;  // block, pec
+  std::uint64_t valid_pages_seen = 0;
+  ftl.set_pre_erase_hook([&](std::uint32_t block) {
+    victims.emplace_back(block, chip.pec(block));
+    // Nothing has moved yet: every valid page still maps to the victim and
+    // reads back its data from it.
+    for (const auto& [lpn, tag] : reference) {
+      const auto at = ftl.locate(lpn);
+      if (!at || at->block != block) continue;
+      ++valid_pages_seen;
+      const auto readback = read_page(ftl, lpn);
+      ASSERT_TRUE(readback.is_ok()) << "lpn " << lpn;
+      EXPECT_LE(diff_bits(readback.value(),
+                          pattern_page(ftl.page_bits(), tag)),
+                4u)
+          << "lpn " << lpn;
+    }
   });
+  const auto write = [&](std::uint64_t lpn, std::uint64_t tag) {
+    reference[lpn] = tag;
+    return ftl.write(lpn, pattern_page(ftl.page_bits(), tag));
+  };
   // Interleave cold pages (written once) with hot pages so every block
-  // holds a mix: GC victims then always carry valid data to relocate.
+  // holds a mix: GC victims then carry valid data to relocate.
   std::uint64_t cold = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
     const std::uint64_t lpn = (i % 2 == 0 && cold < 20) ? 10 + cold++ : i % 4;
-    ASSERT_TRUE(ftl.write(lpn, pattern_page(ftl.page_bits(), 900 + lpn)).is_ok());
+    ASSERT_TRUE(write(lpn, 900 + lpn).is_ok());
   }
   const std::uint64_t writes =
       static_cast<std::uint64_t>(chip.geometry().blocks) *
       chip.geometry().pages_per_block * 3;
   for (std::uint64_t i = 0; i < writes; ++i) {
-    ASSERT_TRUE(ftl.write(i % 4, pattern_page(ftl.page_bits(), i)).is_ok());
+    ASSERT_TRUE(write(i % 4, i).is_ok());
   }
-  EXPECT_EQ(hook_calls, ftl.stats_snapshot().relocations);
-  EXPECT_GT(hook_calls, 0u);
-  // Every cold page survived the relocations.
-  for (std::uint64_t lpn = 10; lpn < 10 + cold; ++lpn) {
-    EXPECT_TRUE(read_page(ftl, lpn).is_ok()) << "lpn " << lpn;
+
+  const FtlStats stats = ftl.stats_snapshot();
+  ASSERT_EQ(stats.grown_bad_blocks, 0u);
+  // One call per collected or wear-levelled block, each ahead of the drain
+  // (it saw exactly the pages GC then relocated) and of the erase.
+  EXPECT_EQ(victims.size(), stats.gc_runs + stats.wear_swaps);
+  EXPECT_GT(valid_pages_seen, 0u);
+  EXPECT_EQ(valid_pages_seen, stats.relocations);
+  for (const auto& [block, pec] : victims) {
+    EXPECT_GT(chip.pec(block), pec) << "block " << block;
+  }
+  for (const auto& [lpn, tag] : reference) {
+    const auto readback = read_page(ftl, lpn);
+    ASSERT_TRUE(readback.is_ok()) << "lpn " << lpn;
+    EXPECT_LE(diff_bits(readback.value(), pattern_page(ftl.page_bits(), tag)),
+              4u)
+        << "lpn " << lpn;
   }
 }
 

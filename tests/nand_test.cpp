@@ -144,10 +144,10 @@ TEST(FlashChip, ReadPageAtShiftedReference) {
   auto chip = make_chip();
   // All cells are erased (~<70); a reference above the erased range reads
   // all ones, a reference at 0 reads all zeros.
-  const auto high = chip.read_page_at(0, 0, 250.0);
+  const auto high = chip.read_page(0, 0, 250.0);
   EXPECT_TRUE(std::all_of(high.begin(), high.end(),
                           [](std::uint8_t b) { return b == 1; }));
-  const auto low = chip.read_page_at(0, 0, 0.0);
+  const auto low = chip.read_page(0, 0, 0.0);
   EXPECT_TRUE(std::all_of(low.begin(), low.end(),
                           [](std::uint8_t b) { return b == 0; }));
 }
@@ -157,7 +157,7 @@ TEST(FlashChip, ProbeMatchesReadAtThreshold) {
   const auto bits = random_bits(chip.geometry().cells_per_page, 6);
   ASSERT_TRUE(chip.program_page(0, 0, bits).is_ok());
   const auto volts = chip.probe_voltages(0, 0);
-  const auto read = chip.read_page_at(0, 0, 100.0);
+  const auto read = chip.read_page(0, 0, 100.0);
   std::size_t disagreements = 0;
   for (std::size_t c = 0; c < read.size(); ++c) {
     const bool below = volts[c] < 100;
@@ -166,6 +166,32 @@ TEST(FlashChip, ProbeMatchesReadAtThreshold) {
     disagreements += (below != (read[c] == 1));
   }
   EXPECT_LE(disagreements, 3u);
+}
+
+TEST(FlashChip, ReadPageAndReadPageIntoAgreeAtAnyReference) {
+  // Twin chips (same seed, same history): the allocating read and the
+  // caller-buffer read must return the same bits, apply the same read
+  // disturb, and charge the same ledger — at the public reference and at
+  // a shifted one.
+  auto a = make_chip(11);
+  auto b = make_chip(11);
+  const auto bits = random_bits(a.geometry().cells_per_page, 12);
+  ASSERT_TRUE(a.program_page(0, 0, bits).is_ok());
+  ASSERT_TRUE(b.program_page(0, 0, bits).is_ok());
+
+  std::vector<std::uint8_t> out(a.geometry().cells_per_page);
+  EXPECT_EQ(b.read_page_into(0, 0, out), out.size());
+  EXPECT_EQ(a.read_page(0, 0), out);
+  EXPECT_EQ(b.read_page_into(0, 0, out, 100.0), out.size());
+  EXPECT_EQ(a.read_page(0, 0, 100.0), out);
+
+  const CostLedger la = a.ledger();
+  const CostLedger lb = b.ledger();
+  EXPECT_EQ(la.reads, 2u);
+  EXPECT_EQ(la.reads, lb.reads);
+  EXPECT_EQ(la.time_us, lb.time_us);
+  EXPECT_EQ(la.energy_uj, lb.energy_uj);
+  EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
 TEST(FlashChip, AgeCyclesShiftsDistributionsRight) {

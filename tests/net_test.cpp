@@ -7,8 +7,8 @@
 // rule (a burst of writes or pings past the pipeline window completes with
 // no timer; stop() wakes a reactor blocked in epoll), graceful shutdown
 // accounting (requests == responses + dropped, no abandoned futures)
-// including frames still buffered at stop(), mid-flight resets, and
-// deterministic-mode byte-identical stats export.
+// including frames still buffered at stop(), mid-flight resets, and a
+// serial client's byte-identical stats export.
 
 #include <gtest/gtest.h>
 
@@ -740,16 +740,15 @@ TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
   EXPECT_EQ(net.disconnected, net.accepted);
 }
 
-TEST(NetServer, DeterministicModeStatsExportIsByteIdentical) {
-  // Same seed, same workload, two fresh device+server instances: the
-  // canonical stats JSON must match byte for byte.
+TEST(NetServer, SerialClientStatsExportIsByteIdentical) {
+  // Same seed, same serial workload (one connection, one request in
+  // flight), two fresh device+server instances: the canonical stats JSON
+  // must match byte for byte.
   const auto run = [] {
     DeviceConfig config;
     config.seed = 5150;
     StashDevice dev(config, test_key());
-    ServerConfig sconfig;
-    sconfig.deterministic = true;
-    Server server(dev, sconfig);
+    Server server(dev);
     EXPECT_TRUE(server.start().is_ok());
     Client client;
     EXPECT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());

@@ -9,6 +9,7 @@
 
 #include "stash/nand/onfi.hpp"
 #include "stash/telemetry/metrics.hpp"
+#include "stash/util/bitvec.hpp"
 #include "stash/util/stats.hpp"
 
 namespace stash::nand {
@@ -171,6 +172,52 @@ TEST(Onfi, ReadReferenceShiftChangesDecodedBits) {
   dev.set_read_reference(127.0);
   const auto restored = dev.read_page(0, 0);
   EXPECT_EQ(restored[0], 0xFF);
+}
+
+TEST(Onfi, BusProgramAndReadMatchTheChipCalls) {
+  // Twin chips (same seed, same history): PROGRAM through the bus lands the
+  // same cells as FlashChip::program_page on the unpacked bits, and READ
+  // returns FlashChip::read_page's bits packed MSB first — at the public
+  // reference and after SET READ REFERENCE.
+  FlashChip bus_chip(onfi_geometry(), NoiseModel::vendor_a(), 14);
+  FlashChip twin(onfi_geometry(), NoiseModel::vendor_a(), 14);
+  OnfiDevice dev(bus_chip);
+  const auto data = random_bytes(dev.page_bytes(), 14);
+  ASSERT_TRUE(dev.program_page(0, 0, data).is_ok());
+  ASSERT_TRUE(twin.program_page(0, 0, util::bytes_to_bits(data)).is_ok());
+  EXPECT_EQ(bus_chip.state_digest(), twin.state_digest());
+
+  EXPECT_EQ(dev.read_page(0, 0), util::bits_to_bytes(twin.read_page(0, 0)));
+  for (const double vref : {34.0, 100.0, 200.0}) {
+    dev.set_read_reference(vref);
+    EXPECT_EQ(dev.read_page(0, 0),
+              util::bits_to_bytes(twin.read_page(0, 0, vref)))
+        << "vref " << vref;
+  }
+  EXPECT_EQ(bus_chip.state_digest(), twin.state_digest());
+  EXPECT_EQ(bus_chip.ledger().reads, twin.ledger().reads);
+}
+
+TEST(Onfi, ShortProgramTransferLeavesTrailingCellsErased) {
+  FlashChip chip(onfi_geometry(), NoiseModel::vendor_a(), 15);
+  OnfiDevice dev(chip);
+  const std::vector<std::uint8_t> half(dev.page_bytes() / 2, 0x00);
+  ASSERT_TRUE(dev.program_page(0, 0, half).is_ok());
+  const auto readback = dev.read_page(0, 0);
+  ASSERT_EQ(readback.size(), dev.page_bytes());
+  std::size_t programmed_ones = 0;
+  std::size_t erased_zeros = 0;
+  for (std::size_t i = 0; i < readback.size(); ++i) {
+    const auto ones = static_cast<std::size_t>(
+        __builtin_popcount(static_cast<unsigned>(readback[i])));
+    if (i < half.size()) {
+      programmed_ones += ones;
+    } else {
+      erased_zeros += 8 - ones;
+    }
+  }
+  EXPECT_LE(programmed_ones, 2u);
+  EXPECT_LE(erased_zeros, 2u);
 }
 
 TEST(Onfi, DataOutBeyondBufferTruncates) {

@@ -133,9 +133,9 @@ TEST(Stego, PanicEraseDestroysHiddenVolume) {
 
 TEST(Stego, HiddenDataSurvivesGarbageCollection) {
   FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 117);
-  ftl::FtlConfig ftl_config;
-  ftl_config.overprovision = 0.25;
-  StegoVolume volume(chip, test_key(), ftl_config);
+  StegoConfig config;
+  config.ftl.overprovision = 0.25;
+  StegoVolume volume(chip, test_key(), config);
   fill_public(volume, 30, 900);
 
   const std::vector<std::uint8_t> secret(80, 0xc4);
