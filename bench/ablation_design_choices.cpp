@@ -72,8 +72,8 @@ int main(int argc, char** argv) {
     const double pages =
         static_cast<double>(chip.geometry().pages_per_block) / 2.0;
     std::printf("%-6d %-12.4f %-18.2f %.1f\n", m, sample.ber(),
-                chip.ledger().time_us / pages / 1000.0,
-                chip.ledger().energy_uj / pages);
+                chip.ledger().time_us() / pages / 1000.0,
+                chip.ledger().energy_uj() / pages);
   }
   std::printf("Take-away: BER stops improving near m=10 while cost keeps "
               "growing linearly — the paper's Fig. 6 knee.\n\n");

@@ -163,7 +163,7 @@ PointResult run_point(const Options& opt, unsigned threads,
   point.coalesced_reads =
       stats_after.coalesced_reads - stats_before.coalesced_reads;
   point.dispatches = stats_after.dispatches - stats_before.dispatches;
-  point.read_sim_us = ledger_after.time_us - ledger_before.time_us;
+  point.read_sim_us = ledger_after.time_us() - ledger_before.time_us();
   point.sim_pages_per_s =
       point.read_sim_us > 0.0
           ? static_cast<double>(read_ops) * 1e6 / point.read_sim_us
@@ -174,7 +174,7 @@ PointResult run_point(const Options& opt, unsigned threads,
   digest.u64(ledger_after.reads);
   digest.u64(ledger_after.programs);
   digest.u64(ledger_after.erases);
-  digest.u64(static_cast<std::uint64_t>(ledger_after.time_us * 1e3));
+  digest.u64(ledger_after.time_ns);
   digest.u64(stats_after.cache_hits);
   digest.u64(stats_after.buffer_hits);
   digest.u64(stats_after.coalesced_reads);

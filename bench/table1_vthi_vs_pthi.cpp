@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng() & 1);
     if (channel.embed(0, p, bits).is_ok()) intents[p] = std::move(bits);
   }
-  const double vthi_encode_s = chip.ledger().time_us / 1e6;
-  const double vthi_encode_mj = chip.ledger().energy_uj / 1e3;
+  const double vthi_encode_s = chip.ledger().time_us() / 1e6;
+  const double vthi_encode_mj = chip.ledger().energy_uj() / 1e3;
   const std::uint64_t vthi_programs = chip.ledger().partial_programs;
 
   std::size_t vthi_bits = 0;
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     }
     vthi_bits += intents[p].size();
   }
-  const double vthi_decode_s = chip.ledger().time_us / 1e6;
+  const double vthi_decode_s = chip.ledger().time_us() / 1e6;
   const double vthi_ber =
       vthi_bits ? static_cast<double>(vthi_errors) /
                       static_cast<double>(vthi_bits)
@@ -93,15 +93,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "PT-HI encode failed: %s\n", s.to_string().c_str());
     return 1;
   }
-  const double pthi_encode_s = chip.ledger().time_us / 1e6;
-  const double pthi_encode_mj = chip.ledger().energy_uj / 1e3;
+  const double pthi_encode_s = chip.ledger().time_us() / 1e6;
+  const double pthi_encode_mj = chip.ledger().energy_uj() / 1e3;
   const std::uint64_t pthi_programs = chip.ledger().programs;
   const std::uint32_t pthi_wear = chip.pec(1) - pec_before_pthi;
 
   const auto pthi_public = chip.program_block_random(1, opt.seed + 2);
   chip.reset_ledger();
   const auto pthi_decoded = pthi_codec.decode_block(1, pthi_bits.size());
-  const double pthi_decode_s = chip.ledger().time_us / 1e6;
+  const double pthi_decode_s = chip.ledger().time_us() / 1e6;
   std::size_t pthi_errors = 0;
   if (pthi_decoded.is_ok()) {
     for (std::size_t i = 0; i < pthi_bits.size(); ++i) {

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 
@@ -113,14 +114,11 @@ std::uint32_t StashDevice::page_bits() const noexcept {
 
 nand::CostLedger StashDevice::ledger() const {
   nand::CostLedger total{};
+  const auto add = [](std::string_view, std::uint64_t& sum, std::uint64_t v) {
+    sum += v;
+  };
   for (const auto& chip : chips_) {
-    const nand::CostLedger l = chip->ledger();
-    total.time_us += l.time_us;
-    total.energy_uj += l.energy_uj;
-    total.reads += l.reads;
-    total.programs += l.programs;
-    total.erases += l.erases;
-    total.partial_programs += l.partial_programs;
+    nand::CostLedger::for_each(total, add, chip->ledger());
   }
   return total;
 }
@@ -132,7 +130,7 @@ std::uint64_t StashDevice::sim_now() const noexcept {
   // rounds, so reads at serial points (under mu_) are exact and
   // thread-count independent — the virtual trace clock.
   std::uint64_t ns = 0;
-  for (const auto& chip : chips_) ns += chip->time_ns();
+  for (const auto& chip : chips_) ns += chip->ledger().time_ns;
   return ns;
 }
 

@@ -17,27 +17,30 @@
 // Blocks are lazily allocated: a full-geometry "8 GB" chip only pays for
 // blocks that are touched.
 //
-// Concurrency contract (stash::par builds on this):
+// The six commands run one path: address check, trace span, block lock,
+// preconditions, one fault decision, the cell-level body, one charge, one
+// ledger count, one status for caller and span.  A rejected call consumes
+// no fault op index and changes nothing; a faulted read charges nothing.
+//
+// Concurrency contract:
 //   * Noise draws are counter-based (stash::kernels Philox): every draw is
 //     a pure function of (serial seed, op kind, block, page, per-block op
-//     epoch, cell index).  Every mutating operation touches only the
-//     addressed block, so operations on DISTINCT blocks may run
-//     concurrently from any threads and still produce byte-identical
-//     per-block voltages — regardless of how the operations interleave
-//     across blocks, of thread count, and of SIMD lane width.
-//   * Operations on the SAME block are serialized by an internal striped
-//     lock (no data races), but their relative order determines the
-//     block's epoch sequence: callers that need reproducibility must
-//     submit same-block operations in a deterministic order (stash::par's
-//     shard queues do exactly this).  Within one operation, per-cell draws
-//     are order-independent by construction.
-//   * The cost ledger accumulates in fixed-point atomics, so totals are
-//     exact and thread-count independent.
+//     epoch, cell index).  A command touches only its block, so commands
+//     on DISTINCT blocks may run concurrently from any threads and still
+//     produce byte-identical voltages, at any thread count or SIMD width.
+//   * Commands on the SAME block are serialized by a striped block lock,
+//     but their order sets the block's epoch sequence: callers that need
+//     reproducibility issue them in a deterministic order (PageMappedFtl's
+//     batched read groups them by block).  The fault injector's lock is
+//     only ever taken inside a block lock.
 //   * Whole-chip sweeps (bake(), voltage_histogram(), program_block_random)
 //     and accessors returning raw state assume no concurrent mutation of
 //     the blocks they visit.
+//
+// Cost ledger: CostLedger (noise.hpp) names its fields once; the chip keeps
+// them in a CounterTable in integer nano-units, so totals are exact and
+// thread-count independent, and every reader walks the list.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -79,7 +82,6 @@ class FlashChip {
   /// outlive the chip or be detached first.  Every subsequent operation
   /// consults it before executing.
   void set_fault_injector(FaultInjector* injector) noexcept { fault_ = injector; }
-  [[nodiscard]] FaultInjector* fault_injector() const noexcept { return fault_; }
 
   // ---- Standard flash operations ----------------------------------------
 
@@ -182,15 +184,12 @@ class FlashChip {
   [[nodiscard]] util::Histogram page_voltage_histogram(
       std::uint32_t block, std::uint32_t page, std::size_t bins = 256) const;
 
-  /// Materialized snapshot of the fixed-point atomic ledger.  Safe to call
-  /// while operations run on other threads; totals are exact (integer
-  /// nanosecond/nanojoule accumulation) and independent of thread count.
+  /// Snapshot of the cost ledger.  Safe to call while operations run on
+  /// other threads; totals are exact (integer nanosecond/nanojoule
+  /// accumulation) and independent of thread count, so StashDevice sums
+  /// the chips' time_ns as its virtual clock for deterministic tracing.
   [[nodiscard]] CostLedger ledger() const noexcept;
   void reset_ledger() noexcept;
-  /// Raw fixed-point simulated-time total (integer nanoseconds).  Exact,
-  /// monotone, and thread-count independent — StashDevice sums these
-  /// across chips as its virtual clock for deterministic tracing.
-  [[nodiscard]] std::uint64_t time_ns() const noexcept;
   [[nodiscard]] const OpCosts& costs() const noexcept { return costs_; }
 
   /// Convenience: program every page of a block with pseudorandom data
@@ -255,32 +254,35 @@ class FlashChip {
     std::uint32_t next_program_page = 0;
   };
 
-  /// Fixed-point ledger accumulator: integer adds commute, so the totals a
-  /// multi-threaded run reports are bit-identical to a serial run's.
-  struct AtomicLedger {
-    std::atomic<std::uint64_t> time_ns{0};
-    std::atomic<std::uint64_t> energy_nj{0};
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> programs{0};
-    std::atomic<std::uint64_t> erases{0};
-    std::atomic<std::uint64_t> partial_programs{0};
-  };
+  /// One NAND command's row of constants; defined in chip.cpp.
+  struct Command;
 
   static constexpr std::size_t kLockStripes = 64;
   [[nodiscard]] std::mutex& block_lock(std::uint32_t block) const noexcept {
     return locks_[block % kLockStripes];
   }
   void charge(double us, double uj) noexcept;
-  /// Fault injectors carry chip-wide mutable state (operation counters,
-  /// schedules), so every consultation is serialized on a dedicated lock
-  /// (the stripe array's extra slot).  Note that fault *decisions* keyed on
-  /// global op indices are only reproducible under a deterministic
-  /// chip-wide op order — drive fault-injected chips from one shard.
+  /// Fault injectors carry chip-wide mutable state (op counters,
+  /// schedules), so consultations serialize on the stripe array's extra
+  /// lock, taken inside the block lock.  Decisions keyed on op indices
+  /// replay only under a deterministic chip-wide op order.
   FaultDecision consult_fault(FaultOp op, std::uint32_t block,
                               std::uint32_t page);
+  /// The one path of every command: `pre(const Block*)` (null: never used)
+  /// then `body(Block&, completed_fraction)` inside the shared steps.
+  template <typename Pre, typename Body>
+  Status run(const Command& cmd, std::uint32_t block, std::uint32_t page,
+             Pre&& pre, Body&& body);
 
   [[nodiscard]] Status check_addr(std::uint32_t block, std::uint32_t page) const;
-  Block& touch(std::uint32_t block);
+  [[nodiscard]] Status check_cells(std::span<const std::uint32_t> cells) const;
+  /// Pages an erase completed to `frac` redraws: a prefix of the block.
+  [[nodiscard]] std::uint32_t erased_pages(double frac) const noexcept {
+    return static_cast<std::uint32_t>(frac * geom_.pages_per_block);
+  }
+  /// The block, allocated on first use in the erased state: pages from
+  /// `redrawn` on get the epoch-0 fill, the caller redraws the rest.
+  Block& touch(std::uint32_t block, std::uint32_t redrawn = 0);
   [[nodiscard]] const Block* peek(std::uint32_t block) const;
 
   // Deterministic per-entity manufacturing traits (never stored).
@@ -312,7 +314,7 @@ class FlashChip {
   // Heap-held so the defaulted moves stay valid (mutexes and atomics are
   // not movable).  Moving a chip while operations are in flight is UB.
   std::unique_ptr<std::mutex[]> locks_;
-  std::unique_ptr<AtomicLedger> ledger_;
+  std::unique_ptr<telemetry::CounterTable<CostLedger>> ledger_;
   FaultInjector* fault_ = nullptr;
 };
 

@@ -24,7 +24,7 @@ enum class FaultOp : std::uint8_t {
   kProgram,
   kErase,
   kRead,            // read_page / read_page_into / probe_voltages
-  kPartialProgram,  // the PROGRAM->RESET step (and stress passes)
+  kPartialProgram,  // the PROGRAM->RESET step
   kFineProgram,
 };
 
@@ -53,21 +53,13 @@ class FaultInjector {
 
   /// Corrupt the logical bits of a completed read (stuck cells, glitches).
   /// `vref` is the reference voltage the read used.
-  virtual void corrupt_read(std::uint32_t block, std::uint32_t page,
-                            std::span<std::uint8_t> bits, double vref) {
-    (void)block;
-    (void)page;
-    (void)bits;
-    (void)vref;
-  }
+  virtual void corrupt_read(std::uint32_t /*block*/, std::uint32_t /*page*/,
+                            std::span<std::uint8_t> /*bits*/,
+                            double /*vref*/) {}
 
   /// Corrupt the voltages of a completed probe.
-  virtual void corrupt_probe(std::uint32_t block, std::uint32_t page,
-                             std::span<int> volts) {
-    (void)block;
-    (void)page;
-    (void)volts;
-  }
+  virtual void corrupt_probe(std::uint32_t /*block*/, std::uint32_t /*page*/,
+                             std::span<int> /*volts*/) {}
 };
 
 }  // namespace stash::nand

@@ -5,6 +5,7 @@
 // DESIGN.md §4 records how the defaults were calibrated against the paper's
 // figures.  Voltages are in the tester's normalized units [0, 255].
 
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/util/status.hpp"
 
 namespace stash::nand {
@@ -220,16 +221,18 @@ struct OpCosts {
   double partial_program_uj = 34.0;  // half an aborted program
 };
 
+/// The cost ledger, named once: simulated time and energy in integer
+/// nano-units (exact in any charge order) and the per-command counts.  The
+/// list order is FlashChip::serialize_meta's byte order.
+#define STASH_NAND_LEDGER(X) \
+  X(time_ns) X(energy_nj) X(reads) X(programs) X(erases) X(partial_programs)
+
 /// Accumulated cost of the operations issued against a chip.
 struct CostLedger {
-  double time_us = 0.0;
-  double energy_uj = 0.0;
-  std::uint64_t reads = 0;
-  std::uint64_t programs = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t partial_programs = 0;
+  STASH_COUNTER_FIELDS("nand", STASH_NAND_LEDGER)
 
-  void clear() noexcept { *this = CostLedger{}; }
+  [[nodiscard]] double time_us() const noexcept { return time_ns / 1e3; }
+  [[nodiscard]] double energy_uj() const noexcept { return energy_nj / 1e3; }
 };
 
 }  // namespace stash::nand

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "stash/kernels/draws.hpp"
 #include "stash/kernels/kernels.hpp"
@@ -11,12 +14,6 @@
 
 namespace stash::nand {
 namespace {
-
-/// Trace span address for a page-level op: (block << 32) | page.
-constexpr std::uint64_t span_key(std::uint32_t block,
-                                 std::uint32_t page) noexcept {
-  return (static_cast<std::uint64_t>(block) << 32) | page;
-}
 
 using util::ErrorCode;
 using util::hash_words;
@@ -42,7 +39,25 @@ Scratch& scratch() {
   return s;
 }
 
+using Field = CostLedger::Field;
+
 }  // namespace
+
+/// What tells one NAND command apart inside run().
+struct FlashChip::Command {
+  FaultOp fault;
+  trace::Stage stage;
+  trace::Op op;
+  double OpCosts::*us;
+  double OpCosts::*uj;
+  Field count;
+  ErrorCode fail;              // an injected failure that is no power cut
+  const char* noun;            // names the command in fault messages
+  bool page_bytes = false;     // the span carries one page of data bytes
+  bool aborts = false;         // read class: a fault aborts it (see run())
+  bool erases = false;         // redraws erased_pages(frac) itself
+  double fail_fraction = 0.0;  // applied when a failure reports none done
+};
 
 FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
                      std::uint64_t serial_seed, OpCosts costs)
@@ -52,7 +67,7 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
       seed_(serial_seed),
       blocks_(geometry.blocks),
       locks_(std::make_unique<std::mutex[]>(kLockStripes + 1)),
-      ledger_(std::make_unique<AtomicLedger>()) {
+      ledger_(std::make_unique<telemetry::CounterTable<CostLedger>>()) {
   if (util::Status valid = noise.validate(); !valid.is_ok()) {
     throw std::invalid_argument(valid.to_string());
   }
@@ -61,32 +76,13 @@ FlashChip::FlashChip(const Geometry& geometry, const NoiseModel& noise,
 void FlashChip::charge(double us, double uj) noexcept {
   // Fixed-point (nano-unit) accumulation: integer adds are exact and
   // commutative, so ledger totals are independent of thread interleaving.
-  ledger_->time_ns.fetch_add(static_cast<std::uint64_t>(std::llround(us * 1e3)),
-                             std::memory_order_relaxed);
-  ledger_->energy_nj.fetch_add(
-      static_cast<std::uint64_t>(std::llround(uj * 1e3)),
-      std::memory_order_relaxed);
+  ledger_->add(Field::time_ns,
+               static_cast<std::uint64_t>(std::llround(us * 1e3)));
+  ledger_->add(Field::energy_nj,
+               static_cast<std::uint64_t>(std::llround(uj * 1e3)));
 }
 
-std::uint64_t FlashChip::time_ns() const noexcept {
-  return ledger_->time_ns.load(std::memory_order_relaxed);
-}
-
-CostLedger FlashChip::ledger() const noexcept {
-  CostLedger l;
-  l.time_us =
-      static_cast<double>(ledger_->time_ns.load(std::memory_order_relaxed)) /
-      1e3;
-  l.energy_uj =
-      static_cast<double>(ledger_->energy_nj.load(std::memory_order_relaxed)) /
-      1e3;
-  l.reads = ledger_->reads.load(std::memory_order_relaxed);
-  l.programs = ledger_->programs.load(std::memory_order_relaxed);
-  l.erases = ledger_->erases.load(std::memory_order_relaxed);
-  l.partial_programs =
-      ledger_->partial_programs.load(std::memory_order_relaxed);
-  return l;
-}
+CostLedger FlashChip::ledger() const noexcept { return ledger_->snapshot(); }
 
 FaultDecision FlashChip::consult_fault(FaultOp op, std::uint32_t block,
                                        std::uint32_t page) {
@@ -94,14 +90,7 @@ FaultDecision FlashChip::consult_fault(FaultOp op, std::uint32_t block,
   return fault_->on_operation(op, block, page);
 }
 
-void FlashChip::reset_ledger() noexcept {
-  ledger_->time_ns.store(0, std::memory_order_relaxed);
-  ledger_->energy_nj.store(0, std::memory_order_relaxed);
-  ledger_->reads.store(0, std::memory_order_relaxed);
-  ledger_->programs.store(0, std::memory_order_relaxed);
-  ledger_->erases.store(0, std::memory_order_relaxed);
-  ledger_->partial_programs.store(0, std::memory_order_relaxed);
-}
+void FlashChip::reset_ledger() noexcept { ledger_->store({}); }
 
 Status FlashChip::check_addr(std::uint32_t block, std::uint32_t page) const {
   if (block >= geom_.blocks || page >= geom_.pages_per_block) {
@@ -110,7 +99,15 @@ Status FlashChip::check_addr(std::uint32_t block, std::uint32_t page) const {
   return Status::ok();
 }
 
-FlashChip::Block& FlashChip::touch(std::uint32_t block) {
+Status FlashChip::check_cells(std::span<const std::uint32_t> cells) const {
+  if (cells.empty() || std::ranges::max(cells) < geom_.cells_per_page) {
+    return Status::ok();
+  }
+  return {ErrorCode::kOutOfBounds, "cell index outside page"};
+}
+
+FlashChip::Block& FlashChip::touch(std::uint32_t block,
+                                   std::uint32_t redrawn) {
   auto& slot = blocks_[block];
   if (!slot) {
     slot = std::make_unique<Block>();
@@ -119,7 +116,7 @@ FlashChip::Block& FlashChip::touch(std::uint32_t block) {
     slot->v.resize(static_cast<std::size_t>(geom_.pages_per_block) *
                    geom_.cells_per_page);
     // A fresh (never-cycled) block sits in the erased state.
-    for (std::uint32_t p = 0; p < geom_.pages_per_block; ++p) {
+    for (std::uint32_t p = redrawn; p < geom_.pages_per_block; ++p) {
       redraw_page_erased(*slot, block, p);
     }
   }
@@ -215,214 +212,238 @@ void FlashChip::redraw_page_erased(Block& blk, std::uint32_t block,
   kernels::erased_fill(key, params, row, 0, geom_.cells_per_page);
 }
 
-// ---- Standard operations ------------------------------------------------------
+// ---- The command path -------------------------------------------------------
 
-Status FlashChip::erase_block(std::uint32_t block) {
-  STASH_RETURN_IF_ERROR(check_addr(block, 0));
-  trace::ScopedSpan span(trace::Stage::kNandErase, trace::Op::kErase,
-                         span_key(block, 0));
+template <typename Pre, typename Body>
+Status FlashChip::run(const Command& cmd, std::uint32_t block,
+                      std::uint32_t page, Pre&& pre, Body&& body) {
+  STASH_RETURN_IF_ERROR(check_addr(block, page));
+  // Span address (block << 32) | page; read-class spans open only once the
+  // command will return data.
+  const std::uint64_t key = (static_cast<std::uint64_t>(block) << 32) | page;
+  const std::uint64_t bytes = cmd.page_bytes ? geom_.cells_per_page / 8 : 0;
+  std::optional<trace::ScopedSpan> span;
+  if (!cmd.aborts) span.emplace(cmd.stage, cmd.op, key, bytes);
   const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
-  if (blk.pec >= geom_.pec_limit * 2) {
-    return {ErrorCode::kWornOut, "block exceeded twice its rated lifetime"};
+  // Preconditions see the block as it stands and reject before the command
+  // consumes a fault op index or allocates anything.
+  if (Status rejected = pre(peek(block)); !rejected.is_ok()) {
+    if (span) span->set_status(static_cast<std::uint8_t>(rejected.code()));
+    return rejected;
   }
   FaultDecision fd;
-  if (fault_) fd = consult_fault(FaultOp::kErase, block, 0);
-  // Even an interrupted erase pulse wears the block.
-  ++blk.pec;
-  ++blk.epoch;  // one epoch per erase; pages share it (keys include page)
-  blk.next_program_page = 0;
-  // An interrupted erase leaves a prefix of wordlines cleanly erased and the
-  // rest untouched (still reading as programmed) — the block is unusable
-  // until a successful erase.
-  const double frac = fd.interrupts() ? std::clamp(fd.completed_fraction, 0.0, 1.0) : 1.0;
-  const auto erased_pages = static_cast<std::uint32_t>(
-      frac * static_cast<double>(geom_.pages_per_block));
-  for (std::uint32_t p = 0; p < geom_.pages_per_block; ++p) {
-    if (fd.interrupts() && p >= erased_pages) continue;
-    blk.state[p] = PageState::kErased;
-    blk.age_hours[p] = 0.0f;
-    redraw_page_erased(blk, block, p);
+  if (fault_) fd = consult_fault(cmd.fault, block, page);
+  Status status = Status::ok();
+  if (fd.power_cut) {
+    status = {ErrorCode::kPowerLoss,
+              std::string("power lost during ") + cmd.noun};
+  } else if (fd.fail) {
+    status = {cmd.fail, std::string(cmd.noun) + " reported status failure"};
   }
-  charge(costs_.erase_us, costs_.erase_uj);
-  span.set_cost_us(costs_.erase_us);
-  span.set_status(static_cast<std::uint8_t>(
-      fd.power_cut ? ErrorCode::kPowerLoss
-      : fd.fail    ? ErrorCode::kEraseFail
-                   : ErrorCode::kOk));
-  ledger_->erases.fetch_add(1, std::memory_order_relaxed);
-  if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during erase"};
-  if (fd.fail) return {ErrorCode::kEraseFail, "erase reported status failure"};
-  return Status::ok();
+  if (cmd.aborts) {
+    if (!status.is_ok()) return status;
+    span.emplace(cmd.stage, cmd.op, key, bytes);
+  }
+  // An interrupted command applies only the completed fraction of its
+  // physical effect (a power cut exactly the scheduled one; 0 = the pulse
+  // never started).
+  const double frac =
+      !fd.interrupts() ? 1.0
+      : fd.power_cut || fd.completed_fraction > 0.0
+          ? std::clamp(fd.completed_fraction, 0.0, 1.0)
+          : cmd.fail_fraction;
+  body(touch(block, cmd.erases ? erased_pages(frac) : 0), frac);
+  const double us = costs_.*cmd.us;
+  charge(us, costs_.*cmd.uj);
+  ledger_->add(cmd.count);
+  span->set_cost_us(us);
+  span->set_status(static_cast<std::uint8_t>(status.code()));
+  return status;
+}
+
+// ---- Standard operations ----------------------------------------------------
+
+Status FlashChip::erase_block(std::uint32_t block) {
+  static constexpr Command kErase{
+      .fault = FaultOp::kErase, .stage = trace::Stage::kNandErase,
+      .op = trace::Op::kErase, .us = &OpCosts::erase_us,
+      .uj = &OpCosts::erase_uj, .count = Field::erases,
+      .fail = ErrorCode::kEraseFail, .noun = "erase", .erases = true};
+  const auto not_worn_out = [&](const Block* blk) -> Status {
+    if (blk && blk->pec >= geom_.pec_limit * 2) {
+      return {ErrorCode::kWornOut, "block exceeded twice its rated lifetime"};
+    }
+    return Status::ok();
+  };
+  return run(kErase, block, 0, not_worn_out, [&](Block& blk, double frac) {
+    // Even an interrupted erase pulse wears the block.
+    ++blk.pec;
+    ++blk.epoch;  // one epoch per erase; pages share it (keys include page)
+    blk.next_program_page = 0;
+    // An interrupted erase leaves a prefix of wordlines cleanly erased and
+    // the rest untouched (still reading as programmed) — the block is
+    // unusable until a successful erase.
+    const std::uint32_t erased = erased_pages(frac);
+    for (std::uint32_t p = 0; p < erased; ++p) {
+      blk.state[p] = PageState::kErased;
+      blk.age_hours[p] = 0.0f;
+      redraw_page_erased(blk, block, p);
+    }
+  });
 }
 
 Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
                                std::span<const std::uint8_t> bits) {
-  STASH_RETURN_IF_ERROR(check_addr(block, page));
-  if (bits.size() != geom_.cells_per_page) {
-    return {ErrorCode::kInvalidArgument, "bit buffer != cells per page"};
-  }
-  trace::ScopedSpan span(trace::Stage::kNandProgram, trace::Op::kWrite,
-                         span_key(block, page), bits.size() / 8);
-  const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
-  if (blk.state[page] != PageState::kErased) {
-    return {ErrorCode::kProgramFail, "page already programmed (no in-place update)"};
-  }
-  if (geom_.enforce_sequential_program && page != blk.next_program_page) {
-    return {ErrorCode::kProgramFail, "pages must be programmed in order"};
-  }
-  FaultDecision fd;
-  if (fault_) fd = consult_fault(FaultOp::kProgram, block, page);
   // A failed program typically aborts mid-ISPP, leaving cells part-way to
-  // target; a power cut applies exactly the scheduled fraction (0 = the
-  // pulse never started).
-  const double frac =
-      !fd.interrupts() ? 1.0
-      : fd.power_cut   ? std::clamp(fd.completed_fraction, 0.0, 1.0)
-      : fd.completed_fraction > 0.0
-          ? std::clamp(fd.completed_fraction, 0.0, 1.0)
-          : 0.5;
-
-  const double wear_k = static_cast<double>(blk.pec) / 1000.0;
-  const double mu = noise_.prog_mu + chip_mu_offset() + block_mu_offset(block) +
-                    page_mu_offset(block, page) +
-                    noise_.prog_wear_shift_per_kpec * wear_k;
-  const double sigma =
-      noise_.prog_cell_sigma + noise_.wear_sigma_per_kpec * wear_k;
-
-  const std::uint32_t cells = geom_.cells_per_page;
-  float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
-  ++blk.epoch;
-  const kernels::DrawKey tkey = kernels::derive_key(
-      seed_, kernels::Op::kProgramTarget, block, page, blk.epoch);
-  Scratch& s = scratch();
-  s.targets.resize(cells);
-  s.weak.resize(cells);
-  // Batch-draw nominal targets for every cell (sub-stream 0), then
-  // overwrite the rare weak cells from sub-stream 1: weak cells program
-  // low, and wear makes them weaker still — the public-data BER growth of
-  // §8.  Drawing all cells and masking afterwards keeps the loop dense;
-  // counter-based draws make the unused targets free of side effects.
-  kernels::normal_row(tkey, mu, sigma, s.targets.data(), 0, cells);
-  kernels::weak_mask(seed_, block, page, noise_.weak_cell_prob, s.weak.data(),
-                     0, cells);
-  for (std::uint32_t c = 0; c < cells; ++c) {
-    if (s.weak[c]) {
-      s.targets[c] = kernels::normal_at(tkey, c, 1,
-                                        noise_.weak_cell_mu - 2.0 * wear_k,
-                                        noise_.weak_cell_sigma);
+  // target: a failure that reports no completed fraction programs halfway.
+  static constexpr Command kProgram{
+      .fault = FaultOp::kProgram, .stage = trace::Stage::kNandProgram,
+      .op = trace::Op::kWrite, .us = &OpCosts::program_us,
+      .uj = &OpCosts::program_uj, .count = Field::programs,
+      .fail = ErrorCode::kProgramFail, .noun = "program",
+      .page_bytes = true, .fail_fraction = 0.5};
+  const auto programmable = [&](const Block* blk) -> Status {
+    if (bits.size() != geom_.cells_per_page) {
+      return {ErrorCode::kInvalidArgument, "bit buffer != cells per page"};
     }
-  }
-  // ISPP apply: never lowers a cell's voltage; an interrupted program only
-  // moves each cell `frac` of the way toward its target.  Data-'1' cells
-  // stay erased.
-  kernels::program_apply(row, s.targets.data(), bits.data(), cells, frac,
-                         kVmax);
-  // The page is consumed even when the program was interrupted: the device
-  // cannot tell how much charge landed, so it may not be reprogrammed
-  // without an erase.
-  blk.state[page] = PageState::kProgrammed;
-  blk.age_hours[page] = 0.0f;
-  blk.next_program_page = std::max(blk.next_program_page, page + 1);
+    if (blk && blk->state[page] != PageState::kErased) {
+      return {ErrorCode::kProgramFail,
+              "page already programmed (no in-place update)"};
+    }
+    if (geom_.enforce_sequential_program &&
+        page != (blk ? blk->next_program_page : 0)) {
+      return {ErrorCode::kProgramFail, "pages must be programmed in order"};
+    }
+    return Status::ok();
+  };
+  return run(kProgram, block, page, programmable, [&](Block& blk, double frac) {
+    const double wear_k = static_cast<double>(blk.pec) / 1000.0;
+    const double mu = noise_.prog_mu + chip_mu_offset() +
+                      block_mu_offset(block) + page_mu_offset(block, page) +
+                      noise_.prog_wear_shift_per_kpec * wear_k;
+    const double sigma =
+        noise_.prog_cell_sigma + noise_.wear_sigma_per_kpec * wear_k;
 
-  disturb_neighbors(blk, block, page, frac);
+    const std::uint32_t cells = geom_.cells_per_page;
+    float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
+    ++blk.epoch;
+    const kernels::DrawKey tkey = kernels::derive_key(
+        seed_, kernels::Op::kProgramTarget, block, page, blk.epoch);
+    Scratch& s = scratch();
+    s.targets.resize(cells);
+    s.weak.resize(cells);
+    // Batch-draw nominal targets for every cell (sub-stream 0), then
+    // overwrite the rare weak cells from sub-stream 1: weak cells program
+    // low, and wear makes them weaker still — the public-data BER growth of
+    // §8.  Drawing all cells and masking afterwards keeps the loop dense;
+    // counter-based draws make the unused targets free of side effects.
+    kernels::normal_row(tkey, mu, sigma, s.targets.data(), 0, cells);
+    kernels::weak_mask(seed_, block, page, noise_.weak_cell_prob,
+                       s.weak.data(), 0, cells);
+    for (std::uint32_t c = 0; c < cells; ++c) {
+      if (s.weak[c]) {
+        s.targets[c] = kernels::normal_at(tkey, c, 1,
+                                          noise_.weak_cell_mu - 2.0 * wear_k,
+                                          noise_.weak_cell_sigma);
+      }
+    }
+    // ISPP apply: never lowers a cell's voltage; an interrupted program only
+    // moves each cell `frac` of the way toward its target.  Data-'1' cells
+    // stay erased.
+    kernels::program_apply(row, s.targets.data(), bits.data(), cells, frac,
+                           kVmax);
+    // The page is consumed even when the program was interrupted: the
+    // device cannot tell how much charge landed, so it may not be
+    // reprogrammed without an erase.
+    blk.state[page] = PageState::kProgrammed;
+    blk.age_hours[page] = 0.0f;
+    blk.next_program_page = std::max(blk.next_program_page, page + 1);
 
-  charge(costs_.program_us, costs_.program_uj);
-  span.set_cost_us(costs_.program_us);
-  span.set_status(static_cast<std::uint8_t>(
-      fd.power_cut ? ErrorCode::kPowerLoss
-      : fd.fail    ? ErrorCode::kProgramFail
-                   : ErrorCode::kOk));
-  ledger_->programs.fetch_add(1, std::memory_order_relaxed);
-  if (fd.power_cut) return {ErrorCode::kPowerLoss, "power lost during program"};
-  if (fd.fail) return {ErrorCode::kProgramFail, "program reported status failure"};
-  return Status::ok();
+    disturb_neighbors(blk, block, page, frac);
+  });
 }
 
 std::vector<std::uint8_t> FlashChip::read_page(std::uint32_t block,
                                                std::uint32_t page,
                                                std::optional<double> vref) {
   std::vector<std::uint8_t> out(geom_.cells_per_page);
-  const std::size_t cells = read_page_into(block, page, out, vref);
-  if (cells == 0) return {};
+  if (read_page_into(block, page, out, vref) == 0) return {};
   return out;
 }
 
 std::size_t FlashChip::read_page_into(std::uint32_t block, std::uint32_t page,
                                       std::span<std::uint8_t> out,
                                       std::optional<double> vref_opt) {
-  if (!check_addr(block, page).is_ok()) return 0;
-  if (out.size() < geom_.cells_per_page) return 0;
-  if (fault_ && consult_fault(FaultOp::kRead, block, page).interrupts()) {
-    return 0;
-  }
-  const double vref = vref_opt.value_or(noise_.public_read_vref);
-  trace::ScopedSpan span(trace::Stage::kNandRead, trace::Op::kRead,
-                         span_key(block, page), geom_.cells_per_page / 8);
-  span.set_cost_us(costs_.read_us);
-  const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
+  static constexpr Command kRead{
+      .fault = FaultOp::kRead, .stage = trace::Stage::kNandRead,
+      .op = trace::Op::kRead, .us = &OpCosts::read_us,
+      .uj = &OpCosts::read_uj, .count = Field::reads,
+      .fail = ErrorCode::kUncorrectable, .noun = "read",
+      .page_bytes = true, .aborts = true};
   const std::uint32_t cells = geom_.cells_per_page;
-  const float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
-  kernels::threshold_row(row, vref, out.data(), cells);
-
-  // Read disturb: a handful of erased-level cells gain a whisker of charge.
-  // Event count, victim cells, and magnitudes are all counter-based draws
-  // (cell index = event index), so reads stay deterministic under the same
-  // contract as every other op.
-  ++blk.epoch;
-  const kernels::DrawKey rkey = kernels::derive_key(
-      seed_, kernels::Op::kReadDisturb, block, page, blk.epoch);
-  const double expected =
-      noise_.read_disturb_prob * static_cast<double>(cells);
-  auto events = static_cast<std::uint32_t>(expected);
-  if (kernels::uniform_at(rkey, 0, 2) < expected - std::floor(expected)) {
-    ++events;
-  }
-  float* mrow = blk.v.data() + static_cast<std::size_t>(page) * cells;
-  for (std::uint32_t i = 0; i < events; ++i) {
-    const auto c = static_cast<std::uint32_t>(
-        kernels::bounded(kernels::u64_at(rkey, i, 0), cells));
-    if (mrow[c] < 90.0f) {
-      mrow[c] = static_cast<float>(std::clamp(
-          mrow[c] + std::max(0.0, kernels::normal_at(
-                                      rkey, i, 1, noise_.read_disturb_mu,
-                                      noise_.read_disturb_sigma)),
-          0.0, kVmax));
+  const double vref = vref_opt.value_or(noise_.public_read_vref);
+  const auto fits = [&](const Block*) -> Status {
+    if (out.size() < cells) {
+      return {ErrorCode::kInvalidArgument, "read buffer smaller than a page"};
     }
-  }
+    return Status::ok();
+  };
+  const Status status = run(kRead, block, page, fits, [&](Block& blk, double) {
+    float* row = blk.v.data() + static_cast<std::size_t>(page) * cells;
+    kernels::threshold_row(row, vref, out.data(), cells);
 
-  charge(costs_.read_us, costs_.read_uj);
-  ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  if (fault_) {
-    const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
-    fault_->corrupt_read(block, page, {out.data(), cells}, vref);
-  }
-  return cells;
+    // Read disturb: a handful of erased-level cells gain a whisker of
+    // charge.  Event count, victim cells, and magnitudes are all
+    // counter-based draws (cell index = event index), so reads stay
+    // deterministic under the same contract as every other op.
+    ++blk.epoch;
+    const kernels::DrawKey rkey = kernels::derive_key(
+        seed_, kernels::Op::kReadDisturb, block, page, blk.epoch);
+    const double expected =
+        noise_.read_disturb_prob * static_cast<double>(cells);
+    auto events = static_cast<std::uint32_t>(expected);
+    if (kernels::uniform_at(rkey, 0, 2) < expected - std::floor(expected)) {
+      ++events;
+    }
+    for (std::uint32_t i = 0; i < events; ++i) {
+      const auto c = static_cast<std::uint32_t>(
+          kernels::bounded(kernels::u64_at(rkey, i, 0), cells));
+      if (row[c] < 90.0f) {
+        row[c] = static_cast<float>(std::clamp(
+            row[c] + std::max(0.0, kernels::normal_at(
+                                       rkey, i, 1, noise_.read_disturb_mu,
+                                       noise_.read_disturb_sigma)),
+            0.0, kVmax));
+      }
+    }
+    if (fault_) {
+      const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
+      fault_->corrupt_read(block, page, {out.data(), cells}, vref);
+    }
+  });
+  return status.is_ok() ? cells : 0;
 }
 
 std::vector<int> FlashChip::probe_voltages(std::uint32_t block,
                                            std::uint32_t page) {
-  if (!check_addr(block, page).is_ok()) return {};
-  if (fault_ && consult_fault(FaultOp::kRead, block, page).interrupts()) {
-    return {};
-  }
-  std::vector<int> out(geom_.cells_per_page);
-  trace::ScopedSpan span(trace::Stage::kNandProbe, trace::Op::kProbe,
-                         span_key(block, page));
-  span.set_cost_us(costs_.read_us);
-  const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
-  const float* row =
-      blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
-  kernels::quantize_row(row, out.data(), geom_.cells_per_page);
-  charge(costs_.read_us, costs_.read_uj);
-  ledger_->reads.fetch_add(1, std::memory_order_relaxed);
-  if (fault_) {
-    const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
-    fault_->corrupt_probe(block, page, {out.data(), out.size()});
-  }
+  static constexpr Command kProbe{
+      .fault = FaultOp::kRead, .stage = trace::Stage::kNandProbe,
+      .op = trace::Op::kProbe, .us = &OpCosts::read_us,
+      .uj = &OpCosts::read_uj, .count = Field::reads,
+      .fail = ErrorCode::kUncorrectable, .noun = "probe", .aborts = true};
+  std::vector<int> out;
+  const auto probe = [&](Block& blk, double) {
+    out.resize(geom_.cells_per_page);
+    kernels::quantize_row(
+        blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page,
+        out.data(), geom_.cells_per_page);
+    if (fault_) {
+      const std::lock_guard<std::mutex> fault_guard(locks_[kLockStripes]);
+      fault_->corrupt_probe(block, page, {out.data(), out.size()});
+    }
+  };
+  const auto any = [](const Block*) { return Status::ok(); };
+  if (!run(kProbe, block, page, any, probe).is_ok()) return {};
   return out;
 }
 
@@ -431,127 +452,91 @@ std::vector<int> FlashChip::probe_voltages(std::uint32_t block,
 Status FlashChip::partial_program(std::uint32_t block, std::uint32_t page,
                                   std::span<const std::uint32_t> cells,
                                   double step_scale) {
-  STASH_RETURN_IF_ERROR(check_addr(block, page));
-  if (step_scale <= 0.0) {
-    return {ErrorCode::kInvalidArgument, "step_scale must be positive"};
-  }
-  trace::ScopedSpan span(trace::Stage::kNandPartialProgram, trace::Op::kWrite,
-                         span_key(block, page));
-  FaultDecision fd;
-  if (fault_) fd = consult_fault(FaultOp::kPartialProgram, block, page);
-  const double frac =
-      fd.interrupts() ? std::clamp(fd.completed_fraction, 0.0, 1.0) : 1.0;
-  const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
-  ++blk.epoch;
-  const kernels::DrawKey key = kernels::derive_key(
-      seed_, kernels::Op::kPartialStep, block, page, blk.epoch);
-  float* row =
-      blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
-  for (std::uint32_t c : cells) {
-    if (c >= geom_.cells_per_page) {
-      return {ErrorCode::kOutOfBounds, "cell index outside page"};
+  static constexpr Command kPartialProgram{
+      .fault = FaultOp::kPartialProgram,
+      .stage = trace::Stage::kNandPartialProgram, .op = trace::Op::kWrite,
+      .us = &OpCosts::partial_program_us, .uj = &OpCosts::partial_program_uj,
+      .count = Field::partial_programs, .fail = ErrorCode::kProgramFail,
+      .noun = "partial program"};
+  const auto valid = [&](const Block*) -> Status {
+    if (step_scale <= 0.0) {
+      return {ErrorCode::kInvalidArgument, "step_scale must be positive"};
     }
-    const double speed = effective_speed(block, page, c);
-    // A truncated step deposits only `frac` of its charge.  The increment
-    // is keyed on the cell index, so the cell list's order (or chunking
-    // across threads) cannot change any cell's draw.
-    const double inc =
-        frac * std::max(0.0, kernels::normal_at(
-                                 key, c, 0,
-                                 noise_.pp_step_mu * speed * step_scale,
-                                 noise_.pp_step_sigma * step_scale));
-    row[c] = static_cast<float>(std::clamp(row[c] + inc, 0.0, kVmax));
-  }
-  // An aborted program still stresses neighbouring wordlines, just far
-  // less than a full program pass (the charge pump aborts early).
-  disturb_neighbors(blk, block, page, 0.02 * frac);
-
-  charge(costs_.partial_program_us, costs_.partial_program_uj);
-  span.set_cost_us(costs_.partial_program_us);
-  span.set_status(static_cast<std::uint8_t>(
-      fd.power_cut ? ErrorCode::kPowerLoss
-      : fd.fail    ? ErrorCode::kProgramFail
-                   : ErrorCode::kOk));
-  ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  if (fd.power_cut) {
-    return {ErrorCode::kPowerLoss, "power lost during partial program"};
-  }
-  if (fd.fail) {
-    return {ErrorCode::kProgramFail, "partial program reported status failure"};
-  }
-  return Status::ok();
+    return check_cells(cells);
+  };
+  return run(kPartialProgram, block, page, valid, [&](Block& blk, double frac) {
+    ++blk.epoch;
+    const kernels::DrawKey key = kernels::derive_key(
+        seed_, kernels::Op::kPartialStep, block, page, blk.epoch);
+    float* row =
+        blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
+    for (std::uint32_t c : cells) {
+      const double speed = effective_speed(block, page, c);
+      // A truncated step deposits only `frac` of its charge.  The increment
+      // is keyed on the cell index, so the cell list's order (or chunking
+      // across threads) cannot change any cell's draw.
+      const double inc =
+          frac * std::max(0.0, kernels::normal_at(
+                                   key, c, 0,
+                                   noise_.pp_step_mu * speed * step_scale,
+                                   noise_.pp_step_sigma * step_scale));
+      row[c] = static_cast<float>(std::clamp(row[c] + inc, 0.0, kVmax));
+    }
+    // An aborted program still stresses neighbouring wordlines, just far
+    // less than a full program pass (the charge pump aborts early).
+    disturb_neighbors(blk, block, page, 0.02 * frac);
+  });
 }
 
 Status FlashChip::fine_program(std::uint32_t block, std::uint32_t page,
                                std::span<const std::uint32_t> cells,
                                double target_mu, double target_sigma,
                                double target_tail) {
-  STASH_RETURN_IF_ERROR(check_addr(block, page));
-  trace::ScopedSpan span(trace::Stage::kNandFineProgram, trace::Op::kWrite,
-                         span_key(block, page));
-  FaultDecision fd;
-  if (fault_) fd = consult_fault(FaultOp::kFineProgram, block, page);
-  const double frac =
-      fd.interrupts() ? std::clamp(fd.completed_fraction, 0.0, 1.0) : 1.0;
-  const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
-  ++blk.epoch;
-  const kernels::DrawKey key = kernels::derive_key(
-      seed_, kernels::Op::kFineTarget, block, page, blk.epoch);
-  float* row =
-      blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
-  for (std::uint32_t c : cells) {
-    if (c >= geom_.cells_per_page) {
-      return {ErrorCode::kOutOfBounds, "cell index outside page"};
+  static constexpr Command kFineProgram{
+      .fault = FaultOp::kFineProgram, .stage = trace::Stage::kNandFineProgram,
+      .op = trace::Op::kWrite, .us = &OpCosts::partial_program_us,
+      .uj = &OpCosts::partial_program_uj, .count = Field::partial_programs,
+      .fail = ErrorCode::kProgramFail, .noun = "fine program"};
+  const auto valid = [&](const Block*) { return check_cells(cells); };
+  return run(kFineProgram, block, page, valid, [&](Block& blk, double frac) {
+    ++blk.epoch;
+    const kernels::DrawKey key = kernels::derive_key(
+        seed_, kernels::Op::kFineTarget, block, page, blk.epoch);
+    float* row =
+        blk.v.data() + static_cast<std::size_t>(page) * geom_.cells_per_page;
+    for (std::uint32_t c : cells) {
+      double target = kernels::normal_at(key, c, 0, target_mu, target_sigma);
+      if (target_tail > 0.0) {
+        target += kernels::exponential_at(key, c, 1, target_tail);
+      }
+      // The precise pass never drives an erased-level cell anywhere near
+      // the read window — cap at the erased-state ceiling (cf.
+      // redraw_page_erased) so hidden cells remain cleanly inside the
+      // non-programmed band.
+      target = std::min(target, 80.0);
+      const double full = std::clamp(
+          std::max(static_cast<double>(row[c]), target), 0.0, kVmax);
+      row[c] = static_cast<float>(row[c] + (full - row[c]) * frac);
     }
-    double target = kernels::normal_at(key, c, 0, target_mu, target_sigma);
-    if (target_tail > 0.0) {
-      target += kernels::exponential_at(key, c, 1, target_tail);
-    }
-    // The precise pass never drives an erased-level cell anywhere near the
-    // read window — cap at the erased-state ceiling (cf. redraw_page_erased)
-    // so hidden cells remain cleanly inside the non-programmed band.
-    target = std::min(target, 80.0);
-    const double full =
-        std::clamp(std::max(static_cast<double>(row[c]), target), 0.0, kVmax);
-    row[c] = static_cast<float>(row[c] + (full - row[c]) * frac);
-  }
-  disturb_neighbors(blk, block, page, 0.01 * frac);
-
-  charge(costs_.partial_program_us, costs_.partial_program_uj);
-  span.set_cost_us(costs_.partial_program_us);
-  span.set_status(static_cast<std::uint8_t>(
-      fd.power_cut ? ErrorCode::kPowerLoss
-      : fd.fail    ? ErrorCode::kProgramFail
-                   : ErrorCode::kOk));
-  ledger_->partial_programs.fetch_add(1, std::memory_order_relaxed);
-  if (fd.power_cut) {
-    return {ErrorCode::kPowerLoss, "power lost during fine program"};
-  }
-  if (fd.fail) {
-    return {ErrorCode::kProgramFail, "fine program reported status failure"};
-  }
-  return Status::ok();
+    disturb_neighbors(blk, block, page, 0.01 * frac);
+  });
 }
 
 Status FlashChip::stress_cells(std::uint32_t block, std::uint32_t page,
                                std::span<const std::uint32_t> cells,
                                std::uint32_t cycles) {
   STASH_RETURN_IF_ERROR(check_addr(block, page));
+  STASH_RETURN_IF_ERROR(check_cells(cells));
   const std::lock_guard<std::mutex> lock(block_lock(block));
   Block& blk = touch(block);
   for (std::uint32_t c : cells) {
-    if (c >= geom_.cells_per_page) {
-      return {ErrorCode::kOutOfBounds, "cell index outside page"};
-    }
     const std::uint64_t key =
         static_cast<std::uint64_t>(page) * geom_.cells_per_page + c;
     blk.stress[key] += static_cast<float>(cycles);
   }
   // Ledger: PT-HI pays one program per stress cycle on this page.
   charge(costs_.program_us * cycles, costs_.program_uj * cycles);
-  ledger_->programs.fetch_add(cycles, std::memory_order_relaxed);
+  ledger_->add(Field::programs, cycles);
   return Status::ok();
 }
 
@@ -610,12 +595,12 @@ Status FlashChip::age_cycles(std::uint32_t block, std::uint32_t n,
                              bool charge_ledger) {
   STASH_RETURN_IF_ERROR(check_addr(block, 0));
   const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block);
+  Block& blk = touch(block, geom_.pages_per_block);
   blk.pec += n;
   ++blk.epoch;  // one epoch for the whole fast-forward redraw
   if (charge_ledger) {
     charge(costs_.erase_us * n, costs_.erase_uj * n);
-    ledger_->erases.fetch_add(n, std::memory_order_relaxed);
+    ledger_->add(Field::erases, n);
   }
   // Equivalent end state of n random-data cycles: block left erased.
   blk.next_program_page = 0;
@@ -819,25 +804,21 @@ Status FlashChip::deserialize_block(std::uint32_t block,
 
 void FlashChip::serialize_meta(std::vector<std::uint8_t>& out) const {
   util::ByteWriter w(out);
-  w.u64(ledger_->time_ns.load(std::memory_order_relaxed));
-  w.u64(ledger_->energy_nj.load(std::memory_order_relaxed));
-  w.u64(ledger_->reads.load(std::memory_order_relaxed));
-  w.u64(ledger_->programs.load(std::memory_order_relaxed));
-  w.u64(ledger_->erases.load(std::memory_order_relaxed));
-  w.u64(ledger_->partial_programs.load(std::memory_order_relaxed));
+  const CostLedger ledger = ledger_->snapshot();
+  CostLedger::for_each(ledger,
+                       [&](std::string_view, std::uint64_t v) { w.u64(v); });
 }
 
 Status FlashChip::deserialize_meta(std::span<const std::uint8_t> bytes) {
   util::ByteReader r(bytes);
-  std::uint64_t v[6] = {};
-  for (auto& field : v) STASH_RETURN_IF_ERROR(r.u64(field));
+  CostLedger ledger;
+  Status status = Status::ok();
+  CostLedger::for_each(ledger, [&](std::string_view, std::uint64_t& v) {
+    if (status.is_ok()) status = r.u64(v);
+  });
+  STASH_RETURN_IF_ERROR(status);
   STASH_RETURN_IF_ERROR(r.expect_exhausted());
-  ledger_->time_ns.store(v[0], std::memory_order_relaxed);
-  ledger_->energy_nj.store(v[1], std::memory_order_relaxed);
-  ledger_->reads.store(v[2], std::memory_order_relaxed);
-  ledger_->programs.store(v[3], std::memory_order_relaxed);
-  ledger_->erases.store(v[4], std::memory_order_relaxed);
-  ledger_->partial_programs.store(v[5], std::memory_order_relaxed);
+  ledger_->store(ledger);
   return Status::ok();
 }
 

@@ -23,6 +23,7 @@
 #include "stash/crypto/drbg.hpp"
 #include "stash/ftl/ftl.hpp"
 #include "stash/nand/chip.hpp"
+#include "stash/telemetry/counter_table.hpp"
 #include "stash/util/status.hpp"
 #include "stash/vthi/codec.hpp"
 
@@ -31,13 +32,15 @@ namespace stash::stego {
 using util::Result;
 using util::Status;
 
+/// The volume's counters, in snapshot byte order: hidden chunks lifted out
+/// of GC victims, re-embedded into new blocks, that could not be re-homed,
+/// and embeds whose read-back verification failed (worn carrier rejected;
+/// the chunk was retried elsewhere or kept pending, never lost).
+#define STASH_STEGO_COUNTERS(X) \
+  X(rescues) X(reembeds) X(lost_chunks) X(failed_embeds)
+
 struct StegoStats {
-  std::uint64_t rescues = 0;      // hidden chunks lifted out of GC victims
-  std::uint64_t reembeds = 0;     // chunks re-embedded into new blocks
-  std::uint64_t lost_chunks = 0;  // chunks that could not be re-homed
-  /// Embeds whose read-back verification failed (worn carrier rejected);
-  /// the chunk was retried elsewhere or kept pending, never lost.
-  std::uint64_t failed_embeds = 0;
+  STASH_COUNTER_FIELDS("stego", STASH_STEGO_COUNTERS)
 };
 
 /// Aggregate configuration of one steganographic volume: the public FTL's

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string_view>
 
 #include "stash/util/wire.hpp"
 
@@ -321,10 +322,8 @@ void StegoVolume::serialize_state(std::vector<std::uint8_t>& out) const {
     w.u16(chunk.total);
     w.blob(chunk.data);
   }
-  w.u64(stats_.rescues);
-  w.u64(stats_.reembeds);
-  w.u64(stats_.lost_chunks);
-  w.u64(stats_.failed_embeds);
+  StegoStats::for_each(stats_,
+                       [&](std::string_view, std::uint64_t v) { w.u64(v); });
 }
 
 Status StegoVolume::deserialize_state(std::span<const std::uint8_t> bytes) {
@@ -363,10 +362,11 @@ Status StegoVolume::deserialize_state(std::span<const std::uint8_t> bytes) {
     STASH_RETURN_IF_ERROR(r.blob(chunk.data));
   }
   StegoStats stats;
-  STASH_RETURN_IF_ERROR(r.u64(stats.rescues));
-  STASH_RETURN_IF_ERROR(r.u64(stats.reembeds));
-  STASH_RETURN_IF_ERROR(r.u64(stats.lost_chunks));
-  STASH_RETURN_IF_ERROR(r.u64(stats.failed_embeds));
+  Status status = Status::ok();
+  StegoStats::for_each(stats, [&](std::string_view, std::uint64_t& v) {
+    if (status.is_ok()) status = r.u64(v);
+  });
+  STASH_RETURN_IF_ERROR(status);
   STASH_RETURN_IF_ERROR(r.expect_exhausted());
 
   hidden_blocks_ = std::move(blocks);

@@ -13,12 +13,16 @@
 //
 // which declares one std::uint64_t field per counter, the Field index enum,
 // the names in list order (kNames), and for_each(), the walk every derived
-// view uses: snapshot(), append_counters_json(), and the stash::net stats
-// payload.  CounterTable<Stats> is the per-instance storage: add(Field) is
-// one relaxed atomic add on the instance, and snapshot() copies the counts
-// into a Stats value.  These per-instance tables are the stack's only event
-// counts; nothing is mirrored process-wide.  Adding a counter is therefore
-// one list entry plus its add() site.
+// view uses: snapshot(), append_counters_json(), the stash::net stats
+// payload, and the snapshot encoders of FlashChip's CostLedger and
+// StegoStats (list order is their byte order).  for_each can zip further
+// structs of the same list, which is how StashDevice sums its chips'
+// ledgers.  CounterTable<Stats> is the per-instance storage: add(Field) is
+// one relaxed atomic add on the instance, snapshot() copies the counts into
+// a Stats value, and store() writes one back (restore, reset).  These
+// per-instance tables are the stack's only event counts; nothing is
+// mirrored process-wide.  Adding a counter is therefore one list entry plus
+// its add() site.
 
 #include <array>
 #include <atomic>
@@ -30,19 +34,21 @@
 #define STASH_COUNTER_FIELD_(name) std::uint64_t name = 0;
 #define STASH_COUNTER_ENUM_(name) name,
 #define STASH_COUNTER_NAME_(name) std::string_view{#name},
-#define STASH_COUNTER_VISIT_(name) fn(std::string_view{#name}, self.name);
+#define STASH_COUNTER_VISIT_(name) \
+  fn(std::string_view{#name}, self.name, others.name...);
 
 /// Expands, inside a stats struct, to the fields and schema of the counter
 /// list `LIST` of layer `layer` (see the header comment).
-#define STASH_COUNTER_FIELDS(layer, LIST)                          \
-  LIST(STASH_COUNTER_FIELD_)                                       \
-  enum class Field : std::size_t { LIST(STASH_COUNTER_ENUM_) };    \
-  static constexpr std::string_view kLayer = layer;                \
-  static constexpr std::array kNames{LIST(STASH_COUNTER_NAME_)};   \
-  /* Calls fn(name, field) for every counter, in list order. */    \
-  template <typename Self, typename Fn>                            \
-  static void for_each(Self& self, Fn&& fn) {                      \
-    LIST(STASH_COUNTER_VISIT_)                                     \
+#define STASH_COUNTER_FIELDS(layer, LIST)                             \
+  LIST(STASH_COUNTER_FIELD_)                                          \
+  enum class Field : std::size_t { LIST(STASH_COUNTER_ENUM_) };       \
+  static constexpr std::string_view kLayer = layer;                   \
+  static constexpr std::array kNames{LIST(STASH_COUNTER_NAME_)};      \
+  /* Calls fn(name, field, others.field...) for every counter, in     \
+     list order. */                                                   \
+  template <typename Self, typename Fn, typename... Others>           \
+  static void for_each(Self& self, Fn&& fn, const Others&... others) { \
+    LIST(STASH_COUNTER_VISIT_)                                        \
   }
 
 namespace stash::telemetry {
@@ -66,6 +72,14 @@ class CounterTable {
       v = counts_[i++].load(std::memory_order_relaxed);
     });
     return s;
+  }
+
+  /// Overwrite every count with `stats`'s (snapshot restore, reset).
+  void store(const Stats& stats) noexcept {
+    std::size_t i = 0;
+    Stats::for_each(stats, [&](std::string_view, std::uint64_t v) {
+      counts_[i++].store(v, std::memory_order_relaxed);
+    });
   }
 
  private:

@@ -9,8 +9,11 @@
 // few relaxed atomic adds.
 //
 // Event counts are not kept here: every layer counts its own events per
-// instance (DeviceStats, FtlStats, NetStats via CounterTable in
-// counter_table.hpp; FlashChip's CostLedger; StegoStats; FaultStats).
+// instance, named once in a STASH_COUNTER_FIELDS list (counter_table.hpp):
+// DeviceStats, FtlStats, NetStats and FlashChip's CostLedger live in a
+// CounterTable, StegoStats is a plain struct its volume snapshots.
+// FaultStats stays a plain struct with no list: FaultPlan updates it under
+// the chip's fault lock, and nothing serializes or enumerates it.
 
 #include <atomic>
 #include <cstdint>

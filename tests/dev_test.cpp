@@ -535,8 +535,8 @@ TEST(DevDeterminism, ThreadCountNeverChangesResultsOrCosts) {
   EXPECT_EQ(serial_ledger.reads, parallel_ledger.reads);
   EXPECT_EQ(serial_ledger.programs, parallel_ledger.programs);
   EXPECT_EQ(serial_ledger.erases, parallel_ledger.erases);
-  EXPECT_EQ(serial_ledger.time_us, parallel_ledger.time_us);
-  EXPECT_EQ(serial_ledger.energy_uj, parallel_ledger.energy_uj);
+  EXPECT_EQ(serial_ledger.time_us(), parallel_ledger.time_us());
+  EXPECT_EQ(serial_ledger.energy_uj(), parallel_ledger.energy_uj());
 }
 
 // Every device digest hangs off this derivation: chip i is seeded from

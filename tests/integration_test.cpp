@@ -137,11 +137,11 @@ TEST(Integration, VthiBeatsPthiOnEncodeAndDecodeCosts) {
   std::vector<std::uint8_t> payload(vthi_codec.capacity_bytes(), 0x55);
   chip.reset_ledger();
   ASSERT_TRUE(vthi_codec.hide(0, payload).is_ok());
-  const double vthi_encode_us = chip.ledger().time_us;
-  const double vthi_encode_uj = chip.ledger().energy_uj;
+  const double vthi_encode_us = chip.ledger().time_us();
+  const double vthi_encode_uj = chip.ledger().energy_uj();
   chip.reset_ledger();
   ASSERT_TRUE(vthi_codec.reveal(0).is_ok());
-  const double vthi_decode_us = chip.ledger().time_us;
+  const double vthi_decode_us = chip.ledger().time_us();
 
   // PT-HI: encode + decode the same number of payload bits.
   pthi::PthiCodec pthi_codec(chip, key);
@@ -151,11 +151,11 @@ TEST(Integration, VthiBeatsPthiOnEncodeAndDecodeCosts) {
       1);
   chip.reset_ledger();
   ASSERT_TRUE(pthi_codec.encode_block(1, bits).is_ok());
-  const double pthi_encode_us = chip.ledger().time_us;
-  const double pthi_encode_uj = chip.ledger().energy_uj;
+  const double pthi_encode_us = chip.ledger().time_us();
+  const double pthi_encode_uj = chip.ledger().energy_uj();
   chip.reset_ledger();
   ASSERT_TRUE(pthi_codec.decode_block(1, bits.size()).is_ok());
-  const double pthi_decode_us = chip.ledger().time_us;
+  const double pthi_decode_us = chip.ledger().time_us();
 
   // Paper's headline ratios: 24x encode, 50x decode, 37x energy.  The
   // simulator need not match exactly, but VT-HI must win by an order of

@@ -184,11 +184,11 @@ TEST(Determinism, SerialChangesEverything) {
 TEST(Costs, TimeAndEnergyAreAdditiveAndResettable) {
   FlashChip chip(prop_geometry(), NoiseModel::vendor_a(), 412);
   (void)chip.read_page(0, 0);
-  const double t1 = chip.ledger().time_us;
+  const double t1 = chip.ledger().time_us();
   (void)chip.read_page(0, 0);
-  EXPECT_DOUBLE_EQ(chip.ledger().time_us, 2 * t1);
+  EXPECT_DOUBLE_EQ(chip.ledger().time_us(), 2 * t1);
   chip.reset_ledger();
-  EXPECT_DOUBLE_EQ(chip.ledger().time_us, 0.0);
+  EXPECT_DOUBLE_EQ(chip.ledger().time_us(), 0.0);
   EXPECT_EQ(chip.ledger().reads, 0u);
 }
 
@@ -209,7 +209,7 @@ TEST(Costs, FailedOpsDoNotChargeProgramCosts) {
   std::vector<std::uint8_t> wrong_size(3, 1);
   (void)chip.program_page(0, 0, wrong_size);
   EXPECT_EQ(chip.ledger().programs, 0u);
-  EXPECT_DOUBLE_EQ(chip.ledger().time_us, 0.0);
+  EXPECT_DOUBLE_EQ(chip.ledger().time_us(), 0.0);
 }
 
 // ---------------- Cross-model properties ----------------

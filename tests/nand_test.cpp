@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <string_view>
 
+#include "stash/fault/plan.hpp"
 #include "stash/nand/chip.hpp"
+#include "stash/trace/trace.hpp"
 #include "stash/util/stats.hpp"
 
 namespace stash::nand {
@@ -22,6 +28,15 @@ std::vector<std::uint8_t> random_bits(std::uint32_t n, std::uint64_t seed) {
 
 FlashChip make_chip(std::uint64_t seed = 1) {
   return FlashChip(Geometry::tiny(), NoiseModel::vendor_a(), seed);
+}
+
+void expect_same_ledger(const CostLedger& actual, const CostLedger& expected) {
+  CostLedger::for_each(
+      actual,
+      [](std::string_view name, std::uint64_t a, std::uint64_t e) {
+        EXPECT_EQ(a, e) << name;
+      },
+      expected);
 }
 
 TEST(Geometry, PresetsAreSane) {
@@ -122,10 +137,29 @@ TEST(FlashChip, PartialProgramOnlyIncreasesVoltage) {
   }
 }
 
+// A cell list with one index past the page is rejected whole, by all three
+// cell-list ops: no cell moves, no fault op index is consumed, nothing is
+// charged or counted.
 TEST(FlashChip, PartialProgramRejectsBadCell) {
   auto chip = make_chip();
-  const std::vector<std::uint32_t> cells = {chip.geometry().cells_per_page};
-  EXPECT_EQ(chip.partial_program(0, 0, cells).code(), ErrorCode::kOutOfBounds);
+  fault::FaultPlan plan(1);
+  chip.set_fault_injector(&plan);
+  const std::vector<std::uint32_t> one = {5};
+  ASSERT_TRUE(chip.partial_program(0, 0, one).is_ok());
+  const std::vector<std::uint32_t> mixed = {0, chip.geometry().cells_per_page};
+  const std::uint64_t digest = chip.state_digest();
+  const CostLedger ledger = chip.ledger();
+  const std::uint64_t ops = plan.stats().ops_seen;
+
+  EXPECT_EQ(chip.partial_program(0, 0, mixed).code(), ErrorCode::kOutOfBounds);
+  EXPECT_EQ(chip.fine_program(0, 0, mixed, 60.0, 1.0).code(),
+            ErrorCode::kOutOfBounds);
+  EXPECT_EQ(chip.stress_cells(0, 0, mixed, 1000).code(),
+            ErrorCode::kOutOfBounds);
+  EXPECT_EQ(chip.state_digest(), digest);
+  expect_same_ledger(chip.ledger(), ledger);
+  EXPECT_EQ(plan.stats().ops_seen, ops);
+  chip.set_fault_injector(nullptr);
 }
 
 TEST(FlashChip, FineProgramHitsTargetWindow) {
@@ -189,8 +223,8 @@ TEST(FlashChip, ReadPageAndReadPageIntoAgreeAtAnyReference) {
   const CostLedger lb = b.ledger();
   EXPECT_EQ(la.reads, 2u);
   EXPECT_EQ(la.reads, lb.reads);
-  EXPECT_EQ(la.time_us, lb.time_us);
-  EXPECT_EQ(la.energy_uj, lb.energy_uj);
+  EXPECT_EQ(la.time_us(), lb.time_us());
+  EXPECT_EQ(la.energy_uj(), lb.energy_uj());
   EXPECT_EQ(a.state_digest(), b.state_digest());
 }
 
@@ -321,10 +355,10 @@ TEST(FlashChip, LedgerAccountsOperations) {
   EXPECT_EQ(ledger.partial_programs, 1u);
   EXPECT_EQ(ledger.erases, 1u);
   const auto& costs = chip.costs();
-  EXPECT_DOUBLE_EQ(ledger.time_us, costs.program_us + 2 * costs.read_us +
+  EXPECT_DOUBLE_EQ(ledger.time_us(), costs.program_us + 2 * costs.read_us +
                                        costs.partial_program_us +
                                        costs.erase_us);
-  EXPECT_DOUBLE_EQ(ledger.energy_uj, costs.program_uj + 2 * costs.read_uj +
+  EXPECT_DOUBLE_EQ(ledger.energy_uj(), costs.program_uj + 2 * costs.read_uj +
                                          costs.partial_program_uj +
                                          costs.erase_uj);
 }
@@ -351,6 +385,45 @@ TEST(FlashChip, ProgramBlockRandomFillsEveryPage) {
   }
 }
 
+/// The exact voltages of one page, cut out of the block's canonical
+/// serialization (pec, cursor, epoch, page states, page ages, voltages...).
+std::vector<float> page_voltages(const FlashChip& chip, std::uint32_t block,
+                                 std::uint32_t page) {
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(chip.serialize_block(block, bytes).is_ok());
+  const Geometry& g = chip.geometry();
+  const std::size_t offset = 16 + 5 * std::size_t{g.pages_per_block} +
+                             4 * std::size_t{page} * g.cells_per_page;
+  std::vector<float> v(g.cells_per_page);
+  std::memcpy(v.data(), bytes.data() + offset, v.size() * sizeof(float));
+  return v;
+}
+
+// The first erase of a never-used block fills each page once: the pages it
+// reaches are drawn by the erase, the rest keep the fresh block's epoch-0
+// state — the voltages a twin chip's untouched block holds.
+TEST(FlashChip, InterruptedFirstEraseLeavesUnreachedPagesFresh) {
+  auto cut = make_chip(18);
+  auto twin = make_chip(18);
+  fault::FaultPlan plan(1);
+  plan.power_cut_at(0, 0.25);
+  cut.set_fault_injector(&plan);
+  ASSERT_EQ(cut.erase_block(3).code(), ErrorCode::kPowerLoss);
+  cut.set_fault_injector(nullptr);
+  (void)twin.probe_voltages(3, 0);  // allocates the block, moves nothing
+
+  const std::uint32_t pages = cut.geometry().pages_per_block;
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    if (p < pages / 4) {
+      EXPECT_NE(page_voltages(cut, 3, p), page_voltages(twin, 3, p))
+          << "page " << p << " was reached";
+    } else {
+      EXPECT_EQ(page_voltages(cut, 3, p), page_voltages(twin, 3, p))
+          << "page " << p << " was not reached";
+    }
+  }
+}
+
 TEST(FlashChip, WornOutBlockRefusesErase) {
   Geometry geom = Geometry::tiny();
   geom.pec_limit = 3;
@@ -368,6 +441,228 @@ TEST(FlashChip, HistogramCoversAllCells) {
                               chip.geometry().cells_per_page);
   const auto page_hist = chip.page_voltage_histogram(0, 0);
   EXPECT_EQ(page_hist.total(), chip.geometry().cells_per_page);
+}
+
+
+// ---- One contract for the six commands --------------------------------------
+//
+// Every NAND command runs the same path: preconditions first, then one fault
+// op index, one cost, one ledger count and one trace span.  Each case below
+// issues its command in an accepted form and in a form its preconditions
+// reject.
+
+struct NandCommand {
+  const char* name;
+  trace::Stage stage;
+  std::uint64_t CostLedger::*count;
+  double OpCosts::*us;
+  double OpCosts::*uj;
+  /// Status of an injected failure that is not a power cut.
+  ErrorCode fail;
+  /// Read class: returns data rather than a Status, and a fault aborts it.
+  bool reads;
+  /// Issue the command, accepted or rejected.  Read and probe report ok
+  /// when they return a page.
+  Status (*issue)(FlashChip&, bool accepted);
+};
+
+void PrintTo(const NandCommand& cmd, std::ostream* os) { *os << cmd.name; }
+
+const std::vector<std::uint32_t> kCells = {1, 2, 3};
+
+Status page_or_error(bool got_page) {
+  return got_page ? Status::ok()
+                  : Status{ErrorCode::kInvalidArgument, "no page returned"};
+}
+
+const NandCommand kNandCommands[] = {
+    {"erase_block", trace::Stage::kNandErase, &CostLedger::erases,
+     &OpCosts::erase_us, &OpCosts::erase_uj, ErrorCode::kEraseFail, false,
+     [](FlashChip& chip, bool accepted) {
+       return chip.erase_block(accepted ? 0 : 1);  // block 1 is worn out
+     }},
+    {"program_page", trace::Stage::kNandProgram, &CostLedger::programs,
+     &OpCosts::program_us, &OpCosts::program_uj, ErrorCode::kProgramFail,
+     false,
+     [](FlashChip& chip, bool accepted) {
+       const std::vector<std::uint8_t> bits(chip.geometry().cells_per_page, 0);
+       return chip.program_page(0, accepted ? 1 : 0, bits);  // 0 is written
+     }},
+    {"read_page_into", trace::Stage::kNandRead, &CostLedger::reads,
+     &OpCosts::read_us, &OpCosts::read_uj, ErrorCode::kOk, true,
+     [](FlashChip& chip, bool accepted) {
+       const std::uint32_t cells = chip.geometry().cells_per_page;
+       std::vector<std::uint8_t> out(accepted ? cells : cells - 1);
+       return page_or_error(chip.read_page_into(0, 0, out) == cells);
+     }},
+    {"probe_voltages", trace::Stage::kNandProbe, &CostLedger::reads,
+     &OpCosts::read_us, &OpCosts::read_uj, ErrorCode::kOk, true,
+     [](FlashChip& chip, bool accepted) {
+       const std::uint32_t page =
+           accepted ? 0 : chip.geometry().pages_per_block;
+       return page_or_error(!chip.probe_voltages(0, page).empty());
+     }},
+    {"partial_program", trace::Stage::kNandPartialProgram,
+     &CostLedger::partial_programs, &OpCosts::partial_program_us,
+     &OpCosts::partial_program_uj, ErrorCode::kProgramFail, false,
+     [](FlashChip& chip, bool accepted) {
+       return chip.partial_program(
+           0, 1, accepted ? kCells
+                          : std::vector<std::uint32_t>{
+                                1, chip.geometry().cells_per_page});
+     }},
+    {"fine_program", trace::Stage::kNandFineProgram,
+     &CostLedger::partial_programs, &OpCosts::partial_program_us,
+     &OpCosts::partial_program_uj, ErrorCode::kProgramFail, false,
+     [](FlashChip& chip, bool accepted) {
+       return chip.fine_program(
+           0, 1,
+           accepted ? kCells
+                    : std::vector<std::uint32_t>{
+                          1, chip.geometry().cells_per_page},
+           60.0, 1.0);
+     }},
+};
+
+struct TracedIssue {
+  Status status = Status::ok();
+  std::vector<trace::SpanRecord> spans;
+};
+
+/// Issue the command inside a sampled request, tracer on in virtual-clock
+/// mode, and return what the tracer saw.
+TracedIssue issue_traced(FlashChip& chip, const NandCommand& cmd,
+                         bool accepted) {
+  trace::Tracer& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  TracedIssue out;
+  {
+    const trace::ContextGuard guard(
+        trace::make_root(1, trace::Stage::kDevRequest, trace::Op::kNone, 0));
+    out.status = cmd.issue(chip, accepted);
+  }
+  tracer.disable();
+  out.spans = tracer.collect();
+  tracer.clear();
+  return out;
+}
+
+/// `ledger` after one charged and counted `cmd`.
+CostLedger charged(CostLedger ledger, const NandCommand& cmd,
+                   const OpCosts& costs) {
+  ledger.time_ns +=
+      static_cast<std::uint64_t>(std::llround(costs.*cmd.us * 1e3));
+  ledger.energy_nj +=
+      static_cast<std::uint64_t>(std::llround(costs.*cmd.uj * 1e3));
+  ++(ledger.*cmd.count);
+  return ledger;
+}
+
+void expect_one_span(const TracedIssue& run, const NandCommand& cmd) {
+  ASSERT_EQ(run.spans.size(), 1u);
+  EXPECT_EQ(run.spans[0].stage, cmd.stage);
+  EXPECT_EQ(run.spans[0].status, static_cast<std::uint8_t>(run.status.code()));
+}
+
+class NandCommandContract : public ::testing::TestWithParam<NandCommand> {
+ protected:
+  static Geometry geometry() {
+    Geometry g = Geometry::tiny();
+    g.pec_limit = 3;
+    return g;
+  }
+
+  NandCommandContract() : chip_(geometry(), NoiseModel::vendor_a(), 41) {
+    EXPECT_TRUE(chip_.program_page(0, 0, random_bits(2048, 41)).is_ok());
+    EXPECT_TRUE(chip_.age_cycles(1, 2 * geometry().pec_limit).is_ok());
+    chip_.set_fault_injector(&plan_);
+  }
+
+  /// Issue the accepted form under an injected fault: a status-returning
+  /// command still applies its fraction, charges, counts and reports
+  /// `expected` on its span; a read or probe aborts before any of that.
+  void expect_faulted(ErrorCode expected) {
+    const NandCommand& cmd = GetParam();
+    const std::uint64_t digest = chip_.state_digest();
+    const CostLedger before = chip_.ledger();
+    const std::uint64_t ops = plan_.stats().ops_seen;
+    const TracedIssue run = issue_traced(chip_, cmd, true);
+    EXPECT_EQ(plan_.stats().ops_seen, ops + 1);
+    if (cmd.reads) {
+      EXPECT_FALSE(run.status.is_ok());
+      EXPECT_TRUE(run.spans.empty());
+      EXPECT_EQ(chip_.state_digest(), digest);
+      expect_same_ledger(chip_.ledger(), before);
+    } else {
+      EXPECT_EQ(run.status.code(), expected);
+      expect_same_ledger(chip_.ledger(), charged(before, cmd, chip_.costs()));
+      expect_one_span(run, cmd);
+    }
+  }
+
+  fault::FaultPlan plan_{7};
+  FlashChip chip_;
+};
+
+TEST_P(NandCommandContract, AcceptedCallConsumesOneOpChargesOneCostCountsOne) {
+  const NandCommand& cmd = GetParam();
+  const CostLedger before = chip_.ledger();
+  const std::uint64_t ops = plan_.stats().ops_seen;
+  const TracedIssue run = issue_traced(chip_, cmd, true);
+  ASSERT_TRUE(run.status.is_ok()) << run.status.message();
+  EXPECT_EQ(plan_.stats().ops_seen, ops + 1);
+  expect_same_ledger(chip_.ledger(), charged(before, cmd, chip_.costs()));
+  expect_one_span(run, cmd);
+}
+
+TEST_P(NandCommandContract, RejectedCallConsumesNothing) {
+  const NandCommand& cmd = GetParam();
+  const std::uint64_t digest = chip_.state_digest();
+  const CostLedger before = chip_.ledger();
+  const std::uint64_t ops = plan_.stats().ops_seen;
+  const TracedIssue run = issue_traced(chip_, cmd, false);
+  EXPECT_FALSE(run.status.is_ok());
+  EXPECT_EQ(plan_.stats().ops_seen, ops);
+  EXPECT_EQ(chip_.state_digest(), digest);
+  expect_same_ledger(chip_.ledger(), before);
+  // A rejected command with a valid address still reports on its span;
+  // read and probe open theirs only once they will return data.
+  if (cmd.reads) {
+    EXPECT_TRUE(run.spans.empty());
+  } else {
+    expect_one_span(run, cmd);
+  }
+}
+
+TEST_P(NandCommandContract, StatusFailureChargesOrAbortsARead) {
+  plan_.fail_when([](FaultOp, std::uint32_t, std::uint32_t) { return true; });
+  expect_faulted(GetParam().fail);
+}
+
+TEST_P(NandCommandContract, PowerCutChargesOrAbortsARead) {
+  plan_.power_cut_at(plan_.stats().ops_seen, 0.5);
+  expect_faulted(ErrorCode::kPowerLoss);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllCommands, NandCommandContract,
+                         ::testing::ValuesIn(kNandCommands),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+// An aborted read or probe leaves a never-used block unallocated.
+TEST(FlashChip, AbortedReadAndProbeAllocateNothing) {
+  auto chip = make_chip(19);
+  fault::FaultPlan plan(1);
+  plan.cut_power();
+  chip.set_fault_injector(&plan);
+  EXPECT_TRUE(chip.read_page(2, 0).empty());
+  EXPECT_TRUE(chip.probe_voltages(2, 0).empty());
+  EXPECT_FALSE(chip.block_allocated(2));
+  EXPECT_EQ(plan.stats().ops_seen, 2u);
+  expect_same_ledger(chip.ledger(), CostLedger{});
+  chip.set_fault_injector(nullptr);
 }
 
 }  // namespace

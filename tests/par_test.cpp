@@ -380,8 +380,8 @@ TEST(Determinism, BlockGroupedParallelForMatchesSerialBitForBit) {
     EXPECT_EQ(serial.ledgers[c].reads, parallel.ledgers[c].reads);
     EXPECT_EQ(serial.ledgers[c].programs, parallel.ledgers[c].programs);
     EXPECT_EQ(serial.ledgers[c].erases, parallel.ledgers[c].erases);
-    EXPECT_EQ(serial.ledgers[c].time_us, parallel.ledgers[c].time_us);
-    EXPECT_EQ(serial.ledgers[c].energy_uj, parallel.ledgers[c].energy_uj);
+    EXPECT_EQ(serial.ledgers[c].time_us(), parallel.ledgers[c].time_us());
+    EXPECT_EQ(serial.ledgers[c].energy_uj(), parallel.ledgers[c].energy_uj());
   }
 }
 
@@ -493,8 +493,8 @@ TEST(Determinism, DistinctBlockOpsAreOrderFree) {
   }
   EXPECT_EQ(serial_ledger.programs, threaded_ledger.programs);
   EXPECT_EQ(serial_ledger.erases, threaded_ledger.erases);
-  EXPECT_DOUBLE_EQ(serial_ledger.time_us, threaded_ledger.time_us);
-  EXPECT_DOUBLE_EQ(serial_ledger.energy_uj, threaded_ledger.energy_uj);
+  EXPECT_DOUBLE_EQ(serial_ledger.time_us(), threaded_ledger.time_us());
+  EXPECT_DOUBLE_EQ(serial_ledger.energy_uj(), threaded_ledger.energy_uj());
 }
 
 }  // namespace
