@@ -337,11 +337,9 @@ class StashDevice {
   Status apply_snapshot(const store::SnapshotData& snap);
 
   // ---- Tracing helpers (all called under mu_) -----------------------------
-  /// Simulated device clock: the summed per-chip cost-ledger time.  Exact
-  /// and thread-count independent, so deterministic traces read it instead
-  /// of the wall clock.
-  [[nodiscard]] std::uint64_t sim_now() const noexcept;
   /// Wall or simulated nanoseconds depending on the tracer's clock mode.
+  /// Simulated time is the device ledger's time_ns: exact and thread-count
+  /// independent, so deterministic traces read it instead of the wall clock.
   [[nodiscard]] std::uint64_t trace_now() const noexcept;
   /// Allocate a (possibly inactive) root context for a new request.
   [[nodiscard]] trace::TraceContext new_request_trace(trace::Op op,

@@ -125,18 +125,11 @@ nand::CostLedger StashDevice::ledger() const {
 
 // ---- Tracing ---------------------------------------------------------------
 
-std::uint64_t StashDevice::sim_now() const noexcept {
-  // Summed per-chip ledger time.  Chips only advance inside dispatch
-  // rounds, so reads at serial points (under mu_) are exact and
-  // thread-count independent — the virtual trace clock.
-  std::uint64_t ns = 0;
-  for (const auto& chip : chips_) ns += chip->ledger().time_ns;
-  return ns;
-}
-
 std::uint64_t StashDevice::trace_now() const noexcept {
+  // Chips only advance inside dispatch rounds, so ledger reads at serial
+  // points (under mu_) are exact.
   if (trace::Tracer::global().clock_mode() == trace::ClockMode::kVirtual) {
-    return sim_now();
+    return ledger().time_ns;
   }
   return trace::detail::wall_now_ns();
 }

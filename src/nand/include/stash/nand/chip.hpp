@@ -188,8 +188,10 @@ class FlashChip {
   /// other threads; totals are exact (integer nanosecond/nanojoule
   /// accumulation) and independent of thread count, so StashDevice sums
   /// the chips' time_ns as its virtual clock for deterministic tracing.
-  [[nodiscard]] CostLedger ledger() const noexcept;
-  void reset_ledger() noexcept;
+  [[nodiscard]] CostLedger ledger() const noexcept {
+    return ledger_->snapshot();
+  }
+  void reset_ledger() noexcept { ledger_->store({}); }
   [[nodiscard]] const OpCosts& costs() const noexcept { return costs_; }
 
   /// Convenience: program every page of a block with pseudorandom data
@@ -268,8 +270,8 @@ class FlashChip {
   /// replay only under a deterministic chip-wide op order.
   FaultDecision consult_fault(FaultOp op, std::uint32_t block,
                               std::uint32_t page);
-  /// The one path of every command: `pre(const Block*)` (null: never used)
-  /// then `body(Block&, completed_fraction)` inside the shared steps.
+  /// The one path of every command: `pre(const Block*)` (null for a fresh
+  /// block), then `body(Block&, completed_fraction)`, inside shared steps.
   template <typename Pre, typename Body>
   Status run(const Command& cmd, std::uint32_t block, std::uint32_t page,
              Pre&& pre, Body&& body);
@@ -301,6 +303,10 @@ class FlashChip {
   /// by block construction, erase, and fast-forward aging).
   void redraw_page_erased(Block& blk, std::uint32_t block,
                           std::uint32_t page) noexcept;
+  /// Wear the block by `cycles` and erase its first `pages` pages under one
+  /// fresh epoch (erase_block, age_cycles).
+  void erase_pages(Block& blk, std::uint32_t block, std::uint32_t cycles,
+                   std::uint32_t pages) noexcept;
   void disturb_neighbors(Block& blk, std::uint32_t block, std::uint32_t page,
                          double scale) noexcept;
   void leak_page(Block& blk, std::uint32_t block, std::uint32_t page,

@@ -53,13 +53,21 @@ class FaultInjector {
 
   /// Corrupt the logical bits of a completed read (stuck cells, glitches).
   /// `vref` is the reference voltage the read used.
-  virtual void corrupt_read(std::uint32_t /*block*/, std::uint32_t /*page*/,
-                            std::span<std::uint8_t> /*bits*/,
-                            double /*vref*/) {}
+  virtual void corrupt_read(std::uint32_t block, std::uint32_t page,
+                            std::span<std::uint8_t> bits, double vref) {
+    (void)block;
+    (void)page;
+    (void)bits;
+    (void)vref;
+  }
 
   /// Corrupt the voltages of a completed probe.
-  virtual void corrupt_probe(std::uint32_t /*block*/, std::uint32_t /*page*/,
-                             std::span<int> /*volts*/) {}
+  virtual void corrupt_probe(std::uint32_t block, std::uint32_t page,
+                             std::span<int> volts) {
+    (void)block;
+    (void)page;
+    (void)volts;
+  }
 };
 
 }  // namespace stash::nand

@@ -51,7 +51,7 @@ struct FlashChip::Command {
   double OpCosts::*us;
   double OpCosts::*uj;
   Field count;
-  ErrorCode fail;              // an injected failure that is no power cut
+  ErrorCode fail;              // an injected failure other than power loss
   const char* noun;            // names the command in fault messages
   bool page_bytes = false;     // the span carries one page of data bytes
   bool aborts = false;         // read class: a fault aborts it (see run())
@@ -82,15 +82,11 @@ void FlashChip::charge(double us, double uj) noexcept {
                static_cast<std::uint64_t>(std::llround(uj * 1e3)));
 }
 
-CostLedger FlashChip::ledger() const noexcept { return ledger_->snapshot(); }
-
 FaultDecision FlashChip::consult_fault(FaultOp op, std::uint32_t block,
                                        std::uint32_t page) {
   const std::lock_guard<std::mutex> lock(locks_[kLockStripes]);
   return fault_->on_operation(op, block, page);
 }
-
-void FlashChip::reset_ledger() noexcept { ledger_->store({}); }
 
 Status FlashChip::check_addr(std::uint32_t block, std::uint32_t page) const {
   if (block >= geom_.blocks || page >= geom_.pages_per_block) {
@@ -261,6 +257,19 @@ Status FlashChip::run(const Command& cmd, std::uint32_t block,
   return status;
 }
 
+void FlashChip::erase_pages(Block& blk, std::uint32_t block,
+                            std::uint32_t cycles,
+                            std::uint32_t pages) noexcept {
+  blk.pec += cycles;
+  ++blk.epoch;  // one epoch per pass; pages share it (keys include page)
+  blk.next_program_page = 0;
+  for (std::uint32_t p = 0; p < pages; ++p) {
+    blk.state[p] = PageState::kErased;
+    blk.age_hours[p] = 0.0f;
+    redraw_page_erased(blk, block, p);
+  }
+}
+
 // ---- Standard operations ----------------------------------------------------
 
 Status FlashChip::erase_block(std::uint32_t block) {
@@ -276,19 +285,10 @@ Status FlashChip::erase_block(std::uint32_t block) {
     return Status::ok();
   };
   return run(kErase, block, 0, not_worn_out, [&](Block& blk, double frac) {
-    // Even an interrupted erase pulse wears the block.
-    ++blk.pec;
-    ++blk.epoch;  // one epoch per erase; pages share it (keys include page)
-    blk.next_program_page = 0;
-    // An interrupted erase leaves a prefix of wordlines cleanly erased and
-    // the rest untouched (still reading as programmed) — the block is
-    // unusable until a successful erase.
-    const std::uint32_t erased = erased_pages(frac);
-    for (std::uint32_t p = 0; p < erased; ++p) {
-      blk.state[p] = PageState::kErased;
-      blk.age_hours[p] = 0.0f;
-      redraw_page_erased(blk, block, p);
-    }
+    // Even an interrupted erase pulse wears the block.  It leaves a prefix
+    // of wordlines cleanly erased and the rest untouched (still reading as
+    // programmed) — the block is unusable until a successful erase.
+    erase_pages(blk, block, 1, erased_pages(frac));
   });
 }
 
@@ -442,8 +442,8 @@ std::vector<int> FlashChip::probe_voltages(std::uint32_t block,
       fault_->corrupt_probe(block, page, {out.data(), out.size()});
     }
   };
-  const auto any = [](const Block*) { return Status::ok(); };
-  if (!run(kProbe, block, page, any, probe).is_ok()) return {};
+  const auto no_precondition = [](const Block*) { return Status::ok(); };
+  if (!run(kProbe, block, page, no_precondition, probe).is_ok()) return {};
   return out;
 }
 
@@ -595,19 +595,12 @@ Status FlashChip::age_cycles(std::uint32_t block, std::uint32_t n,
                              bool charge_ledger) {
   STASH_RETURN_IF_ERROR(check_addr(block, 0));
   const std::lock_guard<std::mutex> lock(block_lock(block));
-  Block& blk = touch(block, geom_.pages_per_block);
-  blk.pec += n;
-  ++blk.epoch;  // one epoch for the whole fast-forward redraw
+  // Equivalent end state of n random-data cycles: block left erased.
+  erase_pages(touch(block, geom_.pages_per_block), block, n,
+              geom_.pages_per_block);
   if (charge_ledger) {
     charge(costs_.erase_us * n, costs_.erase_uj * n);
     ledger_->add(Field::erases, n);
-  }
-  // Equivalent end state of n random-data cycles: block left erased.
-  blk.next_program_page = 0;
-  for (std::uint32_t p = 0; p < geom_.pages_per_block; ++p) {
-    blk.state[p] = PageState::kErased;
-    blk.age_hours[p] = 0.0f;
-    redraw_page_erased(blk, block, p);
   }
   return Status::ok();
 }
