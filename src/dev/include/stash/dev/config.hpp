@@ -34,8 +34,9 @@ struct DeviceConfig {
   /// device is reproducible from this one value.
   std::uint64_t seed = 0x57a5Fdeb1ceULL;
   std::uint32_t chips = 1;
-  /// Worker threads for batch fan-out; <= 1 runs everything inline on the
-  /// submitting thread (the fully serial reference schedule).  Results are
+  /// Threads for batch fan-out, counting the dispatching caller (so
+  /// threads - 1 workers); <= 1 runs everything inline on the submitting
+  /// thread (the fully serial reference schedule).  Results are
   /// byte-identical for any value — see stash::par.
   unsigned threads = 1;
 

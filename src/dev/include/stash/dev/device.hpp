@@ -273,8 +273,8 @@ class StashDevice {
       const noexcept {
     return last_dispatch_;
   }
-  /// Direct access to a chip's volume / the pool (expert escape hatches;
-  /// do not interleave with queued traffic).
+  /// Direct access to a chip's volume (expert escape hatch; do not
+  /// interleave with queued traffic).
   [[nodiscard]] stego::StegoVolume& volume(std::uint32_t chip) {
     return *volumes_.at(chip);
   }
@@ -282,7 +282,6 @@ class StashDevice {
   [[nodiscard]] nand::FlashChip& chip(std::uint32_t index) {
     return *chips_.at(index);
   }
-  [[nodiscard]] par::ThreadPool& pool() noexcept { return pool_; }
 
  private:
   struct Request {

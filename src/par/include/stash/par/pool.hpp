@@ -1,10 +1,10 @@
 #pragma once
-// stash::par::ThreadPool — a deterministic work-stealing thread pool.
+// stash::par::ThreadPool — a fork-join pool for indexed fan-out.
 //
-// The pool itself is a conventional executor: per-worker deques, idle
-// workers steal from their neighbours, submit() round-robins new work.
-// Determinism comes from how the callers use it, and the pool supplies the
-// two shapes that make deterministic parallelism easy:
+// The pool runs one job at a time: parallel_for(n, fn) publishes n, fn and
+// an atomic cursor; the calling thread and every worker claim indices from
+// the cursor until the range is exhausted, and the call returns once all of
+// them have left the job.  Determinism comes from how the callers use it:
 //
 //   * parallel_for(n, fn) / map<T>(n, fn): an *indexed* fan-out.  fn(i) may
 //     run on any thread in any order, but result i lands in slot i, so a
@@ -12,9 +12,14 @@
 //     byte-identical for any thread count — provided fn(i) itself is
 //     deterministic and the iterations are independent (stash's benches get
 //     this from per-trial chips and FlashChip's per-block RNG streams).
-//   * threads <= 1 construct a pool with no workers at all: submit() and
-//     parallel_for() execute inline on the caller, so `--threads 1` is
-//     exactly the serial code path, not a one-worker approximation of it.
+//   * ThreadPool(threads) runs fn on `threads` threads counting the caller,
+//     so it starts threads − 1 workers.  threads <= 1 starts none, and
+//     parallel_for is then exactly the serial loop on the caller, not a
+//     one-worker approximation of it.  A range of one index runs inline too.
+//
+// Concurrent parallel_for calls from different threads serialize on the
+// pool.  Precondition: an iteration must not call parallel_for on its own
+// pool (it would wait for the job it is part of).
 //
 // Exceptions thrown by fn propagate: the first one (in completion order) is
 // rethrown from parallel_for()/map() after all iterations finish.
@@ -22,15 +27,10 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <exception>
-#include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "stash/trace/trace.hpp"
@@ -39,37 +39,19 @@ namespace stash::par {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers; 0 or 1 means "inline mode" (no workers,
-  /// everything runs on the calling thread).
+  /// Runs parallel_for on `threads` threads counting the caller; 0 or 1
+  /// means inline mode (no workers).
   explicit ThreadPool(unsigned threads = hardware_threads());
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Joins after draining: every task submitted before destruction runs.
+  /// Stops and joins the workers.  No parallel_for may be in flight.
   ~ThreadPool();
-
-  /// Worker count (0 in inline mode).
-  [[nodiscard]] unsigned threads() const noexcept {
-    return static_cast<unsigned>(threads_.size());
-  }
 
   [[nodiscard]] static unsigned hardware_threads() noexcept {
     const unsigned n = std::thread::hardware_concurrency();
     return n == 0 ? 1 : n;
-  }
-
-  /// Enqueue fire-and-forget work (runs inline when threads() == 0).
-  void submit(std::function<void()> fn);
-
-  /// submit() with a future for the callable's result.
-  template <typename Fn>
-  auto async(Fn fn) -> std::future<std::invoke_result_t<Fn&>> {
-    using R = std::invoke_result_t<Fn&>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::move(fn));
-    auto fut = task->get_future();
-    submit([task] { (*task)(); });
-    return fut;
   }
 
   /// Run fn(i) for every i in [0, n), blocking until all complete.  The
@@ -86,45 +68,13 @@ class ThreadPool {
       const trace::ContextGuard guard(ctx);
       fn(i);
     };
-    if (threads() == 0 || n <= 1) {
+    if (workers_.empty() || n <= 1) {
       for (std::size_t i = 0; i < n; ++i) run(i);
       return;
     }
-    struct Join {
-      std::mutex mu;
-      std::condition_variable cv;
-      std::size_t live;
-      std::exception_ptr err;
-      explicit Join(std::size_t drivers) : live(drivers) {}
-    };
-    // One driver per worker (capped at n) plus the caller; each driver
-    // claims indices from the shared cursor until the range is exhausted.
-    const std::size_t helpers = std::min<std::size_t>(threads(), n) - 1;
-    auto next = std::make_shared<std::atomic<std::size_t>>(0);
-    auto join = std::make_shared<Join>(helpers);
-    auto drive = [next, join, n, &run] {
-      for (;;) {
-        const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        try {
-          run(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(join->mu);
-          if (!join->err) join->err = std::current_exception();
-        }
-      }
-    };
-    for (std::size_t d = 0; d < helpers; ++d) {
-      submit([join, drive] {
-        drive();
-        const std::lock_guard<std::mutex> lock(join->mu);
-        if (--join->live == 0) join->cv.notify_all();
-      });
-    }
-    drive();  // caller is a driver too
-    std::unique_lock<std::mutex> lock(join->mu);
-    join->cv.wait(lock, [&] { return join->live == 0; });
-    if (join->err) std::rethrow_exception(join->err);
+    run_job(n, &run, [](const void* body, std::size_t i) {
+      (*static_cast<const decltype(run)*>(body))(i);
+    });
   }
 
   /// Indexed map: returns {fn(0), ..., fn(n-1)} with result i in slot i.
@@ -137,26 +87,31 @@ class ThreadPool {
   }
 
  private:
-  /// One worker's deque.  The owner pops from the front; thieves take from
-  /// the back, so a long submission run drains mostly in order.
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> q;
+  /// One parallel_for call.  Lives on the caller's stack; `active` and
+  /// `err` are guarded by mu_.
+  struct Job {
+    std::size_t n = 0;
+    const void* body = nullptr;
+    void (*call)(const void* body, std::size_t i) = nullptr;
+    std::atomic<std::size_t> next{0};
+    std::size_t active = 0;  // participants still claiming indices
+    std::exception_ptr err;
   };
 
-  void worker_loop(std::size_t self);
-  bool try_pop(std::size_t self, std::function<void()>& out);
+  void run_job(std::size_t n, const void* body,
+               void (*call)(const void*, std::size_t));
+  /// Claim and run indices until the cursor passes n.
+  void drain(Job& job);
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  /// Wake tickets: one per submitted task, consumed by waking workers.  A
-  /// consumed ticket guarantees the consumer rescans every deque, so a task
-  /// can never be stranded while all workers sleep.
-  std::size_t tickets_ = 0;
+  std::mutex caller_mu_;  // one job at a time
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // a job was published, or stop_
+  std::condition_variable done_cv_;  // a participant left the job
+  Job* job_ = nullptr;               // the published job, if any
+  std::uint64_t generation_ = 0;     // bumped per published job
   bool stop_ = false;
-  std::atomic<std::size_t> rr_{0};
+  std::vector<std::thread> workers_;  // last: joins before the rest dies
 };
 
 }  // namespace stash::par

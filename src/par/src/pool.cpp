@@ -3,97 +3,73 @@
 namespace stash::par {
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads <= 1) return;  // inline mode: no workers, submit() runs now
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+  if (threads <= 1) return;  // inline mode: parallel_for is the serial loop
+  workers_.reserve(threads - 1);
+  for (unsigned i = 0; i + 1 < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  if (threads_.empty()) return;
   {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
+    const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  wake_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-  // Belt and braces: run anything still queued (cannot normally happen —
-  // workers drain before exiting — but a dropped task would break a future).
-  std::function<void()> task;
-  while (try_pop(0, task)) task();
+  work_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::submit(std::function<void()> fn) {
-  if (threads_.empty()) {
-    fn();
-    return;
-  }
-  // Carry the submitter's trace context to whichever worker runs the task,
-  // so causality survives the thread handoff.
-  if (trace::enabled()) {
-    const trace::TraceContext ctx = trace::current();
-    if (ctx.active()) {
-      fn = [ctx, inner = std::move(fn)] {
-        const trace::ContextGuard guard(ctx);
-        inner();
-      };
-    }
-  }
-  const std::size_t idx =
-      rr_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
+void ThreadPool::run_job(std::size_t n, const void* body,
+                         void (*call)(const void*, std::size_t)) {
+  const std::lock_guard<std::mutex> serial(caller_mu_);
+  Job job;
+  job.n = n;
+  job.body = body;
+  job.call = call;
+  job.active = 1;  // the caller
   {
-    const std::lock_guard<std::mutex> lock(workers_[idx]->mu);
-    workers_[idx]->q.push_back(std::move(fn));
+    const std::lock_guard<std::mutex> lock(mu_);
+    job_ = &job;
+    ++generation_;
   }
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    ++tickets_;
-  }
-  wake_cv_.notify_one();
+  work_cv_.notify_all();
+  drain(job);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Unpublish first so no worker joins after the caller starts waiting;
+  // the ones that already joined hold `active` up until they leave.
+  job_ = nullptr;
+  --job.active;
+  done_cv_.wait(lock, [&] { return job.active == 0; });
+  if (job.err) std::rethrow_exception(job.err);
 }
 
-bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  const std::size_t n = workers_.size();
-  // Own deque first (front = submission order), then steal from the back
-  // of the others, starting at the right-hand neighbour.
-  for (std::size_t k = 0; k < n; ++k) {
-    Worker& w = *workers_[(self + k) % n];
-    const std::lock_guard<std::mutex> lock(w.mu);
-    if (w.q.empty()) continue;
-    if (k == 0) {
-      out = std::move(w.q.front());
-      w.q.pop_front();
-    } else {
-      out = std::move(w.q.back());
-      w.q.pop_back();
-    }
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::drain(Job& job) {
   for (;;) {
-    std::function<void()> task;
-    if (try_pop(self, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    try {
+      job.call(job.body, i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (!job.err) job.err = std::current_exception();
     }
-    std::unique_lock<std::mutex> lock(wake_mu_);
-    if (tickets_ > 0) {
-      // Consume a ticket and rescan: the push that produced it
-      // happened-before our next try_pop, so its task is visible.
-      --tickets_;
-      continue;
-    }
+  }
+}
+
+void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // generation of the last job this worker joined
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock,
+                  [&] { return stop_ || (job_ && generation_ != seen); });
     if (stop_) return;
-    wake_cv_.wait(lock, [&] { return stop_ || tickets_ > 0; });
+    seen = generation_;
+    Job& job = *job_;
+    ++job.active;
+    lock.unlock();
+    drain(job);
+    lock.lock();
+    if (--job.active == 0) done_cv_.notify_one();
   }
 }
 

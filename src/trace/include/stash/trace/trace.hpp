@@ -8,8 +8,9 @@
 // instrumented region opens a ScopedSpan, which records one SpanRecord
 // (stage, op, duration, key, bytes, outcome) into a per-thread lock-free
 // buffer when it closes.  Context propagates across thread handoff
-// explicitly: par::ThreadPool::submit captures the submitter's context, so
-// child spans keep their causal parent no matter which worker runs them.
+// explicitly: par::ThreadPool::parallel_for runs every iteration under the
+// caller's context, so child spans keep their causal parent no matter which
+// worker runs them.
 //
 // Two clocks:
 //   * ClockMode::kWall — spans carry steady_clock begin/duration (ns since

@@ -1,5 +1,6 @@
 // stash::par tests: thread-pool semantics (inline mode, full coverage,
-// slot-ordered map, exception propagation), concurrency safety of the
+// slot-ordered map, exception propagation, back-to-back and concurrent
+// jobs, the participant count), concurrency safety of the
 // latency-histogram registry, the per-instance counter table and the span
 // tracer under multi-threaded hammering, block-grouped program/read fan-out
 // on a worker pool, and the determinism guarantee the stack's fan-out relies
@@ -14,9 +15,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <future>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -53,12 +57,21 @@ std::vector<std::uint8_t> page_bits(std::uint32_t chip, std::uint32_t block,
 // ---------------- ThreadPool ----------------
 
 TEST(ThreadPool, InlineModeRunsOnCallingThread) {
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.threads(), 0u);
   const auto caller = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.submit([&] { ran_on = std::this_thread::get_id(); });
-  EXPECT_EQ(ran_on, caller);  // submit() returned only after running
+  // threads <= 1 is the serial loop; so is a one-index range on a pool
+  // that has workers.
+  for (const auto& [threads, n] :
+       {std::pair<unsigned, std::size_t>{0, 5}, {1, 5}, {4, 1}}) {
+    ThreadPool pool(threads);
+    std::vector<std::size_t> order;
+    pool.parallel_for(n, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller) << "index " << i;
+      order.push_back(i);
+    });
+    std::vector<std::size_t> expected(n);
+    for (std::size_t i = 0; i < n; ++i) expected[i] = i;
+    EXPECT_EQ(order, expected) << threads << " threads";
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -83,12 +96,6 @@ TEST(ThreadPool, MapPutsResultIInSlotI) {
   }
 }
 
-TEST(ThreadPool, AsyncDeliversResultThroughFuture) {
-  ThreadPool pool(2);
-  auto fut = pool.async([] { return 6 * 7; });
-  EXPECT_EQ(fut.get(), 42);
-}
-
 TEST(ThreadPool, ParallelForPropagatesExceptions) {
   ThreadPool pool(4);
   EXPECT_THROW(
@@ -97,22 +104,81 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                           if (i == 57) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
+  // The failed job left nothing behind: the next call covers every index.
+  std::vector<std::atomic<int>> hits(100);
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
-TEST(ThreadPool, ManySmallSubmissionsAllExecute) {
+TEST(ThreadPool, ManySmallParallelForCallsAllComplete) {
+  // Back-to-back jobs stress the handoff: a worker still leaving job k
+  // must not join job k + 1 twice or miss it.
   ThreadPool pool(4);
+  constexpr int kCalls = 2000;
   std::atomic<int> ran{0};
-  std::promise<void> done;
-  constexpr int kTasks = 2000;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&] {
-      if (ran.fetch_add(1, std::memory_order_relaxed) + 1 == kTasks) {
-        done.set_value();
-      }
+  for (int c = 0; c < kCalls; ++c) {
+    pool.parallel_for(3, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
     });
+    ASSERT_EQ(ran.load(), 3 * (c + 1)) << "call " << c;
   }
-  done.get_future().wait();
-  EXPECT_EQ(ran.load(), kTasks);
+}
+
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 500;
+  constexpr int kRounds = 50;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  auto caller = [&pool](std::vector<std::atomic<int>>& hits) {
+    for (int r = 0; r < kRounds; ++r) {
+      pool.parallel_for(hits.size(), [&](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  };
+  std::thread a(caller, std::ref(hits_a));
+  std::thread b(caller, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(hits_a[i].load(), kRounds) << "caller a, index " << i;
+    EXPECT_EQ(hits_b[i].load(), kRounds) << "caller b, index " << i;
+  }
+}
+
+TEST(ThreadPool, RunsOnExactlyThreadsCountingTheCaller) {
+  constexpr unsigned kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::mutex mu;
+  std::set<std::thread::id> seen;
+  auto record = [&] {
+    const std::lock_guard<std::mutex> lock(mu);
+    seen.insert(std::this_thread::get_id());
+  };
+  // kThreads iterations that each wait for all of them to start: every
+  // participant holds one index, so this needs kThreads distinct threads.
+  std::atomic<unsigned> arrived{0};
+  pool.parallel_for(kThreads, [&](std::size_t) {
+    record();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (arrived.load() < kThreads &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_EQ(arrived.load(), kThreads);
+  EXPECT_EQ(seen.size(), kThreads);
+  // Many more iterations than threads still run on no more of them.
+  seen.clear();
+  pool.parallel_for(10000, [&](std::size_t) { record(); });
+  EXPECT_LE(seen.size(), kThreads);
 }
 
 // ---------------- Telemetry under concurrency ----------------

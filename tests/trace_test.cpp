@@ -13,11 +13,13 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <new>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "stash/dev/device.hpp"
@@ -87,24 +89,41 @@ TEST(TraceContext, ParallelForCarriesContextAcrossWorkers) {
   EXPECT_EQ(keys.size(), 64u);  // one span per iteration
 }
 
-TEST(TraceContext, SubmitCarriesContextToWorker) {
+TEST(TraceContext, WorkerIterationsKeepTheRootAsParent) {
   reset_tracer();
   Tracer::global().enable(ClockMode::kVirtual);
   const TraceContext root = make_root(7, Stage::kDevRequest, Op::kWrite, 9);
+  const auto caller = std::this_thread::get_id();
+  // Two iterations that each wait for the other to start, so with two
+  // threads one of them must run on the worker.
+  std::array<bool, 2> on_worker{};
+  std::atomic<int> arrived{0};
   {
     par::ThreadPool pool(2);
     const ContextGuard guard(root);
-    auto done = pool.async([] {
-      ScopedSpan span(Stage::kNandProgram, Op::kWrite, 5);
+    pool.parallel_for(2, [&](std::size_t i) {
+      on_worker[i] = std::this_thread::get_id() != caller;
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (arrived.load() < 2 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      ScopedSpan span(Stage::kNandProgram, Op::kWrite, i);
       span.set_cost_ns(10);
     });
-    done.get();
   }
   Tracer::global().disable();
+  ASSERT_EQ(arrived.load(), 2);
+  ASSERT_NE(on_worker[0], on_worker[1]);
   const auto spans = Tracer::global().collect();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].trace_id, 7u);
-  EXPECT_EQ(spans[0].parent_id, root.span_id);
+  ASSERT_EQ(spans.size(), 2u);
+  for (const SpanRecord& rec : spans) {
+    EXPECT_EQ(rec.trace_id, 7u);
+    EXPECT_EQ(rec.parent_id, root.span_id)
+        << "key " << rec.key << (on_worker[rec.key] ? " (worker)" : "");
+  }
 }
 
 TEST(TraceContext, NestedSpansFormParentChain) {
