@@ -67,7 +67,7 @@ int main() {
               gc.get().is_ok() ? "ok" : "failed");
   (void)urgent.get();
 
-  // --- Repeat reads come from the sharded LRU, not flash -----------------
+  // --- Repeat reads come from the read LRU, not flash --------------------
   for (int round = 0; round < 3; ++round) {
     for (std::uint64_t lpn = 0; lpn < 8; ++lpn) (void)dev.read(lpn);
   }

@@ -1,13 +1,11 @@
 #pragma once
 // Caching building blocks of the StashDevice frontend.
 //
-// ReadCache — a sharded LRU over logical pages.  Shard = lpn % shards, each
-// shard its own mutex + LRU list, so concurrent lookups on different shards
-// never contend.  Capacity is distributed exactly: base capacity/shards
-// pages per shard plus one of the remainder to the first capacity%shards
-// shards, so the per-shard budgets always sum to the configured total (a
-// shard can have zero pages when capacity < shards; its lookups simply
-// always miss).
+// ReadCache — one LRU over logical pages behind one mutex.  The whole
+// capacity is one budget, so a hot set of any shape competes for every page
+// (splitting it by lpn would evict hot pages from one part while another
+// has room).  StashDevice calls it under its own mutex; the cache's mutex
+// keeps it safe on its own.
 //
 // WriteBackBuffer — the volatile staging area of acknowledged writes.  One
 // entry per lpn in first-touch order; rewriting a buffered lpn coalesces in
@@ -21,7 +19,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
 #include "stash/dev/arena.hpp"
 
@@ -30,7 +27,7 @@ namespace stash::dev {
 class ReadCache {
  public:
   /// capacity_pages == 0 disables the cache (lookups miss, inserts drop).
-  ReadCache(std::size_t capacity_pages, std::uint32_t shards);
+  explicit ReadCache(std::size_t capacity_pages);
 
   /// A hit is a refcount bump on the cached PageRef — the page bits are
   /// shared with whoever inserted them, never copied out.
@@ -40,29 +37,15 @@ class ReadCache {
   void clear();
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
-  /// Total configured capacity (the exact sum of the per-shard budgets).
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  /// Capacity assigned to one shard (test introspection).
-  [[nodiscard]] std::size_t shard_capacity(std::size_t shard) const {
-    return shards_.at(shard).capacity;
-  }
   [[nodiscard]] std::size_t size() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    /// Front = most recently used.
-    std::list<std::pair<std::uint64_t, PageRef>> lru;
-    std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
-    std::size_t capacity = 0;
-  };
-
-  [[nodiscard]] Shard& shard_of(std::uint64_t lpn) {
-    return shards_[lpn % shards_.size()];
-  }
-
-  std::size_t capacity_;
-  std::vector<Shard> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  /// Front = most recently used.
+  std::list<std::pair<std::uint64_t, PageRef>> lru_;
+  std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_;
 };
 
 class WriteBackBuffer {

@@ -22,7 +22,7 @@
 //     execute sorted by (priority, submission sequence) — foreground reads
 //     overtake queued background GC/hidden maintenance, and the tie-break
 //     keeps the schedule a pure function of the submission order.
-//   * Sharded read LRU (ReadCache) and a write-back buffer
+//   * One read LRU (ReadCache) and a write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
 //     when buffered and durable when flush() returns OK; under a
 //     stash::fault power cut, everything a successful flush() covered

@@ -42,9 +42,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point start) {
   return ns > 0 ? static_cast<std::uint64_t>(ns) : 0;
 }
 
-/// Read LRU shards (lpn % shards), each with its own lock and LRU order.
-constexpr std::uint32_t kReadCacheShards = 4;
-
 /// Uniform config contract: reject an invalid DeviceConfig before any
 /// member (pool, chips) is built from it.
 const DeviceConfig& validated(const DeviceConfig& config) {
@@ -87,7 +84,7 @@ StashDevice::StashDevice(const DeviceConfig& config,
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
              config.read_cache_pages + config.batch_pages),
-      cache_(config.read_cache_pages, kReadCacheShards) {
+      cache_(config.read_cache_pages) {
   chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
   for (std::uint32_t c = 0; c < config_.chips; ++c) {

@@ -340,51 +340,35 @@ TEST(DevCache, ZeroCapacityDisablesTheCache) {
   EXPECT_EQ(dev.stats_snapshot().cache_hits, 0u);
 }
 
-TEST(DevCache, ShardCapacitiesSumToConfiguredTotal) {
-  // The per-shard budgets must always sum to the configured capacity,
-  // divisible or not.
-  for (const auto& [capacity, shards] :
-       {std::pair<std::size_t, std::uint32_t>{64, 4},
-        {100, 16},
-        {4, 16},
-        {7, 3},
-        {1, 8}}) {
-    ReadCache cache(capacity, shards);
-    std::size_t sum = 0;
-    for (std::uint32_t s = 0; s < shards; ++s) sum += cache.shard_capacity(s);
-    EXPECT_EQ(sum, capacity) << capacity << " pages over " << shards;
-    EXPECT_EQ(cache.capacity(), capacity);
+TEST(DevCache, OneBudgetKeepsPagesThatShareAResidue) {
+  // 0, 4, 8 and 12 are all 0 mod 4: a cache split by lpn % 4 kept one of
+  // them.  One LRU of four pages keeps all four.
+  ReadCache cache(4);
+  for (const std::uint64_t lpn : {0u, 4u, 8u, 12u}) {
+    cache.insert(lpn, dev::PageRef::adopt(std::vector<std::uint8_t>(
+                          8, static_cast<std::uint8_t>(lpn))));
+  }
+  EXPECT_EQ(cache.size(), 4u);
+  for (const std::uint64_t lpn : {0u, 4u, 8u, 12u}) {
+    EXPECT_TRUE(cache.lookup(lpn).has_value()) << "lpn " << lpn;
   }
 }
 
-TEST(DevCache, NonDivisibleCapacityIsExactNotRounded) {
-  // 100 pages over 16 shards used to floor to 6 per shard (96 total);
-  // 4 pages over 16 shards used to inflate to 1 per shard (16 total).
-  // The remainder now goes one page at a time to the leading shards.
-  ReadCache floored(100, 16);
-  for (std::uint32_t s = 0; s < 16; ++s) {
-    EXPECT_EQ(floored.shard_capacity(s), s < 4 ? 7u : 6u) << "shard " << s;
-  }
-
-  ReadCache inflated(4, 16);
-  std::size_t populated = 0;
-  for (std::uint32_t s = 0; s < 16; ++s) {
-    EXPECT_LE(inflated.shard_capacity(s), 1u);
-    populated += inflated.shard_capacity(s);
-    // Zero-capacity shards must drop inserts instead of keeping one
-    // uncapped resident entry.
-    if (inflated.shard_capacity(s) == 0) {
-      inflated.insert(
-          s, dev::PageRef::adopt(std::vector<std::uint8_t>(8, 0xee)));
-      EXPECT_FALSE(inflated.lookup(s).has_value()) << "shard " << s;
-    }
-  }
-  EXPECT_EQ(populated, 4u);
+TEST(DevCache, EvictsTheLeastRecentlyUsedPage) {
+  ReadCache cache(2);
+  cache.insert(1, dev::PageRef::adopt(std::vector<std::uint8_t>(8, 1)));
+  cache.insert(2, dev::PageRef::adopt(std::vector<std::uint8_t>(8, 2)));
+  ASSERT_TRUE(cache.lookup(1).has_value());  // 2 is now the oldest
+  cache.insert(3, dev::PageRef::adopt(std::vector<std::uint8_t>(8, 3)));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.lookup(2).has_value());
+  EXPECT_TRUE(cache.lookup(1).has_value());
+  EXPECT_TRUE(cache.lookup(3).has_value());
 }
 
 TEST(DevCache, CoalescedReadsCountOneMissPerUniqueLpn) {
   // A batch of duplicate lpns performs one physical read; the telemetry
-  // must agree.  Before the fix every duplicate probed its shard and
+  // must agree.  Before the fix every duplicate probed the cache and
   // counted a miss of its own, inflating dev.cache_misses 4x here.
   StashDevice dev(tiny_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 900)).is_ok());
