@@ -37,7 +37,6 @@ class ReadCache {
   void clear();
 
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const;
 
  private:

@@ -24,11 +24,9 @@
 // Exceptions thrown by fn propagate: the first one (in completion order) is
 // rethrown from parallel_for()/map() after all iterations finish.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -87,16 +85,7 @@ class ThreadPool {
   }
 
  private:
-  /// One parallel_for call.  Lives on the caller's stack; `active` and
-  /// `err` are guarded by mu_.
-  struct Job {
-    std::size_t n = 0;
-    const void* body = nullptr;
-    void (*call)(const void* body, std::size_t i) = nullptr;
-    std::atomic<std::size_t> next{0};
-    std::size_t active = 0;  // participants still claiming indices
-    std::exception_ptr err;
-  };
+  struct Job;  // one parallel_for call (pool.cpp)
 
   void run_job(std::size_t n, const void* body,
                void (*call)(const void*, std::size_t));

@@ -1,6 +1,20 @@
 #include "stash/par/pool.hpp"
 
+#include <atomic>
+#include <exception>
+
 namespace stash::par {
+
+/// One parallel_for call.  Lives on the caller's stack; `active` and `err`
+/// are guarded by mu_.
+struct ThreadPool::Job {
+  std::size_t n = 0;
+  const void* body = nullptr;
+  void (*call)(const void* body, std::size_t i) = nullptr;
+  std::atomic<std::size_t> next{0};
+  std::size_t active = 0;  // participants still claiming indices
+  std::exception_ptr err;
+};
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads <= 1) return;  // inline mode: parallel_for is the serial loop
