@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     double natural = 0.0, cells = 0.0;
     for (std::uint32_t p = 0; p < chip.geometry().pages_per_block; ++p) {
       for (int v : chip.probe_voltages(0, p)) {
-        if (v < 90) {
+        if (v < vthi::kSelectGuard) {
           natural += v >= vth;
           cells += 1.0;
         }
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     double after = 0.0;
     for (std::uint32_t p = 0; p < chip.geometry().pages_per_block; ++p) {
       for (int v : chip.probe_voltages(0, p)) {
-        if (v < 90) after += v >= vth;
+        if (v < vthi::kSelectGuard) after += v >= vth;
       }
     }
     std::printf("%-8.0f %-12.4f %-22.3f %+.3f\n", vth, sample.ber(),

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
                               config.vthi.channel);
     const auto sample =
         measure_raw_ber(chip, channel, 0, config.vthi.hidden_bits_per_page,
-                        config.vthi.page_interval, opt.seed);
+                        vthi::kPageInterval, opt.seed);
     std::printf("enhanced raw hidden BER: %.4f (paper: ~0.02)\n", sample.ber());
 
     vthi::VthiConfig production_config = vthi::VthiConfig::production();

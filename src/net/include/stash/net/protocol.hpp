@@ -71,8 +71,8 @@ struct Hello {
 };
 
 constexpr std::size_t kFrameHeaderBytes = 4;
-/// Default cap on one frame body (requests and responses alike).
-constexpr std::size_t kDefaultMaxFrameBytes = 16 * 1024 * 1024;
+/// Cap on one frame body (requests and responses alike).
+constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 
 struct Request {
   OpCode op = OpCode::kPing;
@@ -133,15 +133,12 @@ Status decode_hidden_info(std::span<const std::uint8_t> bytes,
 /// Incremental frame reassembly over an arbitrarily-chunked byte stream.
 class FrameAssembler {
  public:
-  explicit FrameAssembler(std::size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   /// Buffer `bytes` as the next chunk of the stream.
   void feed(std::span<const std::uint8_t> bytes);
 
   /// Pop the next complete frame body into `frame`.  `ready` is false when
   /// the stream holds no complete frame yet (frame untouched).  kCorrupted
-  /// when a header announces a body larger than max_frame_bytes: the
+  /// when a header announces a body larger than kMaxFrameBytes: the
   /// stream is unrecoverable and the connection should be dropped.
   Status poll(std::vector<std::uint8_t>& frame, bool& ready);
 
@@ -149,7 +146,6 @@ class FrameAssembler {
   [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
 
  private:
-  std::size_t max_frame_bytes_;
   std::deque<std::uint8_t> buf_;
 };
 

@@ -52,7 +52,6 @@ struct ServerConfig {
   /// Per-connection in-flight request bound; a connection at the bound is
   /// not read until responses drain (TCP backpressure).
   std::size_t max_pipeline = 64;
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 /// The server's counters, named once (see stash/telemetry/

@@ -201,7 +201,7 @@ Status FrameAssembler::poll(std::vector<std::uint8_t>& frame, bool& ready) {
     len |= static_cast<std::uint32_t>(buf_[static_cast<std::size_t>(i)])
            << (8 * i);
   }
-  if (len > max_frame_bytes_) {
+  if (len > kMaxFrameBytes) {
     return Status{ErrorCode::kCorrupted,
                   "frame of " + std::to_string(len) +
                       " bytes exceeds the frame cap"};

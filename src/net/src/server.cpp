@@ -139,7 +139,6 @@ struct Server::Impl {
       (void)setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_unique<Conn>();
       conn->fd = fd;
-      conn->assembler = FrameAssembler(config.max_frame_bytes);
       epoll_event ev{};
       ev.events = conn->events;
       ev.data.fd = fd;

@@ -20,24 +20,6 @@ namespace stash::pthi {
 using util::Result;
 using util::Status;
 
-struct PthiConfig {
-  /// Cells per hidden bit; half are stressed, half are the reference.
-  /// 26 cells/bit reproduces the paper's PT-HI capacity figure (72 Kb per
-  /// 64-page block of 144384-cell pages at a 4-page interval).
-  std::uint32_t group_cells = 26;
-  /// Extra program cycles applied to the stressed half (paper §8 uses the
-  /// optimal 625 from Wang et al.).
-  std::uint32_t stress_cycles = 625;
-  /// Pages skipped between hidden pages (paper §8: 4).
-  std::uint32_t page_interval = 4;
-  /// PP+read rounds used by the decode race (paper §8: 30).
-  int decode_pp_steps = 30;
-  /// Reference voltage the race crosses.
-  double race_vref = 120.0;
-  /// Hidden bits per page; 0 = maximum (cells_per_page / group_cells).
-  std::uint32_t bits_per_page = 0;
-};
-
 struct PthiCapacity {
   std::uint32_t pages_used = 0;
   std::uint32_t bits_per_page = 0;
@@ -46,10 +28,8 @@ struct PthiCapacity {
 
 class PthiCodec {
  public:
-  PthiCodec(nand::FlashChip& chip, const crypto::HidingKey& key,
-            PthiConfig config = {});
+  PthiCodec(nand::FlashChip& chip, const crypto::HidingKey& key);
 
-  [[nodiscard]] const PthiConfig& config() const noexcept { return config_; }
   [[nodiscard]] PthiCapacity capacity() const;
   [[nodiscard]] std::vector<std::uint32_t> hidden_pages() const;
 
@@ -85,7 +65,6 @@ class PthiCodec {
 
   nand::FlashChip* chip_;
   std::array<std::uint8_t, 32> selection_key_;
-  PthiConfig config_;
 };
 
 }  // namespace stash::pthi

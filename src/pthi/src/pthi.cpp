@@ -8,13 +8,30 @@ namespace stash::pthi {
 
 using util::ErrorCode;
 
-PthiCodec::PthiCodec(nand::FlashChip& chip, const crypto::HidingKey& key,
-                     PthiConfig config)
-    : chip_(&chip), selection_key_(key.selection_key()), config_(config) {}
+namespace {
+
+/// Cells per hidden bit; half are stressed, half are the reference.  26
+/// cells/bit reproduces the paper's PT-HI capacity figure (72 Kb per 64-page
+/// block of 144384-cell pages at a 4-page interval).
+constexpr std::uint32_t kGroupCells = 26;
+/// Extra program cycles applied to the stressed half (paper §8 uses the
+/// optimal 625 from Wang et al.).
+constexpr std::uint32_t kStressCycles = 625;
+/// Pages skipped between hidden pages (paper §8: 4).
+constexpr std::uint32_t kPageInterval = 4;
+/// PP+read rounds used by the decode race (paper §8: 30).
+constexpr int kDecodePpSteps = 30;
+/// Reference voltage the race crosses.
+constexpr double kRaceVref = 120.0;
+
+}  // namespace
+
+PthiCodec::PthiCodec(nand::FlashChip& chip, const crypto::HidingKey& key)
+    : chip_(&chip), selection_key_(key.selection_key()) {}
 
 std::vector<std::uint32_t> PthiCodec::hidden_pages() const {
   std::vector<std::uint32_t> pages;
-  const std::uint32_t stride = config_.page_interval + 1;
+  constexpr std::uint32_t stride = kPageInterval + 1;
   for (std::uint32_t p = 0; p < chip_->geometry().pages_per_block; p += stride) {
     pages.push_back(p);
   }
@@ -23,10 +40,7 @@ std::vector<std::uint32_t> PthiCodec::hidden_pages() const {
 
 PthiCapacity PthiCodec::capacity() const {
   PthiCapacity cap;
-  const auto& geom = chip_->geometry();
-  cap.bits_per_page = config_.bits_per_page
-                          ? config_.bits_per_page
-                          : geom.cells_per_page / config_.group_cells;
+  cap.bits_per_page = chip_->geometry().cells_per_page / kGroupCells;
   cap.pages_used = static_cast<std::uint32_t>(hidden_pages().size());
   cap.bits_per_block =
       static_cast<std::size_t>(cap.pages_used) * cap.bits_per_page;
@@ -36,7 +50,7 @@ PthiCapacity PthiCodec::capacity() const {
 std::vector<std::uint32_t> PthiCodec::group_cells_for(
     std::uint32_t block, std::uint32_t page, std::uint32_t groups) const {
   // Deterministic keyed sample of groups*G distinct cells, in draw order.
-  const std::uint32_t need = groups * config_.group_cells;
+  const std::uint32_t need = groups * kGroupCells;
   const std::uint32_t cells = chip_->geometry().cells_per_page;
   const std::string personalization =
       "pt-hi/b" + std::to_string(block) + "/p" + std::to_string(page);
@@ -61,7 +75,7 @@ Status PthiCodec::encode_page(std::uint32_t block, std::uint32_t page,
   }
   const auto cells =
       group_cells_for(block, page, static_cast<std::uint32_t>(bits.size()));
-  const std::uint32_t g = config_.group_cells;
+  const std::uint32_t g = kGroupCells;
   const std::uint32_t half = g / 2;
 
   std::vector<std::uint32_t> to_stress;
@@ -74,7 +88,7 @@ Status PthiCodec::encode_page(std::uint32_t block, std::uint32_t page,
       to_stress.push_back(cells[base + offset + j]);
     }
   }
-  return chip_->stress_cells(block, page, to_stress, config_.stress_cycles);
+  return chip_->stress_cells(block, page, to_stress, kStressCycles);
 }
 
 Status PthiCodec::encode_block(std::uint32_t block,
@@ -100,11 +114,11 @@ Status PthiCodec::encode_block(std::uint32_t block,
     } else {
       // Dummy traffic: same program cost, no deliberate stress.
       STASH_RETURN_IF_ERROR(
-          chip_->stress_cells(block, p, {}, config_.stress_cycles));
+          chip_->stress_cells(block, p, {}, kStressCycles));
     }
     if (hidden) ++next_hidden;
   }
-  return chip_->age_cycles(block, config_.stress_cycles,
+  return chip_->age_cycles(block, kStressCycles,
                            /*charge_ledger=*/true);
 }
 
@@ -121,19 +135,19 @@ Result<std::vector<std::uint8_t>> PthiCodec::decode_page(std::uint32_t block,
                   "PT-HI race decode needs an erased page"};
   }
   const auto cells = group_cells_for(block, page, count);
-  const std::uint32_t g = config_.group_cells;
+  const std::uint32_t g = kGroupCells;
   const std::uint32_t half = g / 2;
 
   // PP race: repeatedly nudge all group cells and record the step at which
   // each crosses the reference voltage.  Stressed (faster) cells cross
   // earlier.
-  std::vector<int> crossing(cells.size(), config_.decode_pp_steps + 1);
-  for (int step = 1; step <= config_.decode_pp_steps; ++step) {
+  std::vector<int> crossing(cells.size(), kDecodePpSteps + 1);
+  for (int step = 1; step <= kDecodePpSteps; ++step) {
     STASH_RETURN_IF_ERROR(chip_->partial_program(block, page, cells));
     const auto volts = chip_->probe_voltages(block, page);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (crossing[i] > config_.decode_pp_steps &&
-          static_cast<double>(volts[cells[i]]) >= config_.race_vref) {
+      if (crossing[i] > kDecodePpSteps &&
+          static_cast<double>(volts[cells[i]]) >= kRaceVref) {
         crossing[i] = step;
       }
     }

@@ -6,7 +6,6 @@
 // with one hiding key; payloads are hidden at block granularity.
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -57,7 +56,7 @@ class VthiCodec {
   /// `corrected_bits` is non-null it receives the number of raw channel
   /// errors the ECC repaired — the health metric a refresh policy watches.
   /// On decode failure the hidden reference is shifted and the block
-  /// re-read, up to config().max_read_retries times.
+  /// re-read, up to kMaxReadRetries times.
   util::Result<std::vector<std::uint8_t>> reveal(std::uint32_t block,
                                                  int* corrected_bits = nullptr);
 
@@ -107,7 +106,7 @@ class VthiCodec {
   crypto::HidingKey key_;
   VthiConfig config_;
   VthiChannel channel_;
-  std::unique_ptr<ecc::BchCode> bch_;  // null when ECC disabled
+  ecc::BchCode bch_;
 };
 
 }  // namespace stash::vthi

@@ -2,7 +2,9 @@
 // Configuration for the VT-HI voltage-hiding scheme.  The defaults are the
 // paper's production parameters determined in §6.3: hiding threshold at
 // normalized level 34, 256 hidden bits per page, one physical page between
-// hidden pages, and up to ten partial-programming steps.
+// hidden pages, and up to ten partial-programming steps.  Only what the
+// production and enhanced (§8) operating points vary is a field; the rest
+// of the scheme is fixed by the constants below.
 
 #include <cstdint>
 
@@ -10,33 +12,57 @@
 
 namespace stash::vthi {
 
+/// Selection guard: only cells measured below this level are eligible to
+/// carry hidden bits.  Sits far above any erased-level voltage and far
+/// below any programmed-level voltage, so eligibility is stable across
+/// retention and wear — both encode and decode recover the identical cell
+/// list from a single voltage probe.
+inline constexpr double kSelectGuard = 90.0;
+
+/// Physical pages skipped between hidden pages (paper: 1, which keeps the
+/// public-data BER inflation near 10% instead of 20% at interval 0).
+inline constexpr std::uint32_t kPageInterval = 1;
+
+/// BCH field degree; the correction capability t is derived from
+/// VthiConfig::raw_ber_estimate.
+inline constexpr int kBchM = 13;
+
+/// Read-retry budget: when a reveal fails to decode (ECC/MAC), re-read
+/// with the hidden reference shifted by ±kReadRetryShift, widening
+/// exponentially (+s, -s, +2s, -2s, ...) — the standard NAND read-retry
+/// loop applied to the hidden threshold.
+inline constexpr int kMaxReadRetries = 4;
+/// Initial reference shift of the retry ladder, in normalized levels.
+inline constexpr double kReadRetryShift = 1.0;
+
 /// Parameters of the raw per-page voltage channel.
 struct ChannelConfig {
   /// Hidden read reference: cells at or above this level decode as hidden
   /// '0', below as hidden '1' (paper Fig. 5; level 34 on the test chip).
   double vth = 34.0;
-  /// Selection guard: only cells measured below this level are eligible to
-  /// carry hidden bits.  Sits far above any erased-level voltage and far
-  /// below any programmed-level voltage, so eligibility is stable across
-  /// retention and wear — both encode and decode recover the identical
-  /// cell list from a single voltage probe.
-  double select_guard = 90.0;
   /// Maximum Algorithm-1 iterations (read + partial program).  Ten steps
   /// push the raw hidden BER below 1% (Fig. 6).
   int max_pp_steps = 10;
   /// Enhanced capacity mode (§8 "Improved Capacity"): use the
   /// controller-internal precise programming pass, a single step (m=1).
   bool use_fine_program = false;
-  /// Fine-program target = vth + delta (with the given sigma), plus an
-  /// exponential spread that shapes the hidden-'0' population like the
-  /// natural voltage tail — the knob §6.2 says vendor firmware exposes
-  /// ("the ability to control voltage targets and the width of voltage
-  /// intervals").
-  /// Defaults match the simulator's natural tail decay so the hidden-'0'
-  /// population is shaped like a block that simply has a heavier tail.
-  double fine_target_delta = 1.5;
-  double fine_target_sigma = 1.2;
-  double fine_target_tail = 7.5;
+
+  /// Uniform config contract (see FtlConfig::validate): checked by the
+  /// VthiChannel constructor, which throws std::invalid_argument on a
+  /// non-OK status.
+  [[nodiscard]] util::Status validate() const {
+    using util::ErrorCode;
+    using util::Status;
+    if (!(vth > 0.0) || !(vth < kSelectGuard)) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "ChannelConfig: vth must be in (0, kSelectGuard)"};
+    }
+    if (max_pp_steps < 1) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "ChannelConfig: max_pp_steps must be >= 1"};
+    }
+    return Status::ok();
+  }
 };
 
 struct VthiConfig {
@@ -44,29 +70,9 @@ struct VthiConfig {
   /// Hidden bits embedded per hidden page (paper: 512 feasible, 256 chosen
   /// conservatively).
   std::uint32_t hidden_bits_per_page = 256;
-  /// Physical pages skipped between hidden pages (paper: 1, which keeps the
-  /// public-data BER inflation near 10% instead of 20% at interval 0).
-  std::uint32_t page_interval = 1;
-  /// BCH field degree; 0 disables ECC (raw channel experiments).
-  int bch_m = 13;
-  /// Correction capability per codeword; 0 = derive from raw_ber_estimate.
-  int bch_t = 0;
   /// Raw channel BER the auto-picked t must cover with 3-sigma margin.
   /// The production channel measures ~1% (paper §8: 1.1-1.3%).
   double raw_ber_estimate = 0.015;
-  /// Append an HMAC-SHA256 tag so reveal() can authenticate the payload
-  /// (and cleanly reject a wrong key).
-  bool with_mac = true;
-  /// Refuse to hide into pages that hold no public data (hidden bits in a
-  /// still-erased page would be destroyed by the later public program).
-  bool require_programmed_pages = true;
-  /// Read-retry budget: when a reveal fails to decode (ECC/MAC), re-read
-  /// with the hidden reference shifted by ±read_retry_shift, widening
-  /// exponentially (+s, -s, +2s, -2s, ...) — the standard NAND read-retry
-  /// loop applied to the hidden threshold.  0 disables retries.
-  int max_read_retries = 4;
-  /// Initial reference shift of the retry ladder, in normalized levels.
-  double read_retry_shift = 1.0;
 
   /// Uniform config contract (see FtlConfig::validate): checked by the
   /// VthiCodec/VthiChannel construction entry points, which throw
@@ -74,37 +80,14 @@ struct VthiConfig {
   [[nodiscard]] util::Status validate() const {
     using util::ErrorCode;
     using util::Status;
-    if (!(channel.vth > 0.0) || channel.vth >= 255.0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: channel.vth must be in (0, 255)"};
-    }
-    if (!(channel.select_guard > channel.vth) || channel.select_guard > 255.0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: select_guard must be in (vth, 255]"};
-    }
-    if (channel.max_pp_steps < 1) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: max_pp_steps must be >= 1"};
-    }
+    STASH_RETURN_IF_ERROR(channel.validate());
     if (hidden_bits_per_page == 0) {
       return Status{ErrorCode::kInvalidArgument,
                     "VthiConfig: hidden_bits_per_page must be > 0"};
     }
-    if (bch_m != 0 && (bch_m < 2 || bch_m > 16)) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: bch_m must be 0 (ECC off) or in [2, 16]"};
-    }
-    if (bch_t < 0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: bch_t must be >= 0"};
-    }
     if (!(raw_ber_estimate >= 0.0) || raw_ber_estimate >= 0.5) {
       return Status{ErrorCode::kInvalidArgument,
                     "VthiConfig: raw_ber_estimate must be in [0, 0.5)"};
-    }
-    if (max_read_retries < 0 || !(read_retry_shift >= 0.0)) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "VthiConfig: read-retry parameters must be non-negative"};
     }
     return Status::ok();
   }
@@ -115,7 +98,7 @@ struct VthiConfig {
   /// §8 enhanced configuration: 10x hidden bits per page, one precise
   /// programming step, lowered threshold.  On the paper's chip the lowered
   /// threshold was level 15; our calibrated simulator distribution puts the
-  /// equivalent operating point at level 28 (see DESIGN.md §4).
+  /// equivalent operating point at level 30 (see DESIGN.md §4).
   [[nodiscard]] static VthiConfig enhanced() noexcept {
     VthiConfig c;
     c.channel.vth = 30.0;

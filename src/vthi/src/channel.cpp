@@ -1,5 +1,6 @@
 #include "stash/vthi/channel.hpp"
 
+#include <stdexcept>
 #include <string>
 
 #include "stash/trace/trace.hpp"
@@ -8,10 +9,28 @@ namespace stash::vthi {
 
 using util::ErrorCode;
 
+namespace {
+
+// Enhanced-mode fine-program target = vth + delta (with the given sigma),
+// plus an exponential spread that shapes the hidden-'0' population like the
+// natural voltage tail — the knob §6.2 says vendor firmware exposes ("the
+// ability to control voltage targets and the width of voltage intervals").
+// The values match the simulator's natural tail decay, so the hidden-'0'
+// population looks like a block that simply has a heavier tail.
+constexpr double kFineTargetDelta = 1.5;
+constexpr double kFineTargetSigma = 1.2;
+constexpr double kFineTargetTail = 7.5;
+
+}  // namespace
+
 VthiChannel::VthiChannel(nand::FlashChip& chip,
                          std::array<std::uint8_t, 32> selection_key,
                          ChannelConfig config)
-    : chip_(&chip), selection_key_(selection_key), config_(config) {}
+    : chip_(&chip), selection_key_(selection_key), config_(config) {
+  if (const Status valid = config_.validate(); !valid.is_ok()) {
+    throw std::invalid_argument(valid.to_string());
+  }
+}
 
 std::vector<std::uint32_t> VthiChannel::select_from_voltages(
     std::uint32_t block, std::uint32_t page, std::uint32_t count,
@@ -42,7 +61,7 @@ std::vector<std::uint32_t> VthiChannel::select_from_voltages(
         i + static_cast<std::uint32_t>(drbg.below(cells - i));
     std::swap(order[i], order[j]);
     const std::uint32_t c = order[i];
-    if (static_cast<double>(volts[c]) < config_.select_guard) {
+    if (static_cast<double>(volts[c]) < kSelectGuard) {
       chosen.push_back(c);
     }
   }
@@ -99,9 +118,8 @@ Result<int> VthiChannel::step(EmbedSession& session) {
   Status programmed;
   if (config_.use_fine_program) {
     programmed = chip_->fine_program(session.block, session.page, pending,
-                                     config_.vth + config_.fine_target_delta,
-                                     config_.fine_target_sigma,
-                                     config_.fine_target_tail);
+                                     config_.vth + kFineTargetDelta,
+                                     kFineTargetSigma, kFineTargetTail);
   } else {
     programmed = chip_->partial_program(session.block, session.page, pending);
   }
@@ -173,7 +191,7 @@ Result<std::size_t> VthiChannel::natural_above_threshold(std::uint32_t block,
   std::size_t count = 0;
   for (int v : volts) {
     const auto vd = static_cast<double>(v);
-    if (vd >= config_.vth && vd < config_.select_guard) ++count;
+    if (vd >= config_.vth && vd < kSelectGuard) ++count;
   }
   return count;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 
 #include "stash/crypto/chacha20.hpp"
 #include "stash/crypto/sha256.hpp"
@@ -28,6 +29,47 @@ std::array<std::uint8_t, 12> block_nonce(std::uint32_t block) {
   return nonce;
 }
 
+const VthiConfig& validated(const VthiConfig& config) {
+  if (const Status valid = config.validate(); !valid.is_ok()) {
+    throw std::invalid_argument(valid.to_string());
+  }
+  return config;
+}
+
+/// Hidden pages per block: every (kPageInterval + 1)-th page.
+std::uint32_t hidden_page_count(std::uint32_t pages_per_block) noexcept {
+  constexpr std::uint32_t stride = kPageInterval + 1;
+  return (pages_per_block + stride - 1) / stride;
+}
+
+/// BCH correction capability sized for one codeword's share of the block
+/// payload at the configured raw channel BER.
+int pick_bch_t(const nand::Geometry& geom, const VthiConfig& config) {
+  const std::size_t n = (1ull << kBchM) - 1;
+  const std::size_t total_bits =
+      static_cast<std::size_t>(hidden_page_count(geom.pages_per_block)) *
+      config.hidden_bits_per_page;
+  const std::size_t codewords = (total_bits + n - 1) / n;
+  const std::size_t per_cw =
+      (total_bits + codewords - 1) / std::max<std::size_t>(1, codewords);
+  const int t =
+      ecc::BchCode::pick_t_for_codeword(kBchM, per_cw, config.raw_ber_estimate);
+  return t == 0 ? 1 : t;
+}
+
+/// HMAC-SHA256 over [block u32 LE][ciphertext]; the frame keeps the first
+/// kMacBytes of it.
+crypto::Digest256 frame_tag(const crypto::HidingKey& key, std::uint32_t block,
+                            std::span<const std::uint8_t> ciphertext) {
+  std::vector<std::uint8_t> mac_input(4);
+  for (int i = 0; i < 4; ++i) {
+    mac_input[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(block >> (8 * i));
+  }
+  mac_input.insert(mac_input.end(), ciphertext.begin(), ciphertext.end());
+  return crypto::hmac_sha256(key.mac_key(), mac_input);
+}
+
 bool constant_time_equal(std::span<const std::uint8_t> a,
                          std::span<const std::uint8_t> b) noexcept {
   if (a.size() != b.size()) return false;
@@ -42,39 +84,13 @@ VthiCodec::VthiCodec(nand::FlashChip& chip, const crypto::HidingKey& key,
                      VthiConfig config)
     : chip_(&chip),
       key_(key),
-      config_(config),
-      channel_(chip, key.selection_key(), config.channel) {
-  if (const Status valid = config_.validate(); !valid.is_ok()) {
-    throw std::invalid_argument(valid.to_string());
-  }
-  if (config_.bch_m > 0) {
-    int t = config_.bch_t;
-    if (t == 0) {
-      // Size t for one codeword's share of the block payload.
-      const std::size_t n = (1ull << config_.bch_m) - 1;
-      const Layout lay = [&] {
-        Layout l;
-        const auto& geom = chip_->geometry();
-        const std::uint32_t stride = config_.page_interval + 1;
-        l.pages_used = (geom.pages_per_block + stride - 1) / stride;
-        l.total_bits = static_cast<std::size_t>(l.pages_used) *
-                       config_.hidden_bits_per_page;
-        return l;
-      }();
-      const std::size_t codewords = (lay.total_bits + n - 1) / n;
-      const std::size_t per_cw =
-          (lay.total_bits + codewords - 1) / std::max<std::size_t>(1, codewords);
-      t = ecc::BchCode::pick_t_for_codeword(config_.bch_m, per_cw,
-                                            config_.raw_ber_estimate);
-      if (t == 0) t = 1;
-    }
-    bch_ = std::make_unique<ecc::BchCode>(config_.bch_m, t);
-  }
-}
+      config_(validated(config)),
+      channel_(chip, key.selection_key(), config.channel),
+      bch_(kBchM, pick_bch_t(chip.geometry(), config)) {}
 
 std::vector<std::uint32_t> VthiCodec::hidden_pages() const {
   std::vector<std::uint32_t> pages;
-  const std::uint32_t stride = config_.page_interval + 1;
+  constexpr std::uint32_t stride = kPageInterval + 1;
   for (std::uint32_t p = 0; p < chip_->geometry().pages_per_block; p += stride) {
     pages.push_back(p);
   }
@@ -83,19 +99,13 @@ std::vector<std::uint32_t> VthiCodec::hidden_pages() const {
 
 VthiCodec::Layout VthiCodec::layout() const {
   Layout lay;
-  const std::uint32_t stride = config_.page_interval + 1;
-  lay.pages_used = (chip_->geometry().pages_per_block + stride - 1) / stride;
+  lay.pages_used = hidden_page_count(chip_->geometry().pages_per_block);
   lay.total_bits =
       static_cast<std::size_t>(lay.pages_used) * config_.hidden_bits_per_page;
-  if (bch_) {
-    const std::size_t n = bch_->n();
-    lay.codewords = static_cast<std::uint32_t>((lay.total_bits + n - 1) / n);
-    lay.parity_bits = static_cast<std::size_t>(lay.codewords) *
-                      bch_->parity_bits();
-  } else {
-    lay.codewords = 0;
-    lay.parity_bits = 0;
-  }
+  const std::size_t n = bch_.n();
+  lay.codewords = static_cast<std::uint32_t>((lay.total_bits + n - 1) / n);
+  lay.parity_bits =
+      static_cast<std::size_t>(lay.codewords) * bch_.parity_bits();
   lay.data_bits =
       lay.total_bits > lay.parity_bits ? lay.total_bits - lay.parity_bits : 0;
   return lay;
@@ -104,7 +114,7 @@ VthiCodec::Layout VthiCodec::layout() const {
 std::size_t VthiCodec::capacity_bytes() const {
   const Layout lay = layout();
   const std::size_t data_bytes = lay.data_bits / 8;
-  const std::size_t overhead = kLenBytes + (config_.with_mac ? kMacBytes : 0);
+  constexpr std::size_t overhead = kLenBytes + kMacBytes;
   return data_bytes > overhead ? data_bytes - overhead : 0;
 }
 
@@ -133,16 +143,8 @@ std::vector<std::uint8_t> VthiCodec::frame_payload(
   crypto::ChaCha20 cipher(cipher_key, nonce);
   cipher.apply(frame);
 
-  if (config_.with_mac) {
-    std::vector<std::uint8_t> mac_input(4);
-    for (int i = 0; i < 4; ++i) {
-      mac_input[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(block >> (8 * i));
-    }
-    mac_input.insert(mac_input.end(), frame.begin(), frame.end());
-    const auto tag = crypto::hmac_sha256(key_.mac_key(), mac_input);
-    frame.insert(frame.end(), tag.begin(), tag.begin() + kMacBytes);
-  }
+  const auto tag = frame_tag(key_, block, frame);
+  frame.insert(frame.end(), tag.begin(), tag.begin() + kMacBytes);
 
   frame.resize(data_bits / 8 + ((data_bits % 8) ? 1 : 0), 0);
   return frame;
@@ -160,12 +162,12 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
     return Status{ErrorCode::kNoSpace,
                   "payload exceeds hidden capacity of one block"};
   }
-  if (config_.require_programmed_pages) {
-    for (std::uint32_t p : hidden_pages()) {
-      if (chip_->page_state(block, p) != nand::PageState::kProgrammed) {
-        return Status{ErrorCode::kInvalidArgument,
-                      "hidden pages must hold public data before hiding"};
-      }
+  // Hidden bits in a still-erased page would be destroyed by the later
+  // public program.
+  for (std::uint32_t p : hidden_pages()) {
+    if (chip_->page_state(block, p) != nand::PageState::kProgrammed) {
+      return Status{ErrorCode::kInvalidArgument,
+                    "hidden pages must hold public data before hiding"};
     }
   }
 
@@ -176,20 +178,16 @@ Result<HideReport> VthiCodec::hide(std::uint32_t block,
 
   std::vector<std::uint8_t> coded;
   coded.reserve(lay.total_bits);
-  if (bch_) {
-    const std::uint32_t cw = lay.codewords;
-    const std::size_t base = lay.data_bits / cw;
-    const std::size_t rem = lay.data_bits % cw;
-    std::size_t offset = 0;
-    for (std::uint32_t c = 0; c < cw; ++c) {
-      const std::size_t take = base + (c < rem ? 1 : 0);
-      const std::span<const std::uint8_t> chunk(data_bits.data() + offset, take);
-      const auto codeword = bch_->encode(chunk);
-      coded.insert(coded.end(), codeword.begin(), codeword.end());
-      offset += take;
-    }
-  } else {
-    coded = data_bits;
+  const std::uint32_t cw = lay.codewords;
+  const std::size_t base = lay.data_bits / cw;
+  const std::size_t rem = lay.data_bits % cw;
+  std::size_t offset = 0;
+  for (std::uint32_t c = 0; c < cw; ++c) {
+    const std::size_t take = base + (c < rem ? 1 : 0);
+    const std::span<const std::uint8_t> chunk(data_bits.data() + offset, take);
+    const auto codeword = bch_.encode(chunk);
+    coded.insert(coded.end(), codeword.begin(), codeword.end());
+    offset += take;
   }
   if (coded.size() != lay.total_bits) {
     return Status{ErrorCode::kCorrupted, "internal layout mismatch"};
@@ -252,45 +250,39 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
   // scratch and syndrome tables are walked once for all of them.
   std::vector<std::uint8_t> data_bits;
   data_bits.reserve(lay.data_bits);
-  bool uncorrectable = false;
-  if (bch_) {
-    const std::uint32_t cw = lay.codewords;
-    const std::size_t base = lay.data_bits / cw;
-    const std::size_t rem = lay.data_bits % cw;
-    std::vector<std::span<const std::uint8_t>> codewords;
-    std::vector<std::size_t> data_lens;
-    codewords.reserve(cw);
-    data_lens.reserve(cw);
-    std::size_t offset = 0;
-    for (std::uint32_t c = 0; c < cw; ++c) {
-      const std::size_t data_len = base + (c < rem ? 1 : 0);
-      const std::size_t cw_len = data_len + bch_->parity_bits();
-      codewords.emplace_back(coded.data() + offset, cw_len);
-      data_lens.push_back(data_len);
-      offset += cw_len;
+  const std::uint32_t cw = lay.codewords;
+  const std::size_t base = lay.data_bits / cw;
+  const std::size_t rem = lay.data_bits % cw;
+  std::vector<std::span<const std::uint8_t>> codewords;
+  std::vector<std::size_t> data_lens;
+  codewords.reserve(cw);
+  data_lens.reserve(cw);
+  std::size_t offset = 0;
+  for (std::uint32_t c = 0; c < cw; ++c) {
+    const std::size_t data_len = base + (c < rem ? 1 : 0);
+    const std::size_t cw_len = data_len + bch_.parity_bits();
+    codewords.emplace_back(coded.data() + offset, cw_len);
+    data_lens.push_back(data_len);
+    offset += cw_len;
+  }
+  std::vector<ecc::BchCode::DecodeResult> decoded;
+  {
+    trace::ScopedSpan span(trace::Stage::kEccDecode, trace::Op::kExtract,
+                           block, (offset + 7) / 8);
+    decoded = bch_.decode_batch(codewords);
+  }
+  for (std::uint32_t c = 0; c < cw; ++c) {
+    if (decoded[c].ok) {
+      if (corrected_bits) *corrected_bits += decoded[c].corrected;
+      data_bits.insert(data_bits.end(), decoded[c].data_bits.begin(),
+                       decoded[c].data_bits.end());
+    } else {
+      // Best effort: keep the raw systematic part; the MAC will tell us
+      // whether it happened to survive.
+      data_bits.insert(data_bits.end(), codewords[c].begin(),
+                       codewords[c].begin() +
+                           static_cast<long>(data_lens[c]));
     }
-    std::vector<ecc::BchCode::DecodeResult> decoded;
-    {
-      trace::ScopedSpan span(trace::Stage::kEccDecode, trace::Op::kExtract,
-                             block, (offset + 7) / 8);
-      decoded = bch_->decode_batch(codewords);
-    }
-    for (std::uint32_t c = 0; c < cw; ++c) {
-      if (decoded[c].ok) {
-        if (corrected_bits) *corrected_bits += decoded[c].corrected;
-        data_bits.insert(data_bits.end(), decoded[c].data_bits.begin(),
-                         decoded[c].data_bits.end());
-      } else {
-        // Best effort: keep the raw systematic part; the MAC will tell us
-        // whether it happened to survive.
-        uncorrectable = true;
-        data_bits.insert(data_bits.end(), codewords[c].begin(),
-                         codewords[c].begin() +
-                             static_cast<long>(data_lens[c]));
-      }
-    }
-  } else {
-    data_bits = coded;
   }
 
   const auto bytes = util::bits_to_bytes(
@@ -298,7 +290,7 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
                                     data_bits.size() - data_bits.size() % 8));
 
   // Parse the frame: decrypt length, check bounds, verify MAC, decrypt.
-  if (bytes.size() < kLenBytes + (config_.with_mac ? kMacBytes : 0)) {
+  if (bytes.size() < kLenBytes + kMacBytes) {
     return Status{ErrorCode::kCorrupted, "frame too small"};
   }
   const auto cipher_key = key_.cipher_key();
@@ -312,33 +304,20 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
     len = (len << 8) | len_bytes[static_cast<std::size_t>(i)];
   }
   const std::size_t mac_off = kLenBytes + len;
-  if (len > capacity_bytes() ||
-      mac_off + (config_.with_mac ? kMacBytes : 0) > bytes.size()) {
-    return Status{config_.with_mac ? ErrorCode::kAuthFailure
-                                   : ErrorCode::kCorrupted,
+  if (len > capacity_bytes() || mac_off + kMacBytes > bytes.size()) {
+    return Status{ErrorCode::kAuthFailure,
                   "hidden frame length invalid (wrong key or data loss)"};
   }
 
-  if (config_.with_mac) {
-    std::vector<std::uint8_t> mac_input(4);
-    for (int i = 0; i < 4; ++i) {
-      mac_input[static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(block >> (8 * i));
-    }
-    mac_input.insert(mac_input.end(), bytes.begin(),
-                     bytes.begin() + static_cast<long>(mac_off));
-    const auto tag = crypto::hmac_sha256(key_.mac_key(), mac_input);
-    const std::span<const std::uint8_t> stored(bytes.data() + mac_off,
-                                               kMacBytes);
-    if (!constant_time_equal(stored,
-                             std::span<const std::uint8_t>(tag.data(),
-                                                           kMacBytes))) {
-      return Status{ErrorCode::kAuthFailure,
-                    "hidden payload failed authentication"};
-    }
-  } else if (uncorrectable) {
-    return Status{ErrorCode::kUncorrectable,
-                  "hidden payload exceeded ECC correction budget"};
+  const auto tag =
+      frame_tag(key_, block, std::span<const std::uint8_t>(bytes.data(), mac_off));
+  const std::span<const std::uint8_t> stored(bytes.data() + mac_off,
+                                             kMacBytes);
+  if (!constant_time_equal(stored,
+                           std::span<const std::uint8_t>(tag.data(),
+                                                         kMacBytes))) {
+    return Status{ErrorCode::kAuthFailure,
+                  "hidden payload failed authentication"};
   }
 
   std::vector<std::uint8_t> plaintext(bytes.begin(),
@@ -365,8 +344,7 @@ bool read_retryable(ErrorCode code) noexcept {
 Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
                                                     int* corrected_bits) {
   auto result = reveal_at(block, config_.channel.vth, corrected_bits);
-  if (result.is_ok() || config_.max_read_retries <= 0 ||
-      !read_retryable(result.status().code())) {
+  if (result.is_ok() || !read_retryable(result.status().code())) {
     return result;
   }
 
@@ -374,13 +352,13 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal(std::uint32_t block,
   // doubling after each +/- pair (exponential widening).  Every rung does a
   // fresh set of probes, so transient glitches clear and drifted
   // populations get re-sliced at a friendlier reference.
-  double magnitude = config_.read_retry_shift;
-  for (int attempt = 1; attempt <= config_.max_read_retries; ++attempt) {
+  double magnitude = kReadRetryShift;
+  for (int attempt = 1; attempt <= kMaxReadRetries; ++attempt) {
     const double shift = (attempt % 2 == 1) ? magnitude : -magnitude;
     if (attempt % 2 == 0) magnitude *= 2.0;
     const double vth =
         std::clamp(config_.channel.vth + shift, 1.0,
-                   config_.channel.select_guard - 1.0);
+                   kSelectGuard - 1.0);
     auto retried = reveal_at(block, vth, corrected_bits);
     if (retried.is_ok()) return retried;
     if (!read_retryable(retried.status().code())) return retried;

@@ -106,7 +106,7 @@ TEST(DevConfig, SiblingLayerConfigsShareTheContract) {
   EXPECT_EQ(ftl.validate().code(), ErrorCode::kInvalidArgument);
 
   vthi::VthiConfig vthi;
-  vthi.channel.select_guard = vthi.channel.vth;  // guard must exceed the threshold
+  vthi.channel.vth = vthi::kSelectGuard;  // the guard must exceed the threshold
   EXPECT_EQ(vthi.validate().code(), ErrorCode::kInvalidArgument);
 
   stego::StegoConfig stego;

@@ -225,9 +225,9 @@ TEST(NetProtocol, DecodeRejectsUnknownOpTruncationAndTrailing) {
 }
 
 TEST(NetProtocol, OversizedFrameHeaderIsCorruptionNotAllocation) {
-  FrameAssembler assembler(64);  // tiny cap
-  // A 4-byte header announcing a body far past the cap.
-  const std::array<std::uint8_t, 4> header = {0x00, 0x00, 0x10, 0x00};  // 1 MiB
+  FrameAssembler assembler;
+  // A 4-byte header announcing a 4 GiB body, far past the cap.
+  const std::array<std::uint8_t, 4> header = {0xFF, 0xFF, 0xFF, 0xFF};
   assembler.feed(header);
   std::vector<std::uint8_t> frame;
   bool ready = false;

@@ -309,7 +309,7 @@ TEST(TraceHidden, StoreHiddenTreeHasOneEmbedSpanPerHiddenPage) {
   EXPECT_EQ(root->dur_ns, wait + service);
   ASSERT_FALSE(embeds.empty());
   // One embed per hidden page of every carrier block hidden into.
-  const std::uint32_t stride = config.vthi.page_interval + 1;
+  const std::uint32_t stride = vthi::kPageInterval + 1;
   const std::uint32_t hidden_pages =
       (config.geometry.pages_per_block + stride - 1) / stride;
   for (const auto& [block, count] : embeds_per_block) {
