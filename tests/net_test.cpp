@@ -235,6 +235,27 @@ TEST(NetProtocol, OversizedFrameHeaderIsCorruptionNotAllocation) {
   EXPECT_FALSE(ready);
 }
 
+TEST(NetProtocol, FrameCapIsInclusive) {
+  auto header_for = [](std::uint32_t len) {
+    return std::array<std::uint8_t, 4>{
+        static_cast<std::uint8_t>(len), static_cast<std::uint8_t>(len >> 8),
+        static_cast<std::uint8_t>(len >> 16),
+        static_cast<std::uint8_t>(len >> 24)};
+  };
+  std::vector<std::uint8_t> frame;
+  bool ready = true;
+  // A body of exactly kMaxFrameBytes is legal: the assembler waits for it.
+  FrameAssembler at_cap;
+  at_cap.feed(header_for(static_cast<std::uint32_t>(kMaxFrameBytes)));
+  EXPECT_TRUE(at_cap.poll(frame, ready).is_ok());
+  EXPECT_FALSE(ready);
+  // One byte more is refused before any body arrives.
+  FrameAssembler past_cap;
+  past_cap.feed(header_for(static_cast<std::uint32_t>(kMaxFrameBytes + 1)));
+  EXPECT_EQ(past_cap.poll(frame, ready).code(), ErrorCode::kCorrupted);
+  EXPECT_FALSE(ready);
+}
+
 // ---- Server: end-to-end over loopback -------------------------------------
 
 TEST(NetServer, ServesTheDeviceSurfaceOverLoopback) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -55,6 +56,50 @@ TEST(Channel, ConstructorThrowsOnInvalidConfig) {
   EXPECT_THROW(VthiChannel(chip, key, ChannelConfig{.vth = 95.0}),
                std::invalid_argument);
   EXPECT_NO_THROW(VthiChannel(chip, key, ChannelConfig{}));
+}
+
+struct InvalidChannelCase {
+  ChannelConfig config;
+  const char* name;
+};
+
+class InvalidChannelConfig
+    : public ::testing::TestWithParam<InvalidChannelCase> {};
+
+TEST_P(InvalidChannelConfig, RejectedByEveryEntryPoint) {
+  const ChannelConfig& channel = GetParam().config;
+  EXPECT_EQ(channel.validate().code(), ErrorCode::kInvalidArgument);
+  // VthiConfig::validate delegates to the channel check.
+  VthiConfig config = VthiConfig::production();
+  config.channel = channel;
+  EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
+  FlashChip chip(vthi_geometry(), NoiseModel::vendor_a(), 60);
+  EXPECT_THROW(VthiChannel(chip, test_key().selection_key(), channel),
+               std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, InvalidChannelConfig,
+    ::testing::Values(
+        InvalidChannelCase{ChannelConfig{.vth = 0.0}, "vth_zero"},
+        InvalidChannelCase{ChannelConfig{.vth = -5.0}, "vth_negative"},
+        InvalidChannelCase{
+            ChannelConfig{.vth = std::numeric_limits<double>::quiet_NaN()},
+            "vth_nan"},
+        InvalidChannelCase{ChannelConfig{.vth = kSelectGuard}, "vth_at_guard"},
+        InvalidChannelCase{ChannelConfig{.max_pp_steps = 0}, "pp_steps_zero"},
+        InvalidChannelCase{ChannelConfig{.max_pp_steps = -1},
+                           "pp_steps_negative"}),
+    [](const ::testing::TestParamInfo<InvalidChannelCase>& info) {
+      return info.param.name;
+    });
+
+TEST(Channel, BothOperatingPointsAndTheGuardEdgeValidate) {
+  EXPECT_TRUE(VthiConfig::production().validate().is_ok());
+  EXPECT_TRUE(VthiConfig::enhanced().validate().is_ok());
+  // The open interval (0, kSelectGuard) admits values right below the guard.
+  EXPECT_TRUE((ChannelConfig{.vth = kSelectGuard - 0.5}).validate().is_ok());
+  EXPECT_TRUE((ChannelConfig{.max_pp_steps = 1}).validate().is_ok());
 }
 
 TEST(Channel, SelectionIsDeterministicAndDistinct) {
