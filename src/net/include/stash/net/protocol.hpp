@@ -21,10 +21,23 @@
 //
 // FrameAssembler turns an arbitrary chunking of the byte stream back into
 // frames, with a hard cap on the announced frame size — one malicious or
-// corrupt 4-byte header must not make the peer allocate gigabytes.
+// corrupt 4-byte header must not make the peer allocate gigabytes.  Both
+// ends `recv` straight into its buffer (room/commit) and decode each body
+// from a view of that buffer (poll); a view is valid until the next feed,
+// room or poll call on that assembler.  The user-space copies per frame
+// are exactly these:
+//
+//   * receiving: one, view -> Request::data / Response::data (the blob
+//     copy in decode_*); a write request's data then moves, uncopied, into
+//     the device's write-back buffer;
+//   * sending: one, payload -> output buffer (encode_*), which send()
+//     hands to the kernel.
+//
+// None of these is charged to dev.bytes_copied: that counter covers the
+// device's own copies only.
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +86,8 @@ struct Hello {
 constexpr std::size_t kFrameHeaderBytes = 4;
 /// Cap on one frame body (requests and responses alike).
 constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
+/// Least room each end asks FrameAssembler for before one recv().
+constexpr std::size_t kRecvChunkBytes = 64 * 1024;
 
 struct Request {
   OpCode op = OpCode::kPing;
@@ -100,7 +115,7 @@ struct Response {
 void encode_request(const Request& req, std::vector<std::uint8_t>& out);
 void encode_response(const Response& resp, std::vector<std::uint8_t>& out);
 
-/// Decode one frame *body* (the bytes FrameAssembler::poll hands back).
+/// Decode one frame *body* (the view FrameAssembler::poll hands back).
 /// kCorrupted on truncation, trailing bytes, or an unknown op.
 Status decode_request(std::span<const std::uint8_t> body, Request& out);
 Status decode_response(std::span<const std::uint8_t> body, Response& out);
@@ -131,22 +146,48 @@ Status decode_hidden_info(std::span<const std::uint8_t> bytes,
                           dev::HiddenInfo& out);
 
 /// Incremental frame reassembly over an arbitrarily-chunked byte stream.
+///
+/// The stream lives in one contiguous heap buffer as [head, tail) unconsumed
+/// bytes.  The buffer is compacted with one memmove only when the room asked
+/// for does not fit after tail; it grows to hold a whole announced frame,
+/// without zero-filling, and once the frames that needed more than
+/// kRetainBytes are consumed it shrinks back to that size.
 class FrameAssembler {
  public:
-  /// Buffer `bytes` as the next chunk of the stream.
+  /// Capacity a buffer keeps once no buffered frame needs more.
+  static constexpr std::size_t kRetainBytes = 256 * 1024;
+
+  /// Writable room for at least `min_bytes` more stream bytes, directly after
+  /// the buffered ones (more when the frame at the head needs it).  Write the
+  /// next stream bytes at its front, then commit() how many were written.
+  std::span<std::uint8_t> room(std::size_t min_bytes);
+  /// Append the first `n` bytes of the last room() to the stream.
+  void commit(std::size_t n) noexcept;
+  /// Buffer `bytes` as the next chunk of the stream (room + copy + commit).
   void feed(std::span<const std::uint8_t> bytes);
 
-  /// Pop the next complete frame body into `frame`.  `ready` is false when
-  /// the stream holds no complete frame yet (frame untouched).  kCorrupted
-  /// when a header announces a body larger than kMaxFrameBytes: the
-  /// stream is unrecoverable and the connection should be dropped.
-  Status poll(std::vector<std::uint8_t>& frame, bool& ready);
+  /// Pop the next complete frame: `body` views its bytes inside the buffer.
+  /// The view stays valid until the next feed, room or poll call.  `ready`
+  /// is false when the stream holds no complete frame yet (body untouched).
+  /// kCorrupted when a header announces a body larger than kMaxFrameBytes,
+  /// before any room is made for it: the stream is unrecoverable and the
+  /// connection should be dropped.
+  Status poll(std::span<const std::uint8_t>& body, bool& ready);
 
   /// Bytes buffered but not yet returned as frames.
-  [[nodiscard]] std::size_t buffered() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t buffered() const noexcept { return tail_ - head_; }
+  /// Bytes the buffer holds allocated.
+  [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
 
  private:
-  std::deque<std::uint8_t> buf_;
+  std::size_t needed() const noexcept;
+  bool shrink(std::size_t want);
+  void relocate(std::size_t cap);
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t head_ = 0;
+  std::size_t tail_ = 0;
 };
 
 }  // namespace stash::net

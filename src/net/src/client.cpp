@@ -110,21 +110,27 @@ Status Client::send(Request& req) {
 Status Client::recv(Response& resp) {
   if (fd_ < 0) return Status{ErrorCode::kUnsupported, "not connected"};
   for (;;) {
-    std::vector<std::uint8_t> body;
+    std::span<const std::uint8_t> body;
     bool ready = false;
-    STASH_RETURN_IF_ERROR(assembler_.poll(body, ready));
-    if (ready) return decode_response(body, resp);
-    std::uint8_t buf[65536];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+    Status st = assembler_.poll(body, ready);
+    if (st.is_ok() && ready) st = decode_response(body, resp);
+    if (!st.is_ok()) {
+      // The stream is out of frame: every later recv would fail the same
+      // way, so the connection goes now, as the server's does.
+      close();
+      return st;
+    }
+    if (ready) return Status::ok();
+    const std::span<std::uint8_t> room = assembler_.room(kRecvChunkBytes);
+    const ssize_t n = ::recv(fd_, room.data(), room.size(), 0);
     if (n > 0) {
-      assembler_.feed({buf, static_cast<std::size_t>(n)});
+      assembler_.commit(static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    const Status st =
-        n == 0 ? Status{ErrorCode::kPowerLoss,
-                        "connection closed while awaiting a response"}
-               : errno_status("recv");
+    st = n == 0 ? Status{ErrorCode::kPowerLoss,
+                         "connection closed while awaiting a response"}
+                : errno_status("recv");
     close();
     return st;
   }

@@ -1,6 +1,8 @@
 #include "stash/net/protocol.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <set>
 #include <string_view>
 
@@ -57,6 +59,14 @@ class FrameWriter {
   std::size_t body_start_;
   ByteWriter w_;
 };
+
+std::uint32_t load_u32le(const std::uint8_t* p) noexcept {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
 
 }  // namespace
 
@@ -189,30 +199,80 @@ Status decode_hidden_info(std::span<const std::uint8_t> bytes,
   return r.expect_exhausted();
 }
 
-void FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
-  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+/// Bytes the buffer must hold to complete the frame at its head: the whole
+/// frame once its header is in (and under the cap), else what is buffered.
+std::size_t FrameAssembler::needed() const noexcept {
+  const std::size_t held = buffered();
+  if (held < kFrameHeaderBytes) return held;
+  const std::size_t len = load_u32le(buf_.get() + head_);
+  return len > kMaxFrameBytes ? held
+                              : std::max(held, kFrameHeaderBytes + len);
 }
 
-Status FrameAssembler::poll(std::vector<std::uint8_t>& frame, bool& ready) {
+/// Give a large frame's memory back once nothing buffered needs it.
+bool FrameAssembler::shrink(std::size_t want) {
+  if (cap_ <= kRetainBytes || want > kRetainBytes) return false;
+  relocate(kRetainBytes);
+  return true;
+}
+
+/// Move [head, tail) to the front of a `cap`-byte buffer: the current one
+/// (one memmove) when `cap` is its size, else a fresh, uninitialised one.
+void FrameAssembler::relocate(std::size_t cap) {
+  const std::size_t held = buffered();
+  if (cap == cap_) {
+    if (held > 0) std::memmove(buf_.get(), buf_.get() + head_, held);
+  } else {
+    auto fresh = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
+    if (held > 0) std::memcpy(fresh.get(), buf_.get() + head_, held);
+    buf_ = std::move(fresh);
+    cap_ = cap;
+  }
+  head_ = 0;
+  tail_ = held;
+}
+
+std::span<std::uint8_t> FrameAssembler::room(std::size_t min_bytes) {
+  const std::size_t want = std::max(needed(), buffered() + min_bytes);
+  if (!shrink(want) && cap_ - head_ < want) {
+    relocate(want <= cap_ ? cap_ : std::max(want, 2 * cap_));
+  }
+  return {buf_.get() + tail_, cap_ - tail_};
+}
+
+void FrameAssembler::commit(std::size_t n) noexcept {
+  assert(n <= cap_ - tail_);
+  tail_ += n;
+}
+
+void FrameAssembler::feed(std::span<const std::uint8_t> bytes) {
+  if (bytes.empty()) return;
+  std::memcpy(room(bytes.size()).data(), bytes.data(), bytes.size());
+  commit(bytes.size());
+}
+
+Status FrameAssembler::poll(std::span<const std::uint8_t>& body,
+                            bool& ready) {
   ready = false;
-  if (buf_.size() < kFrameHeaderBytes) return Status::ok();
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(buf_[static_cast<std::size_t>(i)])
-           << (8 * i);
+  const std::size_t held = buffered();
+  if (held >= kFrameHeaderBytes) {
+    const std::size_t len = load_u32le(buf_.get() + head_);
+    if (len > kMaxFrameBytes) {
+      return Status{ErrorCode::kCorrupted,
+                    "frame of " + std::to_string(len) +
+                        " bytes exceeds the frame cap"};
+    }
+    if (held >= kFrameHeaderBytes + len) {
+      body = {buf_.get() + head_ + kFrameHeaderBytes, len};
+      head_ += kFrameHeaderBytes + len;
+      // Drained: the next bytes land at the front, with nothing to move.
+      // The bytes `body` views stay where they are.
+      if (head_ == tail_) head_ = tail_ = 0;
+      ready = true;
+      return Status::ok();
+    }
   }
-  if (len > kMaxFrameBytes) {
-    return Status{ErrorCode::kCorrupted,
-                  "frame of " + std::to_string(len) +
-                      " bytes exceeds the frame cap"};
-  }
-  if (buf_.size() < kFrameHeaderBytes + len) return Status::ok();
-  const auto body_begin =
-      buf_.begin() + static_cast<std::ptrdiff_t>(kFrameHeaderBytes);
-  frame.assign(body_begin, body_begin + static_cast<std::ptrdiff_t>(len));
-  buf_.erase(buf_.begin(),
-             body_begin + static_cast<std::ptrdiff_t>(len));
-  ready = true;
+  (void)shrink(needed());
   return Status::ok();
 }
 

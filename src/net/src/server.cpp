@@ -265,7 +265,7 @@ struct Server::Impl {
     bool handled = false;
     while (!c.dead && !c.close_after_flush &&
            c.pending.size() < config.max_pipeline) {
-      std::vector<std::uint8_t> body;
+      std::span<const std::uint8_t> body;
       bool frame_ready = false;
       if (const Status st = c.assembler.poll(body, frame_ready);
           !st.is_ok()) {
@@ -281,13 +281,13 @@ struct Server::Impl {
   }
 
   void on_readable(Conn& c) {
-    std::uint8_t buf[65536];
     for (;;) {
-      const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
+      const std::span<std::uint8_t> room = c.assembler.room(kRecvChunkBytes);
+      const ssize_t n = ::recv(c.fd, room.data(), room.size(), 0);
       if (n > 0) {
         counters.add(F::rx_bytes, static_cast<std::uint64_t>(n));
-        c.assembler.feed({buf, static_cast<std::size_t>(n)});
-        if (static_cast<std::size_t>(n) < sizeof(buf)) break;
+        c.assembler.commit(static_cast<std::size_t>(n));
+        if (static_cast<std::size_t>(n) < room.size()) break;
         continue;
       }
       if (n == 0) {
@@ -330,7 +330,7 @@ struct Server::Impl {
         if (result.is_ok()) {
           // Shared reference into the device's buffer (arena slab or
           // adopted hidden payload): encode_response serializes straight
-          // from it, so the response path copies nothing page-sized.
+          // from it into outbuf, the one copy of the page on this path.
           resp.payload = std::move(result).take();
         } else {
           const Status st = result.status();

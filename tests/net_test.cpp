@@ -1,5 +1,7 @@
 // stash::net tests: wire-protocol encode/decode and frame reassembly under
-// arbitrary chunking, the epoll server end-to-end over loopback (basic ops,
+// arbitrary chunking (a seeded property over the receive-in-place path),
+// a client hanging up on a stream that lost framing, the epoll server
+// end-to-end over loopback (basic ops,
 // hidden payloads, pipelined in-order responses, QoS passthrough), the
 // version/feature handshake (negotiation on connect; version or pack-format
 // mismatch refused as clean kUnsupported plus hangup, never mid-stream
@@ -18,9 +20,11 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,15 +95,15 @@ int dial(std::uint16_t port) {
 /// Next response frame off a raw socket; false on timeout, EOF or a
 /// malformed frame.
 bool recv_response(int fd, FrameAssembler& assembler, Response& resp) {
-  std::vector<std::uint8_t> frame;
   for (;;) {
+    std::span<const std::uint8_t> frame;
     bool ready = false;
     if (!assembler.poll(frame, ready).is_ok()) return false;
     if (ready) return decode_response(frame, resp).is_ok();
-    std::uint8_t buf[4096];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    const std::span<std::uint8_t> room = assembler.room(4096);
+    const ssize_t n = ::recv(fd, room.data(), room.size(), 0);
     if (n <= 0) return false;
-    assembler.feed({buf, static_cast<std::size_t>(n)});
+    assembler.commit(static_cast<std::size_t>(n));
   }
 }
 
@@ -150,7 +154,7 @@ TEST(NetProtocol, RequestsSurviveArbitraryStreamChunking) {
   std::vector<Request> decoded;
   for (const std::uint8_t byte : stream) {
     assembler.feed({&byte, 1});
-    std::vector<std::uint8_t> frame;
+    std::span<const std::uint8_t> frame;
     bool ready = true;
     while (true) {
       ASSERT_TRUE(assembler.poll(frame, ready).is_ok());
@@ -184,7 +188,7 @@ TEST(NetProtocol, ResponseRoundTripsWithMessageAndData) {
   encode_response(out, stream);
   FrameAssembler assembler;
   assembler.feed(stream);
-  std::vector<std::uint8_t> frame;
+  std::span<const std::uint8_t> frame;
   bool ready = false;
   ASSERT_TRUE(assembler.poll(frame, ready).is_ok());
   ASSERT_TRUE(ready);
@@ -229,7 +233,7 @@ TEST(NetProtocol, OversizedFrameHeaderIsCorruptionNotAllocation) {
   // A 4-byte header announcing a 4 GiB body, far past the cap.
   const std::array<std::uint8_t, 4> header = {0xFF, 0xFF, 0xFF, 0xFF};
   assembler.feed(header);
-  std::vector<std::uint8_t> frame;
+  std::span<const std::uint8_t> frame;
   bool ready = false;
   EXPECT_EQ(assembler.poll(frame, ready).code(), ErrorCode::kCorrupted);
   EXPECT_FALSE(ready);
@@ -242,7 +246,7 @@ TEST(NetProtocol, FrameCapIsInclusive) {
         static_cast<std::uint8_t>(len >> 16),
         static_cast<std::uint8_t>(len >> 24)};
   };
-  std::vector<std::uint8_t> frame;
+  std::span<const std::uint8_t> frame;
   bool ready = true;
   // A body of exactly kMaxFrameBytes is legal: the assembler waits for it.
   FrameAssembler at_cap;
@@ -254,6 +258,162 @@ TEST(NetProtocol, FrameCapIsInclusive) {
   past_cap.feed(header_for(static_cast<std::uint32_t>(kMaxFrameBytes + 1)));
   EXPECT_EQ(past_cap.poll(frame, ready).code(), ErrorCode::kCorrupted);
   EXPECT_FALSE(ready);
+}
+
+TEST(NetProtocol, AssemblerReturnsEveryFrameThroughReceiveInPlace) {
+  // Seeded property: a random frame stream, delivered in random chunks of
+  // 1 B..128 KiB through room/commit with polls interleaved at random,
+  // comes back body for body, in order, with buffered() exact after every
+  // step.  Each view is checked before the next call, so a view left
+  // pointing at moved or freed bytes is a mismatch or an ASan report.
+  util::Xoshiro256 rng(2025);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  std::vector<std::vector<std::uint8_t>> bodies;
+  bodies.emplace_back();  // zero-length body
+  for (int i = 0; i < 60; ++i) bodies.emplace_back(1 + below(64 * 1024));
+  for (int i = 0; i < 30; ++i) bodies.emplace_back(9024);  // one page each
+  bodies.emplace_back(1024 * 1024);
+  for (std::size_t i = bodies.size() - 1; i > 0; --i) {
+    std::swap(bodies[i], bodies[below(i + 1)]);
+  }
+  std::vector<std::uint8_t> stream;
+  for (auto& body : bodies) {
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng());
+    const auto len = static_cast<std::uint32_t>(body.size());
+    for (int i = 0; i < 4; ++i) {
+      stream.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    stream.insert(stream.end(), body.begin(), body.end());
+  }
+
+  FrameAssembler assembler;
+  std::size_t sent = 0;
+  std::size_t consumed = 0;
+  std::size_t next = 0;
+  std::size_t straddles = 0;  // rooms that moved a partial frame's bytes
+  std::size_t peak_capacity = 0;
+  const std::uint8_t* held_at = nullptr;  // where the unconsumed bytes start
+  const auto poll_one = [&] {
+    std::span<const std::uint8_t> body;
+    bool ready = false;
+    EXPECT_TRUE(assembler.poll(body, ready).is_ok());
+    if (ready) {
+      EXPECT_LT(next, bodies.size());
+      if (next >= bodies.size()) return false;
+      const auto& want = bodies[next++];
+      EXPECT_TRUE(std::equal(body.begin(), body.end(), want.begin(),
+                             want.end()))
+          << "frame " << next - 1 << " of " << want.size() << " bytes";
+      consumed += kFrameHeaderBytes + want.size();
+      held_at = body.data() + body.size();
+    }
+    EXPECT_EQ(assembler.buffered(), sent - consumed);
+    return ready;
+  };
+  while (sent < stream.size()) {
+    const std::size_t held = assembler.buffered();
+    const std::span<std::uint8_t> room =
+        assembler.room(rng() % 2 ? kRecvChunkBytes : 1 + below(4096));
+    if (held > 0 && room.data() - held != held_at) ++straddles;
+    const std::size_t cap = std::size_t{1} << below(17);  // 1 B..128 KiB
+    const std::size_t n = std::min(
+        {room.size(), cap + below(cap), stream.size() - sent});
+    ASSERT_GT(n, 0u);
+    std::copy_n(stream.begin() + static_cast<std::ptrdiff_t>(sent), n,
+                room.begin());
+    assembler.commit(n);
+    sent += n;
+    held_at = room.data() - held;
+    EXPECT_EQ(assembler.buffered(), sent - consumed);
+    peak_capacity = std::max(peak_capacity, assembler.capacity());
+    for (std::uint64_t polls = below(4); polls > 0; --polls) {
+      if (!poll_one()) break;
+    }
+  }
+  while (poll_one()) {
+  }
+  EXPECT_EQ(next, bodies.size());
+  EXPECT_EQ(assembler.buffered(), 0u);
+  EXPECT_GT(straddles, 0u);
+  // The 1 MiB frame grew the buffer; consumed, its memory went back.
+  EXPECT_GT(peak_capacity, FrameAssembler::kRetainBytes);
+  EXPECT_LE(assembler.capacity(), FrameAssembler::kRetainBytes);
+}
+
+// ---- Client: a stream that lost framing ------------------------------------
+
+/// Listen on an ephemeral loopback port; returns the fd and sets `port`.
+int listen_loopback(std::uint16_t& port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(sa);
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0 ||
+      ::listen(fd, 1) != 0 ||
+      getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  port = ntohs(sa.sin_port);
+  return fd;
+}
+
+TEST(NetClient, RecvClosesAConnectionThatLostFraming) {
+  // A peer that answers the hello and then sends what no frame can be: a
+  // header past the cap, or a well-framed body no decoder accepts.  recv
+  // reports kCorrupted and hangs up, like the server does on a protocol
+  // error, rather than failing every later recv on the same stream.
+  const std::vector<std::vector<std::uint8_t>> poisons = {
+      {0x01, 0x00, 0x00, 0x01},  // announces kMaxFrameBytes + 1
+      {0x01, 0x00, 0x00, 0x00, 0xee},  // a 1-byte body with no valid op
+  };
+  static_assert(kMaxFrameBytes + 1 == 0x01000001);
+  for (const auto& poison : poisons) {
+    std::uint16_t port = 0;
+    const int listen_fd = listen_loopback(port);
+    ASSERT_GE(listen_fd, 0);
+    std::thread peer([&] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      const timeval timeout{5, 0};
+      (void)setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                       sizeof(timeout));
+      FrameAssembler assembler;
+      Request hello;
+      for (;;) {
+        std::span<const std::uint8_t> body;
+        bool ready = false;
+        if (!assembler.poll(body, ready).is_ok()) break;
+        if (ready) {
+          EXPECT_TRUE(decode_request(body, hello).is_ok());
+          break;
+        }
+        const std::span<std::uint8_t> room = assembler.room(4096);
+        const ssize_t n = ::recv(fd, room.data(), room.size(), 0);
+        if (n <= 0) break;
+        assembler.commit(static_cast<std::size_t>(n));
+      }
+      Response answer;
+      answer.op = OpCode::kHello;
+      answer.id = hello.id;
+      encode_hello(Hello{}, answer.data);
+      std::vector<std::uint8_t> wire;
+      encode_response(answer, wire);
+      wire.insert(wire.end(), poison.begin(), poison.end());
+      EXPECT_TRUE(send_all(fd, wire));
+      ::close(fd);
+    });
+    Client client;
+    const Status connected = client.connect("127.0.0.1", port);
+    EXPECT_TRUE(connected.is_ok()) << connected.to_string();
+    Response resp;
+    EXPECT_EQ(client.recv(resp).code(), ErrorCode::kCorrupted);
+    EXPECT_FALSE(client.connected());
+    peer.join();
+    ::close(listen_fd);
+  }
 }
 
 // ---- Server: end-to-end over loopback -------------------------------------
