@@ -7,16 +7,18 @@ perfbench there and in the working tree, then runs N alternating pairs of
 one workload, swapping which side runs first every pair.  For every
 end-to-end metric in BENCHMARK.json it prints each side's median and
 quartiles, the change's win count, and whether the pairs support a gain:
-the change wins at least nine tenths of the pairs (ties count for
-neither) and the medians differ by more than the parent's interquartile
-range.  From the root of a checkout:
+at least ten pairs ran, the change wins at least nine tenths of them
+(ties count for neither), the medians differ by more than the parent's
+interquartile range, and the change failed no more ops than the parent.
+Fewer pairs still print the table, as a check that nothing moved, but
+never a supported gain.  From the root of a checkout:
 
     python3 bench/ab_pairs.py --parent HEAD --workload read_mostly --seed 1 --pairs 10
     python3 bench/ab_pairs.py --parent main~1 --workload write_heavy --seed 2 \\
-        --pairs 5 --seconds 15 --scratch /tmp/ab --json-out pairs.json
+        --pairs 5 --scratch /tmp/ab
 
-Each run takes the benchmark's run length plus set-up (about 20 s at the
-default 15 s), so ten pairs take several minutes; nothing runs this in CI.
+Every run lasts BENCHMARK.json's run_seconds plus set-up (about 20 s), so
+ten pairs take several minutes; nothing runs this in CI.
 The working tree is measured as it is, uncommitted edits included.  The
 exit code is 0 when every run of both sides passed its own checks.
 """
@@ -67,11 +69,11 @@ def build(checkout):
     module.build()
 
 
-def run(checkout, args):
+def run(checkout, args, seconds):
     out = subprocess.run(
         [sys.executable, os.path.join(checkout, "perfbench", "run.py"),
          "--workload", args.workload, "--seed", str(args.seed),
-         "--seconds", str(args.seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", "0"],
         stdout=subprocess.PIPE, text=True)
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
@@ -102,13 +104,11 @@ def main():
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--scratch", default=None,
                         help="directory for the parent export "
                              "(default: a new temporary directory)")
-    parser.add_argument("--json-out", default=None,
-                        help="also write every run's metrics here")
     args = parser.parse_args()
+    seconds = bench["run_seconds"]
 
     scratch = args.scratch or tempfile.mkdtemp(prefix="ab_pairs.")
     parent = os.path.join(scratch, "parent")
@@ -121,13 +121,27 @@ def main():
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
-            runs[side].append(run(sides[side], args))
+            runs[side].append(run(sides[side], args, seconds))
         sys.stderr.write("pair %d/%d done\n" % (i + 1, args.pairs))
 
     print(runs["change"][0]["host"])
     print("# %s seed=%d seconds=%d, %d pairs, parent=%s, order swapped "
-          "every pair" % (args.workload, args.seed, args.seconds, args.pairs,
+          "every pair" % (args.workload, args.seed, seconds, args.pairs,
                           args.parent))
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    for side in ("parent", "change"):
+        attempted = sum(r["attempted"] for r in runs[side])
+        bad = sum(1 for r in runs[side] if not r["ok"])
+        print("# %s: %d of %d ops failed; %d runs failed their checks" %
+              (side, failed[side], attempted, bad))
+    # Reasons no gain can be supported, whatever the metric.
+    refusals = []
+    if args.pairs < 10:
+        refusals.append("fewer than 10 pairs")
+    if failed["change"] > failed["parent"]:
+        refusals.append("more failed ops than the parent")
+    if refusals:
+        print("# no gain is supported: %s" % "; ".join(refusals))
     print("%-14s %-6s %32s %32s %6s  %s" %
           ("metric", "unit", "parent median [q1, q3]",
            "change median [q1, q3]", "wins", "gain supported"))
@@ -139,22 +153,13 @@ def main():
         wins = sum(1 for x, y in zip(a, b) if sign * (x - y) > 0)
         ma, mb = statistics.median(a), statistics.median(b)
         qa, qb = quartiles(a), quartiles(b)
-        supported = (wins >= 0.9 * args.pairs and
+        supported = (not refusals and wins >= 0.9 * args.pairs and
                      sign * (ma - mb) > qa[1] - qa[0])
         print("%-14s %-6s %12.4g [%8.4g, %8.4g] %12.4g [%8.4g, %8.4g] "
               "%3d/%-2d  %s (%+.1f%%)" %
               (name, metric["unit"], ma, qa[0], qa[1], mb, qb[0], qb[1],
                wins, args.pairs, "yes" if supported else "no",
                100.0 * (mb - ma) / ma if ma else 0.0))
-    for side in ("parent", "change"):
-        failed = sum(r["failed"] for r in runs[side])
-        attempted = sum(r["attempted"] for r in runs[side])
-        bad = sum(1 for r in runs[side] if not r["ok"])
-        print("# %s: %d of %d ops failed; %d runs failed their checks" %
-              (side, failed, attempted, bad))
-    if args.json_out:
-        with open(args.json_out, "w") as f:
-            json.dump({"args": vars(args), "runs": runs}, f, indent=1)
     return 0 if all(r["ok"] for side in runs.values() for r in side) else 1
 
 

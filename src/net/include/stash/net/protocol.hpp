@@ -154,8 +154,15 @@ Status decode_hidden_info(std::span<const std::uint8_t> bytes,
 /// kRetainBytes are consumed it shrinks back to that size.
 class FrameAssembler {
  public:
-  /// Capacity a buffer keeps once no buffered frame needs more.
-  static constexpr std::size_t kRetainBytes = 256 * 1024;
+  /// Capacity a buffer keeps once no buffered frame needs more, held per
+  /// connection for as long as it is open (an idle one keeps whatever its
+  /// traffic grew it to, 64 KiB at least).  Each recv asks for
+  /// kRecvChunkBytes of room behind a partial frame, so a stream of 9 KiB
+  /// pages settles at 128 KiB; four chunks leave room for a partial frame
+  /// of up to 192 KiB, and such traffic never reallocates after it first
+  /// grows.  Only a frame larger than that (a hidden payload, up to
+  /// kMaxFrameBytes) gets memory that is given back.
+  static constexpr std::size_t kRetainBytes = 4 * kRecvChunkBytes;
 
   /// Writable room for at least `min_bytes` more stream bytes, directly after
   /// the buffered ones (more when the frame at the head needs it).  Write the
