@@ -25,6 +25,11 @@ enum class Priority : std::uint8_t {
   kBackground = 2,  // GC, hidden-volume maintenance, refresh
 };
 
+/// Requests coalesced into one dispatch round.  The round runs inline on
+/// the submitting caller once this many requests are queued (backpressure:
+/// the producer pays for the drain), or when a caller drains.
+inline constexpr std::size_t kBatchPages = 16;
+
 struct DeviceConfig {
   // ---- Substrate ----------------------------------------------------------
   nand::Geometry geometry = nand::Geometry::tiny();
@@ -39,12 +44,6 @@ struct DeviceConfig {
   /// thread (the fully serial reference schedule).  Results are
   /// byte-identical for any value — see stash::par.
   unsigned threads = 1;
-
-  // ---- Request scheduler --------------------------------------------------
-  /// Requests coalesced into one dispatch round.  The round runs inline on
-  /// the submitting caller once this many requests are queued (backpressure:
-  /// the producer pays for the drain), or when a caller drains.
-  std::size_t batch_pages = 16;
 
   // ---- Caching ------------------------------------------------------------
   /// Read LRU capacity in pages; 0 disables the cache.
@@ -75,10 +74,6 @@ struct DeviceConfig {
     if (chips == 0) {
       return Status{ErrorCode::kInvalidArgument,
                     "DeviceConfig: chips must be >= 1"};
-    }
-    if (batch_pages == 0) {
-      return Status{ErrorCode::kInvalidArgument,
-                    "DeviceConfig: batch_pages must be >= 1"};
     }
     if (write_back_pages == 0) {
       return Status{ErrorCode::kInvalidArgument,

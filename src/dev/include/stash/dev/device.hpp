@@ -12,9 +12,9 @@
 //     submit_store_hidden / submit_load_hidden / submit_gc return futures.
 //     Writes and trims stage into the write-back buffer and resolve at
 //     once; the other kinds queue for a dispatch round.
-//   * One dispatch rule: a round runs when DeviceConfig::batch_pages
-//     requests are queued (inline on the submitting caller, so the
-//     producer pays for the drain) or when a caller drains.  Same-block
+//   * One dispatch rule: a round runs when kBatchPages (16) requests are
+//     queued (inline on the submitting caller, so the producer pays for
+//     the drain) or when a caller drains.  Same-block
 //     reads of a round coalesce into PageMappedFtl::read_batch_into
 //     (duplicate-lpn reads collapse to one physical read).  There is no
 //     clock: the schedule is a pure function of the submit/drain sequence.

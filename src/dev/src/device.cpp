@@ -83,7 +83,7 @@ StashDevice::StashDevice(const DeviceConfig& config,
       // faulted in at construction so cold misses never page-fault inside
       // a latency-measured dispatch round.
       arena_(config.geometry.cells_per_page, 4096,
-             config.read_cache_pages + config.batch_pages),
+             config.read_cache_pages + kBatchPages),
       cache_(config.read_cache_pages) {
   chips_.reserve(config_.chips);
   volumes_.reserve(config_.chips);
@@ -200,7 +200,7 @@ void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.trace = new_request_trace(op_of(req.kind), req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
   queue_.push_back(std::move(req));
-  if (queue_.size() >= config_.batch_pages) dispatch(lock);
+  if (queue_.size() >= kBatchPages) dispatch(lock);
 }
 
 std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
@@ -344,7 +344,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   }
 
   // Execute: consecutive reads coalesce into one batched round (the queue
-  // never holds more than batch_pages); everything else runs singly, in
+  // never holds more than kBatchPages); everything else runs singly, in
   // order.
   std::size_t i = 0;
   while (i < batch.size()) {
@@ -445,7 +445,7 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
   };
   // Resolve what never needs flash: bounds errors, write-back buffer hits,
   // cache hits.  Collect the rest as unique (chip, local-lpn) misses.
-  // Misses are capped at batch_pages per round, so repeat-lpn coalescing is
+  // Misses are capped at kBatchPages per round, so repeat-lpn coalescing is
   // a linear scan and the common one-requester case allocates nothing: the
   // first requester rides in the Miss, repeats land in one shared side list.
   struct Miss {
@@ -692,7 +692,7 @@ std::uint64_t StashDevice::snapshot_config_hash() const noexcept {
   w.u32(geom.pages_per_block);
   w.u32(geom.cells_per_page);
   w.u32(geom.pec_limit);
-  w.u8(geom.enforce_sequential_program ? 1 : 0);
+  w.u8(1);  // program order is always enforced; kept so older snapshots load
   w.u64(config_.seed);
   w.u32(config_.chips);
   w.u32(static_cast<std::uint32_t>(nand::NoiseModel::kVersion));

@@ -24,20 +24,21 @@ using util::BatchResult;
 using util::Result;
 using util::Status;
 
+/// GC triggers when free blocks drop to this count.
+inline constexpr std::uint32_t kGcLowWatermark = 2;
+/// Static wear leveling kicks in when (max PEC - min PEC) reaches this.
+inline constexpr std::uint32_t kWearDeltaThreshold = 100;
+/// Placement attempts for one page write before the FTL gives up.  Each
+/// failed attempt burns the failed page and moves to another block.
+inline constexpr std::uint32_t kMaxProgramRetries = 8;
+
 struct FtlConfig {
   /// Fraction of physical blocks reserved as over-provisioning.
   double overprovision = 0.125;
-  /// GC triggers when free blocks drop to this count.
-  std::uint32_t gc_low_watermark = 2;
-  /// Static wear leveling kicks in when (max PEC - min PEC) exceeds this.
-  std::uint32_t wear_delta_threshold = 100;
   /// Program failures charged to one block before it is retired as
   /// grown-bad.  Failures persist across erases (they indicate physical
   /// damage, not stale data).  An erase failure retires immediately.
   std::uint32_t bad_block_program_fail_threshold = 2;
-  /// Placement attempts for one page write before the FTL gives up.  Each
-  /// failed attempt burns the failed page and moves to another block.
-  std::uint32_t max_program_retries = 8;
 
   /// Uniform config contract: every layer's config exposes validate(), and
   /// construction entry points check it (throwing std::invalid_argument on

@@ -17,17 +17,9 @@ Status FtlConfig::validate() const {
     return {ErrorCode::kInvalidArgument,
             "FtlConfig: overprovision must be in [0, 1)"};
   }
-  if (gc_low_watermark == 0) {
-    return {ErrorCode::kInvalidArgument,
-            "FtlConfig: gc_low_watermark must be >= 1"};
-  }
   if (bad_block_program_fail_threshold == 0) {
     return {ErrorCode::kInvalidArgument,
             "FtlConfig: bad_block_program_fail_threshold must be >= 1"};
-  }
-  if (max_program_retries == 0) {
-    return {ErrorCode::kInvalidArgument,
-            "FtlConfig: max_program_retries must be >= 1"};
   }
   return Status::ok();
 }
@@ -65,7 +57,7 @@ Result<PageAddr> PageMappedFtl::allocate_page() {
       // victim but may consume free space relocating valid pages, so guard
       // against a stuck state where no pass makes net progress.
       std::uint32_t guard = geom.blocks * 2;
-      while (free_.size() <= config_.gc_low_watermark && guard-- > 0) {
+      while (free_.size() <= kGcLowWatermark && guard-- > 0) {
         const Status collected = run_gc();
         if (!collected.is_ok()) {
           if (free_.empty()) return collected;
@@ -85,8 +77,7 @@ Result<PageAddr> PageMappedFtl::allocate_page() {
 
 Result<PageAddr> PageMappedFtl::program_with_recovery(
     std::span<const std::uint8_t> bits) {
-  for (std::uint32_t attempt = 0; attempt <= config_.max_program_retries;
-       ++attempt) {
+  for (std::uint32_t attempt = 0; attempt <= kMaxProgramRetries; ++attempt) {
     auto addr = allocate_page();
     if (!addr.is_ok()) return addr.status();
     const PageAddr dst = addr.value();
@@ -207,8 +198,8 @@ BatchResult<std::size_t> PageMappedFtl::read_batch_into(
   const auto& geom = chip_->geometry();
   // Group request indices by the physical block backing each lpn
   // (first-appearance order); unmapped/out-of-range lpns resolve inline.
-  // Dispatch batches are small (the device caps them at batch_pages), so a
-  // linear scan of the blocks seen so far beats a hash map — no node
+  // Dispatch batches are small (the device caps them at dev::kBatchPages),
+  // so a linear scan of the blocks seen so far beats a hash map — no node
   // allocations on the read tail.
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::optional<Result<std::size_t>>> slots(lpns.size());
@@ -361,7 +352,7 @@ Status PageMappedFtl::maybe_wear_level() {
     max_pec = std::max(max_pec, pec);
   }
   if (coldest >= geom.blocks ||
-      max_pec - std::min(min_pec, max_pec) < config_.wear_delta_threshold) {
+      max_pec - std::min(min_pec, max_pec) < kWearDeltaThreshold) {
     return Status::ok();
   }
   if (active_block_ && *active_block_ == coldest) return Status::ok();

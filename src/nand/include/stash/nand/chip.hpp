@@ -90,8 +90,8 @@ class FlashChip {
 
   /// Program public data into an erased page.  `bits` holds one value per
   /// cell: 1 = leave erased (logical '1'), 0 = charge (logical '0').
-  /// Rejects reprogramming (no in-place updates) and, when the geometry
-  /// demands it, out-of-order programming within the block.
+  /// Rejects reprogramming (no in-place updates) and out-of-order
+  /// programming within the block, as real NAND does.
   Status program_page(std::uint32_t block, std::uint32_t page,
                       std::span<const std::uint8_t> bits);
 

@@ -16,16 +16,13 @@ struct Geometry {
   std::uint32_t cells_per_page = 4096;
   /// Rated program/erase cycles before the block is considered worn out.
   std::uint32_t pec_limit = 3000;
-  /// Real NAND requires pages within a block to be programmed in order.
-  bool enforce_sequential_program = true;
 
   /// The paper's primary chip model, full scale.
   [[nodiscard]] static Geometry vendor_a() noexcept {
     return {.blocks = 2048,
             .pages_per_block = 256,
             .cells_per_page = 144384,
-            .pec_limit = 3000,
-            .enforce_sequential_program = true};
+            .pec_limit = 3000};
   }
 
   /// Second-vendor chip used for the §8 applicability experiment.
@@ -33,8 +30,7 @@ struct Geometry {
     return {.blocks = 2096,
             .pages_per_block = 256,
             .cells_per_page = 146048,  // 18256-byte pages
-            .pec_limit = 3000,
-            .enforce_sequential_program = true};
+            .pec_limit = 3000};
   }
 
   /// Scaled experiment geometry: paper page width divided by `divisor`,
@@ -45,8 +41,7 @@ struct Geometry {
     return {.blocks = blocks,
             .pages_per_block = 64,
             .cells_per_page = 144384 / (divisor == 0 ? 1 : divisor),
-            .pec_limit = 3000,
-            .enforce_sequential_program = true};
+            .pec_limit = 3000};
   }
 
   /// Tiny geometry for unit tests.
@@ -54,8 +49,7 @@ struct Geometry {
     return {.blocks = 8,
             .pages_per_block = 8,
             .cells_per_page = 2048,
-            .pec_limit = 3000,
-            .enforce_sequential_program = true};
+            .pec_limit = 3000};
   }
 };
 

@@ -310,8 +310,7 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
       return {ErrorCode::kProgramFail,
               "page already programmed (no in-place update)"};
     }
-    if (geom_.enforce_sequential_program &&
-        page != (blk ? blk->next_program_page : 0)) {
+    if (page != (blk ? blk->next_program_page : 0)) {
       return {ErrorCode::kProgramFail, "pages must be programmed in order"};
     }
     return Status::ok();
@@ -357,7 +356,7 @@ Status FlashChip::program_page(std::uint32_t block, std::uint32_t page,
     // reprogrammed without an erase.
     blk.state[page] = PageState::kProgrammed;
     blk.age_hours[page] = 0.0f;
-    blk.next_program_page = std::max(blk.next_program_page, page + 1);
+    blk.next_program_page = page + 1;
 
     disturb_neighbors(blk, block, page, frac);
   });

@@ -11,7 +11,7 @@
 //   * Pipelining: a client may stream many requests without waiting;
 //     responses always come back in request order (the per-connection
 //     in-flight queue resolves front-only).  The in-flight window is
-//     bounded (ServerConfig::max_pipeline): a connection at its bound
+//     bounded (kMaxPipeline, 64): a connection at its bound
 //     stops being read — TCP backpressure, counted in NetStats as
 //     pipeline_stalls — until responses drain.
 //   * QoS: the frame's priority byte maps straight onto dev::Priority, so
@@ -44,14 +44,15 @@
 
 namespace stash::net {
 
+/// Per-connection in-flight request bound; a connection at the bound is
+/// not read until responses drain (TCP backpressure).
+inline constexpr std::size_t kMaxPipeline = 64;
+
 struct ServerConfig {
   /// Numeric IPv4 listen address ("localhost" accepted as 127.0.0.1).
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; Server::port() reports the actual one.
   std::uint16_t port = 0;
-  /// Per-connection in-flight request bound; a connection at the bound is
-  /// not read until responses drain (TCP backpressure).
-  std::size_t max_pipeline = 64;
 };
 
 /// The server's counters, named once (see stash/telemetry/

@@ -112,7 +112,7 @@ struct Server::Impl {
     if (c.dead) return;
     std::uint32_t events = 0;
     const bool window_open =
-        !c.close_after_flush && c.pending.size() < config.max_pipeline;
+        !c.close_after_flush && c.pending.size() < kMaxPipeline;
     if (window_open) events |= EPOLLIN;
     if (c.out_off < c.outbuf.size()) events |= EPOLLOUT;
     if (!window_open && !c.throttled && !c.close_after_flush) {
@@ -264,7 +264,7 @@ struct Server::Impl {
   bool process_frames(Conn& c) {
     bool handled = false;
     while (!c.dead && !c.close_after_flush &&
-           c.pending.size() < config.max_pipeline) {
+           c.pending.size() < kMaxPipeline) {
       std::span<const std::uint8_t> body;
       bool frame_ready = false;
       if (const Status st = c.assembler.poll(body, frame_ready);
@@ -508,9 +508,6 @@ Status Server::start() {
   Impl& im = *impl_;
   if (im.live.load(std::memory_order_acquire) || im.reactor.joinable()) {
     return Status{ErrorCode::kUnsupported, "server already running"};
-  }
-  if (im.config.max_pipeline == 0) {
-    return Status{ErrorCode::kInvalidArgument, "max_pipeline must be >= 1"};
   }
   in_addr addr{};
   if (!resolve_host(im.config.host, addr)) {

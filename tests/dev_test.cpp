@@ -77,9 +77,6 @@ TEST(DevConfig, ValidateRejectsBadSchedulerKnobs) {
   config.chips = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
   config = tiny_config();
-  config.batch_pages = 0;
-  EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
-  config = tiny_config();
   config.write_back_pages = 0;
   EXPECT_EQ(config.validate().code(), ErrorCode::kInvalidArgument);
 }
@@ -96,13 +93,13 @@ TEST(DevConfig, ValidatePropagatesNestedLayerConfigs) {
 
 TEST(DevConfig, ConstructorThrowsOnInvalidConfig) {
   DeviceConfig config = tiny_config();
-  config.batch_pages = 0;
+  config.write_back_pages = 0;
   EXPECT_THROW(StashDevice(config, test_key()), std::invalid_argument);
 }
 
 TEST(DevConfig, SiblingLayerConfigsShareTheContract) {
   ftl::FtlConfig ftl;
-  ftl.gc_low_watermark = 0;
+  ftl.bad_block_program_fail_threshold = 0;
   EXPECT_EQ(ftl.validate().code(), ErrorCode::kInvalidArgument);
 
   vthi::VthiConfig vthi;
@@ -110,7 +107,7 @@ TEST(DevConfig, SiblingLayerConfigsShareTheContract) {
   EXPECT_EQ(vthi.validate().code(), ErrorCode::kInvalidArgument);
 
   stego::StegoConfig stego;
-  stego.ftl.max_program_retries = 0;
+  stego.ftl.overprovision = 1.0;
   EXPECT_EQ(stego.validate().code(), ErrorCode::kInvalidArgument);
 }
 
@@ -417,9 +414,7 @@ TEST(DevBatch, ResultSlotsAlignWithRequestsAndFailuresAreIndependent) {
 // ---- Scheduler: QoS ordering and full-batch dispatch ----------------------
 
 TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
-  DeviceConfig config = tiny_config();
-  config.batch_pages = 16;  // keep everything queued until drain
-  StashDevice dev(config, test_key());
+  StashDevice dev(tiny_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 101)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
 
@@ -439,14 +434,14 @@ TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
 }
 
 TEST(DevScheduler, FullBatchDispatchesInline) {
-  DeviceConfig config = tiny_config();
-  config.batch_pages = 4;
-  StashDevice dev(config, test_key());
+  StashDevice dev(tiny_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 111)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
 
   std::vector<std::future<util::Result<dev::PageRef>>> futs;
-  for (int i = 0; i < 3; ++i) futs.push_back(dev.submit_read(0));
+  for (std::size_t i = 0; i + 1 < kBatchPages; ++i) {
+    futs.push_back(dev.submit_read(0));
+  }
   // Below a full batch nothing dispatches without a drain...
   EXPECT_EQ(futs.front().wait_for(std::chrono::seconds(0)),
             std::future_status::timeout);
@@ -464,9 +459,7 @@ TEST(DevScheduler, FullBatchDispatchesInline) {
 TEST(DevScheduler, DrainRunsAPartialBatchAsOneRound) {
   // Below a full batch only a caller's drain() dispatches, and it runs
   // everything queued in a single round.
-  DeviceConfig config = tiny_config();
-  config.batch_pages = 8;
-  StashDevice dev(config, test_key());
+  StashDevice dev(tiny_config(), test_key());
   const auto page = page_pattern(dev.page_bits(), 112);
   ASSERT_TRUE(dev.write(1, page).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
@@ -957,9 +950,7 @@ TEST(DevPowerCut, UnflushedWritesAreReportedLostNeverCorrupted) {
 }
 
 TEST(DevPowerCut, QueuedRequestsResolveWithPowerLoss) {
-  DeviceConfig config = tiny_config();
-  config.batch_pages = 16;  // keep the read queued
-  StashDevice dev(config, test_key());
+  StashDevice dev(tiny_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 401)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
 
@@ -973,9 +964,7 @@ TEST(DevPowerCut, CutWithNonEmptyQueueResolvesEveryKindAndKeepsDurableData) {
   // request kind resolves kPowerLoss (no hung futures, no spurious
   // success), acked-unflushed buffered writes land in lost_writes(), and
   // flush-acknowledged data is still readable afterward.
-  DeviceConfig config = tiny_config();
-  config.batch_pages = 16;  // below this nothing dispatches on its own
-  StashDevice dev(config, test_key());
+  StashDevice dev(tiny_config(), test_key());
 
   for (std::uint64_t lpn = 0; lpn < kCutLpns; ++lpn) {
     ASSERT_TRUE(
@@ -988,6 +977,7 @@ TEST(DevPowerCut, CutWithNonEmptyQueueResolvesEveryKindAndKeepsDurableData) {
   ASSERT_TRUE(dev.write(1, page_pattern(dev.page_bits(), 301)).is_ok());
 
   // Fill the queue with every async kind, none dispatched yet.
+  static_assert(kCutLpns + 2 < kBatchPages);
   std::vector<std::future<util::Result<dev::PageRef>>> reads;
   for (std::uint64_t lpn = 0; lpn < kCutLpns; ++lpn) {
     reads.push_back(dev.submit_read(lpn));

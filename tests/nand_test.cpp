@@ -78,14 +78,6 @@ TEST(FlashChip, EnforcesSequentialProgramOrder) {
   EXPECT_TRUE(chip.program_page(0, 1, bits).is_ok());
 }
 
-TEST(FlashChip, OutOfOrderAllowedWhenDisabled) {
-  Geometry geom = Geometry::tiny();
-  geom.enforce_sequential_program = false;
-  FlashChip chip(geom, NoiseModel::vendor_a(), 3);
-  const auto bits = random_bits(geom.cells_per_page, 3);
-  EXPECT_TRUE(chip.program_page(0, 5, bits).is_ok());
-}
-
 TEST(FlashChip, EraseResetsPagesAndIncrementsPec) {
   auto chip = make_chip();
   const auto bits = random_bits(chip.geometry().cells_per_page, 4);

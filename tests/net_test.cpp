@@ -108,7 +108,8 @@ bool recv_response(int fd, FrameAssembler& assembler, Response& resp) {
 }
 
 /// Encode requests of the given ops (ids 1, 2, ...) into one wire buffer:
-/// writes carry `page` to lpn = id - 1, reads target lpn 0.
+/// writes carry `page` to lpn = (id - 1) mod 32, inside the tiny
+/// geometry's 56 logical pages; reads target lpn 0.
 std::vector<std::uint8_t> burst(const std::vector<OpCode>& ops,
                                 const std::vector<std::uint8_t>& page) {
   std::vector<std::uint8_t> wire;
@@ -117,7 +118,7 @@ std::vector<std::uint8_t> burst(const std::vector<OpCode>& ops,
     req.op = ops[i];
     req.id = i + 1;
     if (ops[i] == OpCode::kWrite) {
-      req.lpn = i;
+      req.lpn = i % 32;
       req.data = page;
     }
     encode_request(req, wire);
@@ -766,19 +767,17 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
 }
 
 TEST(NetServer, PipelinedBurstPastTheWindowCompletes) {
-  // A window of one filled by writes, whose responses are ready at once:
-  // with nothing left for epoll to report, only the reactor's own
+  // A window filled by writes, whose responses are ready at once: with
+  // nothing left for epoll to report, only the reactor's own
   // drain-then-sweep loop can reach the frames still in the assembler.
   StashDevice dev(net_config(), test_key());
-  ServerConfig sconfig;
-  sconfig.max_pipeline = 1;
-  Server server(dev, sconfig);
+  Server server(dev);
   ASSERT_TRUE(server.start().is_ok());
   const int fd = dial(server.port());
   ASSERT_GE(fd, 0);
 
   const auto page = page_pattern(dev.page_bits(), 23);
-  std::vector<OpCode> ops(8, OpCode::kWrite);
+  std::vector<OpCode> ops(kMaxPipeline + 8, OpCode::kWrite);
   ops.push_back(OpCode::kRead);
   ASSERT_TRUE(send_all(fd, burst(ops, page)));
 
@@ -807,8 +806,7 @@ TEST(NetServer, PingsPastTheDefaultWindowComplete) {
   const int fd = dial(server.port());
   ASSERT_GE(fd, 0);
 
-  const std::vector<OpCode> ops(10 * ServerConfig{}.max_pipeline,
-                                OpCode::kPing);
+  const std::vector<OpCode> ops(10 * kMaxPipeline, OpCode::kPing);
   ASSERT_TRUE(send_all(fd, burst(ops, {})));
   FrameAssembler assembler;
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -822,6 +820,8 @@ TEST(NetServer, PingsPastTheDefaultWindowComplete) {
   const NetStats net = server.stats_snapshot();
   EXPECT_EQ(net.requests, ops.size());
   EXPECT_EQ(net.responses, ops.size());
+  // The burst filled the window, so reading stopped at least once.
+  EXPECT_GE(net.pipeline_stalls, 1u);
 }
 
 TEST(NetServer, StopWakesAnIdleReactor) {
@@ -848,19 +848,17 @@ TEST(NetServer, StopWakesAnIdleReactor) {
 }
 
 TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
-  // stop() lands while frames are still buffered behind a window of one:
-  // shutdown must answer them all (the trailing read included) and
+  // stop() lands while frames may still be buffered behind a full
+  // window: shutdown must answer them all (the trailing read included) and
   // return, never block on a future nothing will resolve.
   StashDevice dev(net_config(), test_key());
-  ServerConfig sconfig;
-  sconfig.max_pipeline = 1;
-  Server server(dev, sconfig);
+  Server server(dev);
   ASSERT_TRUE(server.start().is_ok());
   const int fd = dial(server.port());
   ASSERT_GE(fd, 0);
 
-  const std::vector<OpCode> ops = {OpCode::kWrite, OpCode::kWrite,
-                                   OpCode::kWrite, OpCode::kRead};
+  std::vector<OpCode> ops(kMaxPipeline + 3, OpCode::kWrite);
+  ops.push_back(OpCode::kRead);
   ASSERT_TRUE(send_all(fd, burst(ops, page_pattern(dev.page_bits(), 71))));
   ASSERT_TRUE(
       eventually([&] { return server.stats_snapshot().requests >= 2; }));
@@ -871,7 +869,7 @@ TEST(NetServer, GracefulShutdownResolvesEveryInFlightRequest) {
   EXPECT_EQ(net.requests, net.responses + net.dropped);
   EXPECT_EQ(net.responses, ops.size());  // client still connected: delivered
 
-  // The best-effort flush really reached the wire: all four responses are
+  // The best-effort flush really reached the wire: every response is
   // readable before the server-side close.
   FrameAssembler assembler;
   for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -891,9 +889,7 @@ TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
   StashDevice dev(net_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 81)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
-  ServerConfig sconfig;
-  sconfig.max_pipeline = 2;
-  Server server(dev, sconfig);
+  Server server(dev);
   ASSERT_TRUE(server.start().is_ok());
 
   constexpr std::size_t kClients = 4;
@@ -905,7 +901,8 @@ TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
   ASSERT_TRUE(
       eventually([&] { return server.stats_snapshot().accepted == kClients; }));
 
-  const auto wire = burst(std::vector<OpCode>(8, OpCode::kRead), {});
+  const auto wire =
+      burst(std::vector<OpCode>(2 * kMaxPipeline, OpCode::kRead), {});
   const linger reset{1, 0};  // close() sends RST, not FIN
   for (const int fd : fds) {
     ASSERT_TRUE(send_all(fd, wire));

@@ -154,16 +154,14 @@ TEST(FtlRobustness, WearLevelingBoundsPecSpread) {
   // Hot/cold split workload: without static wear leveling the cold block
   // would pin its PEC at ~0 while hot blocks churn.
   FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 603);
-  ftl::FtlConfig config;
-  config.wear_delta_threshold = 20;
-  ftl::PageMappedFtl ftl(chip, config);
+  ftl::PageMappedFtl ftl(chip);
   // Cold data once.
   for (std::uint64_t lpn = 0; lpn < 8; ++lpn) {
     ASSERT_TRUE(ftl.write(lpn, rand_bits(ftl.page_bits(), lpn)).is_ok());
   }
-  // Hot churn.
+  // Hot churn, long enough for the PEC spread to reach the threshold.
   util::Xoshiro256 rng(603);
-  for (int op = 0; op < 2500; ++op) {
+  for (int op = 0; op < 10000; ++op) {
     const std::uint64_t lpn = 8 + rng.below(4);
     ASSERT_TRUE(ftl.write(lpn, rand_bits(ftl.page_bits(), 1000 + op)).is_ok());
   }
@@ -174,7 +172,7 @@ TEST(FtlRobustness, WearLevelingBoundsPecSpread) {
     max_pec = std::max(max_pec, chip.pec(b));
   }
   // The spread stays within a few multiples of the threshold.
-  EXPECT_LT(max_pec - min_pec, 4 * config.wear_delta_threshold);
+  EXPECT_LT(max_pec - min_pec, 4 * ftl::kWearDeltaThreshold);
   // Cold data survived the shuffling.
   for (std::uint64_t lpn = 0; lpn < 8; ++lpn) {
     EXPECT_TRUE(read_page(ftl, lpn).is_ok()) << "lpn " << lpn;

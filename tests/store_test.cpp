@@ -674,6 +674,18 @@ TEST(DeviceSnapshot, LoadRejectsMismatchedConfigLeavingDeviceIntact) {
   EXPECT_TRUE(matches(dev.read(0).value(), page_pattern(dev.page_bits(), 7)));
 }
 
+TEST(DeviceSnapshot, ConfigHashIsPinned) {
+  // A snapshot loads only into a device whose config hash matches the one
+  // in its header, so a change to the hashed fields or their encoding
+  // strands every snapshot saved before it.
+  ScratchDir dir("pinhash");
+  StashDevice dev(dev_config(), test_key());
+  ASSERT_TRUE(dev.save_snapshot(dir.path()).is_ok());
+  const auto loaded = SnapshotStore(dir.path()).load_latest();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().config_hash, 0x069b0f2238b59b8dULL);
+}
+
 TEST(DeviceSnapshot, LoadFromEmptyDirIsNotFoundAndNonDestructive) {
   ScratchDir dir("nosnap");
   StashDevice dev(dev_config(), test_key());
