@@ -36,16 +36,15 @@ for t in 1 8; do
 done
 
 for t in 1 8; do
-  "$bench/bench_device_throughput" --quick --deterministic --threads "$t" > "$out/dt"
+  "$bench/bench_device_throughput" --quick --threads "$t" > "$out/dt"
   digest "device_throughput.quick.det.t$t.stdout" "$out/dt"
 done
-"$bench/bench_device_throughput" --quick --deterministic --trace \
-  --trace-out "$out/trace" > "$out/dt"
+"$bench/bench_device_throughput" --quick --trace --trace-out "$out/trace" \
+  > "$out/dt"
 digest device_throughput.quick.det.trace.stdout "$out/dt"
 digest device_throughput.quick.det.trace.perfetto.json "$out/trace.perfetto.json"
-digest device_throughput.quick.det.trace.jsonl "$out/trace.jsonl"
 
-"$bench/bench_net_loadgen" --deterministic \
-  --server-stats-out "$out/server_stats.json" > "$out/lg"
+"$bench/bench_net_loadgen" --server-stats-out "$out/server_stats.json" \
+  > "$out/lg"
 digest net_loadgen.det.stdout "$out/lg"
 digest net_loadgen.det.server_stats.json "$out/server_stats.json"

@@ -13,7 +13,7 @@
 //
 // Flags:
 //   --host H         listen address (default 127.0.0.1)
-//   --port N         listen port (default 0 = ephemeral)
+//   --port N         listen port, 0-65535 (default 0 = ephemeral)
 //   --port-file F    write the bound port to F (for scripts using port 0)
 //   --stats-out F    write the final canonical stats JSON to F
 //   --chips N --blocks N --pages N --cells N --seed S   device geometry
@@ -66,7 +66,14 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
       sconfig.host = argv[++i];
     } else if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      sconfig.port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      const char* port = argv[++i];
+      char* end = nullptr;
+      const long value = std::strtol(port, &end, 10);
+      if (end == port || *end != '\0' || value < 0 || value > 65535) {
+        std::fprintf(stderr, "--port must be 0-65535, got %s\n", port);
+        return 2;
+      }
+      sconfig.port = static_cast<std::uint16_t>(value);
     } else if (!std::strcmp(argv[i], "--port-file") && i + 1 < argc) {
       port_file = argv[++i];
     } else if (!std::strcmp(argv[i], "--stats-out") && i + 1 < argc) {

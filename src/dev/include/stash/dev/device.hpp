@@ -294,8 +294,7 @@ class StashDevice {
     std::promise<Status> status_promise;
     /// Submission time: dev.read_latency_ns measures reads from here.
     std::chrono::steady_clock::time_point start;
-    /// Root span of this request's trace (inactive when tracing is off or
-    /// the request was not sampled).
+    /// Root span of this request's trace (inactive when tracing is off).
     trace::TraceContext trace{};
     /// Device clock (trace_now) at enqueue; queue-wait = service start
     /// minus this.
@@ -360,7 +359,7 @@ class StashDevice {
   mutable std::mutex mu_;
   std::list<Request> queue_;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t trace_seq_ = 0;     // requests considered for sampling
+  std::uint64_t trace_seq_ = 0;     // request trace ids
   std::uint64_t dispatch_seq_ = 0;  // dispatch-round trace ids
   /// Slab pool behind every read result: misses threshold straight into
   /// an arena lease, and the sealed PageRef is shared by the LRU, the

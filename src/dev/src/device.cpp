@@ -133,12 +133,11 @@ std::uint64_t StashDevice::trace_now() const noexcept {
 
 trace::TraceContext StashDevice::new_request_trace(trace::Op op,
                                                    std::uint64_t key) {
-  // The sampling sequence advances for every request whether or not the
-  // tracer is on, so a mid-run enable picks the same requests a
-  // from-the-start run would.
+  // The sequence advances for every request whether or not the tracer is
+  // on, so a mid-run enable gives a request the trace id a from-the-start
+  // run would.
   const std::uint64_t s = trace_seq_++;
   if (!trace::enabled()) return {};
-  if (!trace::Tracer::global().should_sample(s)) return {};
   return trace::make_root((std::uint64_t{1} << 56) | s,
                           trace::Stage::kDevRequest, op, key);
 }
@@ -313,13 +312,12 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   counters_.add(F::dispatches);
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
-  // their FTL/NAND fan-out) hangs here; sampled per-request work re-enters
-  // its own request context on top of this one.
+  // their FTL/NAND fan-out) hangs here; per-request work re-enters its own
+  // request context on top of this one.
   const std::uint64_t round_seq = dispatch_seq_++;
   trace::TraceContext round{};
   std::uint64_t round_t0 = 0;
-  if (trace::enabled() &&
-      trace::Tracer::global().should_sample(round_seq)) {
+  if (trace::enabled()) {
     round = trace::make_root((std::uint64_t{2} << 56) | round_seq,
                              trace::Stage::kDevDispatch, trace::Op::kNone, 0);
     round_t0 = trace_now();
@@ -427,7 +425,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
 
 void StashDevice::execute_reads(std::vector<Request>& reads) {
   const std::uint64_t t0 = trace::enabled() ? trace_now() : 0;
-  // Emit a sampled read's trace: a dev.cache marker under its service span
+  // Emit a traced read's trace: a dev.cache marker under its service span
   // when the request resolved without flash, then the request skeleton.
   const auto finish_trace = [&](const Request& req, bool from_cache,
                                 std::uint8_t code) {

@@ -1,7 +1,7 @@
 #pragma once
-// Trace exporters: canonical span assembly plus two serializations —
-// chrome://tracing / Perfetto JSON ("X" complete events) and a compact
-// JSONL (one span object per line).
+// Trace export: canonical span assembly plus one serialization —
+// chrome://tracing / Perfetto JSON ("X" complete events), which carries
+// every field of a laid-out span and parses back losslessly.
 //
 // Determinism: exports are pure functions of the span set.  canonicalize()
 // groups spans by trace, sorts siblings by a content key (virtual mode) or
@@ -42,18 +42,10 @@ struct LaidSpan {
 [[nodiscard]] std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
                                            ClockMode mode);
 
-/// One JSON object per span in canonical order, newline-terminated.
-/// ts/dur are integer nanoseconds.
-[[nodiscard]] std::string to_jsonl(const std::vector<SpanRecord>& spans,
-                                   ClockMode mode);
-
-/// Parse a to_jsonl() export back into records (begin_ns/dur_ns carry the
-/// canonical timeline).  Lines that do not parse are skipped.
-[[nodiscard]] std::vector<SpanRecord> parse_jsonl(std::string_view text);
-
 /// Parse a to_perfetto_json() export back into records (stage/op recovered
-/// from the event name/category, ids from args, ts/dur from the event).
-/// Events that do not parse are skipped.
+/// from the event name/category, ids from args, ts/dur from the event:
+/// the canonical timeline, exact to the nanosecond).  Events that do not
+/// parse are skipped.
 [[nodiscard]] std::vector<SpanRecord> parse_perfetto_json(
     std::string_view text);
 

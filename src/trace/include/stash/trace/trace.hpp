@@ -172,16 +172,12 @@ class Tracer {
   /// MetricsRegistry::global(), so atexit-time emission is safe).
   static Tracer& global();
 
-  /// Start collecting.  sample_every is the 1-in-N request sampling knob
-  /// consumed by StashDevice (the tracer itself records every span emitted
-  /// under a sampled trace).  Resets the wall epoch.
-  void enable(ClockMode mode, std::uint64_t sample_every = 1);
+  /// Start collecting every span emitted under a trace context.  Resets
+  /// the wall epoch.
+  void enable(ClockMode mode);
   void disable();
 
   [[nodiscard]] ClockMode clock_mode() const noexcept;
-  [[nodiscard]] std::uint64_t sample_every() const noexcept;
-  /// Deterministic sampling decision for the seq-th sampling unit.
-  [[nodiscard]] bool should_sample(std::uint64_t seq) const noexcept;
 
   /// Append one finished span (no-op when disabled).
   void emit(const SpanRecord& rec) noexcept;
@@ -218,7 +214,7 @@ class Tracer {
 
 /// RAII span.  Inert (single flag test) unless the tracer is enabled AND a
 /// trace context is installed on this thread — spans only exist beneath a
-/// sampled root.  While alive it is the parent of anything opened inside.
+/// root.  While alive it is the parent of anything opened inside.
 class ScopedSpan {
  public:
   ScopedSpan(Stage stage, Op op, std::uint64_t key = 0,

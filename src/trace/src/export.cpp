@@ -118,7 +118,7 @@ void append_us(std::string& out, std::uint64_t ns) {
 }
 
 // ---------------------------------------------------------------------------
-// Parsing helpers.  The exports are machine-generated with one object per
+// Parsing helpers.  The export is machine-generated with one object per
 // line and known keys, so a targeted scanner is sufficient and avoids a
 // JSON-library dependency.
 
@@ -324,38 +324,7 @@ std::string to_perfetto_json(const std::vector<SpanRecord>& spans,
   return out;
 }
 
-std::string to_jsonl(const std::vector<SpanRecord>& spans, ClockMode mode) {
-  const std::vector<LaidSpan> laid = canonicalize(spans, mode);
-  std::string out;
-  for (const LaidSpan& l : laid) {
-    out += "{\"trace\":\"";
-    append_hex(out, l.rec.trace_id);
-    out += "\",\"span\":\"";
-    append_hex(out, l.rec.span_id);
-    out += "\",\"parent\":\"";
-    append_hex(out, l.rec.parent_id);
-    out += "\",\"stage\":\"";
-    out += stage_name(l.rec.stage);
-    out += "\",\"op\":\"";
-    out += op_name(l.rec.op);
-    out += "\",\"status\":";
-    append_u64(out, l.rec.status);
-    out += ",\"key\":";
-    append_u64(out, l.rec.key);
-    out += ",\"bytes\":";
-    append_u64(out, l.rec.bytes);
-    out += ",\"ts\":";
-    append_u64(out, l.begin_ns);
-    out += ",\"dur\":";
-    append_u64(out, l.dur_ns);
-    out += "}\n";
-  }
-  return out;
-}
-
-namespace {
-
-std::vector<SpanRecord> parse_lines(std::string_view text, bool perfetto) {
+std::vector<SpanRecord> parse_perfetto_json(std::string_view text) {
   std::vector<SpanRecord> out;
   std::size_t pos = 0;
   while (pos < text.size()) {
@@ -367,12 +336,10 @@ std::vector<SpanRecord> parse_lines(std::string_view text, bool perfetto) {
     SpanRecord rec;
     std::string_view stage_str;
     std::string_view op_str;
-    const bool have_names =
-        perfetto ? (find_string(line, "name", stage_str) &&
-                    find_string(line, "cat", op_str))
-                 : (find_string(line, "stage", stage_str) &&
-                    find_string(line, "op", op_str));
-    if (!have_names) continue;
+    if (!find_string(line, "name", stage_str) ||
+        !find_string(line, "cat", op_str)) {
+      continue;
+    }
     const Stage stage = stage_from_name(stage_str);
     const Op op = op_from_name(op_str);
     if (stage == Stage::kCount || op == Op::kCount) continue;
@@ -387,30 +354,13 @@ std::vector<SpanRecord> parse_lines(std::string_view text, bool perfetto) {
     (void)find_u64(line, "key", rec.key);
     if (find_u64(line, "bytes", v)) rec.bytes = static_cast<std::uint32_t>(v);
     if (find_u64(line, "status", v)) rec.status = static_cast<std::uint8_t>(v);
-    if (perfetto) {
-      if (!find_us_as_ns(line, "ts", rec.begin_ns) ||
-          !find_us_as_ns(line, "dur", rec.dur_ns)) {
-        continue;
-      }
-    } else {
-      if (!find_u64(line, "ts", rec.begin_ns) ||
-          !find_u64(line, "dur", rec.dur_ns)) {
-        continue;
-      }
+    if (!find_us_as_ns(line, "ts", rec.begin_ns) ||
+        !find_us_as_ns(line, "dur", rec.dur_ns)) {
+      continue;
     }
     out.push_back(rec);
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<SpanRecord> parse_jsonl(std::string_view text) {
-  return parse_lines(text, /*perfetto=*/false);
-}
-
-std::vector<SpanRecord> parse_perfetto_json(std::string_view text) {
-  return parse_lines(text, /*perfetto=*/true);
 }
 
 }  // namespace stash::trace

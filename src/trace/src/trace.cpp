@@ -97,7 +97,6 @@ struct Tracer::Impl {
   mutable std::mutex mu;  // guards bufs and config
   std::vector<std::unique_ptr<ThreadBuf>> bufs;
   std::atomic<std::uint8_t> clock{static_cast<std::uint8_t>(ClockMode::kWall)};
-  std::atomic<std::uint64_t> sample_every{1};
   std::uint64_t epoch_ns = 0;
 
   ThreadBuf* this_thread_buf() {
@@ -125,11 +124,9 @@ Tracer& Tracer::global() {
   return *tracer;
 }
 
-void Tracer::enable(ClockMode mode, std::uint64_t sample_every) {
+void Tracer::enable(ClockMode mode) {
   impl_->clock.store(static_cast<std::uint8_t>(mode),
                      std::memory_order_relaxed);
-  impl_->sample_every.store(sample_every == 0 ? 1 : sample_every,
-                            std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->epoch_ns = detail::wall_now_ns();
@@ -143,15 +140,6 @@ void Tracer::disable() {
 
 ClockMode Tracer::clock_mode() const noexcept {
   return static_cast<ClockMode>(impl_->clock.load(std::memory_order_relaxed));
-}
-
-std::uint64_t Tracer::sample_every() const noexcept {
-  return impl_->sample_every.load(std::memory_order_relaxed);
-}
-
-bool Tracer::should_sample(std::uint64_t seq) const noexcept {
-  const std::uint64_t n = sample_every();
-  return n <= 1 || seq % n == 0;
 }
 
 void Tracer::emit(const SpanRecord& rec) noexcept {

@@ -9,8 +9,9 @@
 // rule (a burst of writes or pings past the pipeline window completes with
 // no timer; stop() wakes a reactor blocked in epoll), graceful shutdown
 // accounting (requests == responses + dropped, no abandoned futures)
-// including frames still buffered at stop(), mid-flight resets, and a
-// serial client's byte-identical stats export.
+// including frames still buffered at stop(), mid-flight resets, concurrent
+// pipelined clients completing in order, and a serial client's
+// byte-identical stats export.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <string>
 #include <thread>
@@ -916,6 +918,125 @@ TEST(NetServer, MidFlightDisconnectIsDroppedNotAbandoned) {
   const NetStats net = server.stats_snapshot();
   EXPECT_EQ(net.requests, net.responses + net.dropped);
   EXPECT_EQ(net.disconnected, net.accepted);
+}
+
+TEST(NetServer, ConcurrentPipelinedClientsAllComplete) {
+  // Several connections, each keeping a window of requests in flight: the
+  // reactor interleaves their frames, yet each connection gets its
+  // responses in its own request order, and every read returns the bytes
+  // its own client wrote.  Each client works its own lpn range: writes
+  // (two passes, the second one wins), a flush, then reads.
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kDepth = 8;
+  constexpr std::uint64_t kPagesPerClient = 8;  // 32 of 56 logical pages
+  constexpr std::size_t kPasses = 2;
+  constexpr std::size_t kOps = kPasses * kPagesPerClient;
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  const std::uint32_t bits = dev.page_bits();
+  const auto pattern = [bits](std::size_t client, std::size_t pass,
+                              std::uint64_t page) {
+    return page_pattern(bits, 1000 * client + 100 * pass + page);
+  };
+
+  // One failure message per client, checked on the test thread.
+  std::vector<std::string> failures(kClients);
+  const auto run_client = [&](std::size_t c) {
+    std::string& failure = failures[c];
+    Client client;
+    if (!client.connect("127.0.0.1", server.port()).is_ok()) {
+      failure = "connect failed";
+      return;
+    }
+    const std::uint64_t base = c * kPagesPerClient;
+    // Sends kOps requests from make(i), keeping kDepth in flight; each
+    // response must answer the oldest outstanding request, OK, and pass
+    // check(req, resp).
+    const auto pipeline = [&](const auto& make, const auto& check) {
+      std::deque<Request> window;
+      const auto complete = [&] {
+        Response resp;
+        if (!client.recv(resp).is_ok()) {
+          failure = "recv failed";
+          return false;
+        }
+        const Request& req = window.front();
+        if (resp.id != req.id || resp.op != req.op) {
+          failure = "response " + std::to_string(resp.id) +
+                    " out of order, expected " + std::to_string(req.id);
+        } else if (resp.status != 0) {
+          failure = "request " + std::to_string(req.id) + ": " + resp.message;
+        } else if (!check(req, resp)) {
+          failure = "read of lpn " + std::to_string(req.lpn) +
+                    " did not return its client's last write";
+        }
+        window.pop_front();
+        return failure.empty();
+      };
+      for (std::size_t i = 0; i < kOps; ++i) {
+        Request req = make(i);
+        if (!client.send(req).is_ok()) {
+          failure = "send failed";
+          return false;
+        }
+        window.push_back(std::move(req));
+        if (window.size() >= kDepth && !complete()) return false;
+      }
+      while (!window.empty()) {
+        if (!complete()) return false;
+      }
+      return true;
+    };
+
+    const bool wrote = pipeline(
+        [&](std::size_t i) {
+          Request req;
+          req.op = OpCode::kWrite;
+          req.lpn = base + i % kPagesPerClient;
+          req.data = pattern(c, i / kPagesPerClient, i % kPagesPerClient);
+          return req;
+        },
+        [](const Request&, const Response&) { return true; });
+    if (!wrote) return;
+    if (const Status st = client.flush(); !st.is_ok()) {
+      failure = "flush: " + st.to_string();
+      return;
+    }
+    (void)pipeline(
+        [&](std::size_t i) {
+          Request req;
+          req.op = OpCode::kRead;
+          req.lpn = base + i % kPagesPerClient;
+          return req;
+        },
+        [&](const Request& req, const Response& resp) {
+          // Flash reads carry raw bit errors; another client's page would
+          // differ in about half its bits.
+          const auto want = pattern(c, kPasses - 1, req.lpn - base);
+          if (resp.data.size() != want.size()) return false;
+          std::size_t diff = 0;
+          for (std::size_t b = 0; b < want.size(); ++b) {
+            diff += resp.data[b] != want[b];
+          }
+          return diff < want.size() / 4;
+        });
+    client.close();
+  };
+
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) clients.emplace_back(run_client, c);
+  for (auto& t : clients) t.join();
+  for (std::size_t c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(failures[c].empty()) << "client " << c << ": " << failures[c];
+  }
+
+  server.stop();
+  const NetStats net = server.stats_snapshot();
+  EXPECT_EQ(net.accepted, kClients);
+  EXPECT_EQ(net.dropped, 0u);
+  EXPECT_EQ(net.requests, net.responses);
+  EXPECT_GE(net.requests, kClients * (2 * kOps + 1));
 }
 
 TEST(NetServer, SerialClientStatsExportIsByteIdentical) {

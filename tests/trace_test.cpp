@@ -1,9 +1,9 @@
 // stash::trace tests: span context propagation across thread-pool handoff,
 // the disabled-path zero-allocation guarantee, deterministic (virtual-clock)
 // export byte-identity at 1 vs 8 threads through the full StashDevice stack,
-// the vthi.embed spans of a served hidden store, exporter schema
+// the vthi.embed spans of a served hidden store, Perfetto export
 // round-trips, the LatencyBreakdown attribution-consistency invariant, and
-// the 1-in-N sampling knob.
+// one dev.request root per request of a traced run.
 //
 // This binary also runs under TSan in CI: the parallel tests hammer the
 // per-thread lock-free span buffers (emit from 8 threads, collect from the
@@ -196,11 +196,10 @@ std::vector<std::uint8_t> page_pattern(std::uint32_t bits, std::uint64_t tag) {
 }
 
 /// One full device workload with the tracer on the virtual clock; returns
-/// both exports.
+/// its spans and their export.
 struct Exports {
-  std::string jsonl;
   std::string perfetto;
-  std::size_t spans = 0;
+  std::vector<SpanRecord> spans;
 };
 
 Exports traced_device_run(std::uint32_t threads) {
@@ -227,8 +226,7 @@ Exports traced_device_run(std::uint32_t threads) {
   tracer.disable();
   const auto spans = tracer.collect();
   Exports out;
-  out.spans = spans.size();
-  out.jsonl = to_jsonl(spans, ClockMode::kVirtual);
+  out.spans = spans;
   out.perfetto = to_perfetto_json(spans, ClockMode::kVirtual);
   tracer.clear();
   return out;
@@ -237,10 +235,9 @@ Exports traced_device_run(std::uint32_t threads) {
 TEST(TraceDeterminism, ExportsByteIdenticalAcrossThreadCounts) {
   const Exports one = traced_device_run(1);
   const Exports eight = traced_device_run(8);
-  EXPECT_GT(one.spans, 0u);
-  EXPECT_EQ(one.spans, eight.spans);
-  EXPECT_EQ(one.jsonl, eight.jsonl);        // byte-identical, 1 vs 8 threads
-  EXPECT_EQ(one.perfetto, eight.perfetto);
+  EXPECT_GT(one.spans.size(), 0u);
+  EXPECT_EQ(one.spans.size(), eight.spans.size());
+  EXPECT_EQ(one.perfetto, eight.perfetto);  // byte-identical, 1 vs 8 threads
 }
 
 // ---- Hidden store trees ----------------------------------------------------
@@ -418,13 +415,6 @@ void expect_same_canonical(const std::vector<SpanRecord>& parsed,
   }
 }
 
-TEST(TraceExport, JsonlRoundTripsCanonicalSpans) {
-  const auto spans = sample_trace();
-  const auto laid = canonicalize(spans, ClockMode::kVirtual);
-  const auto parsed = parse_jsonl(to_jsonl(spans, ClockMode::kVirtual));
-  expect_same_canonical(parsed, laid);
-}
-
 TEST(TraceExport, PerfettoJsonRoundTripsCanonicalSpans) {
   const auto spans = sample_trace();
   const auto laid = canonicalize(spans, ClockMode::kVirtual);
@@ -432,6 +422,15 @@ TEST(TraceExport, PerfettoJsonRoundTripsCanonicalSpans) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   expect_same_canonical(parse_perfetto_json(json), laid);
+}
+
+TEST(TraceExport, PerfettoJsonRoundTripsADeviceRun) {
+  // The one export must carry every field of real device spans (statuses,
+  // byte counts, (block << 32) | page keys, deep trees), not only those of
+  // the hand-built tree above.
+  const Exports run = traced_device_run(1);
+  expect_same_canonical(parse_perfetto_json(run.perfetto),
+                        canonicalize(run.spans, ClockMode::kVirtual));
 }
 
 TEST(TraceExport, CanonicalLayoutIsSumOfChildrenAndOrdered) {
@@ -485,29 +484,12 @@ TEST(TraceBreakdown, GapSurfacesWhenChildrenDoNotCoverRoot) {
   EXPECT_EQ(breakdown.max_request_gap_ns(), 500u);
 }
 
-// ---- Sampling --------------------------------------------------------------
+// ---- Request roots --------------------------------------------------------
 
-TEST(TraceSampling, OneInNIsDeterministic) {
-  reset_tracer();
-  auto& tracer = Tracer::global();
-  tracer.enable(ClockMode::kVirtual, 4);
-  EXPECT_EQ(tracer.sample_every(), 4u);
-  for (std::uint64_t seq = 0; seq < 64; ++seq) {
-    EXPECT_EQ(tracer.should_sample(seq), seq % 4 == 0) << seq;
-  }
-  tracer.disable();
-  tracer.enable(ClockMode::kVirtual, 1);
-  for (std::uint64_t seq = 0; seq < 8; ++seq) {
-    EXPECT_TRUE(tracer.should_sample(seq));
-  }
-  tracer.disable();
-  tracer.clear();
-}
-
-TEST(TraceSampling, DeviceSamplesOneRequestInN) {
+TEST(TraceDevice, EveryRequestGetsOneRoot) {
   auto& tracer = Tracer::global();
   tracer.clear();
-  tracer.enable(ClockMode::kVirtual, 8);
+  tracer.enable(ClockMode::kVirtual);
   {
     dev::DeviceConfig config;
     config.seed = 11;
@@ -518,11 +500,15 @@ TEST(TraceSampling, DeviceSamplesOneRequestInN) {
     (void)device.read_batch(lpns);
   }
   tracer.disable();
+  std::set<std::uint64_t> traces;
   std::size_t roots = 0;
   for (const SpanRecord& rec : tracer.collect()) {
-    if (rec.stage == Stage::kDevRequest) ++roots;
+    if (rec.stage != Stage::kDevRequest) continue;
+    ++roots;
+    traces.insert(rec.trace_id);
   }
-  EXPECT_EQ(roots, 8u);  // 64 reads, 1-in-8 sampling
+  EXPECT_EQ(roots, 64u);  // 64 reads, one dev.request root each
+  EXPECT_EQ(traces.size(), 64u);
   tracer.clear();
 }
 
