@@ -33,7 +33,6 @@ inline constexpr std::size_t kBatchPages = 16;
 struct DeviceConfig {
   // ---- Substrate ----------------------------------------------------------
   nand::Geometry geometry = nand::Geometry::tiny();
-  nand::NoiseModel noise{};
   nand::OpCosts costs{};
   /// Root seed: chip i of the array is seeded from (seed, i), so the whole
   /// device is reproducible from this one value.

@@ -89,7 +89,7 @@ StashDevice::StashDevice(const DeviceConfig& config,
   volumes_.reserve(config_.chips);
   for (std::uint32_t c = 0; c < config_.chips; ++c) {
     chips_.push_back(std::make_unique<nand::FlashChip>(
-        config_.geometry, config_.noise,
+        config_.geometry, nand::NoiseModel{},
         util::hash_words(config_.seed, 0xC417A55AULL, c), config_.costs));
     volumes_.push_back(std::make_unique<stego::StegoVolume>(
         *chips_.back(), key, stego::StegoConfig{config_.ftl, config_.vthi}));
@@ -698,8 +698,8 @@ std::uint64_t StashDevice::snapshot_config_hash() const noexcept {
   // well-defined function of the parameter values.
   static_assert(std::is_trivially_copyable_v<nand::NoiseModel>);
   static_assert(sizeof(nand::NoiseModel) % sizeof(double) == 0);
-  const auto* noise_bytes =
-      reinterpret_cast<const std::uint8_t*>(&config_.noise);
+  const nand::NoiseModel noise{};
+  const auto* noise_bytes = reinterpret_cast<const std::uint8_t*>(&noise);
   w.raw({noise_bytes, sizeof(nand::NoiseModel)});
   return util::fnv1a(bytes);
 }

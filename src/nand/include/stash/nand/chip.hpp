@@ -33,9 +33,9 @@
 //     reproducibility issue them in a deterministic order (PageMappedFtl's
 //     batched read groups them by block).  The fault injector's lock is
 //     only ever taken inside a block lock.
-//   * Whole-chip sweeps (bake(), voltage_histogram(), program_block_random)
-//     and accessors returning raw state assume no concurrent mutation of
-//     the blocks they visit.
+//   * Block sweeps (voltage_histogram(), program_block_random) and
+//     accessors returning raw state assume no concurrent mutation of the
+//     blocks they visit.
 //
 // Cost ledger: CostLedger (noise.hpp) names its fields once; the chip keeps
 // them in a CounterTable in integer nano-units, so totals are exact and
@@ -164,10 +164,9 @@ class FlashChip {
   Status age_cycles(std::uint32_t block, std::uint32_t n,
                     bool charge_ledger = false);
 
-  /// Let `hours` of retention time pass for one block or the whole chip.
-  /// Charge leaks toward the erased level; leakage accelerates with wear.
+  /// Let `hours` of retention time pass for one block.  Charge leaks
+  /// toward the erased level; leakage accelerates with wear.
   void bake_block(std::uint32_t block, double hours);
-  void bake(double hours);
 
   [[nodiscard]] std::uint32_t pec(std::uint32_t block) const;
   [[nodiscard]] PageState page_state(std::uint32_t block,

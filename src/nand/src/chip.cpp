@@ -633,12 +633,6 @@ void FlashChip::bake_block(std::uint32_t block, double hours) {
   }
 }
 
-void FlashChip::bake(double hours) {
-  for (std::uint32_t b = 0; b < geom_.blocks; ++b) {
-    if (blocks_[b]) bake_block(b, hours);
-  }
-}
-
 std::uint32_t FlashChip::pec(std::uint32_t block) const {
   const Block* blk = peek(block);
   return blk ? blk->pec : 0;

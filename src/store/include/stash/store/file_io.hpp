@@ -1,13 +1,14 @@
 #pragma once
 // Fault-injectable file I/O for the snapshot store.
 //
-// Every syscall the store issues — write, fsync, rename — funnels through
-// one seam, FileFaultInjector, mirroring how stash::fault's FaultInjector
-// sits under FlashChip.  A test (or the soak harness) can therefore crash a
-// save at *any* syscall index: tear a write after N bytes, fail an fsync,
-// fail the commit rename — and then prove the two-generation snapshot
-// format still recovers.  Without an injector the wrappers are thin POSIX
-// passthroughs.
+// Every syscall a save issues — write, fsync, rename — funnels through one
+// seam, FileFaultInjector, mirroring how stash::fault's FaultInjector sits
+// under FlashChip.  A test (or the soak harness) can therefore crash a save
+// at *any* syscall index: tear a write after N bytes, fail an fsync, fail
+// the commit rename — and then prove the two-generation snapshot format
+// still recovers.  Without an injector the wrappers are thin POSIX
+// passthroughs.  Reads (read_file) are never injected: recovery must see
+// the disk exactly as the crash left it.
 //
 // Torn-write semantics model a power cut mid-write: the kernel persisted
 // some prefix of the buffer and the machine died.  After a torn (or failed)
@@ -16,6 +17,7 @@
 // incarnation to find.
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -70,16 +72,10 @@ class OutputFile {
   /// Close the descriptor (no fault point; close loses nothing fsync'd).
   void close() noexcept;
 
-  [[nodiscard]] bool is_open() const noexcept { return fd_ >= 0; }
-  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
-    return bytes_written_;
-  }
-
  private:
   int fd_ = -1;
   std::string path_;
   FileFaultInjector* injector_ = nullptr;
-  std::uint64_t bytes_written_ = 0;
 };
 
 /// rename(2) through the injector seam — the commit point of every
@@ -92,15 +88,17 @@ Status faulty_rename(const std::string& from, const std::string& to,
 /// kFsync op.
 Status fsync_parent_dir(const std::string& path, FileFaultInjector* injector);
 
-/// Read an entire file.  kNotFound when it does not exist; plain reads are
-/// not fault-injected (recovery code must see the disk as it is).
-Result<std::vector<std::uint8_t>> read_file(const std::string& path);
+/// Read a file, or only its first `max_bytes` bytes (the snapshot store
+/// probes a generation's header without reading its body).  kNotFound when
+/// it does not exist.
+Result<std::vector<std::uint8_t>> read_file(
+    const std::string& path,
+    std::size_t max_bytes = std::numeric_limits<std::size_t>::max());
 
 /// Create `dir` (and parents) if missing.
 Status ensure_dir(const std::string& dir);
 
 [[nodiscard]] bool file_exists(const std::string& path);
-Status remove_file(const std::string& path);
 
 /// Post-hoc corruption: flip one bit of an existing file in place (the
 /// "disk rotted underneath us" fault the checksum layer must catch).

@@ -1,11 +1,10 @@
 #pragma once
-// stash::store — a checksummed, chunked snapshot format with a
-// two-generation atomic-commit manifest (ROADMAP open item 2).
+// stash::store — a checksummed, chunked snapshot format with two-generation
+// atomic commit.
 //
 // Layout of a snapshot directory:
 //
 //   gen-0.stash / gen-1.stash   alternating full-state generations
-//   MANIFEST                    names the committed generation + sequence
 //
 // A generation file is [header][chunk]*[footer]:
 //
@@ -15,16 +14,17 @@
 //            sha256(name || payload)
 //   footer : "FOOT" | chunk_count u64 | sha256(everything before footer)
 //
-// and the MANIFEST is a single self-checksummed record naming the active
-// generation.  Commit discipline (the nano-node LMDB-style single-writer
-// meta rotation): a save writes the *inactive* generation to a temp file,
-// fsyncs, renames into place, fsyncs the directory — and only then rotates
-// the manifest the same way.  A crash at any byte of this sequence leaves
-// the previous generation untouched and the manifest pointing at it, so
-// recovery is: validate the manifest's generation end to end (every chunk
-// checksum, the footer digest, exact EOF); on any mismatch report a clean
-// kCorrupted and fall back to the other generation.  Corrupt state is
-// never returned as data.
+// The digest-checked commit_seq in each 64-byte header is the only commit
+// record, as LMDB opens whichever of its two meta pages is valid with the
+// higher transaction id.  Commit discipline: a save overwrites the
+// generation that does NOT hold the newest verified header, with
+// commit_seq one past it — temp file, fsync, rename into place, fsync the
+// directory.  The rename is the commit point: a crash before it leaves the
+// previous generation untouched and newest, a crash after it leaves the
+// new one complete.  Recovery validates the generation with the newer
+// header end to end (every chunk checksum, the footer digest, exact EOF);
+// on any mismatch it reports a clean kCorrupted and falls back to the
+// other generation.  Corrupt state is never returned as data.
 //
 // The store knows nothing about chips or FTLs — it moves named byte chunks.
 // Domain layers (FlashChip, PageMappedFtl, StegoVolume) serialize
@@ -32,7 +32,6 @@
 // up a device snapshot.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,38 +76,26 @@ class SnapshotStore {
  public:
   explicit SnapshotStore(std::string dir) : dir_(std::move(dir)) {}
 
-  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
   [[nodiscard]] std::string generation_path(std::uint32_t gen) const;
-  [[nodiscard]] std::string manifest_path() const;
 
   /// Atomically commit a new generation holding `chunks`.  On any failure
-  /// (including injected faults) the previous generation and manifest are
-  /// untouched; the returned Status carries the failing syscall.
+  /// (including injected faults) before the commit rename, the previous
+  /// generation is untouched; the returned Status carries the failing
+  /// syscall.
   Result<SaveInfo> save(std::uint64_t config_hash,
                         const std::vector<Chunk>& chunks,
                         FileFaultInjector* injector = nullptr);
 
-  /// Load the newest loadable generation: the manifest's first, the other
-  /// as fallback.  kNotFound when the directory holds no snapshot at all;
-  /// kCorrupted when generations exist but none validates.
+  /// Load the newest loadable generation: the one whose header carries the
+  /// higher commit_seq first, the other as fallback.  kNotFound when the
+  /// directory holds no snapshot at all; kCorrupted when generations exist
+  /// but none validates.
   [[nodiscard]] Result<SnapshotData> load_latest() const;
 
   /// Load (and fully validate) one specific generation.
   [[nodiscard]] Result<SnapshotData> load_generation(std::uint32_t gen) const;
 
-  /// The generation the manifest currently commits to, if the manifest is
-  /// present and intact.
-  [[nodiscard]] std::optional<std::uint32_t> active_generation() const;
-
  private:
-  struct Manifest {
-    std::uint32_t active_gen = 0;
-    std::uint64_t commit_seq = 0;
-  };
-
-  [[nodiscard]] Result<Manifest> read_manifest() const;
-  Status write_manifest(const Manifest& manifest, FileFaultInjector* injector);
-
   std::string dir_;
 };
 

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -60,7 +61,6 @@ Status OutputFile::open(const std::string& path, FileFaultInjector* injector) {
   }
   path_ = path;
   injector_ = injector;
-  bytes_written_ = 0;
   return Status::ok();
 }
 
@@ -75,7 +75,6 @@ Status OutputFile::write(std::span<const std::uint8_t> data) {
       const std::size_t keep = std::min(d.keep_bytes, data.size());
       if (keep > 0) {
         STASH_RETURN_IF_ERROR(write_fully(fd_, data.data(), keep, path_));
-        bytes_written_ += keep;
       }
       return {ErrorCode::kPowerLoss,
               "injected torn write on '" + path_ + "'"};
@@ -85,9 +84,7 @@ Status OutputFile::write(std::span<const std::uint8_t> data) {
               "injected write failure on '" + path_ + "'"};
     }
   }
-  STASH_RETURN_IF_ERROR(write_fully(fd_, data.data(), data.size(), path_));
-  bytes_written_ += data.size();
-  return Status::ok();
+  return write_fully(fd_, data.data(), data.size(), path_);
 }
 
 Status OutputFile::fsync() {
@@ -149,7 +146,8 @@ Status fsync_parent_dir(const std::string& path, FileFaultInjector* injector) {
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> read_file(const std::string& path) {
+Result<std::vector<std::uint8_t>> read_file(const std::string& path,
+                                            std::size_t max_bytes) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
@@ -157,19 +155,30 @@ Result<std::vector<std::uint8_t>> read_file(const std::string& path) {
     }
     return errno_status(ErrorCode::kInvalidArgument, "cannot open", path);
   }
-  std::vector<std::uint8_t> out;
-  std::uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    const Status status =
+        errno_status(ErrorCode::kCorrupted, "cannot stat", path);
+    ::close(fd);
+    return status;
+  }
+  std::vector<std::uint8_t> out(
+      std::min(static_cast<std::size_t>(st.st_size), max_bytes));
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + done, out.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
+      const Status status =
+          errno_status(ErrorCode::kCorrupted, "read failed", path);
       ::close(fd);
-      return errno_status(ErrorCode::kCorrupted, "read failed", path);
+      return status;
     }
-    if (n == 0) break;
-    out.insert(out.end(), buf, buf + n);
+    if (n == 0) break;  // the file shrank since fstat
+    done += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out.resize(done);
   return out;
 }
 
@@ -186,13 +195,6 @@ Status ensure_dir(const std::string& dir) {
 bool file_exists(const std::string& path) {
   struct stat st {};
   return ::stat(path.c_str(), &st) == 0;
-}
-
-Status remove_file(const std::string& path) {
-  if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return errno_status(ErrorCode::kInvalidArgument, "cannot remove", path);
-  }
-  return Status::ok();
 }
 
 Status flip_bit(const std::string& path, std::uint64_t bit_index) {

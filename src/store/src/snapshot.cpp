@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "stash/crypto/sha256.hpp"
 #include "stash/util/wire.hpp"
@@ -17,13 +16,13 @@ namespace {
 
 constexpr std::array<std::uint8_t, 8> kFileMagic = {'S', 'T', 'S', 'H',
                                                     'S', 'N', 'P', '1'};
-constexpr std::array<std::uint8_t, 8> kManifestMagic = {'S', 'T', 'S', 'H',
-                                                        'M', 'A', 'N', '1'};
 constexpr std::array<std::uint8_t, 4> kChunkMagic = {'C', 'H', 'N', 'K'};
 constexpr std::array<std::uint8_t, 4> kFooterMagic = {'F', 'O', 'O', 'T'};
 constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 8 + 4 + 4 + 8 + 8;  // before its digest
 constexpr std::size_t kDigestBytes = 32;
+/// magic | version | flags | commit_seq | config_hash | sha256 of those.
+constexpr std::size_t kHeaderBody = 8 + 4 + 4 + 8 + 8;
+constexpr std::size_t kHeaderBytes = kHeaderBody + kDigestBytes;
 /// One fault-injectable write syscall per slab: big chunks get torn-write
 /// truncation points *inside* them, not just at chunk boundaries.
 constexpr std::size_t kWriteSlab = 64 * 1024;
@@ -43,34 +42,57 @@ Status read_digest(ByteReader& r, crypto::Digest256& out) {
   return r.raw(out);
 }
 
-/// Header-only probe: enough validation to trust commit_seq (the save path
-/// uses it to pick the next generation when the manifest is unreadable).
-Result<std::uint64_t> peek_commit_seq(const std::string& path) {
-  auto bytes = read_file(path);
-  if (!bytes.is_ok()) return bytes.status();
-  const auto& data = bytes.value();
-  if (data.size() < kHeaderBytes + kDigestBytes) {
+struct Header {
+  std::uint64_t commit_seq = 0;
+  std::uint64_t config_hash = 0;
+};
+
+/// Parse and verify the 64-byte generation header: the one header parser,
+/// used by the full decode and by the save/load probe that reads nothing
+/// else of the file.
+Result<Header> decode_header(std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kHeaderBytes) {
     return corrupted("snapshot shorter than its header");
   }
-  ByteReader r({data.data(), data.size()});
+  ByteReader r(bytes.first(kHeaderBytes));
   std::array<std::uint8_t, 8> magic{};
   STASH_RETURN_IF_ERROR(r.raw(magic));
   if (magic != kFileMagic) return corrupted("bad snapshot magic");
+  Header header;
   std::uint32_t version = 0;
   std::uint32_t flags = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t config_hash = 0;
   STASH_RETURN_IF_ERROR(r.u32(version));
   STASH_RETURN_IF_ERROR(r.u32(flags));
-  STASH_RETURN_IF_ERROR(r.u64(seq));
-  STASH_RETURN_IF_ERROR(r.u64(config_hash));
+  STASH_RETURN_IF_ERROR(r.u64(header.commit_seq));
+  STASH_RETURN_IF_ERROR(r.u64(header.config_hash));
   crypto::Digest256 stored{};
   STASH_RETURN_IF_ERROR(read_digest(r, stored));
-  if (crypto::Sha256::hash({data.data(), kHeaderBytes}) != stored) {
+  if (crypto::Sha256::hash(bytes.first(kHeaderBody)) != stored) {
     return corrupted("snapshot header digest mismatch");
   }
   if (version != kVersion) return corrupted("unsupported snapshot version");
-  return seq;
+  if (flags != 0) return corrupted("unsupported snapshot flags");
+  return header;
+}
+
+/// The generation whose header verifies with the higher commit_seq, and
+/// that seq; gen 1 and seq 0 when neither header verifies.
+struct Newest {
+  std::uint32_t gen = 1;
+  std::uint64_t commit_seq = 0;
+};
+
+Newest newest_header(const SnapshotStore& store) {
+  Newest newest;
+  for (std::uint32_t gen = 0; gen < 2; ++gen) {
+    auto bytes = read_file(store.generation_path(gen), kHeaderBytes);
+    if (!bytes.is_ok()) continue;
+    auto header = decode_header(bytes.value());
+    if (header.is_ok() && header.value().commit_seq >= newest.commit_seq) {
+      newest = {gen, header.value().commit_seq};
+    }
+  }
+  return newest;
 }
 
 }  // namespace
@@ -100,28 +122,14 @@ std::vector<std::uint8_t> encode_snapshot(std::uint64_t commit_seq,
 }
 
 Result<SnapshotData> decode_snapshot(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes + kDigestBytes) {
-    return corrupted("snapshot shorter than its header");
-  }
-  ByteReader r(bytes);
-  std::array<std::uint8_t, 8> magic{};
-  STASH_RETURN_IF_ERROR(r.raw(magic));
-  if (magic != kFileMagic) return corrupted("bad snapshot magic");
+  auto header = decode_header(bytes);
+  if (!header.is_ok()) return header.status();
   SnapshotData snap;
-  std::uint32_t version = 0;
-  std::uint32_t flags = 0;
-  STASH_RETURN_IF_ERROR(r.u32(version));
-  STASH_RETURN_IF_ERROR(r.u32(flags));
-  STASH_RETURN_IF_ERROR(r.u64(snap.commit_seq));
-  STASH_RETURN_IF_ERROR(r.u64(snap.config_hash));
-  crypto::Digest256 stored{};
-  STASH_RETURN_IF_ERROR(read_digest(r, stored));
-  if (crypto::Sha256::hash({bytes.data(), kHeaderBytes}) != stored) {
-    return corrupted("snapshot header digest mismatch");
-  }
-  if (version != kVersion) return corrupted("unsupported snapshot version");
-  if (flags != 0) return corrupted("unsupported snapshot flags");
+  snap.commit_seq = header.value().commit_seq;
+  snap.config_hash = header.value().config_hash;
 
+  ByteReader r(bytes.subspan(kHeaderBytes));
+  crypto::Digest256 stored{};
   for (;;) {
     std::array<std::uint8_t, 4> tag{};
     STASH_RETURN_IF_ERROR(r.raw(tag));
@@ -156,88 +164,16 @@ std::string SnapshotStore::generation_path(std::uint32_t gen) const {
   return dir_ + "/gen-" + std::to_string(gen) + ".stash";
 }
 
-std::string SnapshotStore::manifest_path() const { return dir_ + "/MANIFEST"; }
-
-Result<SnapshotStore::Manifest> SnapshotStore::read_manifest() const {
-  auto bytes = read_file(manifest_path());
-  if (!bytes.is_ok()) return bytes.status();
-  const auto& data = bytes.value();
-  ByteReader r({data.data(), data.size()});
-  std::array<std::uint8_t, 8> magic{};
-  STASH_RETURN_IF_ERROR(r.raw(magic));
-  if (magic != kManifestMagic) return corrupted("bad manifest magic");
-  std::uint32_t version = 0;
-  Manifest m;
-  STASH_RETURN_IF_ERROR(r.u32(version));
-  STASH_RETURN_IF_ERROR(r.u32(m.active_gen));
-  STASH_RETURN_IF_ERROR(r.u64(m.commit_seq));
-  crypto::Digest256 stored{};
-  STASH_RETURN_IF_ERROR(read_digest(r, stored));
-  const std::size_t payload = data.size() - kDigestBytes;
-  if (crypto::Sha256::hash({data.data(), payload}) != stored) {
-    return corrupted("manifest digest mismatch");
-  }
-  STASH_RETURN_IF_ERROR(r.expect_exhausted());
-  if (version != kVersion) return corrupted("unsupported manifest version");
-  if (m.active_gen > 1) return corrupted("manifest generation out of range");
-  return m;
-}
-
-Status SnapshotStore::write_manifest(const Manifest& manifest,
-                                     FileFaultInjector* injector) {
-  std::vector<std::uint8_t> bytes;
-  ByteWriter w(bytes);
-  w.raw(kManifestMagic);
-  w.u32(kVersion);
-  w.u32(manifest.active_gen);
-  w.u64(manifest.commit_seq);
-  w.raw(crypto::Sha256::hash({bytes.data(), bytes.size()}));
-
-  const std::string path = manifest_path();
-  const std::string tmp = path + ".tmp";
-  OutputFile f;
-  STASH_RETURN_IF_ERROR(f.open(tmp, injector));
-  STASH_RETURN_IF_ERROR(f.write(bytes));
-  STASH_RETURN_IF_ERROR(f.fsync());
-  f.close();
-  STASH_RETURN_IF_ERROR(faulty_rename(tmp, path, injector));
-  return fsync_parent_dir(path, injector);
-}
-
-std::optional<std::uint32_t> SnapshotStore::active_generation() const {
-  auto m = read_manifest();
-  if (!m.is_ok()) return std::nullopt;
-  return m.value().active_gen;
-}
-
 Result<SaveInfo> SnapshotStore::save(std::uint64_t config_hash,
                                      const std::vector<Chunk>& chunks,
                                      FileFaultInjector* injector) {
   STASH_RETURN_IF_ERROR(ensure_dir(dir_));
 
-  // Pick the target generation: always the one the manifest does NOT
-  // commit to, so a crash anywhere below leaves the committed one intact.
-  std::uint32_t target = 0;
-  std::uint64_t seq = 1;
-  if (auto m = read_manifest(); m.is_ok()) {
-    target = 1 - m.value().active_gen;
-    seq = m.value().commit_seq + 1;
-  } else {
-    // No trustworthy manifest: derive the rotation from the generation
-    // headers themselves (a fresh directory, or one whose manifest was
-    // lost).  Overwrite the *older* generation.
-    std::uint64_t best_seq = 0;
-    std::uint32_t best_gen = 1;  // no snapshots -> target gen 0
-    for (std::uint32_t gen = 0; gen < 2; ++gen) {
-      if (auto probed = peek_commit_seq(generation_path(gen));
-          probed.is_ok() && probed.value() >= best_seq) {
-        best_seq = probed.value();
-        best_gen = gen;
-      }
-    }
-    target = 1 - best_gen;
-    seq = best_seq + 1;
-  }
+  // Overwrite the generation that does NOT hold the newest commit, so a
+  // crash anywhere below leaves that one intact.
+  const Newest newest = newest_header(*this);
+  const std::uint32_t target = 1 - newest.gen;
+  const std::uint64_t seq = newest.commit_seq + 1;
 
   const std::vector<std::uint8_t> image =
       encode_snapshot(seq, config_hash, chunks);
@@ -251,11 +187,9 @@ Result<SaveInfo> SnapshotStore::save(std::uint64_t config_hash,
   }
   STASH_RETURN_IF_ERROR(f.fsync());
   f.close();
+  // The commit point: the rename makes the new header the newest one.
   STASH_RETURN_IF_ERROR(faulty_rename(tmp, path, injector));
   STASH_RETURN_IF_ERROR(fsync_parent_dir(path, injector));
-
-  // The commit point: only a fully durable generation gets named active.
-  STASH_RETURN_IF_ERROR(write_manifest(Manifest{target, seq}, injector));
   return SaveInfo{path, target, seq, image.size()};
 }
 
@@ -275,29 +209,13 @@ Result<SnapshotData> SnapshotStore::load_latest() const {
     return Status{ErrorCode::kNotFound,
                   "no snapshot generations in '" + dir_ + "'"};
   }
-  // Candidate order: the manifest's committed generation, then the other.
-  // With no trustworthy manifest, whichever valid generation carries the
-  // higher commit_seq wins.
-  const Status none{ErrorCode::kCorrupted,
-                    "no loadable snapshot generation in '" + dir_ + "'"};
-  std::array<std::uint32_t, 2> order = {0, 1};
-  if (auto m = read_manifest(); m.is_ok()) {
-    order = {m.value().active_gen, 1 - m.value().active_gen};
-    for (const std::uint32_t gen : order) {
-      if (auto snap = load_generation(gen); snap.is_ok()) return snap;
-    }
-    return none;
+  // Newest header first; any mismatch in its body falls back to the other.
+  const std::uint32_t first = newest_header(*this).gen;
+  for (const std::uint32_t gen : {first, 1 - first}) {
+    if (auto snap = load_generation(gen); snap.is_ok()) return snap;
   }
-  Result<SnapshotData> best = none;
-  for (const std::uint32_t gen : order) {
-    if (auto snap = load_generation(gen); snap.is_ok()) {
-      if (!best.is_ok() ||
-          snap.value().commit_seq > best.value().commit_seq) {
-        best = std::move(snap);
-      }
-    }
-  }
-  return best;
+  return Status{ErrorCode::kCorrupted,
+                "no loadable snapshot generation in '" + dir_ + "'"};
 }
 
 }  // namespace stash::store

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "stash/crypto/sha256.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/fault/file_plan.hpp"
 #include "stash/store/file_io.hpp"
@@ -191,13 +192,21 @@ TEST(SnapshotCodec, TrailingBytesAfterFooterAreCorruption) {
   EXPECT_EQ(decode_snapshot(image).status().code(), ErrorCode::kCorrupted);
 }
 
+TEST(SnapshotCodec, GenerationBytesArePinned) {
+  // A generation file saved by an older build must load in this one, so
+  // the encoding of fixed chunks must never move.
+  const auto image = encode_snapshot(5, 0x0123456789abcdefULL, sample_chunks());
+  EXPECT_EQ(image.size(), 5727u);
+  EXPECT_EQ(crypto::to_hex(crypto::Sha256::hash(image)),
+            "bb01e184d4938abb7b1014dc66b1b010898b3ed74bed997f1f97be4078f4c5e1");
+}
+
 // ---- SnapshotStore commit discipline --------------------------------------
 
 TEST(SnapshotStore, EmptyDirectoryLoadsAsNotFound) {
   ScratchDir dir("empty");
   SnapshotStore store(dir.path());
   EXPECT_EQ(store.load_latest().status().code(), ErrorCode::kNotFound);
-  EXPECT_FALSE(store.active_generation().has_value());
 }
 
 TEST(SnapshotStore, SavesAlternateGenerationsAndBumpCommitSeq) {
@@ -245,7 +254,8 @@ std::uint64_t count_save_ops(const std::vector<Chunk>& chunks) {
 TEST(SnapshotStore, CrashAtEverySyscallOfASaveLeavesPriorGenerationLoadable) {
   const auto v2 = sample_chunks(20);
   const std::uint64_t total_ops = count_save_ops(v2);
-  ASSERT_GT(total_ops, 4u);  // data write(s), fsync, rename, dir fsync, ...
+  // A one-slab save: data write, fsync, rename, directory fsync.
+  ASSERT_EQ(total_ops, 4u);
 
   for (std::uint64_t cut = 0; cut < total_ops; ++cut) {
     ScratchDir dir("crash" + std::to_string(cut));
@@ -259,25 +269,20 @@ TEST(SnapshotStore, CrashAtEverySyscallOfASaveLeavesPriorGenerationLoadable) {
     ASSERT_FALSE(s2.is_ok()) << "cut=" << cut;
     EXPECT_EQ(plan.stats().faults_fired, 1u) << "cut=" << cut;
 
-    // Next incarnation: the store must load *something* valid — either the
-    // old generation (crash before the manifest commit) or the new one
-    // (crash after it) — never corrupt data, never nothing.
+    // Next incarnation: the store must load a valid generation, never
+    // corrupt data, never nothing.  The rename is the commit point, so the
+    // new generation loads exactly when only the directory fsync after it
+    // was cut; every earlier cut keeps the prior commit.
     auto recovered = store.load_latest();
     ASSERT_TRUE(recovered.is_ok())
         << "cut=" << cut << ": " << recovered.status().message();
-    const auto* meta = recovered.value().chunks.empty()
-                           ? nullptr
-                           : recovered.value().find("dev/meta");
+    const auto* meta = recovered.value().find("dev/meta");
     ASSERT_NE(meta, nullptr) << "cut=" << cut;
-    const bool is_old = *meta == pattern_bytes(48, 10);
-    const bool is_new = *meta == pattern_bytes(48, 20);
-    EXPECT_TRUE(is_old || is_new) << "cut=" << cut << " recovered garbage";
-    // A crash strictly before the manifest-rotation rename must preserve
-    // the prior commit.
-    if (is_old) {
-      EXPECT_EQ(recovered.value().commit_seq, s1.value().commit_seq)
-          << "cut=" << cut;
-    }
+    const bool committed = cut + 1 == total_ops;
+    EXPECT_EQ(*meta, pattern_bytes(48, committed ? 20 : 10)) << "cut=" << cut;
+    EXPECT_EQ(recovered.value().commit_seq,
+              s1.value().commit_seq + (committed ? 1 : 0))
+        << "cut=" << cut;
 
     // And the crashed save must not have consumed the sequence number: a
     // retry after reboot commits cleanly.
@@ -352,38 +357,37 @@ TEST(SnapshotStore, BitRotInBothGenerationsIsCleanlyCorrupted) {
   EXPECT_EQ(store.load_latest().status().code(), ErrorCode::kCorrupted);
 }
 
-TEST(SnapshotStore, LostManifestRecoversNewestValidGeneration) {
-  ScratchDir dir("noman");
+TEST(SnapshotStore, LeftoverManifestIsIgnored) {
+  // Older builds also kept a MANIFEST naming the active generation.  The
+  // generation headers alone decide now, even when a leftover MANIFEST
+  // names the older generation.
+  ScratchDir dir("leftover");
   SnapshotStore store(dir.path());
-  ASSERT_TRUE(store.save(0x11, sample_chunks(10)).is_ok());
+  auto s1 = store.save(0x11, sample_chunks(10));
+  ASSERT_TRUE(s1.is_ok());
   auto s2 = store.save(0x11, sample_chunks(20));
   ASSERT_TRUE(s2.is_ok());
 
-  ASSERT_TRUE(remove_file(store.manifest_path()).is_ok());
-  EXPECT_FALSE(store.active_generation().has_value());
-  auto recovered = store.load_latest();
-  ASSERT_TRUE(recovered.is_ok());
-  EXPECT_EQ(recovered.value().commit_seq, s2.value().commit_seq);
+  util::ByteWriter w;
+  w.raw(std::array<std::uint8_t, 8>{'S', 'T', 'S', 'H', 'M', 'A', 'N', '1'});
+  w.u32(1);  // version
+  w.u32(s1.value().generation);
+  w.u64(s1.value().commit_seq);
+  w.raw(crypto::Sha256::hash(w.bytes()));
+  OutputFile f;
+  ASSERT_TRUE(f.open(dir.path() + "/MANIFEST", nullptr).is_ok());
+  ASSERT_TRUE(f.write(w.bytes()).is_ok());
+  f.close();
 
-  // A save after manifest loss still alternates and commits.
+  auto latest = store.load_latest();
+  ASSERT_TRUE(latest.is_ok()) << latest.status().message();
+  EXPECT_EQ(latest.value().commit_seq, s2.value().commit_seq);
+  EXPECT_EQ(latest.value().generation, s2.value().generation);
+
   auto s3 = store.save(0x11, sample_chunks(30));
   ASSERT_TRUE(s3.is_ok());
-  EXPECT_GT(s3.value().commit_seq, s2.value().commit_seq);
-  EXPECT_NE(s3.value().generation, s2.value().generation);
-}
-
-TEST(SnapshotStore, CorruptManifestRecoversNewestValidGeneration) {
-  ScratchDir dir("badman");
-  SnapshotStore store(dir.path());
-  ASSERT_TRUE(store.save(0x11, sample_chunks(10)).is_ok());
-  auto s2 = store.save(0x11, sample_chunks(20));
-  ASSERT_TRUE(s2.is_ok());
-
-  ASSERT_TRUE(flip_bit(store.manifest_path(), 40).is_ok());
-  EXPECT_FALSE(store.active_generation().has_value());
-  auto recovered = store.load_latest();
-  ASSERT_TRUE(recovered.is_ok());
-  EXPECT_EQ(recovered.value().commit_seq, s2.value().commit_seq);
+  EXPECT_EQ(s3.value().generation, s1.value().generation);
+  EXPECT_EQ(s3.value().commit_seq, s2.value().commit_seq + 1);
 }
 
 // ---- FlashChip full-state round trip --------------------------------------
@@ -697,7 +701,7 @@ TEST(DeviceSnapshot, LoadFromEmptyDirIsNotFoundAndNonDestructive) {
 
 TEST(DeviceSnapshot, CrashMidSaveNeverLosesThePriorSnapshot) {
   // Device-level torn-write sweep: crash a save_snapshot at every file-op
-  // index; a fresh device must always restore the prior state exactly.
+  // index; a fresh device must always restore one committed state exactly.
   std::uint64_t total_ops = 0;
   std::uint64_t sum1 = 0;
   {
