@@ -5,7 +5,8 @@
 //   * ns/cell page read      (read_page incl. read-disturb accounting)
 //   * BCH decode MB/s        (syndromes + BM + Chien + verify, errors at t/2)
 //   * fig06-style wall time  (VT-HI embed/extract inner loop, one combo)
-//   * device read p99 us     (StashDevice end-to-end skewed-read tail)
+//   * device read p99 us     (StashDevice end-to-end skewed-read tail,
+//                             exact over the reads' dev.request spans)
 //
 // The committed BENCH_perf.json at the repo root is always the *latest*
 // trajectory point; CI re-runs this harness with --check against it and
@@ -16,10 +17,12 @@
 // head.
 //
 // Determinism: --state-checksum prints an FNV-1a checksum of every voltage
-// probed after the timed phases.  The checksum is byte-identical for any
-// --threads value (see the FlashChip concurrency contract), which CI uses
-// as the threads-1-vs-8 bit-exactness gate.
+// probed after the NAND, BCH and fig06 phases (it runs only those three).
+// The checksum is byte-identical for any --threads value (see the FlashChip
+// concurrency contract), which CI uses as the threads-1-vs-8 bit-exactness
+// gate.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -35,7 +38,8 @@
 #include "common.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/ecc/bch.hpp"
-#include "stash/telemetry/metrics.hpp"
+#include "stash/trace/trace.hpp"
+#include "stash/util/stats.hpp"
 #include "stash/vthi/channel.hpp"
 
 using namespace stash;
@@ -49,14 +53,21 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Median and extremes of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
 struct PerfResult {
   double ns_per_cell_program = 0.0;
   double ns_per_cell_read = 0.0;
   double bch_decode_mbps = 0.0;
   double fig06_wall_s = 0.0;
   double device_read_p99_us = 0.0;
-  double snapshot_save_mbps = 0.0;
-  double snapshot_load_mbps = 0.0;
+  Spread snapshot_save_mbps;
+  Spread snapshot_load_mbps;
   std::uint64_t snapshot_bytes = 0;
   std::uint64_t dev_bytes_copied = 0;
   std::uint64_t state_checksum = 0;
@@ -225,7 +236,8 @@ void run_fig06_phase(const Options& opt, PerfResult& result) {
 
 /// StashDevice end-to-end read-tail phase: fill a small device, serve a
 /// skewed read workload through the full submit/dispatch/FTL/NAND stack,
-/// and report the wall-clock p99 of dev.read_latency_ns in microseconds.
+/// and report the exact wall-clock p99, in microseconds, of the read
+/// requests' dev.request spans (each covers enqueue to resolution).
 void run_device_phase(const Options& opt, PerfResult& result) {
   dev::DeviceConfig config;
   config.geometry = opt.geometry(8);
@@ -243,9 +255,10 @@ void run_device_phase(const Options& opt, PerfResult& result) {
   }
   (void)device.flush();
 
-  auto& hist =
-      telemetry::MetricsRegistry::global().histogram("dev.read_latency_ns");
-  hist.reset();  // isolate this phase's tail from anything recorded before
+  // Trace only the read loop, so its spans are the whole sample.
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kWall);
 
   const std::uint64_t copies_before = device.stats_snapshot().bytes_copied;
 
@@ -263,19 +276,39 @@ void run_device_phase(const Options& opt, PerfResult& result) {
     (void)device.read_batch(chunk);
     op += chunk.size();
   }
+  tracer.disable();
+  // Every read is of an in-range, written page, so every root counts.
+  std::vector<std::uint64_t> read_ns;
+  for (const trace::SpanRecord& span : tracer.collect()) {
+    if (span.parent_id == 0 && span.stage == trace::Stage::kDevRequest &&
+        span.op == trace::Op::kRead) {
+      read_ns.push_back(span.dur_ns);
+    }
+  }
+  tracer.clear();
+  std::sort(read_ns.begin(), read_ns.end());
   result.device_read_p99_us =
-      static_cast<double>(hist.quantile(0.99)) / 1e3;
+      static_cast<double>(util::quantile(read_ns, 0.99)) / 1e3;
   // Steady-state reads are served zero-copy out of arena slabs: any page
   // payload memcpy during the loop shows up here (expected: 0).
   result.dev_bytes_copied =
       device.stats_snapshot().bytes_copied - copies_before;
 }
 
-/// Snapshot persistence phase: save a worked device to disk, load it into
-/// a fresh instance, and report MB/s both ways plus the on-disk generation
-/// size.  Informational (not a CI regression gate): the numbers track the
-/// chunked-serialization cost of stash::store end to end.
+/// MB/s spread of moving `mb` megabytes once per entry of `secs` (odd
+/// length).
+Spread mbps_spread(double mb, std::vector<double> secs) {
+  std::sort(secs.begin(), secs.end());
+  const auto rate = [mb](double t) { return t > 0.0 ? mb / t : 0.0; };
+  return {rate(secs[secs.size() / 2]), rate(secs.back()), rate(secs.front())};
+}
+
+/// Snapshot persistence phase: save a worked device to disk kSnapshotRuns
+/// times, load each save into a fresh instance, and report the median MB/s
+/// both ways (with the min-max spread) plus the on-disk generation size.  Informational (not a CI regression gate): the numbers
+/// track the chunked-serialization cost of stash::store end to end.
 void run_snapshot_phase(const Options& opt, PerfResult& result) {
+  constexpr int kSnapshotRuns = 5;
   dev::DeviceConfig config;
   config.geometry = opt.geometry(8);
   config.seed = opt.seed;
@@ -295,14 +328,27 @@ void run_snapshot_phase(const Options& opt, PerfResult& result) {
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir, ec);
 
-  auto t0 = Clock::now();
-  auto saved = device.save_snapshot(dir);
-  const double save_s = seconds_since(t0);
-  if (!saved.is_ok()) {
-    std::fprintf(stderr, "snapshot save failed: %s\n",
-                 saved.status().to_string().c_str());
-    std::filesystem::remove_all(dir, ec);
-    return;
+  std::vector<double> save_s, load_s;
+  for (int run = 0; run < kSnapshotRuns; ++run) {
+    auto t0 = Clock::now();
+    auto saved = device.save_snapshot(dir);
+    save_s.push_back(seconds_since(t0));
+    if (!saved.is_ok()) {
+      std::fprintf(stderr, "snapshot save failed: %s\n",
+                   saved.status().to_string().c_str());
+      std::filesystem::remove_all(dir, ec);
+      return;
+    }
+    dev::StashDevice restored(config, bench_key());
+    t0 = Clock::now();
+    const auto loaded = restored.load_snapshot(dir);
+    load_s.push_back(seconds_since(t0));
+    if (!loaded.is_ok()) {
+      std::fprintf(stderr, "snapshot load failed: %s\n",
+                   loaded.to_string().c_str());
+      std::filesystem::remove_all(dir, ec);
+      return;
+    }
   }
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
     if (entry.path().extension() == ".stash") {
@@ -311,20 +357,11 @@ void run_snapshot_phase(const Options& opt, PerfResult& result) {
                                   std::filesystem::file_size(entry, ec));
     }
   }
-
-  dev::StashDevice restored(config, bench_key());
-  t0 = Clock::now();
-  const auto loaded = restored.load_snapshot(dir);
-  const double load_s = seconds_since(t0);
   std::filesystem::remove_all(dir, ec);
-  if (!loaded.is_ok()) {
-    std::fprintf(stderr, "snapshot load failed: %s\n",
-                 loaded.to_string().c_str());
-    return;
-  }
+
   const double mb = static_cast<double>(result.snapshot_bytes) / 1e6;
-  if (save_s > 0.0) result.snapshot_save_mbps = mb / save_s;
-  if (load_s > 0.0) result.snapshot_load_mbps = mb / load_s;
+  result.snapshot_save_mbps = mbps_spread(mb, save_s);
+  result.snapshot_load_mbps = mbps_spread(mb, load_s);
 }
 
 /// Append one dated markdown row to the perf-trajectory table.  The date
@@ -364,8 +401,8 @@ std::string to_json(const PerfResult& r) {
       << "  \"bch_decode_mbps\": " << r.bch_decode_mbps << ",\n"
       << "  \"fig06_wall_s\": " << r.fig06_wall_s << ",\n"
       << "  \"device_read_p99_us\": " << r.device_read_p99_us << ",\n"
-      << "  \"snapshot_save_mbps\": " << r.snapshot_save_mbps << ",\n"
-      << "  \"snapshot_load_mbps\": " << r.snapshot_load_mbps << ",\n"
+      << "  \"snapshot_save_mbps\": " << r.snapshot_save_mbps.median << ",\n"
+      << "  \"snapshot_load_mbps\": " << r.snapshot_load_mbps.median << ",\n"
       << "  \"snapshot_bytes\": " << r.snapshot_bytes << ",\n"
       << "  \"dev_bytes_copied\": " << r.dev_bytes_copied << ",\n"
       << "  \"state_checksum\": \"" << std::hex << r.state_checksum << std::dec
@@ -383,17 +420,8 @@ bool json_number(const std::string& text, const std::string& key, double* out) {
   return std::sscanf(text.c_str() + colon + 1, "%lf", out) == 1;
 }
 
-int check_against(const std::string& baseline_path, const PerfResult& r) {
-  std::ifstream in(baseline_path);
-  if (!in) {
-    std::fprintf(stderr, "check: cannot open baseline %s\n",
-                 baseline_path.c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
+int check_against(const std::string& baseline_path, const std::string& text,
+                  const PerfResult& r) {
   struct Gate {
     const char* key;
     double current;
@@ -450,21 +478,36 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Read the baseline before any phase runs or any file is written: --out
+  // may name the same file.
+  std::string baseline;
+  if (!check_path.empty()) {
+    std::ifstream in(check_path);
+    if (!in) {
+      std::fprintf(stderr, "check: cannot open baseline %s\n",
+                   check_path.c_str());
+      return 2;
+    }
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    baseline = buffer.str();
+  }
+
   PerfResult result;
   result.threads = opt.threads;
   const std::uint32_t blocks = opt.quick ? 2 : 4;
   const std::uint32_t read_passes = opt.quick ? 2 : 3;
 
+  // Only these three phases feed the checksum.
   run_nand_phase(opt, blocks, read_passes, result);
   run_bch_phase(opt, result);
   run_fig06_phase(opt, result);
-  run_device_phase(opt, result);
-  run_snapshot_phase(opt, result);
-
   if (checksum_only) {
     std::printf("state_checksum %016" PRIx64 "\n", result.state_checksum);
     return 0;
   }
+  run_device_phase(opt, result);
+  run_snapshot_phase(opt, result);
 
   print_header("Perf baseline: voltage-domain hot paths",
                "ns/cell program+read, BCH decode MB/s, fig06 wall time.");
@@ -475,19 +518,27 @@ int main(int argc, char** argv) {
   std::printf("%-24s %12.3f\n", "fig06 wall s", result.fig06_wall_s);
   std::printf("%-24s %12.2f\n", "device read p99 us",
               result.device_read_p99_us);
-  std::printf("%-24s %12.2f\n", "snapshot save MB/s",
-              result.snapshot_save_mbps);
-  std::printf("%-24s %12.2f\n", "snapshot load MB/s",
-              result.snapshot_load_mbps);
+  const auto print_spread = [](const char* name, const Spread& s) {
+    std::printf("%-24s %12.2f  (min %.2f, max %.2f)\n", name, s.median, s.min,
+                s.max);
+  };
+  print_spread("snapshot save MB/s", result.snapshot_save_mbps);
+  print_spread("snapshot load MB/s", result.snapshot_load_mbps);
   std::printf("%-24s %12" PRIu64 "\n", "snapshot bytes",
               result.snapshot_bytes);
   std::printf("%-24s %016" PRIx64 "\n", "state checksum",
               result.state_checksum);
 
-  const std::string json = to_json(result);
-  std::ofstream out(out_path);
-  out << json;
-  std::printf("\nwrote %s\n", out_path.c_str());
+  // A run never overwrites the baseline it is checked against.
+  std::error_code ec;
+  if (!check_path.empty() &&
+      std::filesystem::equivalent(out_path, check_path, ec)) {
+    std::printf("\nnot writing %s: it is the --check baseline\n",
+                out_path.c_str());
+  } else {
+    std::ofstream(out_path) << to_json(result);
+    std::printf("\nwrote %s\n", out_path.c_str());
+  }
 
   if (!trajectory_path.empty()) {
     if (append_trajectory_row(trajectory_path, result)) {
@@ -498,6 +549,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!check_path.empty()) return check_against(check_path, result);
+  if (!check_path.empty()) return check_against(check_path, baseline, result);
   return 0;
 }

@@ -42,7 +42,6 @@
 // device LPN space across chips: lpn -> (chip = lpn % chips,
 // local = lpn / chips).
 
-#include <chrono>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -292,9 +291,9 @@ class StashDevice {
     std::vector<std::uint8_t> data;  // store_hidden payload
     std::promise<Result<PageRef>> value_promise;
     std::promise<Status> status_promise;
-    /// Submission time: dev.read_latency_ns measures reads from here.
-    std::chrono::steady_clock::time_point start;
     /// Root span of this request's trace (inactive when tracing is off).
+    /// The dev.request root is the request's one latency record: it spans
+    /// enqueue to resolution.
     trace::TraceContext trace{};
     /// Device clock (trace_now) at enqueue; queue-wait = service start
     /// minus this.

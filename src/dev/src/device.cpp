@@ -1,6 +1,7 @@
 #include "stash/dev/device.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 #include <stdexcept>
 #include <string>
@@ -20,14 +21,9 @@ using F = DeviceStats::Field;
 
 namespace {
 
-// The two process-wide latency histograms; every count lives in the
-// per-instance CounterTable.
-telemetry::LatencyHistogram& read_latency() {
-  static telemetry::LatencyHistogram& h =
-      telemetry::MetricsRegistry::global().histogram("dev.read_latency_ns");
-  return h;
-}
-
+// The one process-wide flush-time sum; every count lives in the
+// per-instance CounterTable, and each request's latency in its dev.request
+// span.
 telemetry::LatencyHistogram& flush_latency() {
   static telemetry::LatencyHistogram& h =
       telemetry::MetricsRegistry::global().histogram("dev.flush_latency_ns");
@@ -195,7 +191,6 @@ void StashDevice::emit_request_trace(const trace::TraceContext& root,
 
 void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.seq = next_seq_++;
-  req.start = std::chrono::steady_clock::now();
   req.trace = new_request_trace(op_of(req.kind), req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
   queue_.push_back(std::move(req));
@@ -474,7 +469,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
         reads[r].value_promise.set_value(Result<PageRef>{staged->bits});
       }
       counters_.add(F::reads);
-      read_latency().record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, code);
       continue;
     }
@@ -494,7 +488,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       counters_.add(F::reads);
       counters_.add(F::cache_hits);
       reads[r].value_promise.set_value(std::move(*cached));
-      read_latency().record(elapsed_ns(reads[r].start));
       finish_trace(reads[r], true, 0);
       continue;
     }
@@ -541,7 +534,6 @@ void StashDevice::execute_reads(std::vector<Request>& reads) {
       const auto resolve = [&](std::size_t r) {
         counters_.add(F::reads);
         reads[r].value_promise.set_value(outcome);
-        read_latency().record(elapsed_ns(reads[r].start));
         // Serial point after this chip's batch: the miss's service span
         // covers the whole chip round it rode on.  The FTL/NAND fan-out
         // spans themselves live under the dispatch-round trace.

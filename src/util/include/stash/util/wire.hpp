@@ -43,7 +43,6 @@ class ByteWriter {
   /// Floats travel as their IEEE-754 bit patterns: bit-exact round trips,
   /// no locale/formatting ambiguity.
   void f32(float v) { le(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) { le(std::bit_cast<std::uint64_t>(v)); }
 
   void raw(std::span<const std::uint8_t> data) {
     append(data.data(), data.size());
@@ -101,12 +100,6 @@ class ByteReader {
     std::uint32_t bits = 0;
     STASH_RETURN_IF_ERROR(le(bits));
     v = std::bit_cast<float>(bits);
-    return Status::ok();
-  }
-  Status f64(double& v) {
-    std::uint64_t bits = 0;
-    STASH_RETURN_IF_ERROR(le(bits));
-    v = std::bit_cast<double>(bits);
     return Status::ok();
   }
 

@@ -8,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <chrono>
+#include <map>
 #include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "stash/dev/cache.hpp"
@@ -22,6 +25,7 @@
 #include "stash/fault/plan.hpp"
 #include "stash/pack/pack.hpp"
 #include "stash/telemetry/metrics.hpp"
+#include "stash/trace/trace.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
@@ -243,9 +247,10 @@ TEST(DevIo, BufferCapacityTriggersBackpressureFlush) {
   EXPECT_GE(stats.flushed_pages, 4u);
 }
 
-// ---- Latency histograms ---------------------------------------------------
-// perfbench sums dev.flush_latency_ns and perf_baseline gates the p99 of
-// dev.read_latency_ns, so each must see exactly one sample per event.
+// ---- Latency records -------------------------------------------------------
+// perfbench sums dev.flush_latency_ns, so it must see exactly one sample per
+// flush; perf_baseline gates the p99 of the read requests' dev.request spans,
+// so each read must get exactly one root.
 
 TEST(DevLatency, EachFlushRecordsOneTimedSample) {
   StashDevice dev(tiny_config(), test_key());
@@ -265,16 +270,16 @@ TEST(DevLatency, EachFlushRecordsOneTimedSample) {
   EXPECT_EQ(hist.count(), count);
 }
 
-TEST(DevLatency, EachServedReadRecordsOneSample) {
+TEST(DevLatency, EachReadGetsOneRequestRoot) {
   StashDevice dev(tiny_config(), test_key());
-  const auto& hist =
-      telemetry::MetricsRegistry::global().histogram("dev.read_latency_ns");
   ASSERT_TRUE(dev.write(1, page_pattern(dev.page_bits(), 71)).is_ok());
   ASSERT_TRUE(dev.write(4, page_pattern(dev.page_bits(), 74)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
   ASSERT_TRUE(dev.write(2, page_pattern(dev.page_bits(), 72)).is_ok());
-  const std::uint64_t count = hist.count();
   const std::uint64_t reads = dev.stats_snapshot().reads;
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kWall);
 
   ASSERT_TRUE(dev.read(2).is_ok());  // write-back buffer hit
   ASSERT_TRUE(dev.read(1).is_ok());  // flash
@@ -283,9 +288,182 @@ TEST(DevLatency, EachServedReadRecordsOneSample) {
   for (const auto& r : dev.read_batch(twice)) ASSERT_TRUE(r.is_ok());
   EXPECT_EQ(dev.read(dev.logical_pages()).status().code(),
             ErrorCode::kOutOfBounds);  // rejected, not served
+  tracer.disable();
 
-  EXPECT_EQ(hist.count(), count + 5);
+  std::size_t ok = 0;
+  std::size_t failed = 0;
+  for (const trace::SpanRecord& span : tracer.collect()) {
+    if (span.parent_id != 0 || span.stage != trace::Stage::kDevRequest) {
+      continue;
+    }
+    EXPECT_EQ(span.op, trace::Op::kRead);
+    ++(span.status == 0 ? ok : failed);
+  }
+  tracer.clear();
+  EXPECT_EQ(ok, 5u);
+  EXPECT_EQ(failed, 1u);
   EXPECT_EQ(dev.stats_snapshot().reads - reads, 5u);
+}
+
+/// The dev.request roots among `spans`: one per traced request.
+std::vector<trace::SpanRecord> request_roots(
+    const std::vector<trace::SpanRecord>& spans) {
+  std::vector<trace::SpanRecord> roots;
+  for (const trace::SpanRecord& span : spans) {
+    if (span.parent_id == 0 && span.stage == trace::Stage::kDevRequest) {
+      roots.push_back(span);
+    }
+  }
+  return roots;
+}
+
+TEST(DevLatency, EachWriteAndTrimGetsOneRequestRoot) {
+  StashDevice dev(tiny_config(), test_key());
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  ASSERT_TRUE(dev.write(1, page_pattern(dev.page_bits(), 81)).is_ok());
+  ASSERT_TRUE(dev.write(1, page_pattern(dev.page_bits(), 82)).is_ok());
+  ASSERT_TRUE(dev.trim(1).is_ok());
+  EXPECT_EQ(dev.write(dev.logical_pages(), page_pattern(dev.page_bits(), 83))
+                .code(),
+            ErrorCode::kOutOfBounds);
+  EXPECT_EQ(dev.write(2, std::vector<std::uint8_t>(3)).code(),
+            ErrorCode::kInvalidArgument);
+  tracer.disable();
+
+  // A rejected request still gets its root, carrying the rejection.
+  std::map<std::pair<trace::Op, std::uint8_t>, int> roots;
+  for (const trace::SpanRecord& root : request_roots(tracer.collect())) {
+    ++roots[{root.op, root.status}];
+  }
+  tracer.clear();
+  const auto code = [](ErrorCode c) { return static_cast<std::uint8_t>(c); };
+  EXPECT_EQ(roots,
+            (std::map<std::pair<trace::Op, std::uint8_t>, int>{
+                {{trace::Op::kWrite, 0}, 2},
+                {{trace::Op::kTrim, 0}, 1},
+                {{trace::Op::kWrite, code(ErrorCode::kOutOfBounds)}, 1},
+                {{trace::Op::kWrite, code(ErrorCode::kInvalidArgument)}, 1}}));
+}
+
+TEST(DevLatency, ReadRootsCarryTheirLpnAndOwnTrace) {
+  StashDevice dev(tiny_config(), test_key());
+  for (std::uint64_t lpn = 0; lpn < 6; ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 90 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  const std::vector<std::uint64_t> lpns = {3, 0, 5, 0};
+  for (const auto& r : dev.read_batch(lpns)) ASSERT_TRUE(r.is_ok());
+  tracer.disable();
+
+  std::multiset<std::uint64_t> keys;
+  std::set<std::uint64_t> traces;
+  for (const trace::SpanRecord& root : request_roots(tracer.collect())) {
+    EXPECT_EQ(root.op, trace::Op::kRead);
+    keys.insert(root.key);
+    traces.insert(root.trace_id);
+  }
+  tracer.clear();
+  EXPECT_EQ(keys, (std::multiset<std::uint64_t>{0, 0, 3, 5}));
+  EXPECT_EQ(traces.size(), 4u);  // the coalesced repeat is its own request
+}
+
+// perf_baseline's device p99 is the sorted dur_ns of wall-clock read roots,
+// so a root must span enqueue to resolution: its queue wait, then its
+// service, back to back.
+TEST(DevLatency, WallReadRootIsQueueWaitThenService) {
+  StashDevice dev(tiny_config(), test_key());
+  for (std::uint64_t lpn = 0; lpn < 4; ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 40 + lpn)).is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+  auto& tracer = trace::Tracer::global();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kWall);
+  const std::vector<std::uint64_t> lpns = {0, 1, 2, 3};
+  for (const auto& r : dev.read_batch(lpns)) ASSERT_TRUE(r.is_ok());
+  ASSERT_TRUE(dev.read(0).is_ok());  // read cache hit
+  tracer.disable();
+  const std::vector<trace::SpanRecord> spans = tracer.collect();
+  tracer.clear();
+
+  const std::vector<trace::SpanRecord> roots = request_roots(spans);
+  ASSERT_EQ(roots.size(), 5u);
+  for (const trace::SpanRecord& root : roots) {
+    const trace::SpanRecord* wait = nullptr;
+    const trace::SpanRecord* service = nullptr;
+    for (const trace::SpanRecord& span : spans) {
+      if (span.trace_id != root.trace_id || span.parent_id != root.span_id) {
+        continue;
+      }
+      if (span.stage == trace::Stage::kDevQueueWait) wait = &span;
+      if (span.stage == trace::Stage::kFtlService) service = &span;
+    }
+    ASSERT_NE(wait, nullptr) << "lpn " << root.key;
+    ASSERT_NE(service, nullptr) << "lpn " << root.key;
+    EXPECT_EQ(wait->begin_ns, root.begin_ns);
+    EXPECT_EQ(service->begin_ns, wait->begin_ns + wait->dur_ns);
+    EXPECT_EQ(root.dur_ns, wait->dur_ns + service->dur_ns);
+  }
+}
+
+// perf_baseline enables the tracer only around its read loop; the reads
+// must still get the trace ids a run traced from the start gives them.
+TEST(DevLatency, MidRunEnableKeepsFromTheStartTraceIds) {
+  const auto read_traces = [](bool trace_writes) {
+    auto& tracer = trace::Tracer::global();
+    tracer.clear();
+    if (trace_writes) tracer.enable(trace::ClockMode::kVirtual);
+    StashDevice dev(tiny_config(), test_key());
+    for (std::uint64_t lpn = 0; lpn < 4; ++lpn) {
+      EXPECT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), 20 + lpn)).is_ok());
+    }
+    EXPECT_TRUE(dev.flush().is_ok());
+    if (!trace_writes) tracer.enable(trace::ClockMode::kVirtual);
+    const std::vector<std::uint64_t> lpns = {2, 0, 3, 1};
+    for (const auto& r : dev.read_batch(lpns)) EXPECT_TRUE(r.is_ok());
+    tracer.disable();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ids;  // (lpn, trace)
+    for (const trace::SpanRecord& root : request_roots(tracer.collect())) {
+      if (root.op == trace::Op::kRead) ids.emplace_back(root.key, root.trace_id);
+    }
+    tracer.clear();
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto late = read_traces(false);
+  ASSERT_EQ(late.size(), 4u);
+  EXPECT_EQ(late, read_traces(true));
+}
+
+// Untraced (perfbench's runs and perf_baseline's other phases), requests
+// emit no span at all; the flush-time sum is still fed.
+TEST(DevLatency, UntracedRequestsEmitNoSpans) {
+  StashDevice dev(tiny_config(), test_key());
+  auto& tracer = trace::Tracer::global();
+  tracer.disable();
+  tracer.clear();
+  const auto& hist =
+      telemetry::MetricsRegistry::global().histogram("dev.flush_latency_ns");
+  const std::uint64_t flushes = hist.count();
+
+  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 30)).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  ASSERT_TRUE(dev.read(0).is_ok());
+  const std::vector<std::uint64_t> lpns = {0, 0};
+  for (const auto& r : dev.read_batch(lpns)) ASSERT_TRUE(r.is_ok());
+  ASSERT_TRUE(dev.trim(0).is_ok());
+  auto gc = dev.submit_gc();
+  dev.drain();
+  // A near-empty device has no GC victim; the request still runs.
+  EXPECT_EQ(gc.get().code(), ErrorCode::kNoSpace);
+
+  EXPECT_EQ(tracer.span_count(), 0u);
+  EXPECT_EQ(hist.count(), flushes + 1);
 }
 
 // ---- Read cache -----------------------------------------------------------

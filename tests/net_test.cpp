@@ -26,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <span>
 #include <string>
 #include <thread>
@@ -34,8 +35,7 @@
 #include "stash/dev/device.hpp"
 #include "stash/net/client.hpp"
 #include "stash/net/server.hpp"
-#include "stash/telemetry/metrics.hpp"
-#include "stash/trace/breakdown.hpp"
+#include "stash/trace/trace.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
 
@@ -502,11 +502,10 @@ TEST(NetServer, HiddenPayloadRoundTripsOverTheWire) {
   server.stop();
 }
 
-// Every latency histogram the stack registers has a reader: perfbench sums
-// dev.flush_latency_ns and perf_baseline gates dev.read_latency_ns's p99.
-// Driving every request kind through the server, traced and folded, must
-// register no third one.
-TEST(NetServer, OnlyHistogramsWithReadersAreRegistered) {
+// The dev.request root is a request's one latency record.  Driving every
+// request kind through the server, traced, must give each request exactly
+// one root, carrying its op.
+TEST(NetServer, EveryRequestKindGetsOneRequestRoot) {
   DeviceConfig config;
   config.geometry.blocks = 12;
   config.geometry.pages_per_block = 8;
@@ -520,6 +519,7 @@ TEST(NetServer, OnlyHistogramsWithReadersAreRegistered) {
   ASSERT_TRUE(dev.flush().is_ok());
 
   auto& tracer = trace::Tracer::global();
+  tracer.clear();
   tracer.enable(trace::ClockMode::kVirtual);
   Server server(dev);
   ASSERT_TRUE(server.start().is_ok());
@@ -542,17 +542,19 @@ TEST(NetServer, OnlyHistogramsWithReadersAreRegistered) {
   server.stop();
   tracer.disable();
 
-  trace::LatencyBreakdown breakdown;
-  breakdown.fold(tracer.collect(), trace::ClockMode::kVirtual);
-  tracer.clear();
-  EXPECT_FALSE(breakdown.requests().empty());
-
-  std::vector<std::string> names;
-  for (const auto& h : telemetry::MetricsRegistry::global().snapshot().histograms) {
-    names.push_back(h.name);
+  std::map<trace::Op, int> roots;
+  for (const trace::SpanRecord& span : tracer.collect()) {
+    if (span.parent_id == 0 && span.stage == trace::Stage::kDevRequest) {
+      ++roots[span.op];
+    }
   }
-  EXPECT_EQ(names, (std::vector<std::string>{"dev.flush_latency_ns",
-                                             "dev.read_latency_ns"}));
+  tracer.clear();
+  EXPECT_EQ(roots, (std::map<trace::Op, int>{{trace::Op::kRead, 2},
+                                             {trace::Op::kWrite, 1},
+                                             {trace::Op::kTrim, 1},
+                                             {trace::Op::kStoreHidden, 1},
+                                             {trace::Op::kLoadHidden, 1},
+                                             {trace::Op::kGc, 1}}));
 }
 
 /// Dial the server raw (no Client, no auto-handshake), send one kHello

@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "stash/nand/onfi.hpp"
-#include "stash/telemetry/metrics.hpp"
 #include "stash/util/bitvec.hpp"
 #include "stash/util/stats.hpp"
 

@@ -192,7 +192,7 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg, t] {
       // Mix registry lookups (map mutation under its mutex) with
-      // histogram updates (atomics) — the production access pattern.
+      // instrument updates (atomics) — the production access pattern.
       auto& shared = reg.histogram("par.shared");
       auto& mine = reg.histogram("par.thread." + std::to_string(t));
       for (int i = 0; i < kPerThread; ++i) {
@@ -200,7 +200,6 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
         mine.record(1);
         if (i % 1000 == 0) {
           (void)reg.histogram("par.shared");  // concurrent re-lookup
-          (void)reg.snapshot();               // concurrent export
         }
       }
     });
@@ -216,10 +215,8 @@ TEST(Concurrency, MetricsRegistryHammeredFromManyThreads) {
   for (int t = 0; t < kThreads; ++t) {
     const auto& mine = reg.histogram("par.thread." + std::to_string(t));
     EXPECT_EQ(mine.count(), static_cast<std::uint64_t>(kPerThread));
-    EXPECT_EQ(mine.bucket_count(1), static_cast<std::uint64_t>(kPerThread));
+    EXPECT_EQ(mine.sum(), static_cast<std::uint64_t>(kPerThread));
   }
-  EXPECT_EQ(reg.snapshot().histograms.size(),
-            static_cast<std::size_t>(kThreads) + 1);
 }
 
 // The one counter primitive: eight threads add() to one device's counter

@@ -1,5 +1,5 @@
-// Tests for stash::telemetry: the metrics registry (log-bucketed latency
-// histograms and their snapshot), plus the visibility of each ONFI command
+// Tests for stash::telemetry: the metrics registry's stable instrument
+// references, plus the visibility of each ONFI command
 // sequence (including §5's PROGRAM -> RESET partial program) as one nand.*
 // span in stash::trace.
 
@@ -15,91 +15,6 @@
 
 namespace stash::telemetry {
 namespace {
-
-TEST(LatencyHistogram, LogBucketing) {
-  LatencyHistogram h;
-  h.record(0);    // bucket 0
-  h.record(1);    // bucket 1: [1, 2)
-  h.record(2);    // bucket 2: [2, 4)
-  h.record(3);    // bucket 2
-  h.record(4);    // bucket 3: [4, 8)
-  h.record(1024);  // bucket 11
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.sum(), 1034u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(2), 2u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-  EXPECT_EQ(h.bucket_count(11), 1u);
-  // p50 lands in bucket 2 -> geometric midpoint of [2, 4).
-  EXPECT_GE(h.quantile(0.5), 2u);
-  EXPECT_LT(h.quantile(0.5), 4u);
-  // p99 is the largest sample's bucket [1024, 2048); the last rank in a
-  // bucket interpolates to the bucket's (inclusive) upper edge.
-  EXPECT_GE(h.quantile(0.99), 1024u);
-  EXPECT_LE(h.quantile(0.99), 2048u);
-}
-
-TEST(LatencyHistogram, HugeSamplesClampToLastBucket) {
-  LatencyHistogram h;
-  h.record(~0ull);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucket_count(LatencyHistogram::kBuckets - 1), 1u);
-}
-
-TEST(LatencyHistogram, QuantileInterpolatesWithinBucket) {
-  LatencyHistogram h;
-  // Four samples, all in bucket 11 ([1024, 2048)).  The quantile should
-  // read as a gradient across the bucket by rank, not one fixed point.
-  for (int i = 0; i < 4; ++i) h.record(1500);
-  EXPECT_EQ(h.quantile(0.25), 1280u);  // rank 1 of 4: lo + lo * 1/4
-  EXPECT_EQ(h.quantile(0.50), 1536u);
-  EXPECT_EQ(h.quantile(0.75), 1792u);
-  EXPECT_EQ(h.quantile(1.00), 2048u);  // rank 4 of 4: bucket upper edge
-  // q == 0 clamps to the first sample's rank, never a zero target.
-  EXPECT_EQ(h.quantile(0.0), 1280u);
-}
-
-TEST(LatencyHistogram, P999ResolvesBeyondP99) {
-  LatencyHistogram h;
-  for (int i = 0; i < 98; ++i) h.record(4);  // bucket 3: [4, 8)
-  h.record(1000);    // bucket 10: [512, 1024)
-  h.record(100000);  // bucket 17: [65536, 131072)
-  const std::uint64_t p99 = h.quantile(0.99);    // rank 99 -> bucket 10
-  const std::uint64_t p999 = h.quantile(0.999);  // rank 100 -> bucket 17
-  EXPECT_EQ(p99, 1024u);
-  EXPECT_EQ(p999, 131072u);
-  EXPECT_GT(p999, p99);
-}
-
-TEST(LatencyHistogram, SnapshotCarriesP999) {
-  MetricsRegistry reg;
-  LatencyHistogram& h = reg.histogram("lat");
-  for (int i = 0; i < 98; ++i) h.record(4);
-  h.record(1000);
-  h.record(100000);
-  const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].p999, h.quantile(0.999));
-  EXPECT_GT(snap.histograms[0].p999, snap.histograms[0].p99);
-}
-
-TEST(LatencyHistogram, ResetZeroesEveryBucket) {
-  LatencyHistogram h;
-  h.record(0);
-  h.record(1500);
-  h.record(~0ull);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0u);
-  for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    EXPECT_EQ(h.bucket_count(b), 0u) << "bucket " << b;
-  }
-  h.record(4);  // usable again after a reset
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucket_count(3), 1u);
-}
 
 TEST(MetricsRegistry, HandsOutStableReferences) {
   MetricsRegistry reg;
@@ -119,26 +34,49 @@ TEST(MetricsRegistry, HandsOutStableReferences) {
   EXPECT_EQ(b.sum(), 7u);
 }
 
-TEST(MetricsRegistry, SnapshotSummarizesHistogramsSortedByName) {
-  MetricsRegistry reg;
-  reg.histogram("b.lat").record(100);
-  reg.histogram("a.lat").record(4);
-  reg.histogram("a.lat").record(12);
-  (void)reg.histogram("c.empty");
+TEST(LatencyHistogram, CountsEverySampleAndSumsTheirValues) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  h.record(0);  // a zero-length sample still counts
+  h.record(1);
+  h.record(1024);
+  h.record(5);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.sum(), 1030u);
+}
 
-  const Snapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 3u);
-  EXPECT_EQ(snap.histograms[0].name, "a.lat");
-  EXPECT_EQ(snap.histograms[1].name, "b.lat");
-  EXPECT_EQ(snap.histograms[2].name, "c.empty");
-  EXPECT_EQ(snap.histograms[0].count, 2u);
-  EXPECT_EQ(snap.histograms[0].sum, 16u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].mean, 8.0);
-  EXPECT_EQ(snap.histograms[0].p50, reg.histogram("a.lat").quantile(0.5));
-  EXPECT_EQ(snap.histograms[1].count, 1u);
-  EXPECT_EQ(snap.histograms[1].sum, 100u);
-  EXPECT_EQ(snap.histograms[2].count, 0u);
-  EXPECT_EQ(snap.histograms[2].p99, 0u);
+TEST(MetricsRegistry, DistinctNamesGetIndependentInstruments) {
+  MetricsRegistry reg;
+  LatencyHistogram& a = reg.histogram("a.lat");
+  LatencyHistogram& b = reg.histogram("b.lat");
+  EXPECT_NE(&a, &b);
+  a.record(4);
+  a.record(12);
+  b.record(100);
+  EXPECT_EQ(a.count(), 2u);
+  EXPECT_EQ(a.sum(), 16u);
+  EXPECT_EQ(b.count(), 1u);
+  EXPECT_EQ(b.sum(), 100u);
+  // A private registry shares nothing with the process-wide one.
+  EXPECT_NE(&reg.histogram("dev.flush_latency_ns"),
+            &MetricsRegistry::global().histogram("dev.flush_latency_ns"));
+}
+
+// StashDevice caches its flush instrument at construction and perfbench
+// looks it up by name later: both must land on the one global instrument.
+TEST(MetricsRegistry, GlobalHandsOutOneInstrumentPerName) {
+  MetricsRegistry& global = MetricsRegistry::global();
+  EXPECT_EQ(&global, &MetricsRegistry::global());
+  LatencyHistogram& cached = global.histogram("dev.flush_latency_ns");
+  const std::uint64_t count = cached.count();
+  const std::uint64_t sum = cached.sum();
+  cached.record(250);
+  const LatencyHistogram& looked_up =
+      MetricsRegistry::global().histogram("dev.flush_latency_ns");
+  EXPECT_EQ(&looked_up, &cached);
+  EXPECT_EQ(looked_up.count(), count + 1);
+  EXPECT_EQ(looked_up.sum(), sum + 250);
 }
 
 // ---- ONFI sequences through the one tracer --------------------------------
