@@ -2,8 +2,11 @@
 # Print a sha256 of every deterministic output the stack promises, one
 # `name sha256` line each.  The committed DIGESTS file at the repository
 # root is this script's output; CI diffs the two, so a refactor that moves
-# any voltage, ledger count, trace span or served byte fails there even
-# when it moves it identically at every thread count.
+# any voltage, ledger count, trace span or served byte fails there.  The
+# threads-1 and threads-8 pins of one output carry the same hash, so the
+# diff is also the thread-invariance check.  Every bench gates itself by
+# exit code too: a failing run cuts the output short (set -e), and the
+# diff fails.
 #
 #   bench/digests.sh BUILD_DIR            # print the digests
 #   diff DIGESTS <(bench/digests.sh build) # what the CI leg runs
@@ -43,6 +46,11 @@ done
   > "$out/dt"
 digest device_throughput.quick.det.trace.stdout "$out/dt"
 digest device_throughput.quick.det.trace.perfetto.json "$out/trace.perfetto.json"
+"$bench/bench_device_throughput" --quick --trace --threads 8 \
+  --trace-out "$out/trace" > "$out/dt"
+digest device_throughput.quick.det.trace.t8.stdout "$out/dt"
+digest device_throughput.quick.det.trace.t8.perfetto.json \
+  "$out/trace.perfetto.json"
 
 "$bench/bench_net_loadgen" --server-stats-out "$out/server_stats.json" \
   > "$out/lg"

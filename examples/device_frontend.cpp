@@ -1,5 +1,5 @@
 // Device frontend: the stash::dev::StashDevice surface in one sitting —
-// async submission with QoS priorities, write-back caching with an
+// queued reads that overtake background work, write-back caching with an
 // explicit flush, the sharded read LRU, hidden-volume ops sharded across
 // a multi-chip array, and a power-cut rehearsal with stash::fault.
 //
@@ -40,10 +40,9 @@ int main() {
               static_cast<unsigned long long>(dev.logical_pages()),
               dev.page_bits(), dev.chips());
 
-  // --- Async writes are acked when buffered, durable after flush() -------
+  // --- Writes are acked when buffered, durable after flush() -------------
   for (std::uint64_t lpn = 0; lpn < 32; ++lpn) {
-    auto ack = dev.submit_write(lpn, page_of(dev.page_bits(), lpn));
-    if (!ack.get().is_ok()) {
+    if (!dev.write(lpn, page_of(dev.page_bits(), lpn)).is_ok()) {
       std::fprintf(stderr, "write %llu not acknowledged\n",
                    static_cast<unsigned long long>(lpn));
       return 1;
@@ -55,15 +54,13 @@ int main() {
   }
   std::printf("32 writes acknowledged and flushed\n");
 
-  // --- QoS: a foreground read overtakes queued background GC ------------
+  // --- The request kind is the schedule: a read overtakes queued GC ------
   auto gc = dev.submit_gc();
-  auto urgent = dev.submit_read(0, dev::Priority::kForeground);
+  auto urgent = dev.submit_read(0);
   dev.drain();
   const auto& order = dev.last_dispatch_order();
   std::printf("dispatch order: %s first (gc %s)\n",
-              order.front().kind == dev::StashDevice::OpKind::kRead
-                  ? "foreground read"
-                  : "gc",
+              order.front().op == trace::Op::kRead ? "read" : "gc",
               gc.get().is_ok() ? "ok" : "failed");
   (void)urgent.get();
 
@@ -93,8 +90,8 @@ int main() {
                   : loaded.status().to_string().c_str());
 
   // --- Power-cut rehearsal: acked-unflushed writes are reported lost ----
-  auto buffered = dev.submit_write(2, page_of(dev.page_bits(), 777));
-  (void)buffered.get();  // acknowledged, but still in the write-back buffer
+  // Acknowledged, but still in the write-back buffer.
+  (void)dev.write(2, page_of(dev.page_bits(), 777));
   fault::FaultPlan plan(7);
   plan.cut_power();
   dev.set_fault_injector(&plan);

@@ -16,15 +16,6 @@
 
 namespace stash::dev {
 
-/// QoS class of a queued request.  Lower value = served earlier within a
-/// dispatch batch; ties break on submission order, so the schedule is a
-/// deterministic function of the submission sequence alone.
-enum class Priority : std::uint8_t {
-  kForeground = 0,  // host reads
-  kNormal = 1,      // host writes / trims
-  kBackground = 2,  // GC, hidden-volume maintenance, refresh
-};
-
 /// Requests coalesced into one dispatch round.  The round runs inline on
 /// the submitting caller once this many requests are queued (backpressure:
 /// the producer pays for the drain), or when a caller drains.
@@ -48,8 +39,8 @@ struct DeviceConfig {
   /// Read LRU capacity in pages; 0 disables the cache.
   std::size_t read_cache_pages = 256;
   /// Write-back buffer capacity in pages (>= 1); reaching it forces a
-  /// flush (backpressure).  1 makes every write durable before its future
-  /// resolves.
+  /// flush (backpressure).  1 makes every write durable before write()
+  /// returns.
   std::size_t write_back_pages = 64;
 
   // ---- Per-chip layers ----------------------------------------------------

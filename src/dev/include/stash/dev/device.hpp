@@ -8,20 +8,20 @@
 // hidden VT-HI channel) per chip, and a deterministic request scheduler in
 // front:
 //
-//   * Asynchronous submission: submit_read / submit_write / submit_trim /
-//     submit_store_hidden / submit_load_hidden / submit_gc return futures.
-//     Writes and trims stage into the write-back buffer and resolve at
-//     once; the other kinds queue for a dispatch round.
+//   * Asynchronous submission: submit_read / submit_store_hidden /
+//     submit_load_hidden / submit_gc return futures that resolve in a
+//     dispatch round.  write() and trim() stage into the write-back buffer
+//     and return their status at once.
 //   * One dispatch rule: a round runs when kBatchPages (16) requests are
 //     queued (inline on the submitting caller, so the producer pays for
 //     the drain) or when a caller drains.  Same-block
 //     reads of a round coalesce into PageMappedFtl::read_batch_into
 //     (duplicate-lpn reads collapse to one physical read).  There is no
 //     clock: the schedule is a pure function of the submit/drain sequence.
-//   * QoS priority classes (Priority): within a dispatch round requests
-//     execute sorted by (priority, submission sequence) — foreground reads
-//     overtake queued background GC/hidden maintenance, and the tie-break
-//     keeps the schedule a pure function of the submission order.
+//   * The request kind is the schedule: a round runs its reads first, as
+//     one batch, then the background requests (hidden-volume ops and GC)
+//     in submission order — foreground reads overtake queued background
+//     work, and the order stays a pure function of the submission order.
 //   * One read LRU (ReadCache) and a write-back buffer
 //     (WriteBackBuffer) with an explicit flush().  A write is acknowledged
 //     when buffered and durable when flush() returns OK; under a
@@ -44,7 +44,6 @@
 
 #include <cstdint>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -143,16 +142,11 @@ struct DeviceStats {
 
 class StashDevice {
  public:
-  /// Kind of a queued (asynchronous) request; exposed for the dispatch
-  /// introspection hook below.
-  enum class OpKind : std::uint8_t { kRead, kStoreHidden, kLoadHidden, kGc };
-
   /// One executed queue entry, in execution order (test/debug
-  /// introspection of the QoS schedule).
+  /// introspection of the schedule).
   struct ExecutedOp {
-    OpKind kind;
+    trace::Op op;
     std::uint64_t seq;
-    Priority priority;
   };
 
   StashDevice(const DeviceConfig& config, const crypto::HidingKey& key);
@@ -174,22 +168,21 @@ class StashDevice {
   /// Queue a read; the future resolves at dispatch with a shared,
   /// zero-copy reference to the page data (the same buffer the read LRU
   /// holds).
-  std::future<Result<PageRef>> submit_read(
-      std::uint64_t lpn, Priority priority = Priority::kForeground);
-  /// Stage a write; acknowledged as soon as the data is buffered, durable
-  /// after flush() (or the backpressure flush a full buffer forces).
-  std::future<Status> submit_write(std::uint64_t lpn,
-                                   std::vector<std::uint8_t> bits);
-  std::future<Status> submit_trim(std::uint64_t lpn);
-  /// Queue hidden-volume ops and GC at background priority.
+  std::future<Result<PageRef>> submit_read(std::uint64_t lpn);
+  /// Queue hidden-volume ops and GC as background work: a round runs them
+  /// after its reads.
   std::future<Status> submit_store_hidden(std::vector<std::uint8_t> data);
   std::future<Result<PageRef>> submit_load_hidden();
   /// One GC pass on every chip's FTL.
   std::future<Status> submit_gc();
 
-  // ---- Synchronous convenience -------------------------------------------
+  // ---- Synchronous surface -----------------------------------------------
   Result<PageRef> read(std::uint64_t lpn);
-  Status write(std::uint64_t lpn, std::span<const std::uint8_t> bits);
+  /// Stage a write, adopting `bits` (no copy).  OK once the data is
+  /// buffered; durable after flush() (or the backpressure flush a full
+  /// buffer forces, whose status the triggering write returns).
+  Status write(std::uint64_t lpn, std::vector<std::uint8_t> bits);
+  /// Stage a trim tombstone, like write().
   Status trim(std::uint64_t lpn);
   /// Store (replace) the hidden object.  The payload goes through the
   /// dedup + compression pipeline (DeviceConfig::pack) first; load
@@ -284,8 +277,7 @@ class StashDevice {
 
  private:
   struct Request {
-    OpKind kind = OpKind::kRead;
-    Priority priority = Priority::kForeground;
+    trace::Op op = trace::Op::kRead;  // kRead, kStoreHidden, kLoadHidden, kGc
     std::uint64_t seq = 0;
     std::uint64_t lpn = 0;
     std::vector<std::uint8_t> data;  // store_hidden payload
@@ -310,12 +302,13 @@ class StashDevice {
   /// Enqueue under lock; a full batch dispatches inline.
   void enqueue(Request req, std::unique_lock<std::mutex>& lock);
   /// Stage a write (`op` kWrite, `bits` one page) or a trim tombstone
-  /// (`op` kTrim) into the write-back buffer; the status is ready at once.
-  std::future<Status> stage(trace::Op op, std::uint64_t lpn,
-                            std::vector<std::uint8_t> bits);
-  /// Execute every queued request in (priority, seq) order.  Called with
-  /// the lock held; the lock stays held throughout (dispatch is the
-  /// single-threaded heart of the deterministic schedule).
+  /// (`op` kTrim) into the write-back buffer.
+  Status stage(trace::Op op, std::uint64_t lpn,
+               std::vector<std::uint8_t> bits);
+  /// Execute every queued request: the reads as one batch, then the
+  /// background requests in submission order.  Called with the lock held;
+  /// the lock stays held throughout (dispatch is the single-threaded heart
+  /// of the deterministic schedule).
   void dispatch(std::unique_lock<std::mutex>& lock);
   void execute_reads(std::vector<Request>& reads);
   Status execute_gc();
@@ -356,7 +349,9 @@ class StashDevice {
   std::vector<std::unique_ptr<stego::StegoVolume>> volumes_;
 
   mutable std::mutex mu_;
-  std::list<Request> queue_;
+  /// Queued requests by class, each in submission order.
+  std::vector<Request> reads_;
+  std::vector<Request> background_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t trace_seq_ = 0;     // request trace ids
   std::uint64_t dispatch_seq_ = 0;  // dispatch-round trace ids

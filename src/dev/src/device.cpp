@@ -1,8 +1,6 @@
 #include "stash/dev/device.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,17 +43,6 @@ const DeviceConfig& validated(const DeviceConfig& config) {
     throw std::invalid_argument(valid.to_string());
   }
   return config;
-}
-
-/// Trace op class of a queued request kind.
-trace::Op op_of(StashDevice::OpKind kind) noexcept {
-  switch (kind) {
-    case StashDevice::OpKind::kRead: return trace::Op::kRead;
-    case StashDevice::OpKind::kStoreHidden: return trace::Op::kStoreHidden;
-    case StashDevice::OpKind::kLoadHidden: return trace::Op::kLoadHidden;
-    case StashDevice::OpKind::kGc: return trace::Op::kGc;
-  }
-  return trace::Op::kNone;
 }
 
 /// Context for the ftl.service child of a request root.  Derived (not
@@ -191,17 +178,15 @@ void StashDevice::emit_request_trace(const trace::TraceContext& root,
 
 void StashDevice::enqueue(Request req, std::unique_lock<std::mutex>& lock) {
   req.seq = next_seq_++;
-  req.trace = new_request_trace(op_of(req.kind), req.lpn);
+  req.trace = new_request_trace(req.op, req.lpn);
   if (req.trace.active()) req.enqueue_now = trace_now();
-  queue_.push_back(std::move(req));
-  if (queue_.size() >= kBatchPages) dispatch(lock);
+  auto& queued = req.op == trace::Op::kRead ? reads_ : background_;
+  queued.push_back(std::move(req));
+  if (reads_.size() + background_.size() >= kBatchPages) dispatch(lock);
 }
 
-std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
-                                                      Priority priority) {
+std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn) {
   Request req;
-  req.kind = OpKind::kRead;
-  req.priority = priority;
   req.lpn = lpn;
   auto fut = req.value_promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
@@ -209,20 +194,9 @@ std::future<Result<PageRef>> StashDevice::submit_read(std::uint64_t lpn,
   return fut;
 }
 
-std::future<Status> StashDevice::submit_write(std::uint64_t lpn,
-                                              std::vector<std::uint8_t> bits) {
-  return stage(trace::Op::kWrite, lpn, std::move(bits));
-}
-
-std::future<Status> StashDevice::submit_trim(std::uint64_t lpn) {
-  return stage(trace::Op::kTrim, lpn, {});
-}
-
-std::future<Status> StashDevice::stage(trace::Op op, std::uint64_t lpn,
-                                       std::vector<std::uint8_t> bits) {
+Status StashDevice::stage(trace::Op op, std::uint64_t lpn,
+                          std::vector<std::uint8_t> bits) {
   const bool trim = op == trace::Op::kTrim;
-  std::promise<Status> promise;
-  auto fut = promise.get_future();
   const std::lock_guard<std::mutex> lock(mu_);
   // Staging runs inline (no queue wait): the trace root, service start and
   // enqueue stamp coincide.
@@ -263,15 +237,13 @@ std::future<Status> StashDevice::stage(trace::Op op, std::uint64_t lpn,
     emit_request_trace(root, t0, op, lpn, t0, trace_now(),
                        static_cast<std::uint8_t>(st.code()));
   }
-  promise.set_value(st);
-  return fut;
+  return st;
 }
 
 std::future<Status> StashDevice::submit_store_hidden(
     std::vector<std::uint8_t> data) {
   Request req;
-  req.kind = OpKind::kStoreHidden;
-  req.priority = Priority::kBackground;
+  req.op = trace::Op::kStoreHidden;
   req.data = std::move(data);
   auto fut = req.status_promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
@@ -281,8 +253,7 @@ std::future<Status> StashDevice::submit_store_hidden(
 
 std::future<Result<PageRef>> StashDevice::submit_load_hidden() {
   Request req;
-  req.kind = OpKind::kLoadHidden;
-  req.priority = Priority::kBackground;
+  req.op = trace::Op::kLoadHidden;
   auto fut = req.value_promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
   enqueue(std::move(req), lock);
@@ -291,8 +262,7 @@ std::future<Result<PageRef>> StashDevice::submit_load_hidden() {
 
 std::future<Status> StashDevice::submit_gc() {
   Request req;
-  req.kind = OpKind::kGc;
-  req.priority = Priority::kBackground;
+  req.op = trace::Op::kGc;
   auto fut = req.status_promise.get_future();
   std::unique_lock<std::mutex> lock(mu_);
   enqueue(std::move(req), lock);
@@ -303,7 +273,7 @@ std::future<Status> StashDevice::submit_gc() {
 
 void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   (void)lock;  // held throughout: dispatch is the serial scheduler heart
-  if (queue_.empty()) return;
+  if (reads_.empty() && background_.empty()) return;
   counters_.add(F::dispatches);
 
   // Dispatch-round trace: the shared execution machinery (batched reads,
@@ -319,46 +289,30 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
   }
   const trace::ContextGuard round_guard(round);
 
-  std::vector<Request> batch;
-  batch.reserve(queue_.size());
-  for (auto& req : queue_) batch.push_back(std::move(req));
-  queue_.clear();
-
-  // QoS order: priority class first, submission sequence as tie-break —
-  // a deterministic function of the submission order alone.
-  std::sort(batch.begin(), batch.end(), [](const Request& a, const Request& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.seq < b.seq;
-  });
-
+  // The request kind is the schedule: the reads run first as one batch
+  // (the queue never holds more than kBatchPages), then the background
+  // requests singly in submission order — a deterministic function of the
+  // submission order alone.
+  std::vector<Request> reads = std::exchange(reads_, {});
+  std::vector<Request> background = std::exchange(background_, {});
   last_dispatch_.clear();
-  for (const Request& req : batch) {
-    last_dispatch_.push_back(ExecutedOp{req.kind, req.seq, req.priority});
+  for (const Request& req : reads) {
+    last_dispatch_.push_back(ExecutedOp{req.op, req.seq});
+  }
+  for (const Request& req : background) {
+    last_dispatch_.push_back(ExecutedOp{req.op, req.seq});
   }
 
-  // Execute: consecutive reads coalesce into one batched round (the queue
-  // never holds more than kBatchPages); everything else runs singly, in
-  // order.
-  std::size_t i = 0;
-  while (i < batch.size()) {
-    if (batch[i].kind == OpKind::kRead) {
-      std::size_t j = i;
-      while (j < batch.size() && batch[j].kind == OpKind::kRead) ++j;
-      std::vector<Request> reads(std::make_move_iterator(batch.begin() + i),
-                                 std::make_move_iterator(batch.begin() + j));
-      execute_reads(reads);
-      i = j;
-      continue;
-    }
-    Request& req = batch[i++];
-    const trace::Op op = op_of(req.kind);
+  if (!reads.empty()) execute_reads(reads);
+  for (Request& req : background) {
+    const trace::Op op = req.op;
     const std::uint64_t t0 = req.trace.active() ? trace_now() : 0;
     std::uint8_t code = 0;
     {
       const trace::ContextGuard service_guard(
           service_ctx(req.trace, op, req.lpn));
-      switch (req.kind) {
-        case OpKind::kStoreHidden: {
+      switch (op) {
+        case trace::Op::kStoreHidden: {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op, 0,
                                  req.data.size() / 8);
           Status st =
@@ -368,7 +322,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
           req.status_promise.set_value(std::move(st));
           break;
         }
-        case OpKind::kLoadHidden: {
+        case trace::Op::kLoadHidden: {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op);
           auto loaded = hidden::load(volumes_, counters_);
           code = static_cast<std::uint8_t>(loaded.status().code());
@@ -382,14 +336,14 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
           }
           break;
         }
-        case OpKind::kGc: {
+        case trace::Op::kGc: {
           Status st = execute_gc();
           code = static_cast<std::uint8_t>(st.code());
           req.status_promise.set_value(std::move(st));
           break;
         }
-        case OpKind::kRead:
-          break;  // unreachable
+        default:
+          break;  // unreachable: only the three kinds above are background
       }
     }
     if (req.trace.active()) {
@@ -632,22 +586,24 @@ Status StashDevice::power_cycle() {
   // RAM dies with the power: queued requests, the read cache, and the
   // write-back buffer are gone.  Acked-unflushed writes become *reported*
   // losses — the honest contract of a write-back device.
-  for (Request& req : queue_) {
-    const Status lost{ErrorCode::kPowerLoss, "request lost to power cut"};
-    if (req.kind == OpKind::kRead || req.kind == OpKind::kLoadHidden) {
-      req.value_promise.set_value(lost);
-    } else {
-      req.status_promise.set_value(lost);
+  const Status lost{ErrorCode::kPowerLoss, "request lost to power cut"};
+  for (std::vector<Request>* queued : {&reads_, &background_}) {
+    for (Request& req : *queued) {
+      if (req.op == trace::Op::kRead || req.op == trace::Op::kLoadHidden) {
+        req.value_promise.set_value(lost);
+      } else {
+        req.status_promise.set_value(lost);
+      }
+      if (req.trace.active()) {
+        // Never serviced: all queue wait, zero service.
+        const std::uint64_t now = trace_now();
+        emit_request_trace(req.trace, req.enqueue_now, req.op, req.lpn, now,
+                           now,
+                           static_cast<std::uint8_t>(ErrorCode::kPowerLoss));
+      }
     }
-    if (req.trace.active()) {
-      // Never serviced: all queue wait, zero service.
-      const std::uint64_t now = trace_now();
-      emit_request_trace(req.trace, req.enqueue_now, op_of(req.kind),
-                         req.lpn, now, now,
-                         static_cast<std::uint8_t>(ErrorCode::kPowerLoss));
-    }
+    queued->clear();
   }
-  queue_.clear();
   cache_.clear();
   for (const WriteBackBuffer::Entry& entry : buffer_.drop_all()) {
     if (entry.trim) continue;
@@ -847,13 +803,13 @@ Result<PageRef> StashDevice::read(std::uint64_t lpn) {
   return fut.get();
 }
 
-Status StashDevice::write(std::uint64_t lpn,
-                          std::span<const std::uint8_t> bits) {
-  return submit_write(lpn, std::vector<std::uint8_t>(bits.begin(), bits.end()))
-      .get();
+Status StashDevice::write(std::uint64_t lpn, std::vector<std::uint8_t> bits) {
+  return stage(trace::Op::kWrite, lpn, std::move(bits));
 }
 
-Status StashDevice::trim(std::uint64_t lpn) { return submit_trim(lpn).get(); }
+Status StashDevice::trim(std::uint64_t lpn) {
+  return stage(trace::Op::kTrim, lpn, {});
+}
 
 Status StashDevice::store_hidden(std::span<const std::uint8_t> data) {
   auto fut = submit_store_hidden(

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "stash/dev/config.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/net/protocol.hpp"
 #include "stash/util/status.hpp"
@@ -49,8 +48,7 @@ class Client {
   Status recv(Response& resp);
 
   // ---- Synchronous convenience --------------------------------------------
-  Result<std::vector<std::uint8_t>> read(
-      std::uint64_t lpn, dev::Priority priority = dev::Priority::kForeground);
+  Result<std::vector<std::uint8_t>> read(std::uint64_t lpn);
   Status write(std::uint64_t lpn, std::span<const std::uint8_t> bits);
   Status trim(std::uint64_t lpn);
   Status store_hidden(std::span<const std::uint8_t> data);

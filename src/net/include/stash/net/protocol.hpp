@@ -14,10 +14,9 @@
 // Responses to one connection are always emitted in request order (the
 // server resolves its per-connection pipeline front-only), so `id` is a
 // convenience for client bookkeeping, not a reordering mechanism.
-// `priority` is the dev::Priority QoS class (0 foreground, 1 normal, 2
-// background); out-of-range values are clamped by the server.  `status` is
-// a util::ErrorCode value; `message` is its human-readable detail, empty
-// on success.
+// `priority` is carried but not consulted: the device schedules by request
+// kind (reads before background work).  `status` is a util::ErrorCode
+// value; `message` is its human-readable detail, empty on success.
 //
 // FrameAssembler turns an arbitrary chunking of the byte stream back into
 // frames, with a hard cap on the announced frame size — one malicious or
@@ -91,7 +90,7 @@ constexpr std::size_t kRecvChunkBytes = 64 * 1024;
 
 struct Request {
   OpCode op = OpCode::kPing;
-  std::uint8_t priority = 0;  // dev::Priority value, clamped server-side
+  std::uint8_t priority = 0;  // decoded, not consulted by the server
   std::uint64_t id = 0;       // echoed in the response
   std::uint64_t lpn = 0;      // read/write/trim target
   std::vector<std::uint8_t> data;  // write bits / store_hidden payload

@@ -14,9 +14,10 @@
 //     bounded (kMaxPipeline, 64): a connection at its bound
 //     stops being read — TCP backpressure, counted in NetStats as
 //     pipeline_stalls — until responses drain.
-//   * QoS: the frame's priority byte maps straight onto dev::Priority, so
-//     a foreground read overtakes queued background hidden maintenance in
-//     the device's dispatch order, exactly as local submitters would.
+//   * Reads, hidden-volume ops and GC go through the device queue, whose
+//     request kind is its schedule (reads overtake queued background
+//     work); writes, trims, flushes and queries are answered inline.  The
+//     frame's priority byte is decoded but not consulted.
 //   * Quiescence rule: after handling its socket events the reactor
 //     repeats drain-then-sweep — drain the device queue, then resolve,
 //     transmit and refill every connection — until a sweep handles no

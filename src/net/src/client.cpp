@@ -146,11 +146,9 @@ Status Client::transact(Request& req, Response& resp) {
   return Status::ok();
 }
 
-Result<std::vector<std::uint8_t>> Client::read(std::uint64_t lpn,
-                                               dev::Priority priority) {
+Result<std::vector<std::uint8_t>> Client::read(std::uint64_t lpn) {
   Request req;
   req.op = OpCode::kRead;
-  req.priority = static_cast<std::uint8_t>(priority);
   req.lpn = lpn;
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
@@ -161,7 +159,6 @@ Result<std::vector<std::uint8_t>> Client::read(std::uint64_t lpn,
 Status Client::write(std::uint64_t lpn, std::span<const std::uint8_t> bits) {
   Request req;
   req.op = OpCode::kWrite;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kNormal);
   req.lpn = lpn;
   req.data.assign(bits.begin(), bits.end());
   Response resp;
@@ -172,7 +169,6 @@ Status Client::write(std::uint64_t lpn, std::span<const std::uint8_t> bits) {
 Status Client::trim(std::uint64_t lpn) {
   Request req;
   req.op = OpCode::kTrim;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kNormal);
   req.lpn = lpn;
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
@@ -182,7 +178,6 @@ Status Client::trim(std::uint64_t lpn) {
 Status Client::store_hidden(std::span<const std::uint8_t> data) {
   Request req;
   req.op = OpCode::kStoreHidden;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kBackground);
   req.data.assign(data.begin(), data.end());
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
@@ -192,7 +187,6 @@ Status Client::store_hidden(std::span<const std::uint8_t> data) {
 Result<std::vector<std::uint8_t>> Client::load_hidden() {
   Request req;
   req.op = OpCode::kLoadHidden;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kBackground);
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
   STASH_RETURN_IF_ERROR(wire_status(resp));
@@ -202,7 +196,6 @@ Result<std::vector<std::uint8_t>> Client::load_hidden() {
 Status Client::gc() {
   Request req;
   req.op = OpCode::kGc;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kBackground);
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
   return wire_status(resp);
@@ -238,7 +231,6 @@ Result<dev::DeviceStats> Client::stats() {
 Result<dev::HiddenInfo> Client::hidden_info() {
   Request req;
   req.op = OpCode::kHiddenInfo;
-  req.priority = static_cast<std::uint8_t>(dev::Priority::kBackground);
   Response resp;
   STASH_RETURN_IF_ERROR(transact(req, resp));
   STASH_RETURN_IF_ERROR(wire_status(resp));

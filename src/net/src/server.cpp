@@ -31,11 +31,6 @@ using F = NetStats::Field;
 
 namespace {
 
-dev::Priority to_priority(std::uint8_t raw) noexcept {
-  if (raw >= 2) return dev::Priority::kBackground;
-  return raw == 1 ? dev::Priority::kNormal : dev::Priority::kForeground;
-}
-
 Status errno_status(const std::string& what) {
   return Status{ErrorCode::kInvalidArgument,
                 what + ": " + std::strerror(errno)};
@@ -166,18 +161,22 @@ struct Server::Impl {
     Pending p;
     p.op = req.op;
     p.id = req.id;
+    // Writes, trims, flushes and queries finish inside the device call, so
+    // their status is answered inline.
+    const auto answer = [&p](const Status& st) {
+      p.ready.status = static_cast<std::uint8_t>(st.code());
+      p.ready.message = st.message();
+    };
     switch (req.op) {
       case OpCode::kRead:
         p.kind = Pending::Kind::kValue;
-        p.value_fut = device.submit_read(req.lpn, to_priority(req.priority));
+        p.value_fut = device.submit_read(req.lpn);
         break;
       case OpCode::kWrite:
-        p.kind = Pending::Kind::kStatus;
-        p.status_fut = device.submit_write(req.lpn, std::move(req.data));
+        answer(device.write(req.lpn, std::move(req.data)));
         break;
       case OpCode::kTrim:
-        p.kind = Pending::Kind::kStatus;
-        p.status_fut = device.submit_trim(req.lpn);
+        answer(device.trim(req.lpn));
         break;
       case OpCode::kStoreHidden:
         p.kind = Pending::Kind::kStatus;
@@ -191,28 +190,16 @@ struct Server::Impl {
         p.kind = Pending::Kind::kStatus;
         p.status_fut = device.submit_gc();
         break;
-      case OpCode::kFlush: {
-        const Status st = device.flush();
-        p.ready.op = req.op;
-        p.ready.id = req.id;
-        p.ready.status = static_cast<std::uint8_t>(st.code());
-        p.ready.message = st.message();
+      case OpCode::kFlush:
+        answer(device.flush());
         break;
-      }
-      case OpCode::kStats: {
-        p.ready.op = req.op;
-        p.ready.id = req.id;
+      case OpCode::kStats:
         encode_device_stats(device.stats_snapshot(), p.ready.data);
         break;
-      }
       case OpCode::kPing:
-        p.ready.op = req.op;
-        p.ready.id = req.id;
         p.ready.data = std::move(req.data);  // echo
         break;
       case OpCode::kHello: {
-        p.ready.op = req.op;
-        p.ready.id = req.id;
         Hello theirs;
         if (const Status st = decode_hello(req.data, theirs); !st.is_ok()) {
           protocol_error(c, st);  // queues its own answer and hangs up
@@ -234,14 +221,11 @@ struct Server::Impl {
         break;
       }
       case OpCode::kHiddenInfo: {
-        p.ready.op = req.op;
-        p.ready.id = req.id;
         auto info = device.hidden_info();
         if (info.is_ok()) {
           encode_hidden_info(info.value(), p.ready.data);
         } else {
-          p.ready.status = static_cast<std::uint8_t>(info.status().code());
-          p.ready.message = info.status().message();
+          answer(info.status());
         }
         break;
       }
@@ -251,8 +235,7 @@ struct Server::Impl {
 
   void protocol_error(Conn& c, const Status& st) {
     counters.add(F::protocol_errors);
-    Pending p;  // answer what can still be answered, then hang up
-    p.ready.op = OpCode::kPing;
+    Pending p;  // answer what can still be answered, then hang up (as kPing)
     p.ready.status = static_cast<std::uint8_t>(st.code());
     p.ready.message = st.message();
     c.pending.push_back(std::move(p));
@@ -318,7 +301,9 @@ struct Server::Impl {
   static Response take_response(Pending& p) {
     Response resp;
     switch (p.kind) {
-      case Pending::Kind::kReady: return std::move(p.ready);
+      case Pending::Kind::kReady:
+        resp = std::move(p.ready);
+        break;
       case Pending::Kind::kStatus: {
         const Status st = p.status_fut.get();
         resp.status = static_cast<std::uint8_t>(st.code());

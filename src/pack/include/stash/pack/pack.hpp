@@ -92,7 +92,4 @@ struct PackStats {
 [[nodiscard]] Result<PackStats> inspect(
     std::span<const std::uint8_t> container);
 
-/// True when `bytes` starts with the container magic (any version).
-[[nodiscard]] bool looks_packed(std::span<const std::uint8_t> bytes) noexcept;
-
 }  // namespace stash::pack

@@ -1,6 +1,5 @@
 #include "stash/pack/pack.hpp"
 
-#include <cstring>
 #include <map>
 #include <string>
 
@@ -42,13 +41,6 @@ Status corrupt(const std::string& what) {
 }
 
 }  // namespace
-
-bool looks_packed(std::span<const std::uint8_t> bytes) noexcept {
-  if (bytes.size() < 4) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes.data(), 4);
-  return magic == kMagic;
-}
 
 Result<std::vector<std::uint8_t>> pack(std::span<const std::uint8_t> data,
                                        const PackConfig& config,

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace stash::util {
@@ -21,7 +20,6 @@ class Histogram {
 
   void add(double x) noexcept;
   void add(std::span<const double> xs) noexcept;
-  void add_count(std::size_t bin, std::uint64_t count) noexcept;
 
   [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
   [[nodiscard]] double lo() const noexcept { return lo_; }
@@ -49,9 +47,6 @@ class Histogram {
 
   /// Merge another histogram with identical binning.  Throws otherwise.
   void merge(const Histogram& other);
-
-  /// Render "center<TAB>fraction" rows, the format the bench harnesses print.
-  [[nodiscard]] std::string to_tsv(const std::string& label = "") const;
 
  private:
   [[nodiscard]] std::size_t bin_of(double x) const noexcept;

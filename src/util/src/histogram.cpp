@@ -1,7 +1,6 @@
 #include "stash/util/histogram.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 namespace stash::util {
@@ -42,12 +41,6 @@ void Histogram::add(std::span<const double> xs) noexcept {
   for (double x : xs) add(x);
 }
 
-void Histogram::add_count(std::size_t bin, std::uint64_t count) noexcept {
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
-  counts_[bin] += count;
-  total_ += count;
-}
-
 std::vector<double> Histogram::normalized() const {
   std::vector<double> out(counts_.size(), 0.0);
   if (total_ == 0) return out;
@@ -74,32 +67,6 @@ void Histogram::merge(const Histogram& other) {
   total_ += other.total_;
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
-}
-
-std::string Histogram::to_tsv(const std::string& label) const {
-  std::string out;
-  const auto norm = normalized();
-  char buf[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (!label.empty()) {
-      std::snprintf(buf, sizeof buf, "%s\t%.1f\t%.6f\n", label.c_str(),
-                    bin_center(i), norm[i]);
-    } else {
-      std::snprintf(buf, sizeof buf, "%.1f\t%.6f\n", bin_center(i), norm[i]);
-    }
-    out += buf;
-  }
-  // Out-of-range mass is clamped into the edge bins above; report it so a
-  // consumer can tell honest tail mass from clamped spill-over.  Emitted
-  // only when present, as comment rows existing TSV readers skip.
-  if (underflow_ || overflow_) {
-    std::snprintf(buf, sizeof buf,
-                  "# out_of_range\tunderflow=%llu\toverflow=%llu\n",
-                  static_cast<unsigned long long>(underflow_),
-                  static_cast<unsigned long long>(overflow_));
-    out += buf;
-  }
-  return out;
 }
 
 }  // namespace stash::util

@@ -589,25 +589,23 @@ TEST(DevBatch, ResultSlotsAlignWithRequestsAndFailuresAreIndependent) {
   EXPECT_GE(dev.stats_snapshot().coalesced_reads, 1u);
 }
 
-// ---- Scheduler: QoS ordering and full-batch dispatch ----------------------
+// ---- Scheduler: kind ordering and full-batch dispatch ---------------------
 
 TEST(DevScheduler, ForegroundReadsOvertakeBackgroundWork) {
   StashDevice dev(tiny_config(), test_key());
   ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 101)).is_ok());
   ASSERT_TRUE(dev.flush().is_ok());
 
-  auto gc = dev.submit_gc();                      // background, submitted first
-  auto read = dev.submit_read(0);                 // foreground
+  auto gc = dev.submit_gc();       // background, submitted first
+  auto read = dev.submit_read(0);  // a read: dispatched first
   dev.drain();
   ASSERT_TRUE(read.get().is_ok());
   (void)gc.get();
 
   const auto& order = dev.last_dispatch_order();
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0].kind, StashDevice::OpKind::kRead);
-  EXPECT_EQ(order[0].priority, Priority::kForeground);
-  EXPECT_EQ(order[1].kind, StashDevice::OpKind::kGc);
-  EXPECT_EQ(order[1].priority, Priority::kBackground);
+  EXPECT_EQ(order[0].op, trace::Op::kRead);
+  EXPECT_EQ(order[1].op, trace::Op::kGc);
   EXPECT_GE(dev.stats_snapshot().gc_runs, 1u);
 }
 

@@ -742,8 +742,8 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
   Client client;
   ASSERT_TRUE(client.connect("127.0.0.1", server.port()).is_ok());
 
-  // Stream a burst of reads without waiting, mixing QoS classes; the n-th
-  // response must match the n-th request regardless of priority.
+  // Stream a burst of reads without waiting, varying the priority byte;
+  // the n-th response must match the n-th request whatever the byte says.
   constexpr std::size_t kBurst = 16;
   std::vector<std::uint64_t> sent_ids;
   for (std::size_t i = 0; i < kBurst; ++i) {
@@ -768,6 +768,48 @@ TEST(NetServer, PipelinedResponsesArriveInRequestOrder) {
   const NetStats net = server.stats_snapshot();
   EXPECT_GE(net.requests, kBurst);
   EXPECT_EQ(net.requests, net.responses + net.dropped);
+}
+
+TEST(NetServer, WirePriorityByteDoesNotReorderDispatch) {
+  // A kGc frame, then a kRead frame whose priority byte asks for
+  // background, in one send(): the reactor queues both before it drains,
+  // and the device still runs the read first.  The request kind is the
+  // schedule; the byte is not consulted.
+  StashDevice dev(net_config(), test_key());
+  ASSERT_TRUE(dev.write(0, page_pattern(dev.page_bits(), 70)).is_ok());
+  ASSERT_TRUE(dev.flush().is_ok());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+
+  std::vector<std::uint8_t> wire;
+  Request gc;
+  gc.op = OpCode::kGc;
+  gc.id = 1;
+  encode_request(gc, wire);
+  Request read;
+  read.op = OpCode::kRead;
+  read.id = 2;
+  read.priority = 2;
+  encode_request(read, wire);
+  ASSERT_TRUE(send_all(fd, wire));
+
+  // Responses still come back in request order.  (The GC pass may find
+  // no victim on a fresh device; only its place in the schedule matters.)
+  FrameAssembler assembler;
+  Response resp;
+  ASSERT_TRUE(recv_response(fd, assembler, resp));
+  EXPECT_EQ(resp.op, OpCode::kGc);
+  ASSERT_TRUE(recv_response(fd, assembler, resp));
+  EXPECT_EQ(resp.op, OpCode::kRead);
+  EXPECT_EQ(resp.status, 0) << resp.message;
+  ::close(fd);
+  server.stop();  // joins the reactor, so the dispatch record is settled
+  const auto& order = dev.last_dispatch_order();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0].op, trace::Op::kRead);
+  EXPECT_EQ(order[1].op, trace::Op::kGc);
 }
 
 TEST(NetServer, PipelinedBurstPastTheWindowCompletes) {

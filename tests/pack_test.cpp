@@ -197,7 +197,6 @@ TEST(Pack, RoundTripsEveryCorpusClass) {
     PackStats stats;
     auto packed = pack(payload, config, &stats);
     ASSERT_TRUE(packed.is_ok());
-    EXPECT_TRUE(looks_packed(packed.value()));
     EXPECT_EQ(stats.logical_bytes, payload.size());
     EXPECT_EQ(stats.packed_bytes, packed.value().size());
     auto back = unpack(packed.value());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "stash/util/bitvec.hpp"
@@ -253,19 +254,20 @@ TEST(Bitvec, BitErrorRate) {
   EXPECT_DOUBLE_EQ(bit_error_rate(sent, sent), 0.0);
 }
 
-TEST(Histogram, AddCountAndTsvRendering) {
+TEST(Histogram, AddClampsIntoEdgeBinsAndNormalizes) {
   Histogram h(0.0, 10.0, 5);
-  h.add_count(1, 3);
-  h.add_count(99, 2);  // out-of-range bin clamps to the last bin
+  for (int i = 0; i < 3; ++i) h.add(3.0);  // bin 1
+  h.add(99.0);  // above the range: clamps to the last bin
+  h.add(-3.0);  // below the range: clamps to the first bin
+  h.add(9.0);
+  EXPECT_EQ(h.count(0), 1u);
   EXPECT_EQ(h.count(1), 3u);
   EXPECT_EQ(h.count(4), 2u);
-  EXPECT_EQ(h.total(), 5u);
-  const std::string tsv = h.to_tsv("lbl");
-  EXPECT_NE(tsv.find("lbl\t"), std::string::npos);
-  EXPECT_NE(tsv.find("0.600000"), std::string::npos);  // 3/5 in bin 1
-  // Unlabelled form has two columns.
-  const std::string bare = h.to_tsv();
-  EXPECT_EQ(bare.find("lbl"), std::string::npos);
+  EXPECT_EQ(h.total(), 6u);
+  const std::vector<double> norm = h.normalized();
+  ASSERT_EQ(norm.size(), 5u);
+  EXPECT_DOUBLE_EQ(norm[1], 0.5);  // 3 of 6
+  EXPECT_DOUBLE_EQ(norm[2], 0.0);
 }
 
 TEST(Histogram, BinCentersAreMidpoints) {
@@ -331,18 +333,24 @@ TEST(Histogram, MergePropagatesOutOfRangeTallies) {
   EXPECT_EQ(a.overflow(), 1u);
 }
 
-TEST(Histogram, TsvReportsOutOfRangeOnlyWhenPresent) {
-  Histogram clean(0.0, 10.0, 2);
-  clean.add(5.0);
-  EXPECT_EQ(clean.to_tsv().find("out_of_range"), std::string::npos);
+TEST(Histogram, RangeIsHalfOpenForTheTallies) {
+  // [lo, hi): lo itself and the last value below hi are in range; hi is
+  // the first value tallied as overflow.
+  Histogram h(0.0, 10.0, 2);
+  h.add(0.0);
+  h.add(std::nextafter(10.0, 0.0));
+  EXPECT_EQ(h.underflow(), 0u);
+  EXPECT_EQ(h.overflow(), 0u);
+  EXPECT_EQ(h.count(0), 1u);
+  EXPECT_EQ(h.count(1), 1u);
 
-  Histogram dirty(0.0, 10.0, 2);
-  dirty.add(-1.0);
-  dirty.add(42.0);
-  const std::string tsv = dirty.to_tsv();
-  EXPECT_NE(tsv.find("# out_of_range"), std::string::npos);
-  EXPECT_NE(tsv.find("underflow=1"), std::string::npos);
-  EXPECT_NE(tsv.find("overflow=1"), std::string::npos);
+  h.add(10.0);
+  h.add(-std::numeric_limits<double>::min());
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 1u);
+  EXPECT_EQ(h.count(0), 2u);
+  EXPECT_EQ(h.count(1), 2u);
+  EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(Status, OkByDefault) {
