@@ -2,11 +2,16 @@
 //
 // Measures the voltage-domain hot paths end to end and emits BENCH_perf.json:
 //   * ns/cell page program   (program_page incl. program-disturb on neighbours)
+//   * ns/cell block erase     (erase_block; median of 5, ungated)
 //   * ns/cell page read      (read_page incl. read-disturb accounting)
 //   * BCH decode MB/s        (syndromes + BM + Chien + verify, errors at t/2)
 //   * fig06-style wall time  (VT-HI embed/extract inner loop, one combo)
 //   * device read p99 us     (StashDevice end-to-end skewed-read tail,
 //                             exact over the reads' dev.request spans)
+//   * kernel ns/cell and SIMD/reference time ratio for erased_fill,
+//     normal_row and disturb_row (medians of 5, ungated): the scalar
+//     reference twins are a baseline inside the binary, so the ratio
+//     carries from one host to another where absolute times do not
 //
 // The committed BENCH_perf.json at the repo root is always the *latest*
 // trajectory point; CI re-runs this harness with --check against it and
@@ -38,6 +43,7 @@
 #include "common.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/ecc/bch.hpp"
+#include "stash/kernels/kernels.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/stats.hpp"
 #include "stash/vthi/channel.hpp"
@@ -60,8 +66,26 @@ struct Spread {
   double max = 0.0;
 };
 
+/// Spread of an odd number of samples.
+Spread spread_of(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
+/// Repetitions behind every Spread this harness reports.
+constexpr int kReps = 5;
+
+/// One SIMD kernel against its scalar reference twin.
+struct KernelTiming {
+  const char* name;
+  Spread ns_per_cell;          // SIMD build
+  Spread simd_over_reference;  // SIMD time / reference time, per repetition
+};
+
 struct PerfResult {
   double ns_per_cell_program = 0.0;
+  Spread ns_per_cell_erase;
+  std::vector<KernelTiming> kernels;
   double ns_per_cell_read = 0.0;
   double bch_decode_mbps = 0.0;
   double fig06_wall_s = 0.0;
@@ -102,6 +126,7 @@ void run_nand_phase(const Options& opt, std::uint32_t blocks,
   // be programmed): block materialization and the erased-state fill happen
   // here, outside the timed region, so ns/cell program measures
   // program_page itself — target draws, ISPP apply, and neighbour disturb.
+  // (run_erase_phase times erase_block on a chip of its own.)
   pool.parallel_for(blocks, [&](std::size_t b) {
     (void)chip.erase_block(static_cast<std::uint32_t>(b));
   });
@@ -143,6 +168,76 @@ void run_nand_phase(const Options& opt, std::uint32_t blocks,
     }
   }
   result.state_checksum = checksum;
+}
+
+/// Time erase_block on a chip of its own, so the program phase's chip (and
+/// the state checksum) never sees the extra erases.  One untimed pass
+/// materializes the blocks; each of kReps passes then erases every block.
+void run_erase_phase(const Options& opt, std::uint32_t blocks,
+                     PerfResult& result) {
+  nand::FlashChip chip(opt.geometry(blocks), nand::NoiseModel::vendor_a(),
+                       opt.seed);
+  const auto& geom = chip.geometry();
+  par::ThreadPool pool(opt.threads);
+  const auto erase_all = [&] {
+    pool.parallel_for(blocks, [&](std::size_t b) {
+      (void)chip.erase_block(static_cast<std::uint32_t>(b));
+    });
+  };
+  erase_all();
+  const double cells = static_cast<double>(blocks) * geom.pages_per_block *
+                       geom.cells_per_page;
+  std::vector<double> ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = Clock::now();
+    erase_all();
+    ns.push_back(seconds_since(t0) * 1e9 / cells);
+  }
+  result.ns_per_cell_erase = spread_of(ns);
+}
+
+/// The noise-drawing kernels over one page-wide row, each repetition timing
+/// kCalls SIMD calls and then kCalls reference calls on the same input.
+void run_kernel_phase(const Options& opt, PerfResult& result) {
+  const std::uint32_t n = opt.geometry(1).cells_per_page;
+  const kernels::DrawKey key =
+      kernels::derive_key(opt.seed, kernels::Op::kErasedFill, 0, 0, 0);
+  const kernels::ErasedParams erased{10.0, 3.2, 0.01, 6.0, 80.0};
+  const kernels::DisturbParams disturb{0.5, 0.3, 90.0, 255.0};
+  std::vector<float> erased_row(n);
+  kernels::reference::erased_fill(key, erased, erased_row.data(), 0, n);
+  std::vector<float> row(n);
+  std::vector<double> targets(n);
+  constexpr int kCalls = 50;
+
+  // Each kernel as (simd?) -> one call over the row.
+  const auto time_kernel = [&](const char* name, auto&& call) {
+    std::vector<double> ns, ratio;
+    for (int rep = 0; rep < kReps; ++rep) {
+      double secs[2];
+      for (const bool simd : {true, false}) {
+        row = erased_row;
+        const auto t0 = Clock::now();
+        for (int i = 0; i < kCalls; ++i) call(simd);
+        secs[simd ? 0 : 1] = seconds_since(t0);
+      }
+      ns.push_back(secs[0] * 1e9 / (static_cast<double>(kCalls) * n));
+      ratio.push_back(secs[0] / secs[1]);
+    }
+    result.kernels.push_back({name, spread_of(ns), spread_of(ratio)});
+  };
+  time_kernel("erased_fill", [&](bool simd) {
+    (simd ? kernels::erased_fill : kernels::reference::erased_fill)(
+        key, erased, row.data(), 0, n);
+  });
+  time_kernel("normal_row", [&](bool simd) {
+    (simd ? kernels::normal_row : kernels::reference::normal_row)(
+        key, 40.0, 2.0, targets.data(), 0, n);
+  });
+  time_kernel("disturb_row", [&](bool simd) {
+    (simd ? kernels::disturb_row : kernels::reference::disturb_row)(
+        key, disturb, row.data(), 0, n);
+  });
 }
 
 void run_bch_phase(const Options& opt, PerfResult& result) {
@@ -298,17 +393,15 @@ void run_device_phase(const Options& opt, PerfResult& result) {
 /// MB/s spread of moving `mb` megabytes once per entry of `secs` (odd
 /// length).
 Spread mbps_spread(double mb, std::vector<double> secs) {
-  std::sort(secs.begin(), secs.end());
+  const Spread s = spread_of(std::move(secs));
   const auto rate = [mb](double t) { return t > 0.0 ? mb / t : 0.0; };
-  return {rate(secs[secs.size() / 2]), rate(secs.back()), rate(secs.front())};
+  return {rate(s.median), rate(s.max), rate(s.min)};
 }
 
-/// Snapshot persistence phase: save a worked device to disk kSnapshotRuns
-/// times, load each save into a fresh instance, and report the median MB/s
+/// Snapshot persistence phase: save a worked device to disk kReps times, load each save into a fresh instance, and report the median MB/s
 /// both ways (with the min-max spread) plus the on-disk generation size.  Informational (not a CI regression gate): the numbers
 /// track the chunked-serialization cost of stash::store end to end.
 void run_snapshot_phase(const Options& opt, PerfResult& result) {
-  constexpr int kSnapshotRuns = 5;
   dev::DeviceConfig config;
   config.geometry = opt.geometry(8);
   config.seed = opt.seed;
@@ -329,7 +422,7 @@ void run_snapshot_phase(const Options& opt, PerfResult& result) {
   std::filesystem::create_directories(dir, ec);
 
   std::vector<double> save_s, load_s;
-  for (int run = 0; run < kSnapshotRuns; ++run) {
+  for (int run = 0; run < kReps; ++run) {
     auto t0 = Clock::now();
     auto saved = device.save_snapshot(dir);
     save_s.push_back(seconds_since(t0));
@@ -397,13 +490,20 @@ std::string to_json(const PerfResult& r) {
       << "  \"threads\": " << r.threads << ",\n"
       << "  \"cells_per_page\": " << r.cells_per_page << ",\n"
       << "  \"ns_per_cell_program\": " << r.ns_per_cell_program << ",\n"
+      << "  \"ns_per_cell_erase\": " << r.ns_per_cell_erase.median << ",\n"
       << "  \"ns_per_cell_read\": " << r.ns_per_cell_read << ",\n"
       << "  \"bch_decode_mbps\": " << r.bch_decode_mbps << ",\n"
       << "  \"fig06_wall_s\": " << r.fig06_wall_s << ",\n"
       << "  \"device_read_p99_us\": " << r.device_read_p99_us << ",\n"
       << "  \"snapshot_save_mbps\": " << r.snapshot_save_mbps.median << ",\n"
-      << "  \"snapshot_load_mbps\": " << r.snapshot_load_mbps.median << ",\n"
-      << "  \"snapshot_bytes\": " << r.snapshot_bytes << ",\n"
+      << "  \"snapshot_load_mbps\": " << r.snapshot_load_mbps.median << ",\n";
+  for (const KernelTiming& k : r.kernels) {
+    out << "  \"ns_per_cell_" << k.name << "\": " << k.ns_per_cell.median
+        << ",\n"
+        << "  \"simd_over_reference_" << k.name
+        << "\": " << k.simd_over_reference.median << ",\n";
+  }
+  out << "  \"snapshot_bytes\": " << r.snapshot_bytes << ",\n"
       << "  \"dev_bytes_copied\": " << r.dev_bytes_copied << ",\n"
       << "  \"state_checksum\": \"" << std::hex << r.state_checksum << std::dec
       << "\"\n"
@@ -506,22 +606,33 @@ int main(int argc, char** argv) {
     std::printf("state_checksum %016" PRIx64 "\n", result.state_checksum);
     return 0;
   }
+  run_erase_phase(opt, blocks, result);
+  run_kernel_phase(opt, result);
   run_device_phase(opt, result);
   run_snapshot_phase(opt, result);
 
   print_header("Perf baseline: voltage-domain hot paths",
-               "ns/cell program+read, BCH decode MB/s, fig06 wall time.");
+               "ns/cell program+erase+read, kernel SIMD/reference, BCH "
+               "decode MB/s, fig06 wall time.");
   print_geometry(opt);
-  std::printf("%-24s %12.2f\n", "ns/cell program", result.ns_per_cell_program);
-  std::printf("%-24s %12.2f\n", "ns/cell read", result.ns_per_cell_read);
-  std::printf("%-24s %12.2f\n", "BCH decode MB/s", result.bch_decode_mbps);
-  std::printf("%-24s %12.3f\n", "fig06 wall s", result.fig06_wall_s);
-  std::printf("%-24s %12.2f\n", "device read p99 us",
-              result.device_read_p99_us);
   const auto print_spread = [](const char* name, const Spread& s) {
     std::printf("%-24s %12.2f  (min %.2f, max %.2f)\n", name, s.median, s.min,
                 s.max);
   };
+  std::printf("%-24s %12.2f\n", "ns/cell program", result.ns_per_cell_program);
+  print_spread("ns/cell erase", result.ns_per_cell_erase);
+  std::printf("%-24s %12.2f\n", "ns/cell read", result.ns_per_cell_read);
+  for (const KernelTiming& k : result.kernels) {
+    const std::string name = std::string("ns/cell ") + k.name;
+    print_spread(name.c_str(), k.ns_per_cell);
+    std::printf("%-24s %12.3f  (min %.3f, max %.3f)\n", "  SIMD/reference",
+                k.simd_over_reference.median, k.simd_over_reference.min,
+                k.simd_over_reference.max);
+  }
+  std::printf("%-24s %12.2f\n", "BCH decode MB/s", result.bch_decode_mbps);
+  std::printf("%-24s %12.3f\n", "fig06 wall s", result.fig06_wall_s);
+  std::printf("%-24s %12.2f\n", "device read p99 us",
+              result.device_read_p99_us);
   print_spread("snapshot save MB/s", result.snapshot_save_mbps);
   print_spread("snapshot load MB/s", result.snapshot_load_mbps);
   std::printf("%-24s %12" PRIu64 "\n", "snapshot bytes",

@@ -133,6 +133,7 @@ class PageMappedFtl {
   }
 
   /// Force a garbage-collection pass (also runs automatically on demand).
+  /// With no block worth collecting it does nothing and returns OK.
   Status run_gc();
 
   // ---- Persistence (stash::store) ----------------------------------------
@@ -170,6 +171,9 @@ class PageMappedFtl {
   /// Relocate every valid page off `block` without erasing it.
   Status drain_block(std::uint32_t block);
   Status relocate_block(std::uint32_t victim);
+  /// One GC pass over `victim`; kNoSpace if its valid pages do not fit the
+  /// free slack.
+  Status collect(std::uint32_t victim);
   Status maybe_wear_level();
   [[nodiscard]] std::uint32_t pick_gc_victim() const;
 

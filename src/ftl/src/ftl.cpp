@@ -58,7 +58,9 @@ Result<PageAddr> PageMappedFtl::allocate_page() {
       // against a stuck state where no pass makes net progress.
       std::uint32_t guard = geom.blocks * 2;
       while (free_.size() <= kGcLowWatermark && guard-- > 0) {
-        const Status collected = run_gc();
+        const std::uint32_t victim = pick_gc_victim();
+        if (victim >= geom.blocks) break;  // nothing left to collect
+        const Status collected = collect(victim);
         if (!collected.is_ok()) {
           if (free_.empty()) return collected;
           break;
@@ -309,11 +311,15 @@ Status PageMappedFtl::relocate_block(std::uint32_t victim) {
 
 Status PageMappedFtl::run_gc() {
   if (gc_active_) return Status::ok();
-  const auto& geom = chip_->geometry();
   const std::uint32_t victim = pick_gc_victim();
-  if (victim >= geom.blocks) {
-    return {ErrorCode::kNoSpace, "no GC victim available"};
-  }
+  // No victim means nothing needs collecting: a healthy device, not a
+  // capacity error.
+  if (victim >= chip_->geometry().blocks) return Status::ok();
+  return collect(victim);
+}
+
+Status PageMappedFtl::collect(std::uint32_t victim) {
+  const auto& geom = chip_->geometry();
   // Liveness guard: draining the victim allocates one page per valid page
   // it still holds.  If that does not provably fit in the current slack
   // (free blocks plus the active block's remaining pages), the drain would

@@ -25,11 +25,15 @@ namespace stash::kernels {
 // Draw economy: the normal-drawing kernels consume one 128-bit Philox draw
 // per GROUP of cells.  A Box-Muller evaluation of two 32-bit uniform lanes
 // yields a cosine-half deviate for one cell and a sine-half deviate for the
-// next; erased_fill keeps lanes 2/3 for per-cell tail uniforms (group = a
-// pair of cells), while normal_row/disturb_row spend all four lanes on
-// deviates (group = a quad).  Cell c still gets a pure function of
-// (key, c); chunk boundaries that split a group just recompute the shared
-// draw on both sides.
+// next, both from one sin/cos reduction (vcossin2pi); erased_fill keeps
+// lanes 2/3 for per-cell tail uniforms (group = a pair of cells), while
+// normal_row/disturb_row spend all four lanes on deviates (group = a
+// quad).  The SIMD build draws the words for a batch of 256 groups at a
+// time into stack arrays — with a 16-lane AVX-512 Philox when the build
+// targets AVX-512F, a draw128 loop otherwise — and then runs the group
+// bodies over them.  Cell c still gets a pure function of (key, c); chunk
+// boundaries that split a group just recompute the shared draw on both
+// sides.
 
 /// Erased-state redraw: v = clamp(N(mu, sigma) + Bern(tail_prob)*Exp(tail_mean),
 /// 0, cap) per cell.

@@ -65,11 +65,22 @@ namespace stash::kernels {
   return e * kLn2Hi + (log_m + e * kLn2Lo);
 }
 
-/// cos(2*pi*u) for u in [0, 2).  Quadrant reduction + short minimax-grade
-/// Taylor polynomials on [-pi/4, pi/4].
-[[nodiscard]] inline double vcos2pi(double u) noexcept {
-  const double a = 4.0 * u;                       // [0, 4)
-  const int k = static_cast<int>(a + 0.5);        // nearest quadrant, [0, 4]
+struct CosSin {
+  double cos;
+  double sin;
+};
+
+/// cos(2*pi*u) and sin(2*pi*u) from one quadrant reduction: 2*pi*u =
+/// k*pi/2 + th, th in [-pi/4, pi/4], with short minimax-grade Taylor
+/// polynomials for cos(th) and sin(th).  .cos holds for u in [0, 2).  .sin
+/// is cos(2*pi*(u + 3/4)) and holds for u in [0, 1) with at most 51
+/// fractional bits (the draws' 32-bit uniforms qualify): for such u the
+/// 3/4 shift is exact, so it moves the quadrant index by exactly 3 and
+/// leaves th bit-identical — .sin equals vcos2pi(u + 0.75) bit for bit,
+/// without a second reduction and pair of polynomials.
+[[nodiscard]] inline CosSin vcossin2pi(double u) noexcept {
+  const double a = 4.0 * u;                       // [0, 8)
+  const int k = static_cast<int>(a + 0.5);        // nearest quadrant, [0, 8]
   const double f = a - static_cast<double>(k);    // [-0.5, 0.5]
   const double th = f * 1.5707963267948966;       // [-pi/4, pi/4]
   const double th2 = th * th;
@@ -92,18 +103,19 @@ namespace stash::kernels {
   // rejects selects whose condition is a narrow integer against double
   // data, which would de-vectorize every caller.  Multiplying by an exact
   // 0.0/1.0 (resp. ±1.0) is bit-identical to the select.
-  // (s*odd + c*(1-odd) is an exact select for odd in {0,1}: one side is
-  // multiplied by exactly 1.0, the other collapses to a signless-safe +0.)
+  // (s*odd + c*even is an exact select: one side is multiplied by exactly
+  // 1.0, the other collapses to a signless-safe +0.)  Quadrant k + 3 has
+  // odd and even swapped and the sign 1 - ((k + 4) & 2) = 1 - (k & 2).
   const double odd = static_cast<double>(k & 1);        // exactly 0 or 1
-  const double sgn = 1.0 - static_cast<double>((k + 1) & 2);  // exactly ±1
-  return (s * odd + c * (1.0 - odd)) * sgn;
+  const double even = 1.0 - odd;                        // exactly 1 or 0
+  const double sgn_cos = 1.0 - static_cast<double>((k + 1) & 2);  // ±1
+  const double sgn_sin = 1.0 - static_cast<double>(k & 2);        // ±1
+  return {(s * odd + c * even) * sgn_cos, (s * even + c * odd) * sgn_sin};
 }
 
-/// sin(2*pi*u) for u in [0, 1), via cos(2*pi*(u + 3/4)).  The 3/4 shift is
-/// exact for any u with <= 51 fractional bits (the draws' 32-bit uniforms
-/// qualify), and vcos2pi's quadrant reduction handles the shifted phase.
-[[nodiscard]] inline double vsin2pi(double u) noexcept {
-  return vcos2pi(u + 0.75);
+/// cos(2*pi*u) for u in [0, 2).
+[[nodiscard]] inline double vcos2pi(double u) noexcept {
+  return vcossin2pi(u).cos;
 }
 
 /// exp(x) for |x| <= ~700.  Standard 2^k * exp(r) split, degree-10 series.

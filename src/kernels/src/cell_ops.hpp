@@ -5,12 +5,21 @@
 //
 // The normal-drawing ops batch cells per 128-bit draw: one Box-Muller
 // evaluation turns two 32-bit uniform lanes into a cosine-half deviate for
-// one cell and a sine-half deviate for the next.  erased_fill needs lanes
-// 2/3 for per-cell tail uniforms, so it covers a PAIR of cells per draw;
+// one cell and a sine-half deviate for the next, both from one shared
+// sin/cos reduction (vcossin2pi).  erased_fill needs lanes 2/3 for
+// per-cell tail uniforms, so it covers a PAIR of cells per draw;
 // normal_row and disturb_row need nothing else, so all four lanes carry
 // Box-Muller inputs and one draw covers a QUAD.  That cuts the Philox work
 // (the dominant cost of the v1 one-draw-per-cell scheme) by 2-4x while
 // cell c's value stays a pure function of (key, c).
+//
+// The group bodies (erased_pair, normal_quad, disturb_quad) take the
+// draw's four words as arguments; the SIMD build feeds them from a batch
+// of words drawn ahead (kernels.cpp).  The single-cell forms draw their
+// group's words with draw128 and evaluate only their own Box-Muller half,
+// through the same zpair_from / erased_from / disturb_from: every
+// per-cell formula has one definition, and the scalar reference does no
+// work for cells it does not return.
 
 #include <cmath>
 
@@ -32,12 +41,8 @@ struct ZPair {
   const double m2l = -2.0 * vlog(u1);
   // vlog(1.0) is exactly 0, but guard the sqrt against a last-ulp positive.
   const double rad = std::sqrt(m2l < 0.0 ? 0.0 : m2l);
-  return {rad * vcos2pi(u2), rad * vsin2pi(u2)};
-}
-
-[[nodiscard]] inline ZPair zpair_of(
-    const std::array<std::uint32_t, 4>& r) noexcept {
-  return zpair_from(r[0], r[1]);
+  const CosSin phase = vcossin2pi(u2);
+  return {rad * phase.cos, rad * phase.sin};
 }
 
 // ---- Erased-state fill ------------------------------------------------------
@@ -57,22 +62,22 @@ struct ZPair {
   return static_cast<float>(vmin(vmax(v, 0.0), p.cap));
 }
 
-inline void erased_pair(DrawKey key, const ErasedParams& p,
-                        double inv_tail_prob, std::uint32_t pair, float& even,
-                        float& odd) noexcept {
-  const auto r = draw128(key, pair, 0);
-  const ZPair z = zpair_of(r);
-  even = erased_from(p, inv_tail_prob, z.z0, r[2]);
-  odd = erased_from(p, inv_tail_prob, z.z1, r[3]);
+/// One draw's words -> the even and odd cell of its pair.
+inline void erased_pair(const ErasedParams& p, double inv_tail_prob,
+                        std::uint32_t w0, std::uint32_t w1, std::uint32_t w2,
+                        std::uint32_t w3, float& even, float& odd) noexcept {
+  const ZPair z = zpair_from(w0, w1);
+  even = erased_from(p, inv_tail_prob, z.z0, w2);
+  odd = erased_from(p, inv_tail_prob, z.z1, w3);
 }
 
-/// Single-cell form (pair recomputed, one lane kept): the scalar reference
-/// and the odd-boundary prologue/epilogue of the SIMD shell.
+/// Single-cell form (pair's draw recomputed, one lane kept): the scalar
+/// reference and the odd-boundary prologue/epilogue of the SIMD shell.
 [[nodiscard]] inline float erased_cell(DrawKey key, const ErasedParams& p,
                                        double inv_tail_prob,
                                        std::uint32_t c) noexcept {
   const auto r = draw128(key, c >> 1, 0);
-  const ZPair z = zpair_of(r);
+  const ZPair z = zpair_from(r[0], r[1]);
   return (c & 1u) ? erased_from(p, inv_tail_prob, z.z1, r[3])
                   : erased_from(p, inv_tail_prob, z.z0, r[2]);
 }
@@ -82,12 +87,12 @@ inline void erased_pair(DrawKey key, const ErasedParams& p,
 // one draw -> two evaluations -> FOUR cells (a "quad"; cell c maps to
 // draw128(key, c >> 2, sub), evaluation c & 2, lane c & 1).
 
-inline void normal_quad(DrawKey key, double mu, double sigma,
-                        std::uint32_t quad, double& c0, double& c1,
-                        double& c2, double& c3) noexcept {
-  const auto r = draw128(key, quad, 0);
-  const ZPair a = zpair_from(r[0], r[1]);
-  const ZPair b = zpair_from(r[2], r[3]);
+inline void normal_quad(double mu, double sigma, std::uint32_t w0,
+                        std::uint32_t w1, std::uint32_t w2, std::uint32_t w3,
+                        double& c0, double& c1, double& c2,
+                        double& c3) noexcept {
+  const ZPair a = zpair_from(w0, w1);
+  const ZPair b = zpair_from(w2, w3);
   c0 = mu + sigma * a.z0;
   c1 = mu + sigma * a.z1;
   c2 = mu + sigma * b.z0;
@@ -134,12 +139,11 @@ inline void normal_quad(DrawKey key, double mu, double sigma,
 }
 
 // Same quad scheme as normal_quad: disturb needs only the deviate.
-inline void disturb_quad(DrawKey key, const DisturbParams& p,
-                         std::uint32_t quad, float& c0, float& c1, float& c2,
-                         float& c3) noexcept {
-  const auto r = draw128(key, quad, 0);
-  const ZPair a = zpair_from(r[0], r[1]);
-  const ZPair b = zpair_from(r[2], r[3]);
+inline void disturb_quad(const DisturbParams& p, std::uint32_t w0,
+                         std::uint32_t w1, std::uint32_t w2, std::uint32_t w3,
+                         float& c0, float& c1, float& c2, float& c3) noexcept {
+  const ZPair a = zpair_from(w0, w1);
+  const ZPair b = zpair_from(w2, w3);
   c0 = disturb_from(p, c0, a.z0);
   c1 = disturb_from(p, c1, a.z1);
   c2 = disturb_from(p, c2, b.z0);

@@ -5,23 +5,128 @@
 //
 // The normal-drawing kernels iterate over cell PAIRS (erased_fill) or
 // QUADS (normal_row, disturb_row) — one Philox draw per group; see
-// cell_ops.hpp.  A chunk whose boundary splits a group is handled by
+// cell_ops.hpp.  They draw their words one batch of kBatchGroups groups at
+// a time into four uint32 arrays on the stack, then run the group bodies
+// over those words.  Under AVX-512F an explicit 16-lane Philox fills the
+// batch; elsewhere a draw128 loop does, which GCC auto-vectorizes to the
+// same integer math.  A chunk whose boundary splits a group is handled by
 // scalar prologue/epilogue cells that recompute the shared draw and keep
 // one lane — bit-identical to the grouped path, so the chunk-partition
 // contract holds at any split point.
 
 #include "stash/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
-#if defined(__AVX512F__) && defined(__AVX512BW__)
+#if defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
 #include "cell_ops.hpp"
 
 namespace stash::kernels {
+
+namespace {
+
+/// Groups per word batch: 4 KiB of words, a multiple of the 16-lane width.
+constexpr std::uint32_t kBatchGroups = 256;
+
+/// Lane l of draw128(key, group0 + i, 0) in w<l>[i], for one batch.
+struct WordBatch {
+  alignas(64) std::uint32_t w0[kBatchGroups];
+  alignas(64) std::uint32_t w1[kBatchGroups];
+  alignas(64) std::uint32_t w2[kBatchGroups];
+  alignas(64) std::uint32_t w3[kBatchGroups];
+};
+
+#if defined(__AVX512F__)
+// The maskz forms with a full mask are the plain instructions; GCC 12's
+// unmasked wrappers pass an uninitialized source operand that trips
+// -Wmaybe-uninitialized once inlined.
+constexpr __mmask8 kAll64 = 0xFF;
+
+/// Per-lane 32x32->64 product of `a` and the constant in `m`, split into
+/// its high and low 32-bit halves.
+inline void mulhilo16(__m512i a, __m512i m, __m512i& hi, __m512i& lo) noexcept {
+  // vpmuludq multiplies the even 32-bit lanes; shifting each 64-bit lane
+  // down by 32 brings the odd lanes into reach.
+  const __m512i even = _mm512_maskz_mul_epu32(kAll64, a, m);
+  const __m512i odd =
+      _mm512_maskz_mul_epu32(kAll64, _mm512_maskz_srli_epi64(kAll64, a, 32), m);
+  constexpr __mmask16 kOdd32 = 0xAAAA;
+  lo = _mm512_mask_blend_epi32(kOdd32, even,
+                               _mm512_maskz_slli_epi64(kAll64, odd, 32));
+  hi = _mm512_mask_blend_epi32(
+      kOdd32, _mm512_maskz_srli_epi64(kAll64, even, 32), odd);
+}
+
+/// draw128 for 16 consecutive counters at once: the same Philox4x32-10
+/// integer math as philox.hpp, one group per 32-bit lane.
+void fill_words(DrawKey key, std::uint32_t group0, std::uint32_t groups,
+                WordBatch& b) noexcept {
+  const __m512i m0 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM0));
+  const __m512i m1 = _mm512_set1_epi32(static_cast<int>(detail::kPhiloxM1));
+  const __m512i lanes =
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  // Whole vectors only: lanes past `groups` draw counters nobody reads.
+  for (std::uint32_t i = 0; i < groups; i += 16) {
+    __m512i c0 = _mm512_add_epi32(
+        _mm512_set1_epi32(static_cast<int>(group0 + i)), lanes);
+    __m512i c1 = _mm512_setzero_si512();
+    __m512i c2 = _mm512_set1_epi32(0x5741);
+    __m512i c3 = _mm512_setzero_si512();
+    std::uint32_t k0 = key.k0;
+    std::uint32_t k1 = key.k1;
+    for (int round = 0; round < 10; ++round) {
+      __m512i hi0, lo0, hi1, lo1;
+      mulhilo16(c0, m0, hi0, lo0);
+      mulhilo16(c2, m1, hi1, lo1);
+      c0 = _mm512_xor_si512(_mm512_xor_si512(hi1, c1),
+                            _mm512_set1_epi32(static_cast<int>(k0)));
+      c1 = lo1;
+      c2 = _mm512_xor_si512(_mm512_xor_si512(hi0, c3),
+                            _mm512_set1_epi32(static_cast<int>(k1)));
+      c3 = lo0;
+      k0 += detail::kPhiloxW0;
+      k1 += detail::kPhiloxW1;
+    }
+    _mm512_store_si512(b.w0 + i, c0);
+    _mm512_store_si512(b.w1 + i, c1);
+    _mm512_store_si512(b.w2 + i, c2);
+    _mm512_store_si512(b.w3 + i, c3);
+  }
+}
+#else
+void fill_words(DrawKey key, std::uint32_t group0, std::uint32_t groups,
+                WordBatch& b) noexcept {
+#pragma omp simd
+  for (std::uint32_t i = 0; i < groups; ++i) {
+    const auto r = draw128(key, group0 + i, 0);
+    b.w0[i] = r[0];
+    b.w1[i] = r[1];
+    b.w2[i] = r[2];
+    b.w3[i] = r[3];
+  }
+}
+#endif
+
+/// Calls body(words, i0, m) for each batch of words covering groups
+/// [group0, group0 + groups); i0 is the batch's first group index relative
+/// to group0 and m its group count.
+template <typename Body>
+void for_each_batch(DrawKey key, std::uint32_t group0, std::uint32_t groups,
+                    Body&& body) noexcept {
+  WordBatch words;
+  for (std::uint32_t i0 = 0; i0 < groups; i0 += kBatchGroups) {
+    const std::uint32_t m = std::min(kBatchGroups, groups - i0);
+    fill_words(key, group0 + i0, m, words);
+    body(words, i0, m);
+  }
+}
+
+}  // namespace
 
 void erased_fill(DrawKey key, const ErasedParams& p, float* row,
                  std::uint32_t cell0, std::uint32_t n) noexcept {
@@ -33,13 +138,17 @@ void erased_fill(DrawKey key, const ErasedParams& p, float* row,
     ++c;
   }
   const std::uint32_t pairs = (end - c) / 2;
-  const std::uint32_t pair0 = c >> 1;
   float* out = row + (c - cell0);
+  for_each_batch(key, c >> 1, pairs,
+                 [&](const WordBatch& b, std::uint32_t i0, std::uint32_t m) {
+                   float* o = out + 2 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < pairs; ++i) {
-    detail::erased_pair(key, p, inv_tail_prob, pair0 + i, out[2 * i],
-                        out[2 * i + 1]);
-  }
+                   for (std::uint32_t i = 0; i < m; ++i) {
+                     detail::erased_pair(p, inv_tail_prob, b.w0[i], b.w1[i],
+                                         b.w2[i], b.w3[i], o[2 * i],
+                                         o[2 * i + 1]);
+                   }
+                 });
   c += pairs * 2;
   if (c < end) {
     row[c - cell0] = detail::erased_cell(key, p, inv_tail_prob, c);
@@ -55,13 +164,17 @@ void normal_row(DrawKey key, double mu, double sigma, double* out,
     ++c;
   }
   const std::uint32_t quads = (end - c) / 4;
-  const std::uint32_t quad0 = c >> 2;
-  double* o = out + (c - cell0);
+  double* quad_out = out + (c - cell0);
+  for_each_batch(key, c >> 2, quads,
+                 [&](const WordBatch& b, std::uint32_t i0, std::uint32_t m) {
+                   double* o = quad_out + 4 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < quads; ++i) {
-    detail::normal_quad(key, mu, sigma, quad0 + i, o[4 * i], o[4 * i + 1],
-                        o[4 * i + 2], o[4 * i + 3]);
-  }
+                   for (std::uint32_t i = 0; i < m; ++i) {
+                     detail::normal_quad(mu, sigma, b.w0[i], b.w1[i], b.w2[i],
+                                         b.w3[i], o[4 * i], o[4 * i + 1],
+                                         o[4 * i + 2], o[4 * i + 3]);
+                   }
+                 });
   c += quads * 4;
   while (c < end) {
     out[c - cell0] = detail::normal_cell(key, mu, sigma, c);
@@ -88,13 +201,17 @@ void disturb_row(DrawKey key, const DisturbParams& p, float* row,
     ++c;
   }
   const std::uint32_t quads = (end - c) / 4;
-  const std::uint32_t quad0 = c >> 2;
-  float* r = row + (c - cell0);
+  float* quad_row = row + (c - cell0);
+  for_each_batch(key, c >> 2, quads,
+                 [&](const WordBatch& b, std::uint32_t i0, std::uint32_t m) {
+                   float* r = quad_row + 4 * i0;
 #pragma omp simd
-  for (std::uint32_t i = 0; i < quads; ++i) {
-    detail::disturb_quad(key, p, quad0 + i, r[4 * i], r[4 * i + 1],
-                         r[4 * i + 2], r[4 * i + 3]);
-  }
+                   for (std::uint32_t i = 0; i < m; ++i) {
+                     detail::disturb_quad(p, b.w0[i], b.w1[i], b.w2[i],
+                                          b.w3[i], r[4 * i], r[4 * i + 1],
+                                          r[4 * i + 2], r[4 * i + 3]);
+                   }
+                 });
   c += quads * 4;
   while (c < end) {
     row[c - cell0] = detail::disturb_cell(key, p, row[c - cell0], c);

@@ -459,8 +459,9 @@ TEST(DevLatency, UntracedRequestsEmitNoSpans) {
   ASSERT_TRUE(dev.trim(0).is_ok());
   auto gc = dev.submit_gc();
   dev.drain();
-  // A near-empty device has no GC victim; the request still runs.
-  EXPECT_EQ(gc.get().code(), ErrorCode::kNoSpace);
+  // A near-empty device has no GC victim: nothing to collect is not an
+  // error.
+  EXPECT_TRUE(gc.get().is_ok());
 
   EXPECT_EQ(tracer.span_count(), 0u);
   EXPECT_EQ(hist.count(), flushes + 1);

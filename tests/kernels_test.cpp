@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -18,9 +19,11 @@
 
 #include "stash/kernels/kernels.hpp"
 #include "stash/kernels/philox.hpp"
+#include "stash/kernels/vmath.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/nand/noise.hpp"
 #include "stash/par/pool.hpp"
+#include "stash/util/rng.hpp"
 
 namespace stash::kernels {
 namespace {
@@ -123,24 +126,42 @@ DisturbParams disturb_params() {
   return p;
 }
 
+// Row lengths for the SIMD-vs-reference battery: every residue mod 16 (the
+// partial-vector tails), and one either side of the word-batch edges (256
+// groups: 512 cells for erased_fill's pairs, 1024 for the quads), each run
+// at aligned and unaligned cell0.
+std::vector<std::uint32_t> bit_exact_lengths() {
+  std::vector<std::uint32_t> ns;
+  for (std::uint32_t n = 1; n <= 40; ++n) ns.push_back(n);
+  for (const std::uint32_t edge : {512u, 1024u, 2048u}) {
+    ns.insert(ns.end(), {edge - 1, edge, edge + 1});
+  }
+  ns.push_back(4099);
+  return ns;
+}
+
 TEST(KernelsVsReference, ErasedFillBitExact) {
   const auto p = erased_params();
   for (const std::uint32_t cell0 : {0u, 1u, 2u, 3u, 17u}) {
     const DrawKey key = derive_key(kSeed, Op::kErasedFill, 1, cell0, 5);
-    std::vector<float> simd(4099), ref(4099);
-    erased_fill(key, p, simd.data(), cell0, 4099);
-    reference::erased_fill(key, p, ref.data(), cell0, 4099);
-    ASSERT_EQ(simd, ref) << "cell0=" << cell0;
+    for (const std::uint32_t n : bit_exact_lengths()) {
+      std::vector<float> simd(n), ref(n);
+      erased_fill(key, p, simd.data(), cell0, n);
+      reference::erased_fill(key, p, ref.data(), cell0, n);
+      ASSERT_EQ(simd, ref) << "cell0=" << cell0 << " n=" << n;
+    }
   }
 }
 
 TEST(KernelsVsReference, NormalRowBitExact) {
   for (const std::uint32_t cell0 : {0u, 1u, 2u, 3u, 17u}) {
     const DrawKey key = derive_key(kSeed, Op::kProgramTarget, 2, cell0, 9);
-    std::vector<double> simd(4099), ref(4099);
-    normal_row(key, 163.0, 7.5, simd.data(), cell0, 4099);
-    reference::normal_row(key, 163.0, 7.5, ref.data(), cell0, 4099);
-    ASSERT_EQ(simd, ref) << "cell0=" << cell0;
+    for (const std::uint32_t n : bit_exact_lengths()) {
+      std::vector<double> simd(n), ref(n);
+      normal_row(key, 163.0, 7.5, simd.data(), cell0, n);
+      reference::normal_row(key, 163.0, 7.5, ref.data(), cell0, n);
+      ASSERT_EQ(simd, ref) << "cell0=" << cell0 << " n=" << n;
+    }
   }
 }
 
@@ -148,15 +169,48 @@ TEST(KernelsVsReference, DisturbRowBitExact) {
   const auto p = disturb_params();
   for (const std::uint32_t cell0 : {0u, 1u, 2u, 3u, 17u}) {
     const DrawKey key = derive_key(kSeed, Op::kDisturb, 3, cell0, 2);
-    std::vector<float> simd(4099), ref(4099);
-    for (std::uint32_t i = 0; i < simd.size(); ++i) {
-      // Mix of erased-level and programmed-level cells so both branches of
-      // the guard run.
-      simd[i] = ref[i] = (i % 5 == 0) ? 170.0f : 21.0f;
+    for (const std::uint32_t n : bit_exact_lengths()) {
+      std::vector<float> simd(n), ref(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        // Mix of erased-level and programmed-level cells so both branches
+        // of the guard run.
+        simd[i] = ref[i] = (i % 5 == 0) ? 170.0f : 21.0f;
+      }
+      disturb_row(key, p, simd.data(), cell0, n);
+      reference::disturb_row(key, p, ref.data(), cell0, n);
+      ASSERT_EQ(simd, ref) << "cell0=" << cell0 << " n=" << n;
     }
-    disturb_row(key, p, simd.data(), cell0, 4099);
-    reference::disturb_row(key, p, ref.data(), cell0, 4099);
-    ASSERT_EQ(simd, ref) << "cell0=" << cell0;
+  }
+}
+
+// vcossin2pi reduces once and reads the sine off quadrant k + 3; it must
+// equal the two-reduction forms bit for bit wherever the u + 3/4 shift is
+// exact (u in [0, 1) with at most 51 fractional bits).
+TEST(VMath, CosSinMatchesTwoReductionsBitExact) {
+  const auto check = [](double u) {
+    const CosSin cs = vcossin2pi(u);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cs.cos),
+              std::bit_cast<std::uint64_t>(vcos2pi(u)))
+        << "u=" << u;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(cs.sin),
+              std::bit_cast<std::uint64_t>(vcos2pi(u + 0.75)))
+        << "u=" << u;
+  };
+  // The axis crossings (k/4) and the reduction's own quadrant boundaries
+  // (odd k/8), one step either side: a step of the 32-bit grid the kernels
+  // feed, and of the 51-fractional-bit limit.
+  for (int k = 0; k < 8; ++k) {
+    const double edge = k / 8.0;
+    for (const double step : {0x1.0p-32, 0x1.0p-51}) {
+      for (const double u : {edge - step, edge, edge + step}) {
+        if (u >= 0.0) check(u);
+      }
+    }
+  }
+  util::Xoshiro256 rng(kSeed);
+  for (int i = 0; i < 1'000'000; ++i) {
+    check(static_cast<double>(static_cast<std::uint32_t>(rng())) * 0x1.0p-32);
+    if (HasFatalFailure()) return;
   }
 }
 

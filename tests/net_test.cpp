@@ -447,11 +447,9 @@ TEST(NetServer, ServesTheDeviceSurfaceOverLoopback) {
   EXPECT_EQ(client.read(3).status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(client.read(dev.logical_pages()).status().code(),
             ErrorCode::kOutOfBounds);
-  // GC may honestly refuse (no victim on a barely-used device); what
-  // matters here is that the status code crosses the wire intact.
+  // A barely-used device has no GC victim, and nothing to collect is OK.
   const auto gc = client.gc();
-  EXPECT_TRUE(gc.is_ok() || gc.code() == ErrorCode::kNoSpace)
-      << gc.to_string();
+  EXPECT_TRUE(gc.is_ok()) << gc.to_string();
 
   auto stats = client.stats();
   ASSERT_TRUE(stats.is_ok());
@@ -795,8 +793,7 @@ TEST(NetServer, WirePriorityByteDoesNotReorderDispatch) {
   encode_request(read, wire);
   ASSERT_TRUE(send_all(fd, wire));
 
-  // Responses still come back in request order.  (The GC pass may find
-  // no victim on a fresh device; only its place in the schedule matters.)
+  // Responses still come back in request order.
   FrameAssembler assembler;
   Response resp;
   ASSERT_TRUE(recv_response(fd, assembler, resp));
@@ -810,6 +807,31 @@ TEST(NetServer, WirePriorityByteDoesNotReorderDispatch) {
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(order[0].op, trace::Op::kRead);
   EXPECT_EQ(order[1].op, trace::Op::kGc);
+}
+
+TEST(NetServer, GcFrameOnAFreshDeviceIsAnsweredOk) {
+  // A fresh device has nothing to collect; the GC request still succeeds.
+  StashDevice dev(net_config(), test_key());
+  Server server(dev);
+  ASSERT_TRUE(server.start().is_ok());
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+
+  std::vector<std::uint8_t> wire;
+  Request gc;
+  gc.op = OpCode::kGc;
+  gc.id = 1;
+  encode_request(gc, wire);
+  ASSERT_TRUE(send_all(fd, wire));
+
+  FrameAssembler assembler;
+  Response resp;
+  ASSERT_TRUE(recv_response(fd, assembler, resp));
+  EXPECT_EQ(resp.op, OpCode::kGc);
+  EXPECT_EQ(resp.id, 1u);
+  EXPECT_EQ(resp.status, 0) << resp.message;
+  ::close(fd);
+  server.stop();
 }
 
 TEST(NetServer, PipelinedBurstPastTheWindowCompletes) {
