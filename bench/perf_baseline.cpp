@@ -12,6 +12,10 @@
 //     normal_row and disturb_row (medians of 5, ungated): the scalar
 //     reference twins are a baseline inside the binary, so the ratio
 //     carries from one host to another where absolute times do not
+//   * DRBG MB/s              (Sha256Drbg::next_u64, 16 SHA-256 blocks
+//                             per refill; median of 5, ungated) and its
+//                             time over a scalar reference, one
+//                             Sha256::hash per 32 bytes of the same stream
 //
 // The committed BENCH_perf.json at the repo root is always the *latest*
 // trajectory point; CI re-runs this harness with --check against it and
@@ -28,6 +32,7 @@
 // gate.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -41,6 +46,7 @@
 #include <vector>
 
 #include "common.hpp"
+#include "stash/crypto/drbg.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/ecc/bch.hpp"
 #include "stash/kernels/kernels.hpp"
@@ -72,6 +78,14 @@ Spread spread_of(std::vector<double> samples) {
   return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
+/// MB/s spread of moving `mb` megabytes once per entry of `secs` (odd
+/// length).
+Spread mbps_spread(double mb, std::vector<double> secs) {
+  const Spread s = spread_of(std::move(secs));
+  const auto rate = [mb](double t) { return t > 0.0 ? mb / t : 0.0; };
+  return {rate(s.median), rate(s.max), rate(s.min)};
+}
+
 /// Repetitions behind every Spread this harness reports.
 constexpr int kReps = 5;
 
@@ -86,6 +100,8 @@ struct PerfResult {
   double ns_per_cell_program = 0.0;
   Spread ns_per_cell_erase;
   std::vector<KernelTiming> kernels;
+  Spread drbg_mbps;
+  Spread drbg_batched_over_scalar;  // batched time / scalar time, per rep
   double ns_per_cell_read = 0.0;
   double bch_decode_mbps = 0.0;
   double fig06_wall_s = 0.0;
@@ -240,6 +256,60 @@ void run_kernel_phase(const Options& opt, PerfResult& result) {
   });
 }
 
+/// The hidden-cell selection stream as below() reads it, 8 bytes per
+/// next_u64: each repetition times kBytes of Sha256Drbg, then the same
+/// bytes as one Sha256::hash of key || le64(counter) per 32-byte block (the
+/// stream's definition).  The two runs must read equal words.
+bool run_drbg_phase(const Options& opt, PerfResult& result) {
+  constexpr std::uint64_t kBytes = std::uint64_t{1} << 20;
+  std::array<std::uint8_t, 32> seed{};
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    seed[i] = static_cast<std::uint8_t>(opt.seed >> (8 * (i % 8)));
+  }
+  const std::string personalization = "perf_baseline/drbg";
+  crypto::Sha256 keyed;
+  keyed.update(seed);
+  keyed.update(personalization);
+  const crypto::Digest256 key = keyed.finish();
+  std::vector<double> secs, ratio;
+  for (int rep = 0; rep < kReps; ++rep) {
+    std::uint64_t batched_sum = 0;
+    auto t0 = Clock::now();
+    crypto::Sha256Drbg drbg(seed, personalization);
+    for (std::uint64_t i = 0; i < kBytes / 8; ++i) {
+      batched_sum += drbg.next_u64();
+    }
+    const double batched = seconds_since(t0);
+
+    std::uint64_t scalar_sum = 0;
+    t0 = Clock::now();
+    std::array<std::uint8_t, 40> msg{};
+    std::memcpy(msg.data(), key.data(), key.size());
+    for (std::uint64_t c = 0; c < kBytes / 32; ++c) {
+      for (int i = 0; i < 8; ++i) {
+        msg[32 + i] = static_cast<std::uint8_t>(c >> (8 * i));
+      }
+      const crypto::Digest256 block = crypto::Sha256::hash(msg);
+      for (int w = 0; w < 4; ++w) {
+        std::uint64_t v = 0;
+        for (int b = 0; b < 8; ++b) v = (v << 8) | block[8 * w + b];
+        scalar_sum += v;
+      }
+    }
+    const double scalar = seconds_since(t0);
+    if (batched_sum != scalar_sum) {
+      std::fprintf(stderr, "drbg: the batched stream differs from the "
+                           "one-hash-per-block stream\n");
+      return false;
+    }
+    secs.push_back(batched);
+    ratio.push_back(batched / scalar);
+  }
+  result.drbg_mbps = mbps_spread(static_cast<double>(kBytes) / 1e6, secs);
+  result.drbg_batched_over_scalar = spread_of(ratio);
+  return true;
+}
+
 void run_bch_phase(const Options& opt, PerfResult& result) {
   constexpr int kM = 13;
   constexpr int kT = 12;
@@ -388,14 +458,6 @@ void run_device_phase(const Options& opt, PerfResult& result) {
   // payload memcpy during the loop shows up here (expected: 0).
   result.dev_bytes_copied =
       device.stats_snapshot().bytes_copied - copies_before;
-}
-
-/// MB/s spread of moving `mb` megabytes once per entry of `secs` (odd
-/// length).
-Spread mbps_spread(double mb, std::vector<double> secs) {
-  const Spread s = spread_of(std::move(secs));
-  const auto rate = [mb](double t) { return t > 0.0 ? mb / t : 0.0; };
-  return {rate(s.median), rate(s.max), rate(s.min)};
 }
 
 /// Snapshot persistence phase: save a worked device to disk kReps times, load each save into a fresh instance, and report the median MB/s
@@ -608,12 +670,13 @@ int main(int argc, char** argv) {
   }
   run_erase_phase(opt, blocks, result);
   run_kernel_phase(opt, result);
+  if (!run_drbg_phase(opt, result)) return 1;
   run_device_phase(opt, result);
   run_snapshot_phase(opt, result);
 
   print_header("Perf baseline: voltage-domain hot paths",
-               "ns/cell program+erase+read, kernel SIMD/reference, BCH "
-               "decode MB/s, fig06 wall time.");
+               "ns/cell program+erase+read, kernel SIMD/reference, DRBG "
+               "MB/s, BCH decode MB/s, fig06 wall time.");
   print_geometry(opt);
   const auto print_spread = [](const char* name, const Spread& s) {
     std::printf("%-24s %12.2f  (min %.2f, max %.2f)\n", name, s.median, s.min,
@@ -629,6 +692,11 @@ int main(int argc, char** argv) {
                 k.simd_over_reference.median, k.simd_over_reference.min,
                 k.simd_over_reference.max);
   }
+  print_spread("DRBG MB/s", result.drbg_mbps);
+  std::printf("%-24s %12.3f  (min %.3f, max %.3f)\n", "  batched/scalar",
+              result.drbg_batched_over_scalar.median,
+              result.drbg_batched_over_scalar.min,
+              result.drbg_batched_over_scalar.max);
   std::printf("%-24s %12.2f\n", "BCH decode MB/s", result.bch_decode_mbps);
   std::printf("%-24s %12.3f\n", "fig06 wall s", result.fig06_wall_s);
   std::printf("%-24s %12.2f\n", "device read p99 us",

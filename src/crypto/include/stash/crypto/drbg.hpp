@@ -14,8 +14,26 @@
 
 namespace stash::crypto {
 
+namespace detail {
+
+/// SHA-256 counter blocks per DRBG refill.
+inline constexpr std::size_t kDrbgLanes = 16;
+
+/// out[32 l, 32 l + 32) = SHA-256(key || le64(counter + l)) for each lane
+/// l < kDrbgLanes (counter + l wraps mod 2^64): the 16 single-block
+/// compressions run side by side in one lane-parallel loop
+/// (sha256_lanes.cpp), bit-equal to 16 calls of Sha256::hash.
+void sha256_counter_blocks(const Digest256& key, std::uint64_t counter,
+                           std::uint8_t* out) noexcept;
+
+}  // namespace detail
+
 /// SHA-256 counter-mode DRBG: deterministic byte/integer stream keyed by a
 /// 32-byte seed and an arbitrary personalization string (e.g. page address).
+/// The stream is SHA-256(key || le64(counter)) for counter = 0, 1, ...,
+/// key = SHA-256(seed || personalization).  A refill draws 16 counter
+/// blocks (512 bytes) at once through detail::sha256_counter_blocks; the
+/// bytes are the same as one block at a time, only cheaper.
 class Sha256Drbg {
  public:
   Sha256Drbg(std::span<const std::uint8_t> seed, const std::string& personalization);
@@ -32,9 +50,9 @@ class Sha256Drbg {
   void refill() noexcept;
 
   Digest256 key_{};
-  std::uint64_t counter_ = 0;
-  Digest256 block_{};
-  std::size_t pos_ = 32;  // exhausted until first refill
+  std::uint64_t counter_ = 0;  // next counter block to draw
+  std::array<std::uint8_t, 32 * detail::kDrbgLanes> buffer_{};
+  std::size_t pos_ = buffer_.size();  // exhausted until first refill
 };
 
 /// The hiding user's secret key with domain-separated subkey derivation.

@@ -13,26 +13,25 @@ Sha256Drbg::Sha256Drbg(std::span<const std::uint8_t> seed,
 }
 
 void Sha256Drbg::refill() noexcept {
-  std::array<std::uint8_t, 40> input{};
-  std::memcpy(input.data(), key_.data(), key_.size());
-  for (int i = 0; i < 8; ++i) {
-    input[32 + i] = static_cast<std::uint8_t>(counter_ >> (8 * i));
-  }
-  block_ = Sha256::hash(input);
-  ++counter_;
+  detail::sha256_counter_blocks(key_, counter_, buffer_.data());
+  counter_ += detail::kDrbgLanes;
   pos_ = 0;
 }
 
 std::uint8_t Sha256Drbg::next_byte() noexcept {
-  if (pos_ == 32) refill();
-  return block_[pos_++];
+  if (pos_ == buffer_.size()) refill();
+  return buffer_[pos_++];
 }
 
 std::uint64_t Sha256Drbg::next_u64() noexcept {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v = (v << 8) | next_byte();
+  if (pos_ + 8 <= buffer_.size()) {
+    // All 8 bytes are buffered: read them big-endian in one go.
+    for (int i = 0; i < 8; ++i) v = (v << 8) | buffer_[pos_ + i];
+    pos_ += 8;
+    return v;
   }
+  for (int i = 0; i < 8; ++i) v = (v << 8) | next_byte();
   return v;
 }
 

@@ -81,7 +81,7 @@ void leak_row(std::uint64_t seed, std::uint32_t block, std::uint32_t page,
               double base, double floor_v, double sigma_ln, float* row,
               std::uint32_t cell0, std::uint32_t n) noexcept;
 
-/// Weak-cell trait mask (bit-compatible with FlashChip::cell_is_weak):
+/// Weak-cell trait mask, one detail::weak_cell (cell_ops.hpp) per cell:
 /// mask[i] = 1 iff hash_uniform(seed, block, page, cell0+i) < prob.
 void weak_mask(std::uint64_t seed, std::uint32_t block, std::uint32_t page,
                double prob, std::uint8_t* mask, std::uint32_t cell0,

@@ -293,8 +293,6 @@ class FlashChip {
                                       std::uint32_t page) const noexcept;
   [[nodiscard]] double cell_speed(std::uint32_t block, std::uint32_t page,
                                   std::uint32_t cell) const noexcept;
-  [[nodiscard]] bool cell_is_weak(std::uint32_t block, std::uint32_t page,
-                                  std::uint32_t cell) const noexcept;
   // (The per-cell leak factor lives in kernels::leak_row now — retention is
   // a stateless trait, computed where it is applied.)
 

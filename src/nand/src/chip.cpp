@@ -22,7 +22,6 @@ using util::Xoshiro256;
 // Stateless trait hashes live in stash::kernels now so the batch kernels
 // and FlashChip's sparse paths share one (bit-compatible) definition.
 using kernels::hash_normal;
-using kernels::hash_uniform;
 
 constexpr double kVmax = 255.0;
 
@@ -144,12 +143,6 @@ double FlashChip::cell_speed(std::uint32_t block, std::uint32_t page,
                              std::uint32_t cell) const noexcept {
   return 1.0 + noise_.cell_speed_sigma *
                    hash_normal(hash_words(seed_, 0x59EEDULL, block, page, cell));
-}
-
-bool FlashChip::cell_is_weak(std::uint32_t block, std::uint32_t page,
-                             std::uint32_t cell) const noexcept {
-  return hash_uniform(hash_words(seed_, 0x3EAFULL, block, page, cell)) <
-         noise_.weak_cell_prob;
 }
 
 double FlashChip::effective_speed(std::uint32_t block, std::uint32_t page,

@@ -1,14 +1,17 @@
 // Crypto substrate tests: SHA-256 / HMAC / HKDF against published vectors,
-// ChaCha20 against RFC 8439, DRBG determinism and distribution properties,
-// hiding-key derivation.
+// ChaCha20 against RFC 8439, DRBG determinism, distribution and known-answer
+// stream (the batched refill against one scalar hash per block), hiding-key
+// derivation.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "stash/crypto/chacha20.hpp"
 #include "stash/crypto/drbg.hpp"
 #include "stash/crypto/sha256.hpp"
+#include "stash/util/rng.hpp"
 
 namespace stash::crypto {
 namespace {
@@ -206,6 +209,132 @@ TEST(Sha256Drbg, FillMatchesByteStream) {
   a.fill(filled);
   for (std::uint8_t expected : filled) {
     EXPECT_EQ(expected, b.next_byte());
+  }
+}
+
+// Known answer: pins the selection stream byte for byte.  The stream is
+// SHA-256(key || le64(counter)) for counter = 0, 1, ... with key =
+// SHA-256(seed || personalization), and below() draws big-endian u64s from
+// it; the expected values were cross-checked with Python's hashlib.  A
+// refill strategy that moved one byte would move every hidden cell.
+TEST(Sha256Drbg, KnownAnswerStreamAndSelectionDraws) {
+  std::vector<std::uint8_t> seed(32);
+  for (int i = 0; i < 32; ++i) seed[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const std::string personalization = "kat/block 7/page 42";
+
+  Sha256Drbg bytes(seed, personalization);
+  std::vector<std::uint8_t> stream(2048);
+  bytes.fill(stream);
+  EXPECT_EQ(to_hex(Sha256::hash(stream)),
+            "d71ad19a574b36212ca5f6ac25f5cae3f68089d20315e2a391de307804b2c935");
+
+  // The first draws of a VT-HI selection walk over a 9024-cell page.
+  constexpr std::uint64_t kExpected[32] = {
+      7687, 5134, 3695, 8863, 6967, 6830, 4585, 5293, 7378, 8470, 6634,
+      7050, 4269, 1122, 1723, 1113, 5340, 212,  8902, 1327, 2758, 6164,
+      7058, 197,  6083, 6068, 4415, 4591, 1266, 6563, 3487, 4000};
+  Sha256Drbg draws(seed, personalization);
+  for (std::uint64_t i = 0; i < 32; ++i) {
+    EXPECT_EQ(draws.below(9024 - i), kExpected[i]) << "draw " << i;
+  }
+}
+
+/// SHA-256(key || le64(counter)), one scalar hash: the DRBG's block
+/// definition, independent of the lane-parallel refill.
+Digest256 counter_block(const Digest256& key, std::uint64_t counter) {
+  std::array<std::uint8_t, 40> msg{};
+  std::memcpy(msg.data(), key.data(), key.size());
+  for (int i = 0; i < 8; ++i) {
+    msg[32 + i] = static_cast<std::uint8_t>(counter >> (8 * i));
+  }
+  return Sha256::hash(msg);
+}
+
+TEST(Sha256Drbg, EveryLaneOfTheBatchedCompressionIsOneHash) {
+  util::Xoshiro256 rng(0x1A7E5ULL);
+  std::vector<std::uint64_t> counters = {
+      0, 1, 0xFFFFFFFFULL - 4,  // the low word wraps inside the batch
+      ~0ULL - 15};              // the last lane is counter 2^64 - 1
+  for (int i = 0; i < 6; ++i) counters.push_back(rng());
+  std::array<std::uint8_t, 32 * detail::kDrbgLanes> out{};
+  for (const std::uint64_t counter : counters) {
+    Digest256 key{};
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng());
+    detail::sha256_counter_blocks(key, counter, out.data());
+    for (std::size_t l = 0; l < detail::kDrbgLanes; ++l) {
+      const Digest256 expected = counter_block(key, counter + l);
+      EXPECT_EQ(0, std::memcmp(out.data() + 32 * l, expected.data(), 32))
+          << "counter " << counter << " lane " << l;
+    }
+  }
+}
+
+/// The first `n` bytes of the stream, one scalar hash per 32 bytes.
+std::vector<std::uint8_t> plain_stream(std::span<const std::uint8_t> seed,
+                                       const std::string& personalization,
+                                       std::size_t n) {
+  Sha256 h;
+  h.update(seed);
+  h.update(personalization);
+  const Digest256 key = h.finish();
+  std::vector<std::uint8_t> out;
+  for (std::uint64_t c = 0; out.size() < n; ++c) {
+    const Digest256 block = counter_block(key, c);
+    out.insert(out.end(), block.begin(), block.end());
+  }
+  out.resize(n);
+  return out;
+}
+
+std::uint64_t load_be64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+// Calls that start at byte offsets 505-512 straddle the 512-byte refill (or
+// start exactly on it); each must read on as if the stream were one run of
+// bytes.
+TEST(Sha256Drbg, CallsStraddlingARefillMatchThePlainStream) {
+  const std::vector<std::uint8_t> seed(32, 0x55);
+  const std::string pers = "straddle";
+  const auto stream = plain_stream(seed, pers, 4096);
+  for (std::size_t offset = 505; offset <= 512; ++offset) {
+    SCOPED_TRACE(offset);
+    const auto at_offset = [&] {
+      Sha256Drbg drbg(seed, pers);
+      for (std::size_t i = 0; i < offset; ++i) drbg.next_byte();
+      return drbg;
+    };
+
+    Sha256Drbg u64 = at_offset();
+    EXPECT_EQ(u64.next_u64(), load_be64(stream.data() + offset));
+    EXPECT_EQ(u64.next_byte(), stream[offset + 8]);
+
+    // below(n) rejects a draw at or above the largest multiple of n.
+    Sha256Drbg below = at_offset();
+    constexpr std::uint64_t kN = 9024;
+    const std::uint64_t limit = ~0ULL - (~0ULL % kN);
+    std::size_t pos = offset;
+    std::uint64_t v;
+    do {
+      v = load_be64(stream.data() + pos);
+      pos += 8;
+    } while (v >= limit);
+    EXPECT_EQ(below.below(kN), v % kN);
+    EXPECT_EQ(below.next_byte(), stream[pos]);
+
+    // Short fills straddle one refill; the long one spans two more.
+    for (const std::size_t len : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{40}, std::size_t{1100}}) {
+      Sha256Drbg fill = at_offset();
+      std::vector<std::uint8_t> got(len);
+      fill.fill(got);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                             stream.begin() + static_cast<long>(offset)))
+          << "fill of " << len;
+      EXPECT_EQ(fill.next_byte(), stream[offset + len]);
+    }
   }
 }
 
