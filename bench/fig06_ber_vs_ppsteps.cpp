@@ -151,8 +151,13 @@ int main(int argc, char** argv) {
     if (hidden.is_ok()) {
       int corrected = 0;
       const auto revealed = codec.reveal(0, &corrected);
-      std::printf("\nend-to-end coda: hide ok, reveal %s, %d bits corrected\n",
-                  revealed.is_ok() ? "ok" : "FAILED", corrected);
+      if (revealed.is_ok()) {
+        std::printf("\nend-to-end coda: hide ok, reveal ok, %d bits corrected\n",
+                    corrected);
+      } else {
+        std::printf("\nend-to-end coda: hide ok, reveal FAILED (%s)\n",
+                    revealed.status().to_string().c_str());
+      }
     } else {
       std::printf("\nend-to-end coda: hide FAILED (%s)\n",
                   hidden.status().to_string().c_str());

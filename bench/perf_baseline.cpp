@@ -5,6 +5,10 @@
 //   * ns/cell block erase     (erase_block; median of 5, ungated)
 //   * ns/cell page read      (read_page incl. read-disturb accounting)
 //   * BCH decode MB/s        (syndromes + BM + Chien + verify, errors at t/2)
+//   * BCH reject us/codeword (random words at the VT-HI production code,
+//                             t 85 over 4096 bits: what a key-only scan
+//                             pays per codeword it decodes in a block
+//                             that holds no frame; median of 5, ungated)
 //   * fig06-style wall time  (VT-HI embed/extract inner loop, one combo)
 //   * device read p99 us     (StashDevice end-to-end skewed-read tail,
 //                             exact over the reads' dev.request spans)
@@ -53,6 +57,7 @@
 #include "stash/trace/trace.hpp"
 #include "stash/util/stats.hpp"
 #include "stash/vthi/channel.hpp"
+#include "stash/vthi/config.hpp"
 
 using namespace stash;
 using namespace stash::bench;
@@ -104,6 +109,7 @@ struct PerfResult {
   Spread drbg_batched_over_scalar;  // batched time / scalar time, per rep
   double ns_per_cell_read = 0.0;
   double bch_decode_mbps = 0.0;
+  Spread bch_reject_us;
   double fig06_wall_s = 0.0;
   double device_read_p99_us = 0.0;
   Spread snapshot_save_mbps;
@@ -356,6 +362,37 @@ void run_bch_phase(const Options& opt, PerfResult& result) {
   result.bch_decode_mbps = round_bits / 8.0 / 1e6 / best_s;
   if (failures != 0) {
     std::fprintf(stderr, "warning: %zu BCH decodes failed\n", failures);
+  }
+}
+
+/// Decode uniformly random words at the VT-HI production code: each is far
+/// past the design distance, and every one must be rejected.
+void run_bch_reject_phase(const Options& opt, PerfResult& result) {
+  constexpr std::size_t kBits = 4096;  // one of a 64-page block's codewords
+  constexpr std::size_t kWords = 32;
+  const ecc::BchCode code(
+      vthi::kBchM,
+      ecc::BchCode::pick_t_for_codeword(
+          vthi::kBchM, kBits, vthi::VthiConfig{}.raw_ber_estimate));
+  util::Xoshiro256 rng(opt.seed ^ 0x4E1ECULL);
+  std::vector<std::vector<std::uint8_t>> words(
+      kWords, std::vector<std::uint8_t>(kBits));
+  for (auto& word : words) {
+    for (auto& b : word) b = static_cast<std::uint8_t>(rng() & 1);
+  }
+  const std::vector<std::span<const std::uint8_t>> batch(words.begin(),
+                                                         words.end());
+  std::size_t decoded_ok = 0;
+  std::vector<double> us;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const auto t0 = Clock::now();
+    for (const auto& d : code.decode_batch(batch)) decoded_ok += d.ok;
+    us.push_back(seconds_since(t0) * 1e6 / kWords);
+  }
+  result.bch_reject_us = spread_of(us);
+  if (decoded_ok != 0) {
+    std::fprintf(stderr, "warning: %zu random BCH words decoded\n",
+                 decoded_ok);
   }
 }
 
@@ -671,12 +708,13 @@ int main(int argc, char** argv) {
   run_erase_phase(opt, blocks, result);
   run_kernel_phase(opt, result);
   if (!run_drbg_phase(opt, result)) return 1;
+  run_bch_reject_phase(opt, result);
   run_device_phase(opt, result);
   run_snapshot_phase(opt, result);
 
   print_header("Perf baseline: voltage-domain hot paths",
                "ns/cell program+erase+read, kernel SIMD/reference, DRBG "
-               "MB/s, BCH decode MB/s, fig06 wall time.");
+               "MB/s, BCH decode MB/s and reject us, fig06 wall time.");
   print_geometry(opt);
   const auto print_spread = [](const char* name, const Spread& s) {
     std::printf("%-24s %12.2f  (min %.2f, max %.2f)\n", name, s.median, s.min,
@@ -698,6 +736,7 @@ int main(int argc, char** argv) {
               result.drbg_batched_over_scalar.min,
               result.drbg_batched_over_scalar.max);
   std::printf("%-24s %12.2f\n", "BCH decode MB/s", result.bch_decode_mbps);
+  print_spread("BCH reject us/codeword", result.bch_reject_us);
   std::printf("%-24s %12.3f\n", "fig06 wall s", result.fig06_wall_s);
   std::printf("%-24s %12.2f\n", "device read p99 us",
               result.device_read_p99_us);

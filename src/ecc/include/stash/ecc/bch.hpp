@@ -5,6 +5,13 @@
 // (~0.5% BER) about 5% parity suffices; at the enhanced 9x-capacity config
 // (~2% BER) about 14% is required.  Codewords may be shortened arbitrarily.
 //
+// A word past the design distance (a random word, a block that holds no
+// hidden frame) almost always yields a full-degree locator that does not
+// split over GF(2^m); the decoder rejects it by the split test
+// x^(2^m) == x (mod Lambda), about m * t^2 lookups, before the Chien search
+// (len * t) would.  The verdict is the Chien search's own, so every decode
+// result is unchanged.
+//
 // The decode hot loops (syndromes, Chien) run through the twin-compiled
 // kernels in bch_kernels.hpp; decode_reference() drives the scalar build of
 // the same bodies so tests can prove the SIMD build is bit-identical.  The
@@ -26,6 +33,14 @@ namespace stash::ecc {
 namespace detail {
 struct BchKernels;   // SIMD vs reference kernel function set (bch.cpp)
 struct BchScratch;   // reusable decode buffers (bch.cpp)
+
+/// The decoder's split test: x^(2^m) == x (mod lambda).  x^(2^m) - x is
+/// the product of (x - a) over every a in GF(2^m), so this holds exactly
+/// when `lambda` (low-degree-first, nonzero constant term, degree >= 1)
+/// has deg(lambda) distinct roots in the field.  Exposed so tests can
+/// check it against a brute-force root count.
+[[nodiscard]] bool locator_splits(const GaloisField& gf,
+                                  std::span<const std::uint32_t> lambda);
 }  // namespace detail
 
 class BchCode {

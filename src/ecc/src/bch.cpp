@@ -28,8 +28,76 @@ struct BchScratch {
   std::vector<std::uint8_t> packed;
   std::vector<std::uint32_t> syn;
   std::vector<std::uint32_t> positions;
+  // Berlekamp-Massey registers: the locator, the locator before the last
+  // length change, and the copy a length change saves.
+  std::vector<std::uint32_t> lambda;
+  std::vector<std::uint32_t> prev;
+  std::vector<std::uint32_t> next;
+  // Split test: x^(2^i) mod Lambda and the logs of the monic Lambda.
+  std::vector<std::uint32_t> residue;
+  std::vector<std::uint32_t> monic_log;
+  std::vector<std::uint32_t> monic_mask;
   bchk::ChienState chien;
 };
+
+/// detail::locator_splits by m squarings of x mod lambda (degree d): about
+/// m * d^2 table lookups, against len * d for the Chien search it stands
+/// in front of.
+bool locator_splits(const GaloisField& gf,
+                    std::span<const std::uint32_t> lambda,
+                    BchScratch& scratch) {
+  const std::size_t d = lambda.size() - 1;
+  if (d == 1) return true;  // the one root is -lambda_0 / lambda_1 != 0
+  const int n = gf.n();
+  const int log_lead = gf.log(lambda[d]);
+  // Reducing subtracts c * x^(k-d) * monic(lambda) for each coefficient c
+  // of degree k >= d; the mask drops absent coefficients without a branch.
+  std::vector<std::uint32_t>& monic_log = scratch.monic_log;
+  std::vector<std::uint32_t>& mask = scratch.monic_mask;
+  monic_log.resize(d);
+  mask.resize(d);
+  for (std::size_t j = 0; j < d; ++j) {
+    const bool present = lambda[j] != 0;
+    monic_log[j] = present ? static_cast<std::uint32_t>(
+                                 (gf.log(lambda[j]) - log_lead + n) % n)
+                           : 0;
+    mask[j] = present ? ~0u : 0u;
+  }
+
+  // r = x (degree 1 < d), squared m times; each square has degree at most
+  // 2d - 2 and is reduced back below d.
+  std::vector<std::uint32_t>& r = scratch.residue;
+  r.assign(2 * d - 1, 0);
+  r[1] = 1;
+  for (int i = 0; i < gf.m(); ++i) {
+    // (sum r_j x^j)^2 = sum r_j^2 x^(2j) in characteristic 2.  Walking j
+    // down writes only indices >= j, so every source is read first.
+    for (std::size_t j = d; j-- > 0;) {
+      const std::uint32_t c = r[j];
+      r[2 * j] = c != 0 ? gf.antilog(2 * gf.log(c)) : 0;
+      if (j > 0) r[2 * j - 1] = 0;
+    }
+    for (std::size_t k = 2 * d - 2; k >= d; --k) {
+      const std::uint32_t c = r[k];
+      if (c == 0) continue;
+      const std::uint32_t lc = static_cast<std::uint32_t>(gf.log(c));
+      std::uint32_t* low = r.data() + (k - d);
+      for (std::size_t j = 0; j < d; ++j) {
+        low[j] ^= gf.antilog(static_cast<int>(lc + monic_log[j])) & mask[j];
+      }
+    }
+  }
+  for (std::size_t j = 0; j < d; ++j) {
+    if (r[j] != (j == 1 ? 1u : 0u)) return false;
+  }
+  return true;
+}
+
+bool locator_splits(const GaloisField& gf,
+                    std::span<const std::uint32_t> lambda) {
+  BchScratch scratch;
+  return locator_splits(gf, lambda, scratch);
+}
 
 }  // namespace detail
 
@@ -269,8 +337,12 @@ BchCode::DecodeResult BchCode::decode_with(
   }
 
   // Berlekamp-Massey: find the minimal error-locator polynomial Lambda(x).
-  std::vector<std::uint32_t> lambda = {1};
-  std::vector<std::uint32_t> prev = {1};
+  // The three registers live in the scratch, so a batch allocates them once.
+  std::vector<std::uint32_t>& lambda = scratch.lambda;
+  std::vector<std::uint32_t>& prev = scratch.prev;
+  std::vector<std::uint32_t>& next = scratch.next;
+  lambda.assign(1, 1);
+  prev.assign(1, 1);
   int l = 0;
   int shift = 1;
   std::uint32_t prev_delta = 1;
@@ -285,26 +357,27 @@ BchCode::DecodeResult BchCode::decode_with(
       ++shift;
       continue;
     }
-    // lambda' = lambda - (delta/prev_delta) * x^shift * prev
-    std::vector<std::uint32_t> next = lambda;
+    // lambda' = lambda - (delta/prev_delta) * x^shift * prev, in place; a
+    // length change first saves the old lambda, which becomes prev.
+    const bool lengthen = 2 * l <= step;
+    if (lengthen) next.assign(lambda.begin(), lambda.end());
     const std::uint32_t coef = gf_.div(delta, prev_delta);
-    if (next.size() < prev.size() + static_cast<std::size_t>(shift)) {
-      next.resize(prev.size() + static_cast<std::size_t>(shift), 0);
+    if (lambda.size() < prev.size() + static_cast<std::size_t>(shift)) {
+      lambda.resize(prev.size() + static_cast<std::size_t>(shift), 0);
     }
     for (std::size_t i = 0; i < prev.size(); ++i) {
-      next[i + static_cast<std::size_t>(shift)] =
-          gf_.add(next[i + static_cast<std::size_t>(shift)],
+      lambda[i + static_cast<std::size_t>(shift)] =
+          gf_.add(lambda[i + static_cast<std::size_t>(shift)],
                   gf_.mul(coef, prev[i]));
     }
-    if (2 * l <= step) {
-      prev = lambda;
+    if (lengthen) {
+      prev.swap(next);
       prev_delta = delta;
       l = step + 1 - l;
       shift = 1;
     } else {
       ++shift;
     }
-    lambda = std::move(next);
   }
 
   // Trim trailing zeros; degree must equal the claimed error count.
@@ -312,6 +385,13 @@ BchCode::DecodeResult BchCode::decode_with(
   const int nu = static_cast<int>(lambda.size()) - 1;
   if (nu > t_ || nu != l) {
     return result;  // more errors than the design distance supports
+  }
+  // A word past the design distance almost always ends here with a
+  // full-degree locator that does not split into nu distinct roots.  The
+  // Chien search below could then find fewer than nu of them and fail;
+  // the split test reaches the same verdict at a fraction of the cost.
+  if (nu == t_ && !detail::locator_splits(gf_, lambda, scratch)) {
+    return result;
   }
 
   // Chien search restricted to transmitted degrees [0, len): an error at

@@ -53,10 +53,14 @@ class VthiCodec {
                                 std::span<const std::uint8_t> payload);
 
   /// Recover and authenticate the hidden payload of `block`.  When
-  /// `corrected_bits` is non-null it receives the number of raw channel
-  /// errors the ECC repaired — the health metric a refresh policy watches.
+  /// `corrected_bits` is non-null and the reveal succeeds, it receives the
+  /// number of raw channel errors the ECC repaired — the health metric a
+  /// refresh policy watches; after a failure its value has no meaning.
   /// On decode failure the hidden reference is shifted and the block
-  /// re-read, up to kMaxReadRetries times.
+  /// re-read, up to kMaxReadRetries times.  Each attempt decodes the
+  /// codeword that holds the frame's length field first and stops with
+  /// kAuthFailure when the length is out of bounds, which is how almost
+  /// every block without a frame (a wrong key, a non-carrier) fails.
   util::Result<std::vector<std::uint8_t>> reveal(std::uint32_t block,
                                                  int* corrected_bits = nullptr);
 
@@ -97,7 +101,9 @@ class VthiCodec {
       std::uint32_t block, std::span<const std::uint8_t> payload,
       std::size_t data_bits) const;
 
-  /// One decode pass at a given hidden read reference.
+  /// One decode pass at a given hidden read reference: extract every
+  /// hidden page, then decode the length field's codeword, check the
+  /// length, and decode the rest.
   util::Result<std::vector<std::uint8_t>> reveal_at(std::uint32_t block,
                                                     double vth,
                                                     int* corrected_bits);

@@ -246,8 +246,6 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
     coded[i] = page_bits[i % pages.size()][i / pages.size()];
   }
 
-  // BCH-decode the block's codewords in one batched sweep: the kernel
-  // scratch and syndrome tables are walked once for all of them.
   std::vector<std::uint8_t> data_bits;
   data_bits.reserve(lay.data_bits);
   const std::uint32_t cw = lay.codewords;
@@ -265,50 +263,63 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
     data_lens.push_back(data_len);
     offset += cw_len;
   }
-  std::vector<ecc::BchCode::DecodeResult> decoded;
+  // BCH-decode codewords [done, end) in one batched sweep (the kernel
+  // scratch and syndrome tables are walked once for all of them) and
+  // append their data bits.
+  std::size_t done = 0;
+  const auto decode_to = [&](std::size_t end) {
+    const auto decoded = bch_.decode_batch(
+        std::span(codewords).subspan(done, end - done));
+    for (const auto& d : decoded) {
+      if (d.ok) {
+        if (corrected_bits) *corrected_bits += d.corrected;
+        data_bits.insert(data_bits.end(), d.data_bits.begin(),
+                         d.data_bits.end());
+      } else {
+        // Best effort: keep the raw systematic part; the MAC will tell us
+        // whether it happened to survive.
+        data_bits.insert(data_bits.end(), codewords[done].begin(),
+                         codewords[done].begin() +
+                             static_cast<long>(data_lens[done]));
+      }
+      ++done;
+    }
+  };
+
+  // Parse the frame: decrypt length, check bounds, verify MAC, decrypt.
+  // Length first: the length field sits in the first codeword's data bits,
+  // and a block that holds no frame (each non-carrier a key-only scan
+  // visits) fails the bounds check almost surely, so the other codewords
+  // are decoded only once it passes.  Either way one ecc.decode span
+  // covers the block's whole coded length.
+  const std::size_t frame_bytes = lay.data_bits / 8;
+  const auto cipher_key = key_.cipher_key();
+  const auto nonce = block_nonce(block);
+  std::uint32_t len = 0;
   {
     trace::ScopedSpan span(trace::Stage::kEccDecode, trace::Op::kExtract,
                            block, (offset + 7) / 8);
-    decoded = bch_.decode_batch(codewords);
-  }
-  for (std::uint32_t c = 0; c < cw; ++c) {
-    if (decoded[c].ok) {
-      if (corrected_bits) *corrected_bits += decoded[c].corrected;
-      data_bits.insert(data_bits.end(), decoded[c].data_bits.begin(),
-                       decoded[c].data_bits.end());
-    } else {
-      // Best effort: keep the raw systematic part; the MAC will tell us
-      // whether it happened to survive.
-      data_bits.insert(data_bits.end(), codewords[c].begin(),
-                       codewords[c].begin() +
-                           static_cast<long>(data_lens[c]));
+    if (frame_bytes < kLenBytes + kMacBytes) {
+      return Status{ErrorCode::kCorrupted, "frame too small"};
     }
+    while (data_bits.size() < kLenBytes * 8) decode_to(done + 1);
+    auto len_bytes = util::bits_to_bytes(
+        std::span<const std::uint8_t>(data_bits.data(), kLenBytes * 8));
+    crypto::ChaCha20 len_cipher(cipher_key, nonce);
+    len_cipher.apply(len_bytes);
+    for (int i = 3; i >= 0; --i) {
+      len = (len << 8) | len_bytes[static_cast<std::size_t>(i)];
+    }
+    if (len > capacity_bytes() || kLenBytes + len + kMacBytes > frame_bytes) {
+      return Status{ErrorCode::kAuthFailure,
+                    "hidden frame length invalid (wrong key or data loss)"};
+    }
+    decode_to(cw);
   }
 
   const auto bytes = util::bits_to_bytes(
-      std::span<const std::uint8_t>(data_bits.data(),
-                                    data_bits.size() - data_bits.size() % 8));
-
-  // Parse the frame: decrypt length, check bounds, verify MAC, decrypt.
-  if (bytes.size() < kLenBytes + kMacBytes) {
-    return Status{ErrorCode::kCorrupted, "frame too small"};
-  }
-  const auto cipher_key = key_.cipher_key();
-  const auto nonce = block_nonce(block);
-
-  std::vector<std::uint8_t> len_bytes(bytes.begin(), bytes.begin() + kLenBytes);
-  crypto::ChaCha20 len_cipher(cipher_key, nonce);
-  len_cipher.apply(len_bytes);
-  std::uint32_t len = 0;
-  for (int i = 3; i >= 0; --i) {
-    len = (len << 8) | len_bytes[static_cast<std::size_t>(i)];
-  }
+      std::span<const std::uint8_t>(data_bits.data(), frame_bytes * 8));
   const std::size_t mac_off = kLenBytes + len;
-  if (len > capacity_bytes() || mac_off + kMacBytes > bytes.size()) {
-    return Status{ErrorCode::kAuthFailure,
-                  "hidden frame length invalid (wrong key or data loss)"};
-  }
-
   const auto tag =
       frame_tag(key_, block, std::span<const std::uint8_t>(bytes.data(), mac_off));
   const std::span<const std::uint8_t> stored(bytes.data() + mac_off,

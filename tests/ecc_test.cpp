@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "stash/crypto/sha256.hpp"
 #include "stash/ecc/bch.hpp"
 #include "stash/ecc/gf.hpp"
 #include "stash/ecc/parity.hpp"
@@ -296,6 +297,78 @@ void expect_same_result(const BchCode::DecodeResult& simd,
   EXPECT_EQ(simd.data_bits, ref.data_bits) << what;
 }
 
+/// Seeded decode inputs for one code at codeword length `len`: `random`
+/// uniformly random words, then `reps` noisy codewords at every weight
+/// 0..t+3 (distinct flips, so past t they exercise the failure paths).
+std::vector<std::vector<std::uint8_t>> known_answer_words(const BchCode& code,
+                                                          std::size_t len,
+                                                          int random, int reps,
+                                                          std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<std::uint8_t>> words;
+  for (int i = 0; i < random; ++i) {
+    std::vector<std::uint8_t> word(len);
+    for (auto& b : word) b = static_cast<std::uint8_t>(rng() & 1);
+    words.push_back(std::move(word));
+  }
+  for (int w = 0; w <= code.t() + 3; ++w) {
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<std::uint8_t> data(len - code.parity_bits());
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
+      auto cw = code.encode(data);
+      std::vector<std::size_t> hit;
+      while (static_cast<int>(hit.size()) < w) {
+        const auto p = static_cast<std::size_t>(rng.below(cw.size()));
+        if (std::find(hit.begin(), hit.end(), p) == hit.end()) {
+          hit.push_back(p);
+          cw[p] ^= 1;
+        }
+      }
+      words.push_back(std::move(cw));
+    }
+  }
+  return words;
+}
+
+TEST(Bch, KnownAnswerDecodes) {
+  // SHA-256 over (ok, corrected, data_bits) of every decode: any change to
+  // the decoder that moves a single result, including which words fail,
+  // moves the digest.  The VT-HI production code (4096-bit codewords) and
+  // perf_baseline's (t 12, full length).
+  struct Case {
+    int t;
+    std::size_t len;  // 0 = the full length n
+    const char* digest;
+  };
+  for (const Case& c :
+       {Case{85, 4096,
+            "da14b82dfb3d736582f00186a747bd3fd35972461c9428fee3c91ff6ddb476f9"},
+        Case{12, 0,
+             "41d78e13d634cb3b5a0a6ecccd39af0494c967eb59ead5a1eacb8c0eba552e77"}}) {
+    const BchCode code(13, c.t);
+    const std::size_t len = c.len ? c.len : code.n();
+    const auto words = known_answer_words(code, len, 24, c.t > 20 ? 1 : 3,
+                                          0x4B41ULL + static_cast<std::uint64_t>(c.t));
+    std::vector<std::span<const std::uint8_t>> views(words.begin(), words.end());
+    const auto results = code.decode_batch(views);
+    crypto::Sha256 h;
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      expect_same_result(results[i], code.decode_reference(words[i]),
+                         "t=" + std::to_string(c.t) + " i=" + std::to_string(i));
+      const auto corrected = static_cast<std::uint32_t>(results[i].corrected);
+      const std::uint8_t head[5] = {
+          static_cast<std::uint8_t>(results[i].ok),
+          static_cast<std::uint8_t>(corrected),
+          static_cast<std::uint8_t>(corrected >> 8),
+          static_cast<std::uint8_t>(corrected >> 16),
+          static_cast<std::uint8_t>(corrected >> 24)};
+      h.update(head);
+      h.update(results[i].data_bits);
+    }
+    EXPECT_EQ(crypto::to_hex(h.finish()), c.digest) << "t=" << c.t;
+  }
+}
+
 TEST(BchSimdVsReference, EveryErrorWeightZeroToT) {
   // Both the mid-size and the device-size field; every weight w in 0..t,
   // several random placements each.
@@ -350,27 +423,40 @@ TEST(BchSimdVsReference, EverySingleBitFlipPosition) {
 
 TEST(BchSimdVsReference, RandomWeightTPatterns) {
   // Full correction budget: t errors is where the Berlekamp-Massey and
-  // Chien paths do the most work.
-  BchCode code(13, 8);
-  Xoshiro256 rng(0xfeedULL);
-  for (int trial = 0; trial < 16; ++trial) {
-    std::vector<std::uint8_t> data(3000);
-    for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
-    auto cw = code.encode(data);
-    std::vector<std::size_t> hit;
-    while (static_cast<int>(hit.size()) < code.t()) {
-      const auto p = static_cast<std::size_t>(rng.below(cw.size()));
-      if (std::find(hit.begin(), hit.end(), p) == hit.end()) {
-        hit.push_back(p);
-        cw[p] ^= 1;
+  // Chien paths do the most work, and a full-degree locator with t
+  // distinct roots in range must pass the split test.  Besides t 8, the
+  // VT-HI production code (t 85, 4096 bits) and perf_baseline's (t 12,
+  // full length), each with both ends of the word hit.
+  struct Case {
+    int t;
+    std::size_t len;  // codeword bits
+  };
+  for (const Case& c : {Case{8, 3000 + 8 * 13}, Case{85, 4096}, Case{12, 8191}}) {
+    BchCode code(13, c.t);
+    ASSERT_LE(c.len, code.n());
+    Xoshiro256 rng(0xfeedULL);
+    for (int trial = 0; trial < (c.t > 20 ? 4 : 16); ++trial) {
+      std::vector<std::uint8_t> data(c.len - code.parity_bits());
+      for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
+      auto cw = code.encode(data);
+      std::vector<std::size_t> hit;
+      if (c.t != 8) hit = {0, cw.size() - 1};
+      for (const std::size_t p : hit) cw[p] ^= 1;
+      while (static_cast<int>(hit.size()) < code.t()) {
+        const auto p = static_cast<std::size_t>(rng.below(cw.size()));
+        if (std::find(hit.begin(), hit.end(), p) == hit.end()) {
+          hit.push_back(p);
+          cw[p] ^= 1;
+        }
       }
+      const auto simd = code.decode(cw);
+      const auto ref = code.decode_reference(cw);
+      expect_same_result(simd, ref, "t=" + std::to_string(c.t) +
+                                        " trial=" + std::to_string(trial));
+      ASSERT_TRUE(simd.ok);
+      EXPECT_EQ(simd.corrected, code.t());
+      EXPECT_EQ(simd.data_bits, data);
     }
-    const auto simd = code.decode(cw);
-    const auto ref = code.decode_reference(cw);
-    expect_same_result(simd, ref, "trial=" + std::to_string(trial));
-    ASSERT_TRUE(simd.ok);
-    EXPECT_EQ(simd.corrected, code.t());
-    EXPECT_EQ(simd.data_bits, data);
   }
 }
 
@@ -463,6 +549,279 @@ TEST(BchSimdVsReference, ConcurrentBatchesShareOneCode) {
                              " i=" + std::to_string(i));
     }
   }
+}
+
+// ---------------- Split test before the Chien search ----------------
+//
+// A full-degree locator is rejected when x^(2^m) != x (mod Lambda), i.e.
+// when it has fewer than deg(Lambda) distinct roots in GF(2^m).  These
+// tests hold detail::locator_splits to a brute-force root count over every
+// field element, and hold the decoder to the same verdicts as before: a
+// locator that splits still reaches the Chien search (weight-t words in
+// range are BchSimdVsReference.RandomWeightTPatterns).
+
+/// Distinct roots of `poly` among the nonzero elements of GF(2^m).
+int brute_force_roots(const GaloisField& gf,
+                      const std::vector<std::uint32_t>& poly) {
+  int roots = 0;
+  for (int e = 0; e < gf.n(); ++e) {
+    roots += gf.eval_poly(poly, gf.alpha_pow(e)) == 0;
+  }
+  return roots;
+}
+
+/// Product of (1 + alpha^d x) over `degrees`: the locator of errors at
+/// those codeword degrees.
+std::vector<std::uint32_t> locator_of(const GaloisField& gf,
+                                      const std::vector<int>& degrees) {
+  std::vector<std::uint32_t> poly = {1};
+  for (const int d : degrees) {
+    std::vector<std::uint32_t> next(poly.size() + 1, 0);
+    for (std::size_t i = 0; i < poly.size(); ++i) {
+      next[i] ^= poly[i];
+      next[i + 1] ^= gf.mul(poly[i], gf.alpha_pow(d));
+    }
+    poly = std::move(next);
+  }
+  return poly;
+}
+
+std::vector<std::uint32_t> poly_times(const GaloisField& gf,
+                                      const std::vector<std::uint32_t>& a,
+                                      const std::vector<std::uint32_t>& b) {
+  std::vector<std::uint32_t> out(a.size() + b.size() - 1, 0);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    for (std::size_t j = 0; j < b.size(); ++j) out[i + j] ^= gf.mul(a[i], b[j]);
+  }
+  return out;
+}
+
+/// `count` distinct degrees in [0, limit).
+std::vector<int> distinct_degrees(Xoshiro256& rng, int count, int limit) {
+  std::vector<int> out;
+  while (static_cast<int>(out.size()) < count) {
+    const int d = static_cast<int>(rng.below(static_cast<std::uint64_t>(limit)));
+    if (std::find(out.begin(), out.end(), d) == out.end()) out.push_back(d);
+  }
+  return out;
+}
+
+/// The c of the first irreducible 1 + x + c x^2 over GF(2^m) (no roots).
+std::uint32_t irreducible_quadratic_c(const GaloisField& gf) {
+  for (std::uint32_t c = 1;; ++c) {
+    if (brute_force_roots(gf, {1, 1, c}) == 0) return c;
+  }
+}
+
+TEST(BchSplitTest, AgreesWithABruteForceRootCount) {
+  const GaloisField gf(13);
+  Xoshiro256 rng(0x501177ULL);
+  const std::uint32_t c = irreducible_quadratic_c(gf);
+  for (const int deg : {2, 3, 5, 12, 85}) {
+    // deg distinct roots: splits.
+    const auto split = locator_of(gf, distinct_degrees(rng, deg, gf.n()));
+    EXPECT_EQ(brute_force_roots(gf, split), deg);
+    EXPECT_TRUE(detail::locator_splits(gf, split)) << "deg=" << deg;
+
+    // A repeated root: deg - 1 distinct roots.
+    auto degrees = distinct_degrees(rng, deg - 1, gf.n());
+    degrees.push_back(degrees.front());
+    const auto repeated = locator_of(gf, degrees);
+    EXPECT_EQ(brute_force_roots(gf, repeated), deg - 1);
+    EXPECT_FALSE(detail::locator_splits(gf, repeated)) << "deg=" << deg;
+
+    // An irreducible quadratic factor: deg - 2 roots in the field.
+    const auto quadratic = poly_times(
+        gf, {1, 1, c}, locator_of(gf, distinct_degrees(rng, deg - 2, gf.n())));
+    EXPECT_EQ(brute_force_roots(gf, quadratic), deg - 2);
+    EXPECT_FALSE(detail::locator_splits(gf, quadratic)) << "deg=" << deg;
+  }
+  // Random locators (constant term 1, nonzero leading term): low degrees
+  // split often enough to exercise both verdicts, deg 85 almost never.
+  int splits = 0;
+  int rejects = 0;
+  for (const int deg : {1, 2, 3, 4, 85}) {
+    for (int rep = 0; rep < (deg > 4 ? 4 : 40); ++rep) {
+      std::vector<std::uint32_t> poly(static_cast<std::size_t>(deg) + 1);
+      for (auto& coef : poly) {
+        coef = static_cast<std::uint32_t>(
+            rng.below(static_cast<std::uint64_t>(gf.n()) + 1));
+      }
+      poly.front() = 1;
+      if (poly.back() == 0) poly.back() = 1;
+      const int roots = brute_force_roots(gf, poly);
+      EXPECT_EQ(detail::locator_splits(gf, poly), roots == deg)
+          << "deg=" << deg << " rep=" << rep;
+      (roots == deg ? splits : rejects) += 1;
+    }
+  }
+  EXPECT_GT(splits, 40);
+  EXPECT_GT(rejects, 40);
+}
+
+TEST(BchSplitTest, ASplitLocatorWithARootPastTheLengthStillFails) {
+  // Syndromes of t errors, one of them at a degree past the shortened
+  // length: the locator splits, so only the Chien search (which scans
+  // [0, len)) can reject it, finding t - 1 roots.  x^p's syndromes are
+  // those of x^p mod g, which is the parity of a unit message at degree p.
+  const int t = 85;
+  const std::size_t len = 4096;
+  const int p = 6000;
+  const BchCode code(13, t);
+  const GaloisField gf(13);
+  const std::size_t r = code.parity_bits();
+  std::vector<std::uint8_t> unit(static_cast<std::size_t>(p) + 1 - r, 0);
+  unit.front() = 1;  // index 0 of a (p + 1)-bit codeword is degree p
+  const auto x_p = code.encode(unit);
+
+  Xoshiro256 rng(0xfa57ULL);
+  std::vector<std::uint8_t> data(len - r);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng() & 1);
+  auto cw = code.encode(data);
+  std::vector<int> degrees = distinct_degrees(rng, t - 1, static_cast<int>(len));
+  for (const int d : degrees) cw[len - 1 - static_cast<std::size_t>(d)] ^= 1;
+  for (std::size_t i = 0; i < r; ++i) cw[len - r + i] ^= x_p[x_p.size() - r + i];
+  degrees.push_back(p);
+
+  const auto locator = locator_of(gf, degrees);
+  ASSERT_TRUE(detail::locator_splits(gf, locator));
+  const auto decoded = code.decode(cw);
+  EXPECT_FALSE(decoded.ok);
+  expect_same_result(decoded, code.decode_reference(cw), "root past len");
+
+  // The same errors with the last one moved inside the range decode.
+  for (std::size_t i = 0; i < r; ++i) cw[len - r + i] ^= x_p[x_p.size() - r + i];
+  int inside = 0;
+  while (std::find(degrees.begin(), degrees.end(), inside) != degrees.end()) {
+    ++inside;
+  }
+  cw[len - 1 - static_cast<std::size_t>(inside)] ^= 1;
+  const auto repaired = code.decode(cw);
+  ASSERT_TRUE(repaired.ok);
+  EXPECT_EQ(repaired.corrected, t);
+  EXPECT_EQ(repaired.data_bits, data);
+}
+
+/// A word whose syndromes have the locator (1 + x + c x^2) times the
+/// locator of errors at `degrees`: power sums of the inverse roots, the
+/// pair of them being beta = y and beta' = y + 1 in GF(2^m)[y] /
+/// (y^2 + y + c).  The pair contributes beta^j + beta'^j, the
+/// y-coefficient of y^j, and a GF(2) solve over the parity degrees finds
+/// a word with those syndromes.  When 1 + x + c x^2 is irreducible, beta
+/// lies in GF(2^2m) and the locator has two roots outside the field.
+std::vector<std::uint8_t> quadratic_factor_word(const BchCode& code,
+                                                std::uint32_t c,
+                                                const std::vector<int>& degrees,
+                                                std::vector<std::uint8_t> cw) {
+  const GaloisField gf(code.m());
+  const int m = code.m();
+  const int t = code.t();
+  const std::size_t r = code.parity_bits();
+  const std::size_t len = cw.size();
+  // Odd syndromes S_1, S_3, ..., S_(2t-1) as m*t bits.
+  const auto syndrome_bits = [&](const std::vector<std::uint32_t>& syn) {
+    std::vector<std::uint8_t> bits;
+    for (const std::uint32_t s : syn) {
+      for (int b = 0; b < m; ++b) bits.push_back((s >> b) & 1);
+    }
+    return bits;
+  };
+  std::vector<std::uint32_t> pair_syn;
+  std::uint32_t a = 0, b = 1;  // y^1 = 0 + 1 * y
+  for (int j = 1; j <= 2 * t - 1; ++j) {
+    if (j % 2 == 1) pair_syn.push_back(b);
+    // y^(j+1) = y (a + b y) = b c + (a + b) y
+    const std::uint32_t next_a = gf.mul(b, c);
+    b ^= a;
+    a = next_a;
+  }
+  const auto target = syndrome_bits(pair_syn);
+
+  // Gauss-Jordan on sum_i w_i * syndromes(x^i) = target, i < r.
+  std::vector<std::vector<std::uint8_t>> rows(target.size(),
+                                              std::vector<std::uint8_t>(r + 1));
+  for (std::size_t i = 0; i < r; ++i) {
+    std::vector<std::uint32_t> syn;
+    for (int k = 0; k < t; ++k) {
+      syn.push_back(gf.alpha_pow((2 * k + 1) * static_cast<int>(i)));
+    }
+    const auto col = syndrome_bits(syn);
+    for (std::size_t e = 0; e < rows.size(); ++e) rows[e][i] = col[e];
+  }
+  for (std::size_t e = 0; e < rows.size(); ++e) rows[e][r] = target[e];
+  for (std::size_t col = 0; col < r; ++col) {
+    std::size_t pivot = col;
+    while (pivot < rows.size() && rows[pivot][col] == 0) ++pivot;
+    if (pivot == rows.size()) throw std::logic_error("singular syndrome map");
+    std::swap(rows[col], rows[pivot]);
+    for (std::size_t e = 0; e < rows.size(); ++e) {
+      if (e != col && rows[e][col]) {
+        for (std::size_t k = col; k <= r; ++k) rows[e][k] ^= rows[col][k];
+      }
+    }
+  }
+  for (const int d : degrees) cw[len - 1 - static_cast<std::size_t>(d)] ^= 1;
+  for (std::size_t i = 0; i < r; ++i) cw[len - 1 - i] ^= rows[i][r];
+  return cw;
+}
+
+TEST(BchSplitTest, AnIrreducibleQuadraticFactorFailsTheDecode) {
+  // A small t keeps the GF(2) solve cheap; the split test runs for any t.
+  // Full length, so every degree in the field is inside the word.
+  const int t = 6;
+  const BchCode code(13, t);
+  const GaloisField gf(13);
+  const std::size_t len = code.n();
+  ASSERT_EQ(code.parity_bits(), static_cast<std::size_t>(gf.m() * t));
+  Xoshiro256 rng(0x9a1dULL);
+  std::vector<std::uint8_t> data(len - code.parity_bits());
+  for (auto& bit : data) bit = static_cast<std::uint8_t>(rng() & 1);
+  const auto clean = code.encode(data);
+  const auto degrees = distinct_degrees(rng, t - 2, static_cast<int>(len));
+
+  const std::uint32_t irreducible = irreducible_quadratic_c(gf);
+  const auto locator =
+      poly_times(gf, {1, 1, irreducible}, locator_of(gf, degrees));
+  ASSERT_EQ(static_cast<int>(locator.size()) - 1, t);
+  ASSERT_EQ(brute_force_roots(gf, locator), t - 2);
+  ASSERT_FALSE(detail::locator_splits(gf, locator));
+  const auto word = quadratic_factor_word(code, irreducible, degrees, clean);
+  const auto decoded = code.decode(word);
+  EXPECT_FALSE(decoded.ok);
+  expect_same_result(decoded, code.decode_reference(word), "irreducible");
+
+  // Control: with a quadratic that splits, the pair is two errors inside
+  // the field (at degrees e with y = alpha^e a root of y^2 + y + c) and
+  // the same construction decodes as t errors.
+  const auto pair_degrees = [&](std::uint32_t c) {
+    std::vector<int> out;
+    for (int e = 0; e < gf.n(); ++e) {
+      const std::uint32_t y = gf.alpha_pow(e);
+      if ((gf.mul(y, y) ^ y ^ c) == 0) out.push_back(e);
+    }
+    return out;
+  };
+  std::uint32_t split = 1;
+  for (;; ++split) {
+    const auto pair = pair_degrees(split);
+    if (pair.size() == 2 &&
+        std::find_first_of(pair.begin(), pair.end(), degrees.begin(),
+                           degrees.end()) == pair.end()) {
+      break;
+    }
+  }
+  const auto control = code.decode(
+      quadratic_factor_word(code, split, degrees, clean));
+  ASSERT_TRUE(control.ok);
+  EXPECT_EQ(control.corrected, t);
+  // The syndromes place the pair's errors at its own degrees, so the
+  // decoder flips those bits rather than undoing the parity-range word.
+  auto expected = data;
+  for (const int e : pair_degrees(split)) {
+    const std::size_t j = len - 1 - static_cast<std::size_t>(e);
+    if (j < expected.size()) expected[j] ^= 1;
+  }
+  EXPECT_EQ(control.data_bits, expected);
 }
 
 // ---------------- Parity stripe ----------------

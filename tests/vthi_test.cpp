@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "stash/nand/chip.hpp"
+#include "stash/trace/trace.hpp"
 #include "stash/util/bitvec.hpp"
 #include "stash/vthi/codec.hpp"
 
@@ -387,6 +388,49 @@ TEST(Codec, RevealOnBlockWithoutHiddenDataFails) {
   (void)chip.program_block_random(5, 14);
   VthiCodec codec(chip, test_key());
   EXPECT_FALSE(codec.reveal(5).is_ok());
+}
+
+TEST(Codec, RevealOfANonCarrierBlockWalksTheWholeRetryLadder) {
+  // A key-only scan rejects every block that holds no frame.  The reject
+  // must still read every hidden page on every rung of the read-retry
+  // ladder and report one BCH decode per rung (over the block's whole
+  // coded length), whatever the decode skips inside it.
+  FlashChip chip(Geometry{}, NoiseModel::vendor_a(), 78);
+  (void)chip.program_block_random(2, 16);
+  VthiCodec codec(chip, test_key());
+  const auto pages = codec.hidden_pages().size();
+  ASSERT_EQ(pages, 32u);
+
+  auto& tracer = trace::Tracer::global();
+  tracer.disable();
+  tracer.clear();
+  tracer.enable(trace::ClockMode::kVirtual);
+  const auto revealed = [&] {
+    const trace::ContextGuard guard(trace::make_root(
+        1, trace::Stage::kDevRequest, trace::Op::kExtract, 2));
+    return codec.reveal(2);
+  }();
+  tracer.disable();
+  const auto spans = tracer.collect();
+  tracer.clear();
+
+  ASSERT_FALSE(revealed.is_ok());
+  EXPECT_EQ(revealed.status().code(), ErrorCode::kAuthFailure);
+  EXPECT_EQ(revealed.status().message(),
+            "hidden frame length invalid (wrong key or data loss)");
+  std::size_t probes = 0;
+  std::size_t decodes = 0;
+  for (const trace::SpanRecord& span : spans) {
+    if (span.stage == trace::Stage::kNandProbe) ++probes;
+    if (span.stage == trace::Stage::kEccDecode) {
+      ++decodes;
+      EXPECT_EQ(span.key, 2u);
+      EXPECT_EQ(span.bytes, pages * 256 / 8);
+    }
+  }
+  constexpr std::size_t kRungs = 1 + kMaxReadRetries;
+  EXPECT_EQ(probes, pages * kRungs);
+  EXPECT_EQ(decodes, kRungs);
 }
 
 TEST(Codec, EraseDestroysHiddenData) {
