@@ -215,10 +215,13 @@ class StashDevice {
   /// Attach `injector` to every chip of the array (nullptr detaches).
   void set_fault_injector(nand::FaultInjector* injector) noexcept;
   /// Simulated reboot after a power cut: volatile state (write-back
-  /// buffer, read cache, queued requests) is gone.  Queued requests
-  /// resolve with kPowerLoss; acked-unflushed writes are recorded in
-  /// lost_writes() — reported lost, never silently dropped.  Call after
-  /// restoring power on the fault plan.
+  /// buffer, read cache, queued requests, each volume's carrier set and
+  /// rescued hidden chunks) is gone.  Queued requests resolve with
+  /// kPowerLoss; acked-unflushed writes are recorded in lost_writes() and
+  /// rescued chunks that had no new carrier yet in the volume's
+  /// lost_chunks — reported lost, never silently dropped.  The next hidden
+  /// operation (or GC) finds the carriers by key.  Call after restoring
+  /// power on the fault plan.
   Status power_cycle();
   /// LPNs of acknowledged writes lost to power cuts, in staging order.
   [[nodiscard]] const std::vector<std::uint64_t>& lost_writes()
@@ -227,28 +230,34 @@ class StashDevice {
   }
 
   // ---- Persistence (stash::store) -----------------------------------------
-  /// Quiesce the queue, flush the write-back buffer, and atomically commit
-  /// the device's full persistent state — every chip's cells/epochs/ledger,
-  /// each FTL's maps, and each hidden volume's framing — as a new snapshot
-  /// generation under `dir`.  A crash at any syscall of the save (torn
-  /// write, failed fsync/rename; injectable via `injector`) leaves the
-  /// previous generation loadable.  Returns what was committed (path,
-  /// generation, commit_seq, byte size).
+  /// Quiesce the queue, flush the write-back buffer, re-embed every
+  /// rescued hidden chunk, and atomically commit the device's persistent
+  /// state — every chip's cells/epochs/ledger and each FTL's maps — as a
+  /// new snapshot generation under `dir`.  Nothing in it names the hidden
+  /// volume: the carriers are found by key after a restore.  kNoSpace,
+  /// before any file is touched, when a rescued chunk finds no carrier.  A
+  /// crash at any syscall of the save (torn write, failed fsync/rename;
+  /// injectable via `injector`) leaves the previous generation loadable.
+  /// Returns what was committed (path, generation, commit_seq, byte
+  /// size).
   Result<store::SaveInfo> save_snapshot(
       const std::string& dir, store::FileFaultInjector* injector = nullptr);
   /// Restore the device from the newest loadable generation under `dir`.
   /// Resolves anything still queued against the pre-restore state first,
-  /// then replaces chips/FTLs/hidden framing wholesale.  Volatile state is
-  /// rolled back with everything else: the read cache is invalidated and
-  /// the write-back buffer discarded (post-snapshot writes are undone by
-  /// the restore, so they are not counted as lost).  kNotFound when `dir`
+  /// then replaces chips and FTLs wholesale.  Volatile state is rolled back
+  /// with everything else: the read cache is invalidated, the write-back
+  /// buffer discarded and each volume's carrier set and rescued chunks
+  /// forgotten (post-snapshot history is undone by the restore, so none of
+  /// it is counted as lost).  The next hidden operation (or GC) finds the
+  /// carriers by key.  A directory written by an older build loads too;
+  /// its hidden-volume record is ignored.  kNotFound when `dir`
   /// holds no snapshot; kCorrupted when no generation validates; on a
   /// config-mismatched snapshot, kInvalidArgument.  The device is
   /// unchanged on any pre-apply failure.
   Status load_snapshot(const std::string& dir);
   /// FNV-1a digest of the canonical serialization of the device's full
   /// persistent state (exactly what save_snapshot writes: chips + FTL maps
-  /// + hidden framing + lost-write ledger; the volatile queue/cache/buffer
+  /// + lost-write ledger; the volatile queue/cache/buffer and carrier set
   /// are not state).  Bit-exact restore <=> equal checksums — the gate the
   /// snapshot tests, the soak harness, and CI's determinism diff assert.
   [[nodiscard]] std::uint64_t state_checksum() const;
@@ -322,7 +331,7 @@ class StashDevice {
   /// the determinism contract).
   [[nodiscard]] std::uint64_t snapshot_config_hash() const noexcept;
   /// The device's persistent state as named snapshot chunks, in canonical
-  /// order (dev/meta, then per chip: meta, blocks ascending, ftl, stego).
+  /// order (dev/meta, then per chip: meta, blocks ascending, ftl).
   [[nodiscard]] std::vector<store::Chunk> snapshot_chunks() const;
   Status apply_snapshot(const store::SnapshotData& snap);
 

@@ -610,6 +610,9 @@ Status StashDevice::power_cycle() {
     lost_writes_.push_back(entry.lpn);
     counters_.add(F::lost_writes);
   }
+  // The carrier set and the rescued chunks awaiting a home were RAM too.
+  // The carriers are found by key again; the rescued chunks are lost.
+  for (auto& volume : volumes_) volume->forget_carriers(true);
   return Status::ok();
 }
 
@@ -626,7 +629,6 @@ std::string chip_block_prefix(std::uint32_t c) {
   return "chip" + std::to_string(c) + "/block/";
 }
 std::string ftl_name(std::uint32_t c) { return "ftl" + std::to_string(c); }
-std::string stego_name(std::uint32_t c) { return "stego" + std::to_string(c); }
 
 }  // namespace
 
@@ -683,10 +685,6 @@ std::vector<store::Chunk> StashDevice::snapshot_chunks() const {
     ftl.name = ftl_name(c);
     volumes_[c]->ftl().serialize_state(ftl.bytes);
     chunks.push_back(std::move(ftl));
-    store::Chunk stego;
-    stego.name = stego_name(c);
-    volumes_[c]->serialize_state(stego.bytes);
-    chunks.push_back(std::move(stego));
   }
   return chunks;
 }
@@ -711,6 +709,15 @@ Result<store::SaveInfo> StashDevice::save_snapshot(
   // are serialized — a restored snapshot owes nothing to volatile state.
   dispatch(lock);
   STASH_RETURN_IF_ERROR(flush_locked());
+  // A rescued chunk lives only in RAM, and a snapshot holds nothing that
+  // names the hidden volume: home every one in the voltages, or refuse.
+  for (auto& volume : volumes_) {
+    STASH_RETURN_IF_ERROR(volume->reembed_pending());
+    if (volume->pending_chunks() != 0) {
+      return Status{ErrorCode::kNoSpace,
+                    "rescued hidden chunks have no carrier block"};
+    }
+  }
   store::SnapshotStore snapshots(dir);
   return snapshots.save(snapshot_config_hash(), snapshot_chunks(), injector);
 }
@@ -750,9 +757,9 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   for (auto& lpn : lost) STASH_RETURN_IF_ERROR(r.u64(lpn));
   STASH_RETURN_IF_ERROR(r.expect_exhausted());
   // Every per-chip record must be present before any state is replaced.
+  // An older build's per-chip stego record is ignored.
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
-    if (!snap.find(chip_meta_name(c)) || !snap.find(ftl_name(c)) ||
-        !snap.find(stego_name(c))) {
+    if (!snap.find(chip_meta_name(c)) || !snap.find(ftl_name(c))) {
       return {ErrorCode::kCorrupted, "snapshot lacks per-chip records"};
     }
   }
@@ -760,6 +767,9 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
   for (std::uint32_t c = 0; c < volumes_.size(); ++c) {
     nand::FlashChip& chip = *chips_[c];
     chip.drop_all_blocks();
+    // The carriers are found by key when next needed, not scanned here:
+    // the scan's probes would land in the restored ledger.
+    volumes_[c]->forget_carriers(false);
     const std::vector<std::uint8_t>* chip_meta = snap.find(chip_meta_name(c));
     STASH_RETURN_IF_ERROR(
         chip.deserialize_meta({chip_meta->data(), chip_meta->size()}));
@@ -779,17 +789,14 @@ Status StashDevice::apply_snapshot(const store::SnapshotData& snap) {
     const std::vector<std::uint8_t>* ftl = snap.find(ftl_name(c));
     STASH_RETURN_IF_ERROR(
         volumes_[c]->ftl().deserialize_state({ftl->data(), ftl->size()}));
-    const std::vector<std::uint8_t>* stego = snap.find(stego_name(c));
-    STASH_RETURN_IF_ERROR(
-        volumes_[c]->deserialize_state({stego->data(), stego->size()}));
   }
   lost_writes_ = std::move(lost);
 
   // Roll volatile state back with everything else: a stale cached page or
   // a buffered post-snapshot write must not survive the restore.  The
-  // dropped buffer entries are *undone*, not lost — the restore rewinds
-  // the acknowledged history itself — so they are not added to
-  // lost_writes().
+  // dropped buffer entries (and rescued chunks, above) are *undone*, not
+  // lost — the restore rewinds the acknowledged history itself — so they
+  // are not added to lost_writes() (or lost_chunks).
   cache_.clear();
   (void)buffer_.drop_all();
   return Status::ok();

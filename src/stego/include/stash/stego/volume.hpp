@@ -7,7 +7,8 @@
 // Properties reproduced from the paper:
 //  * Key-only recovery: no persistent metadata — mounting scans candidate
 //    blocks and authenticates chunks with the hiding key (§9.2 "Metadata
-//    Persistence and Security").
+//    Persistence and Security").  The carrier set lives only in RAM; after
+//    a restore or a power cut the volume finds it by key again.
 //  * Migration survival: when the FTL garbage-collects or wear-levels a
 //    block carrying hidden data, the volume rescues the chunk before the
 //    erase and re-embeds it into freshly written public data (§5.1).
@@ -32,10 +33,11 @@ namespace stash::stego {
 using util::Result;
 using util::Status;
 
-/// The volume's counters, in snapshot byte order: hidden chunks lifted out
-/// of GC victims, re-embedded into new blocks, that could not be re-homed,
-/// and embeds whose read-back verification failed (worn carrier rejected;
-/// the chunk was retried elsewhere or kept pending, never lost).
+/// The volume's counters: hidden chunks lifted out of GC victims,
+/// re-embedded into new blocks, lost (unreadable at rescue, or rescued and
+/// dropped by a power cut before a new home took them), and embeds whose
+/// read-back verification failed (worn carrier rejected; the chunk was
+/// retried elsewhere or kept pending, never lost).
 #define STASH_STEGO_COUNTERS(X) \
   X(rescues) X(reembeds) X(lost_chunks) X(failed_embeds)
 
@@ -118,11 +120,23 @@ class StegoVolume {
   /// Re-embed any chunks rescued from relocated blocks.  Called
   /// automatically after public writes; exposed for deterministic tests.
   Status reembed_pending();
+  /// Rescued chunks still waiting for a new carrier.
+  [[nodiscard]] std::size_t pending_chunks() const noexcept {
+    return pending_.size();
+  }
+
+  /// Drop the carrier set and the rescued chunks awaiting a home, as a
+  /// restart does: only RAM holds them.  The next operation that needs the
+  /// carriers (a hidden store, load, discard or panic erase, a capacity
+  /// query, or GC of any block) finds them with a key-only scan.
+  /// `pending_lost` counts the dropped chunks in lost_chunks: a power cut
+  /// destroys them, while a snapshot restore rewinds to before them.
+  void forget_carriers(bool pending_lost);
 
   [[nodiscard]] std::size_t hidden_chunk_capacity() const;
   /// Payload bytes store_hidden() could accept right now: per-chunk
   /// capacity times the blocks currently eligible to carry a chunk.
-  [[nodiscard]] std::size_t hidden_capacity_bytes() const;
+  [[nodiscard]] std::size_t hidden_capacity_bytes();
   [[nodiscard]] const StegoStats& stats() const noexcept { return stats_; }
   [[nodiscard]] ftl::FtlStats ftl_stats_snapshot() const noexcept {
     return ftl_.stats_snapshot();
@@ -132,16 +146,6 @@ class StegoVolume {
   [[nodiscard]] const std::set<std::uint32_t>& hidden_blocks() const noexcept {
     return hidden_blocks_;
   }
-
-  // ---- Persistence (stash::store) ----------------------------------------
-  /// Canonical serialization of the hidden-volume framing: the
-  /// hidden-block set, rescued chunks awaiting a new home, and the rescue
-  /// statistics.  The hidden *payload* itself lives in the chip voltages
-  /// (saved with the chip); this is the bookkeeping that locates it.
-  void serialize_state(std::vector<std::uint8_t>& out) const;
-  /// Restore the framing from a serialize_state record.  kCorrupted on
-  /// malformed input; the volume is unchanged on failure.
-  Status deserialize_state(std::span<const std::uint8_t> bytes);
 
  private:
   struct Chunk {
@@ -156,9 +160,16 @@ class StegoVolume {
   [[nodiscard]] static std::optional<Chunk> unpack_chunk(
       std::span<const std::uint8_t> payload);
 
+  /// Reveal the tracked carriers or, when none are tracked, scan every
+  /// fully programmed block by key and adopt each one that yields a chunk
+  /// (which makes the carrier set known).  Returns the chunks found.
+  std::vector<Chunk> reveal_carriers();
+  /// Resolve a forgotten carrier set with the key-only scan.
+  void find_carriers();
+
   /// Blocks whose hidden pages are all programmed with public data and that
   /// do not already carry a hidden chunk.
-  [[nodiscard]] std::vector<std::uint32_t> eligible_blocks() const;
+  [[nodiscard]] std::vector<std::uint32_t> eligible_blocks();
   [[nodiscard]] bool block_fully_programmed(std::uint32_t block) const;
 
   void on_relocation(nand::PageAddr from);
@@ -180,6 +191,9 @@ class StegoVolume {
   vthi::VthiCodec codec_;
   std::set<std::uint32_t> hidden_blocks_;
   std::vector<Chunk> pending_;  // rescued, waiting for a new home
+  /// False after forget_carriers() until a key-only scan runs; while false,
+  /// hidden_blocks_ and pending_ are empty.
+  bool carriers_known_ = true;
   StegoStats stats_;
 };
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <string_view>
-
-#include "stash/util/wire.hpp"
 
 namespace stash::stego {
 
@@ -45,7 +42,7 @@ std::size_t StegoVolume::hidden_chunk_capacity() const {
                                             : 0;
 }
 
-std::size_t StegoVolume::hidden_capacity_bytes() const {
+std::size_t StegoVolume::hidden_capacity_bytes() {
   return hidden_chunk_capacity() * eligible_blocks().size();
 }
 
@@ -83,7 +80,10 @@ bool StegoVolume::block_fully_programmed(std::uint32_t block) const {
   return true;
 }
 
-std::vector<std::uint32_t> StegoVolume::eligible_blocks() const {
+std::vector<std::uint32_t> StegoVolume::eligible_blocks() {
+  // A forgotten carrier would look eligible, and embedding over it would
+  // scramble a live chunk: find the carriers first.
+  find_carriers();
   std::vector<std::uint32_t> blocks;
   for (std::uint32_t b = 0; b < chip_->geometry().blocks; ++b) {
     if (hidden_blocks_.count(b)) continue;
@@ -110,7 +110,7 @@ Result<StegoVolume::HiddenTxn> StegoVolume::prepare_store_hidden(
     return Status{ErrorCode::kNoSpace, "hidden payload needs too many chunks"};
   }
 
-  // eligible_blocks excludes every tracked carrier, so the new generation
+  // eligible_blocks finds and excludes every carrier, so the new generation
   // lands beside the old one: until commit the previous payload is still
   // fully loadable, and a failure here costs nothing but scrubbed spares.
   const auto targets = eligible_blocks();
@@ -183,7 +183,7 @@ Status StegoVolume::abort_store_hidden(HiddenTxn& txn) {
 Status StegoVolume::discard_hidden() {
   // Locate the carriers with a key-only scan when nothing is tracked (the
   // same discovery path load_hidden's scanning mode uses).
-  if (hidden_blocks_.empty()) (void)load_hidden();
+  if (hidden_blocks_.empty()) (void)reveal_carriers();
   for (const std::uint32_t b : hidden_blocks_) scrub_block(b);
   hidden_blocks_.clear();
   pending_.clear();
@@ -199,7 +199,7 @@ void StegoVolume::scrub_block(std::uint32_t block) {
   (void)codec_.hide(block, tombstone);
 }
 
-Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
+std::vector<StegoVolume::Chunk> StegoVolume::reveal_carriers() {
   // Key-only mount: reveal every candidate block; the MAC rejects blocks
   // without (our) hidden data.  When this instance already tracks hidden
   // blocks, restrict to those; otherwise scan everything fully programmed.
@@ -217,9 +217,26 @@ Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
     }
   }
   hidden_blocks_.insert(discovered.begin(), discovered.end());
+  if (scanning) carriers_known_ = true;
+  return found;
+}
+
+void StegoVolume::find_carriers() {
+  if (!carriers_known_) (void)reveal_carriers();
+}
+
+void StegoVolume::forget_carriers(bool pending_lost) {
+  if (pending_lost) stats_.lost_chunks += pending_.size();
+  hidden_blocks_.clear();
+  pending_.clear();
+  carriers_known_ = false;
+}
+
+Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
+  std::vector<Chunk> found = reveal_carriers();
   // Chunks rescued from a GC victim but not yet re-homed live in pending_;
-  // they are part of the volume and must survive a load (and a snapshot
-  // restore) taken before the next write re-embeds them.
+  // they are part of the volume and must survive a load taken before the
+  // next write re-embeds them.
   for (const Chunk& chunk : pending_) found.push_back(chunk);
   if (found.empty()) {
     return Status{ErrorCode::kNotFound, "no hidden volume under this key"};
@@ -251,6 +268,7 @@ Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
 }
 
 Status StegoVolume::panic_erase() {
+  find_carriers();
   for (std::uint32_t b : hidden_blocks_) {
     STASH_RETURN_IF_ERROR(chip_->erase_block(b));
   }
@@ -262,6 +280,9 @@ Status StegoVolume::panic_erase() {
 void StegoVolume::on_relocation(nand::PageAddr from) {
   // First relocation out of a hidden block: the victim's cells are still
   // intact (erase happens after all pages move), so rescue the chunk now.
+  // A forgotten carrier set is found first, or the erase would destroy an
+  // untracked chunk without a rescue.
+  find_carriers();
   if (!hidden_blocks_.count(from.block)) return;
   hidden_blocks_.erase(from.block);
   auto revealed = codec_.reveal(from.block);
@@ -306,72 +327,6 @@ Status StegoVolume::reembed_pending() {
     }
     ++used;
   }
-  return Status::ok();
-}
-
-// ---- Persistence -----------------------------------------------------------
-
-void StegoVolume::serialize_state(std::vector<std::uint8_t>& out) const {
-  util::ByteWriter w(out);
-  // std::set iterates in key order: the emission is canonical for free.
-  w.u64(hidden_blocks_.size());
-  for (const std::uint32_t b : hidden_blocks_) w.u32(b);
-  w.u64(pending_.size());
-  for (const Chunk& chunk : pending_) {
-    w.u16(chunk.index);
-    w.u16(chunk.total);
-    w.blob(chunk.data);
-  }
-  StegoStats::for_each(stats_,
-                       [&](std::string_view, std::uint64_t v) { w.u64(v); });
-}
-
-Status StegoVolume::deserialize_state(std::span<const std::uint8_t> bytes) {
-  using util::ErrorCode;
-  const std::uint32_t device_blocks = chip_->geometry().blocks;
-
-  util::ByteReader r(bytes);
-  std::uint64_t block_count = 0;
-  STASH_RETURN_IF_ERROR(r.u64(block_count));
-  if (block_count > device_blocks) {
-    return {ErrorCode::kCorrupted, "hidden-block set larger than device"};
-  }
-  std::set<std::uint32_t> blocks;
-  std::uint32_t prev = 0;
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    std::uint32_t b = 0;
-    STASH_RETURN_IF_ERROR(r.u32(b));
-    if (b >= device_blocks || (i > 0 && b <= prev)) {
-      return {ErrorCode::kCorrupted, "hidden blocks out of order or range"};
-    }
-    prev = b;
-    blocks.insert(blocks.end(), b);
-  }
-  std::uint64_t pending_count = 0;
-  STASH_RETURN_IF_ERROR(r.u64(pending_count));
-  if (pending_count > 0xFFFF) {
-    return {ErrorCode::kCorrupted, "pending chunk count implausible"};
-  }
-  std::vector<Chunk> pending(pending_count);
-  for (Chunk& chunk : pending) {
-    STASH_RETURN_IF_ERROR(r.u16(chunk.index));
-    STASH_RETURN_IF_ERROR(r.u16(chunk.total));
-    if (chunk.total == 0 || chunk.index >= chunk.total) {
-      return {ErrorCode::kCorrupted, "pending chunk header invalid"};
-    }
-    STASH_RETURN_IF_ERROR(r.blob(chunk.data));
-  }
-  StegoStats stats;
-  Status status = Status::ok();
-  StegoStats::for_each(stats, [&](std::string_view, std::uint64_t& v) {
-    if (status.is_ok()) status = r.u64(v);
-  });
-  STASH_RETURN_IF_ERROR(status);
-  STASH_RETURN_IF_ERROR(r.expect_exhausted());
-
-  hidden_blocks_ = std::move(blocks);
-  pending_ = std::move(pending);
-  stats_ = stats;
   return Status::ok();
 }
 

@@ -14,8 +14,8 @@
 // which declares one std::uint64_t field per counter, the Field index enum,
 // the names in list order (kNames), and for_each(), the walk every derived
 // view uses: snapshot(), append_counters_json(), the stash::net stats
-// payload, and the snapshot encoders of FlashChip's CostLedger and
-// StegoStats (list order is their byte order).  for_each can zip further
+// payload, and the snapshot encoder of FlashChip's CostLedger (list order
+// is its byte order).  for_each can zip further
 // structs of the same list, which is how StashDevice sums its chips'
 // ledgers.  CounterTable<Stats> is the per-instance storage: add(Field) is
 // one relaxed atomic add on the instance, snapshot() copies the counts into

@@ -11,7 +11,7 @@
 // Event counts are not kept here: every layer counts its own events per
 // instance, named once in a STASH_COUNTER_FIELDS list (counter_table.hpp):
 // DeviceStats, FtlStats, NetStats and FlashChip's CostLedger live in a
-// CounterTable, StegoStats is a plain struct its volume snapshots.
+// CounterTable, StegoStats is a plain struct its volume updates.
 // FaultStats stays a plain struct with no list: FaultPlan updates it under
 // the chip's fault lock, and nothing serializes or enumerates it.
 

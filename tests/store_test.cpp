@@ -1,9 +1,11 @@
 // stash::store tests: the wire codec, the two-generation snapshot store's
 // atomic-commit discipline (torn-write sweep over every syscall index, the
 // fsync/rename fault points, post-hoc bit rot), FlashChip/FTL full-state
-// round trips, and the device-level save/load gates — state_checksum
+// round trips, the device-level save/load gates — state_checksum
 // equality for both generations, thread-count independence of the snapshot
-// bytes, and read-cache/write-back invalidation on restore.
+// bytes, and read-cache/write-back invalidation on restore — and the
+// hidden volume across a restore or a power cut (no snapshot names it; its
+// carriers are found by key afterwards).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -12,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
@@ -20,6 +23,7 @@
 #include "stash/crypto/sha256.hpp"
 #include "stash/dev/device.hpp"
 #include "stash/fault/file_plan.hpp"
+#include "stash/fault/plan.hpp"
 #include "stash/store/file_io.hpp"
 #include "stash/store/snapshot.hpp"
 #include "stash/util/rng.hpp"
@@ -740,6 +744,299 @@ TEST(DeviceSnapshot, CrashMidSaveNeverLosesThePriorSnapshot) {
     EXPECT_TRUE(restored == sum1 || restored == sum2)
         << "cut=" << cut << " restored neither committed state";
   }
+}
+
+// ---- The hidden volume across a restore or a power cut --------------------
+//
+// A snapshot holds only what survives power-off on a real drive, and
+// nothing that names the hidden volume: the carrier set and the rescued
+// chunks awaiting a new home live in RAM, and a restore or a power cut
+// makes the volume find its carriers by key again.
+
+/// Production VT-HI needs real pages: room for multi-chunk payloads.
+DeviceConfig hidden_dev_config() {
+  DeviceConfig config = dev_config();
+  config.geometry.blocks = 12;
+  config.geometry.pages_per_block = 8;
+  config.geometry.cells_per_page = 8192;
+  return config;
+}
+
+void fill_public(StashDevice& dev, std::uint64_t tag) {
+  for (std::uint64_t lpn = 0; lpn < dev.logical_pages(); ++lpn) {
+    ASSERT_TRUE(dev.write(lpn, page_pattern(dev.page_bits(), tag + lpn))
+                    .is_ok());
+  }
+  ASSERT_TRUE(dev.flush().is_ok());
+}
+
+/// Incompressible bytes, four chunks' worth: pack stores them verbatim, so
+/// a middle chunk of the segment is payload bytes and nothing else.
+std::vector<std::uint8_t> multi_chunk_payload(StashDevice& dev,
+                                              std::uint64_t tag) {
+  return pattern_bytes(dev.volume(0).hidden_chunk_capacity() * 4, tag);
+}
+
+/// Leave a rescued chunk waiting in chip 0's RAM: empty the middle carrier
+/// of its public pages, then run a background GC pass, which collects the
+/// emptied carrier and rescues its chunk with no public write after it to
+/// re-home the chunk.  (The flush's own GC may rescue and re-home a chunk
+/// at once; then the next attempt empties another carrier.)
+void strand_rescued_chunk(StashDevice& dev) {
+  stego::StegoVolume& volume = dev.volume(0);
+  for (int attempt = 0; attempt < 8 && volume.pending_chunks() == 0;
+       ++attempt) {
+    ASSERT_FALSE(volume.hidden_blocks().empty());
+    const std::set<std::uint32_t>& carriers = volume.hidden_blocks();
+    const std::uint32_t carrier =
+        *std::next(carriers.begin(), static_cast<long>(carriers.size() / 2));
+    for (std::uint64_t lpn = 0; lpn < dev.logical_pages(); lpn += dev.chips()) {
+      const auto at = volume.ftl().locate(lpn / dev.chips());
+      if (at && at->block == carrier) {
+        ASSERT_TRUE(
+            dev.write(lpn, page_pattern(dev.page_bits(), 7000 + lpn)).is_ok());
+      }
+    }
+    ASSERT_TRUE(dev.flush().is_ok());
+    auto gc = dev.submit_gc();
+    dev.drain();
+    ASSERT_TRUE(gc.get().is_ok());
+  }
+  ASSERT_GT(volume.pending_chunks(), 0u);
+}
+
+/// Whether any 32-byte window of `needle` occurs in `hay`.
+bool shares_a_window(const std::vector<std::uint8_t>& hay,
+                     const std::vector<std::uint8_t>& needle) {
+  constexpr std::size_t kWindow = 32;
+  for (std::size_t i = 0; i + kWindow <= needle.size(); ++i) {
+    const auto first = needle.begin() + static_cast<long>(i);
+    if (std::search(hay.begin(), hay.end(), first, first + kWindow) !=
+        hay.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(HiddenRestart, SaveHoldsNothingThatNamesTheHiddenVolume) {
+  ScratchDir dir("leak");
+  StashDevice dev(hidden_dev_config(), test_key());
+  fill_public(dev, 1100);
+  const auto payload = multi_chunk_payload(dev, 1101);
+  ASSERT_TRUE(dev.store_hidden(payload).is_ok());
+  strand_rescued_chunk(dev);
+
+  auto saved = dev.save_snapshot(dir.path());
+  ASSERT_TRUE(saved.is_ok()) << saved.status().message();
+  EXPECT_EQ(dev.volume(0).pending_chunks(), 0u)
+      << "the save re-embeds the rescued chunk into the voltages";
+
+  auto loaded = SnapshotStore(dir.path()).load_latest();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().message();
+  for (const Chunk& chunk : loaded.value().chunks) {
+    const std::string& name = chunk.name;
+    bool expected = name == "dev/meta";
+    for (std::uint32_t c = 0; c < dev.chips(); ++c) {
+      const std::string chip = "chip" + std::to_string(c) + "/";
+      expected = expected || name == chip + "meta" ||
+                 name.compare(0, chip.size() + 6, chip + "block/") == 0 ||
+                 name == "ftl" + std::to_string(c);
+    }
+    EXPECT_TRUE(expected) << "unexpected snapshot chunk " << name;
+    if (name.compare(0, 4, "chip") != 0) {
+      EXPECT_FALSE(shares_a_window(chunk.bytes, payload))
+          << "hidden payload bytes in snapshot chunk " << name;
+    }
+  }
+  // The layout with per-chip stego records (carrier list, rescued chunks,
+  // counters) saved this same state in 6,036,322 bytes.
+  EXPECT_LE(saved.value().bytes, 6036322u);
+
+  // The voltages alone carry the payload across the restore.
+  StashDevice restored(hidden_dev_config(), test_key());
+  ASSERT_TRUE(restored.load_snapshot(dir.path()).is_ok());
+  auto hidden = restored.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), payload);
+}
+
+TEST(HiddenRestart, SaveRefusesWhileARescuedChunkHasNoCarrier) {
+  // Every embed fails its read-back, so the stranded chunk finds no home:
+  // the save reports kNoSpace and writes nothing.
+  ScratchDir dir("nohome");
+  StashDevice dev(hidden_dev_config(), test_key());
+  fill_public(dev, 1150);
+  ASSERT_TRUE(dev.store_hidden(multi_chunk_payload(dev, 1151)).is_ok());
+  strand_rescued_chunk(dev);
+  fault::FaultPlan plan(1152);
+  plan.fail_when([](nand::FaultOp op, std::uint32_t, std::uint32_t) {
+    return op == nand::FaultOp::kPartialProgram ||
+           op == nand::FaultOp::kFineProgram;
+  });
+  dev.set_fault_injector(&plan);
+
+  auto saved = dev.save_snapshot(dir.path());
+  dev.set_fault_injector(nullptr);
+  EXPECT_EQ(saved.status().code(), ErrorCode::kNoSpace);
+  EXPECT_GT(dev.volume(0).pending_chunks(), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+}
+
+TEST(HiddenRestart, DirectoryWithAnOlderStegoRecordStillLoads) {
+  // Builds before this layout wrote one `stego<c>` record per chip after
+  // `ftl<c>`: u64 carrier count, u32 carriers, u64 pending-chunk count,
+  // four u64 counters.  Such a directory loads; the record is ignored.
+  ScratchDir plain_dir("plain");
+  ScratchDir old_dir("older");
+  StashDevice dev(hidden_dev_config(), test_key());
+  fill_public(dev, 1200);
+  const auto payload = multi_chunk_payload(dev, 1201);
+  ASSERT_TRUE(dev.store_hidden(payload).is_ok());
+  ASSERT_TRUE(dev.save_snapshot(plain_dir.path()).is_ok());
+
+  auto snap = SnapshotStore(plain_dir.path()).load_latest();
+  ASSERT_TRUE(snap.is_ok()) << snap.status().message();
+  std::vector<Chunk> chunks;
+  for (const Chunk& chunk : snap.value().chunks) {
+    chunks.push_back(chunk);
+    if (chunk.name.compare(0, 3, "ftl") != 0) continue;
+    const auto c = static_cast<std::uint32_t>(std::stoul(chunk.name.substr(3)));
+    Chunk stego{"stego" + std::to_string(c), {}};
+    util::ByteWriter w(stego.bytes);
+    const std::set<std::uint32_t>& carriers = dev.volume(c).hidden_blocks();
+    w.u64(carriers.size());
+    for (const std::uint32_t b : carriers) w.u32(b);
+    w.u64(0);  // no rescued chunk pending
+    for (int counter = 0; counter < 4; ++counter) w.u64(0);
+    chunks.push_back(std::move(stego));
+  }
+  ASSERT_EQ(chunks.size(), snap.value().chunks.size() + dev.chips());
+  ASSERT_TRUE(SnapshotStore(old_dir.path())
+                  .save(snap.value().config_hash, chunks)
+                  .is_ok());
+
+  StashDevice plain(hidden_dev_config(), test_key());
+  ASSERT_TRUE(plain.load_snapshot(plain_dir.path()).is_ok());
+  StashDevice older(hidden_dev_config(), test_key());
+  ASSERT_TRUE(older.load_snapshot(old_dir.path()).is_ok());
+  EXPECT_EQ(older.state_checksum(), plain.state_checksum());
+  auto hidden = older.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), payload);
+}
+
+TEST(HiddenRestart, StoreAfterRestoreScrubsTheRestoredGeneration) {
+  // The restore forgets the carriers; the next store finds them by key
+  // before it picks new ones, so it neither embeds over a live carrier nor
+  // leaves the old generation for a key-only scan to splice in.
+  ScratchDir dir("restore_store");
+  std::vector<std::size_t> capacity;
+  {
+    StashDevice dev(hidden_dev_config(), test_key());
+    fill_public(dev, 1300);
+    ASSERT_TRUE(dev.store_hidden(multi_chunk_payload(dev, 1301)).is_ok());
+    ASSERT_TRUE(dev.save_snapshot(dir.path()).is_ok());
+    for (std::uint32_t c = 0; c < dev.chips(); ++c) {
+      capacity.push_back(dev.volume(c).hidden_capacity_bytes());
+    }
+  }
+  StashDevice dev(hidden_dev_config(), test_key());
+  ASSERT_TRUE(dev.load_snapshot(dir.path()).is_ok());
+  for (std::uint32_t c = 0; c < dev.chips(); ++c) {
+    EXPECT_EQ(dev.volume(c).hidden_capacity_bytes(), capacity[c])
+        << "chip " << c << ": a forgotten carrier counted as free room";
+  }
+  const auto second = pattern_bytes(24, 1302);
+  ASSERT_TRUE(dev.store_hidden(second).is_ok());
+  auto hidden = dev.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), second);
+
+  for (std::uint32_t c = 0; c < dev.chips(); ++c) {
+    const DeviceConfig config = hidden_dev_config();
+    stego::StegoVolume reader(dev.chip(c), test_key(),
+                              stego::StegoConfig{config.ftl, config.vthi});
+    auto found = reader.load_hidden();
+    auto tracked = dev.volume(c).load_hidden();
+    ASSERT_EQ(found.is_ok(), tracked.is_ok()) << "chip " << c;
+    if (!found.is_ok()) {
+      EXPECT_EQ(found.status().code(), ErrorCode::kNotFound) << "chip " << c;
+      continue;
+    }
+    EXPECT_EQ(found.value(), tracked.value()) << "chip " << c;
+    EXPECT_EQ(reader.hidden_blocks(), dev.volume(c).hidden_blocks())
+        << "chip " << c << ": a key-only scan found another generation";
+  }
+}
+
+TEST(HiddenRestart, GcAfterRestoreRescuesEveryForgottenCarrier) {
+  // GC's pre-erase hook finds the forgotten carriers before the first
+  // erase; without that, collecting a carrier destroys its chunk silently.
+  ScratchDir dir("restore_gc");
+  std::vector<std::uint8_t> payload;
+  std::set<std::uint32_t> carriers;
+  {
+    StashDevice dev(hidden_dev_config(), test_key());
+    fill_public(dev, 1400);
+    payload = multi_chunk_payload(dev, 1401);
+    ASSERT_TRUE(dev.store_hidden(payload).is_ok());
+    carriers = dev.volume(0).hidden_blocks();
+    ASSERT_TRUE(dev.save_snapshot(dir.path()).is_ok());
+  }
+  ASSERT_GE(carriers.size(), 2u);
+  StashDevice dev(hidden_dev_config(), test_key());
+  ASSERT_TRUE(dev.load_snapshot(dir.path()).is_ok());
+  std::vector<std::uint32_t> pec_before;
+  for (const std::uint32_t b : carriers) pec_before.push_back(dev.chip(0).pec(b));
+
+  for (std::uint64_t pass = 0; pass < 3; ++pass) fill_public(dev, 1500 + 100 * pass);
+  std::size_t i = 0;
+  for (const std::uint32_t b : carriers) {
+    EXPECT_GT(dev.chip(0).pec(b), pec_before[i++])
+        << "carrier " << b << " was never collected";
+  }
+  EXPECT_GE(dev.volume(0).stats().rescues, carriers.size());
+  EXPECT_EQ(dev.volume(0).stats().lost_chunks, 0u);
+  auto hidden = dev.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), payload);
+}
+
+TEST(HiddenRestart, PowerCutLosesAPendingChunkAndCountsIt) {
+  StashDevice dev(hidden_dev_config(), test_key());
+  fill_public(dev, 1600);
+  ASSERT_TRUE(dev.store_hidden(multi_chunk_payload(dev, 1601)).is_ok());
+  strand_rescued_chunk(dev);
+  stego::StegoVolume& volume = dev.volume(0);
+  ASSERT_TRUE(volume.load_hidden().is_ok()) << "pending chunks still load";
+  const std::size_t pending = volume.pending_chunks();
+  const std::uint64_t lost_before = volume.stats().lost_chunks;
+
+  ASSERT_TRUE(dev.power_cycle().is_ok());
+  EXPECT_EQ(volume.pending_chunks(), 0u);
+  EXPECT_EQ(volume.stats().lost_chunks, lost_before + pending);
+  auto segment = volume.load_hidden();
+  ASSERT_EQ(segment.status().code(), ErrorCode::kCorrupted);
+  EXPECT_NE(segment.status().message().find("missing"), std::string::npos)
+      << segment.status().message();
+  EXPECT_FALSE(dev.load_hidden().is_ok());
+}
+
+TEST(HiddenRestart, PowerCutWithNothingPendingRescansAndLoads) {
+  StashDevice dev(hidden_dev_config(), test_key());
+  fill_public(dev, 1700);
+  const auto payload = multi_chunk_payload(dev, 1701);
+  ASSERT_TRUE(dev.store_hidden(payload).is_ok());
+  const std::set<std::uint32_t> carriers = dev.volume(0).hidden_blocks();
+
+  ASSERT_TRUE(dev.power_cycle().is_ok());
+  EXPECT_TRUE(dev.volume(0).hidden_blocks().empty());
+  auto hidden = dev.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), payload);
+  EXPECT_EQ(dev.volume(0).hidden_blocks(), carriers);
+  EXPECT_EQ(dev.volume(0).stats().lost_chunks, 0u);
 }
 
 }  // namespace
