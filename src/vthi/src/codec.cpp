@@ -267,6 +267,7 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
   // scratch and syndrome tables are walked once for all of them) and
   // append their data bits.
   std::size_t done = 0;
+  std::size_t decoded_bits = 0;  // coded bits of codewords [0, done)
   const auto decode_to = [&](std::size_t end) {
     const auto decoded = bch_.decode_batch(
         std::span(codewords).subspan(done, end - done));
@@ -282,6 +283,7 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
                          codewords[done].begin() +
                              static_cast<long>(data_lens[done]));
       }
+      decoded_bits += codewords[done].size();
       ++done;
     }
   };
@@ -290,15 +292,15 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
   // Length first: the length field sits in the first codeword's data bits,
   // and a block that holds no frame (each non-carrier a key-only scan
   // visits) fails the bounds check almost surely, so the other codewords
-  // are decoded only once it passes.  Either way one ecc.decode span
-  // covers the block's whole coded length.
+  // are decoded only once it passes.  The one ecc.decode span counts the
+  // coded bytes actually decoded: one codeword's for a rejected block.
   const std::size_t frame_bytes = lay.data_bits / 8;
   const auto cipher_key = key_.cipher_key();
   const auto nonce = block_nonce(block);
   std::uint32_t len = 0;
   {
     trace::ScopedSpan span(trace::Stage::kEccDecode, trace::Op::kExtract,
-                           block, (offset + 7) / 8);
+                           block);
     if (frame_bytes < kLenBytes + kMacBytes) {
       return Status{ErrorCode::kCorrupted, "frame too small"};
     }
@@ -310,11 +312,14 @@ Result<std::vector<std::uint8_t>> VthiCodec::reveal_at(std::uint32_t block,
     for (int i = 3; i >= 0; --i) {
       len = (len << 8) | len_bytes[static_cast<std::size_t>(i)];
     }
-    if (len > capacity_bytes() || kLenBytes + len + kMacBytes > frame_bytes) {
+    const bool len_ok =
+        len <= capacity_bytes() && kLenBytes + len + kMacBytes <= frame_bytes;
+    if (len_ok) decode_to(cw);
+    span.set_bytes((decoded_bits + 7) / 8);
+    if (!len_ok) {
       return Status{ErrorCode::kAuthFailure,
                     "hidden frame length invalid (wrong key or data loss)"};
     }
-    decode_to(cw);
   }
 
   const auto bytes = util::bits_to_bytes(
