@@ -3,6 +3,9 @@
 // hidden file inside the public data, survives FTL garbage collection, and
 // later mounts the hidden volume with nothing but the key.
 //
+// Exits 1 unless the mounted bytes equal the stored file and a mount with
+// a different key finds nothing (kNotFound).
+//
 //   $ ./example_hidden_volume
 
 #include <cstdio>
@@ -32,6 +35,8 @@ int main() {
 
   const auto key =
       crypto::HidingKey::from_passphrase("mon droit", "hidden-volume-salt");
+  const std::string secret =
+      "ledger-2026: acct 4411 -> 7, acct 9023 -> 12, courier on thursday";
 
   // --- Session 1: the device in normal use, then a hidden file stored ---
   {
@@ -49,8 +54,6 @@ int main() {
     }
 
     // Hiding user stores a file.
-    const std::string secret =
-        "ledger-2026: acct 4411 -> 7, acct 9023 -> 12, courier on thursday";
     const auto stored = volume.store_hidden(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(secret.data()), secret.size()));
     if (!stored.is_ok()) {
@@ -92,9 +95,12 @@ int main() {
                    loaded.status().to_string().c_str());
       return 1;
     }
-    std::printf("mounted hidden volume: \"%s\"\n",
-                std::string(loaded.value().begin(), loaded.value().end())
-                    .c_str());
+    const std::string bytes(loaded.value().begin(), loaded.value().end());
+    std::printf("mounted hidden volume: \"%s\"\n", bytes.c_str());
+    if (bytes != secret) {
+      std::fprintf(stderr, "mounted bytes differ from the stored file\n");
+      return 1;
+    }
   }
 
   // --- An intruder with a different key finds nothing ---------------------
@@ -106,6 +112,10 @@ int main() {
     std::printf("intruder mount: %s\n",
                 loaded.is_ok() ? "FOUND DATA (bug!)"
                                : loaded.status().to_string().c_str());
+    if (loaded.status().code() != util::ErrorCode::kNotFound) {
+      std::fprintf(stderr, "a wrong key must find no hidden volume\n");
+      return 1;
+    }
   }
   return 0;
 }

@@ -17,8 +17,8 @@
 // still referenced when the arena dies are returned to the surviving
 // state and freed with it.
 //
-// The residual copy this design leaves in the device, hidden-object
-// segment reassembly, is charged to the dev.bytes_copied counter — see
+// The residual copy this design leaves in the device, splicing the hidden
+// chunks into one container, is charged to the dev.bytes_copied counter — see
 // StashDevice — so "the copies are gone" is a measured claim, not a
 // code-review one.  The wire copies (one per frame on each side, see
 // stash/net/protocol.hpp) happen in stash::net and are not charged.

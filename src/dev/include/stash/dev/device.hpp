@@ -79,14 +79,14 @@ struct HiddenInfo {
   /// CDC chunks in the payload / distinct chunks after dedup.
   std::uint64_t chunks = 0;
   std::uint64_t unique_chunks = 0;
-  /// Segment format of the stored generation: the pack container format
-  /// version (pack::kFormatVersion).
+  /// Format of the stored generation: its pack container version
+  /// (pack::kFormatVersion, the only one a load accepts).
   std::uint16_t format = 0;
   /// Logical bytes per deduped byte.
   double dedup_ratio = 1.0;
-  /// Packed bytes a replacement store could take right now: each chip's
-  /// free carrier room past its segment header, in chip order, up to the
-  /// first chip with none (the store's own split plan).
+  /// Packed bytes a replacement store could take right now: the chunk
+  /// capacity of every chip's blocks that could carry a chunk beside the
+  /// stored generation (stego::hidden_capacity_bytes).
   std::uint64_t remaining_capacity_bytes = 0;
 
   /// Effective hidden-capacity multiplier of the stored generation.
@@ -124,8 +124,9 @@ struct HiddenInfo {
   X(pack_packed_bytes)                                                     \
   /* Page-payload bytes the device memcpy'd while serving requests.  The   \
      zero-copy read path (BufferArena slabs + PageRef sharing) keeps this  \
-     at 0 for steady-state reads; the residual copies still charged here   \
-     are the hidden-object segment reassembly on load_hidden. */           \
+     at 0 for steady-state reads; the residual copy still charged here is  \
+     the splice of every chip's hidden chunks into one container on        \
+     load_hidden and hidden_info. */                                       \
   X(bytes_copied)
 
 /// Point-in-time device statistics (StashDevice::stats_snapshot).
@@ -185,17 +186,20 @@ class StashDevice {
   /// Stage a trim tombstone, like write().
   Status trim(std::uint64_t lpn);
   /// Store (replace) the hidden object.  The payload goes through the
-  /// dedup + compression pipeline (DeviceConfig::pack) first; load
-  /// transparently reverses it.
+  /// dedup + compression pipeline (DeviceConfig::pack) first, and the
+  /// container is embedded as one chunk set across the chips
+  /// (stego::store_hidden); load transparently reverses both.  Load is
+  /// kNotFound without a hidden object under this key, kCorrupted for
+  /// chunks that do not form one intact container, and kUnsupported for a
+  /// container version this build does not write.
   Status store_hidden(std::span<const std::uint8_t> data);
   Result<PageRef> load_hidden();
 
   // ---- Hidden-object introspection ---------------------------------------
   /// Describe the stored hidden object: logical vs embedded bytes, dedup
-  /// ratio, segment format, and remaining hidden headroom.  Queries the
+  /// ratio, container format, and remaining hidden headroom.  Queries the
   /// voltage channel like load_hidden (dispatching anything queued first),
-  /// so it reflects the committed generation; kNotFound when no hidden
-  /// object exists under this key.
+  /// so it reflects the committed generation, with load_hidden's errors.
   Result<HiddenInfo> hidden_info();
 
   // ---- Batch entry points (util::BatchResult convention) ------------------

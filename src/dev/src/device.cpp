@@ -7,10 +7,10 @@
 #include <type_traits>
 #include <utility>
 
+#include "stash/pack/pack.hpp"
 #include "stash/telemetry/metrics.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
-#include "hidden.hpp"
 
 namespace stash::dev {
 
@@ -54,6 +54,46 @@ trace::TraceContext service_ctx(const trace::TraceContext& root, trace::Op op,
   return {root.trace_id,
           trace::detail::derive_span_id(root.trace_id, root.span_id,
                                         trace::Stage::kFtlService, op, key, 0)};
+}
+
+/// Every chip's volume, in chip order: the span one hidden object covers.
+std::vector<stego::StegoVolume*> hidden_volumes(
+    const std::vector<std::unique_ptr<stego::StegoVolume>>& volumes) {
+  std::vector<stego::StegoVolume*> out;
+  out.reserve(volumes.size());
+  for (const auto& volume : volumes) out.push_back(volume.get());
+  return out;
+}
+
+/// The stored pack container, reassembled from every chip's chunks.  The
+/// splice into one contiguous buffer is the one real copy on the hidden
+/// load path; charge it so bytes_copied stays an honest ledger.
+Result<std::vector<std::uint8_t>> hidden_container(
+    const std::vector<std::unique_ptr<stego::StegoVolume>>& volumes,
+    telemetry::CounterTable<DeviceStats>& counters) {
+  auto container = stego::load_hidden(hidden_volumes(volumes));
+  if (container.is_ok()) counters.add(F::bytes_copied, container.value().size());
+  return container;
+}
+
+/// Pack `data` and make the container the hidden object.
+Status store_packed(
+    const std::vector<std::unique_ptr<stego::StegoVolume>>& volumes,
+    std::span<const std::uint8_t> data, const pack::PackConfig& config,
+    telemetry::CounterTable<DeviceStats>& counters) {
+  // Dedup + compress first (stash::pack): the voltage channel embeds the
+  // container, not the raw payload.  A container that fails to beat raw is
+  // still embedded (pack stores incompressible payloads verbatim inside
+  // the container at near-zero overhead).
+  pack::PackStats pstats;
+  auto packed = pack::pack(data, config, &pstats);
+  if (!packed.is_ok()) return packed.status();
+  STASH_RETURN_IF_ERROR(
+      stego::store_hidden(hidden_volumes(volumes), packed.value()));
+  counters.add(F::hidden_stores);
+  counters.add(F::pack_logical_bytes, pstats.logical_bytes);
+  counters.add(F::pack_packed_bytes, packed.value().size());
+  return Status::ok();
 }
 
 }  // namespace
@@ -316,7 +356,7 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op, 0,
                                  req.data.size() / 8);
           Status st =
-              hidden::store(volumes_, req.data, config_.pack, counters_);
+              store_packed(volumes_, req.data, config_.pack, counters_);
           code = static_cast<std::uint8_t>(st.code());
           span.set_status(code);
           req.status_promise.set_value(std::move(st));
@@ -324,7 +364,10 @@ void StashDevice::dispatch(std::unique_lock<std::mutex>& lock) {
         }
         case trace::Op::kLoadHidden: {
           trace::ScopedSpan span(trace::Stage::kDevHidden, op);
-          auto loaded = hidden::load(volumes_, counters_);
+          auto container = hidden_container(volumes_, counters_);
+          auto loaded = container.is_ok() ? pack::unpack(container.value())
+                                          : container;
+          if (loaded.is_ok()) counters_.add(F::hidden_loads);
           code = static_cast<std::uint8_t>(loaded.status().code());
           span.set_status(code);
           if (loaded.is_ok()) {
@@ -836,7 +879,26 @@ Result<HiddenInfo> StashDevice::hidden_info() {
   // anything queued first so it describes the committed generation.
   std::unique_lock<std::mutex> lock(mu_);
   dispatch(lock);
-  return hidden::describe(volumes_, counters_);
+  auto container = hidden_container(volumes_, counters_);
+  if (!container.is_ok()) return container.status();
+  // Unpack, not just inspect: only the container's digest check tells a
+  // damaged payload (kCorrupted) from an intact one.
+  STASH_RETURN_IF_ERROR(pack::unpack(container.value()).status());
+  auto stats = pack::inspect(container.value());
+  if (!stats.is_ok()) return stats.status();
+
+  HiddenInfo info;
+  info.format = pack::kFormatVersion;
+  info.logical_bytes = stats.value().logical_bytes;
+  info.packed_bytes = stats.value().packed_bytes;
+  info.chunks = stats.value().chunks;
+  info.unique_chunks = stats.value().unique_chunks;
+  info.dedup_ratio = stats.value().dedup_ratio();
+  // Headroom of a replacement store: the new generation lands beside the
+  // current one, so only blocks that carry no chunk now count.
+  info.remaining_capacity_bytes =
+      stego::hidden_capacity_bytes(hidden_volumes(volumes_));
+  return info;
 }
 
 BatchResult<PageRef> StashDevice::read_batch(

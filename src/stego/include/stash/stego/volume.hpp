@@ -14,6 +14,12 @@
 //    erase and re-embeds it into freshly written public data (§5.1).
 //  * Panic erase: destroying the hidden volume is one erase per block
 //    ("almost instantaneous", §1).
+//
+// The hidden payload has one framing: per-block chunks of
+// [index u16][total u16][data], each authenticated by the VT-HI frame MAC.
+// The free store_hidden / load_hidden / hidden_capacity_bytes below number
+// one chunk set across several volumes (a device's chips); a volume's own
+// members are their one-volume case.
 
 #include <cstdint>
 #include <optional>
@@ -59,6 +65,30 @@ struct StegoConfig {
   }
 };
 
+class StegoVolume;
+
+/// The volumes one hidden payload spans, in order (a device's chips).
+using Volumes = std::span<StegoVolume* const>;
+
+/// Store (or atomically replace) the hidden payload of `volumes`.  The
+/// payload is split into chunks numbered across all of them, which fill
+/// volume 0's eligible blocks first, then volume 1's, and so on.  Every new
+/// chunk is embedded and read back before the previous generation is
+/// scrubbed, so a failed store leaves the old payload loadable; kNoSpace
+/// before any block is touched when the eligible blocks cannot take it.  A
+/// volume that takes no chunk is cleared with discard_hidden().
+Status store_hidden(Volumes volumes, std::span<const std::uint8_t> data);
+
+/// Recover the hidden payload of `volumes` with nothing but the key: every
+/// volume's carriers (found by a key-only scan where it tracks none) and
+/// rescued chunks awaiting a new carrier, reassembled once in index order.
+/// kNotFound when no volume holds a chunk; kCorrupted when the chunks are
+/// not one complete set (an index missing or twice, totals that differ).
+Result<std::vector<std::uint8_t>> load_hidden(Volumes volumes);
+
+/// Payload bytes store_hidden(volumes, ...) could accept right now.
+[[nodiscard]] std::size_t hidden_capacity_bytes(Volumes volumes);
+
 class StegoVolume {
  public:
   StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
@@ -76,42 +106,17 @@ class StegoVolume {
 
   // ---- Hidden (hiding user) volume ---------------------------------------
 
-  /// An in-flight two-generation replacement of the hidden payload: the new
-  /// chunk set is fully embedded (and read-back verified) while the old one
-  /// stays loadable, then exactly one of commit/abort releases the loser.
-  /// Obtained from prepare_store_hidden(); at most one may be active per
-  /// volume.
-  struct HiddenTxn {
-    std::vector<std::uint32_t> new_blocks;
-    std::set<std::uint32_t> old_blocks;
-    bool active = false;
-  };
-
-  /// Store (or atomically replace) the hidden payload.  Splits it into
-  /// per-block chunks and embeds each into a block full of public data;
-  /// the previous payload is released only after every new chunk verified,
-  /// so a failed store leaves the old payload loadable.
+  /// Store (or atomically replace) the hidden payload: the one-volume case
+  /// of stego::store_hidden below.
   Status store_hidden(std::span<const std::uint8_t> data);
-
-  /// Phase 1 of a replace: embed and verify the complete new chunk set
-  /// alongside the old one.  On failure the new partial embedding is
-  /// scrubbed and the volume is unchanged.  Callers coordinating several
-  /// volumes (StashDevice's multi-chip store) prepare everywhere before
-  /// committing anywhere.
-  Result<HiddenTxn> prepare_store_hidden(std::span<const std::uint8_t> data);
-  /// Phase 2a: release the superseded generation (best-effort scrubs; the
-  /// new payload is already durable and verified).
-  Status commit_store_hidden(HiddenTxn& txn);
-  /// Phase 2b: scrub the prepared new generation and keep the old payload.
-  Status abort_store_hidden(HiddenTxn& txn);
 
   /// Scrub and untrack every hidden chunk (locating them with a key-only
   /// scan first when this instance tracks none).  Unlike panic_erase the
   /// public data sharing the carrier blocks is left intact.
   Status discard_hidden();
 
-  /// Recover the hidden payload with nothing but the key: scans candidate
-  /// blocks, authenticates each chunk, reassembles in order.
+  /// Recover the hidden payload with nothing but the key: the one-volume
+  /// case of stego::load_hidden below.
   Result<std::vector<std::uint8_t>> load_hidden();
 
   /// Destroy all hidden data (and the public data sharing its blocks).
@@ -148,6 +153,10 @@ class StegoVolume {
   }
 
  private:
+  friend Status store_hidden(Volumes, std::span<const std::uint8_t>);
+  friend Result<std::vector<std::uint8_t>> load_hidden(Volumes);
+  friend std::size_t hidden_capacity_bytes(Volumes);
+
   struct Chunk {
     std::uint16_t index = 0;
     std::uint16_t total = 0;
@@ -160,9 +169,12 @@ class StegoVolume {
   [[nodiscard]] static std::optional<Chunk> unpack_chunk(
       std::span<const std::uint8_t> payload);
 
-  /// Reveal the tracked carriers or, when none are tracked, scan every
-  /// fully programmed block by key and adopt each one that yields a chunk
-  /// (which makes the carrier set known).  Returns the chunks found.
+  /// Reveal the tracked carriers or, when none are tracked or the set is
+  /// unknown, scan every fully programmed block by key and adopt each one
+  /// that yields a chunk.  A scan makes the carrier set known only when the
+  /// chip served every probe: a block it did not serve (a read fault, a
+  /// power cut) may be a carrier, so the next operation scans again.
+  /// Returns the chunks found.
   std::vector<Chunk> reveal_carriers();
   /// Resolve a forgotten carrier set with the key-only scan.
   void find_carriers();
@@ -191,8 +203,8 @@ class StegoVolume {
   vthi::VthiCodec codec_;
   std::set<std::uint32_t> hidden_blocks_;
   std::vector<Chunk> pending_;  // rescued, waiting for a new home
-  /// False after forget_carriers() until a key-only scan runs; while false,
-  /// hidden_blocks_ and pending_ are empty.
+  /// False after forget_carriers() until a key-only scan that the chip
+  /// served in full; while false, hidden_blocks_ may miss carriers.
   bool carriers_known_ = true;
   StegoStats stats_;
 };

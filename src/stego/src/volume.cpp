@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <iterator>
+#include <string>
 
 namespace stash::stego {
 
@@ -93,91 +96,8 @@ std::vector<std::uint32_t> StegoVolume::eligible_blocks() {
 }
 
 Status StegoVolume::store_hidden(std::span<const std::uint8_t> data) {
-  auto txn = prepare_store_hidden(data);
-  STASH_RETURN_IF_ERROR(txn.status());
-  return commit_store_hidden(txn.value());
-}
-
-Result<StegoVolume::HiddenTxn> StegoVolume::prepare_store_hidden(
-    std::span<const std::uint8_t> data) {
-  const std::size_t per_chunk = hidden_chunk_capacity();
-  if (per_chunk == 0) {
-    return Status{ErrorCode::kNoSpace, "hidden chunk capacity is zero"};
-  }
-  const std::size_t chunks =
-      std::max<std::size_t>(1, (data.size() + per_chunk - 1) / per_chunk);
-  if (chunks > 0xffff) {
-    return Status{ErrorCode::kNoSpace, "hidden payload needs too many chunks"};
-  }
-
-  // eligible_blocks finds and excludes every carrier, so the new generation
-  // lands beside the old one: until commit the previous payload is still
-  // fully loadable, and a failure here costs nothing but scrubbed spares.
-  const auto targets = eligible_blocks();
-  if (targets.size() < chunks) {
-    return Status{ErrorCode::kNoSpace,
-                  "not enough public-data blocks to carry the hidden payload"};
-  }
-
-  HiddenTxn txn;
-  txn.old_blocks = hidden_blocks_;
-  std::size_t next_target = 0;
-  for (std::size_t i = 0; i < chunks; ++i) {
-    Chunk chunk;
-    chunk.index = static_cast<std::uint16_t>(i);
-    chunk.total = static_cast<std::uint16_t>(chunks);
-    const std::size_t begin = i * per_chunk;
-    const std::size_t end = std::min(data.size(), begin + per_chunk);
-    if (begin < end) {
-      chunk.data.assign(data.begin() + static_cast<long>(begin),
-                        data.begin() + static_cast<long>(end));
-    }
-    bool embedded = false;
-    while (next_target < targets.size()) {
-      const std::uint32_t block = targets[next_target++];
-      if (embed_verified(block, chunk)) {
-        txn.new_blocks.push_back(block);
-        embedded = true;
-        break;
-      }
-    }
-    if (!embedded) {
-      for (const std::uint32_t b : txn.new_blocks) {
-        hidden_blocks_.erase(b);
-        scrub_block(b);
-      }
-      return Status{ErrorCode::kNoSpace,
-                    "no carrier block held a verified hidden embedding"};
-    }
-  }
-  txn.active = true;
-  return txn;
-}
-
-Status StegoVolume::commit_store_hidden(HiddenTxn& txn) {
-  if (!txn.active) {
-    return {ErrorCode::kInvalidArgument, "hidden txn is not active"};
-  }
-  txn.active = false;
-  for (const std::uint32_t b : txn.old_blocks) {
-    hidden_blocks_.erase(b);
-    scrub_block(b);
-  }
-  // The replacement supersedes any chunks rescued out of the old payload.
-  pending_.clear();
-  return Status::ok();
-}
-
-Status StegoVolume::abort_store_hidden(HiddenTxn& txn) {
-  if (!txn.active) {
-    return {ErrorCode::kInvalidArgument, "hidden txn is not active"};
-  }
-  txn.active = false;
-  for (const std::uint32_t b : txn.new_blocks) {
-    hidden_blocks_.erase(b);
-    scrub_block(b);
-  }
-  return Status::ok();
+  StegoVolume* const self = this;
+  return stego::store_hidden(Volumes(&self, 1), data);
 }
 
 Status StegoVolume::discard_hidden() {
@@ -203,21 +123,28 @@ std::vector<StegoVolume::Chunk> StegoVolume::reveal_carriers() {
   // Key-only mount: reveal every candidate block; the MAC rejects blocks
   // without (our) hidden data.  When this instance already tracks hidden
   // blocks, restrict to those; otherwise scan everything fully programmed.
-  const bool scanning = hidden_blocks_.empty();
+  const bool scanning = !carriers_known_ || hidden_blocks_.empty();
+  bool served = true;
   std::vector<Chunk> found;
   std::vector<std::uint32_t> discovered;
   for (std::uint32_t b = 0; b < chip_->geometry().blocks; ++b) {
     if (!scanning && !hidden_blocks_.count(b)) continue;
     if (scanning && !block_fully_programmed(b)) continue;
     auto revealed = codec_.reveal(b);
-    if (!revealed.is_ok()) continue;
+    if (!revealed.is_ok()) {
+      // An empty probe (kOutOfBounds) or a cut says nothing of the block.
+      const ErrorCode code = revealed.status().code();
+      served = served && code != ErrorCode::kOutOfBounds &&
+               code != ErrorCode::kPowerLoss;
+      continue;
+    }
     if (auto chunk = unpack_chunk(revealed.value())) {
       found.push_back(std::move(*chunk));
       if (scanning) discovered.push_back(b);
     }
   }
   hidden_blocks_.insert(discovered.begin(), discovered.end());
-  if (scanning) carriers_known_ = true;
+  if (scanning && served) carriers_known_ = true;
   return found;
 }
 
@@ -233,38 +160,8 @@ void StegoVolume::forget_carriers(bool pending_lost) {
 }
 
 Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
-  std::vector<Chunk> found = reveal_carriers();
-  // Chunks rescued from a GC victim but not yet re-homed live in pending_;
-  // they are part of the volume and must survive a load taken before the
-  // next write re-embeds them.
-  for (const Chunk& chunk : pending_) found.push_back(chunk);
-  if (found.empty()) {
-    return Status{ErrorCode::kNotFound, "no hidden volume under this key"};
-  }
-
-  const std::uint16_t total = found.front().total;
-  std::vector<const Chunk*> ordered(total, nullptr);
-  for (const auto& chunk : found) {
-    if (chunk.total != total || chunk.index >= total) {
-      return Status{ErrorCode::kCorrupted, "inconsistent hidden chunk set"};
-    }
-    if (ordered[chunk.index] != nullptr) {
-      // Two carriers claiming one index means generations got mixed;
-      // splicing whichever block scanned last would be silent corruption.
-      return Status{ErrorCode::kCorrupted,
-                    "duplicate hidden chunk " + std::to_string(chunk.index)};
-    }
-    ordered[chunk.index] = &chunk;
-  }
-  std::vector<std::uint8_t> out;
-  for (std::uint16_t i = 0; i < total; ++i) {
-    if (!ordered[i]) {
-      return Status{ErrorCode::kCorrupted,
-                    "hidden chunk " + std::to_string(i) + " missing"};
-    }
-    out.insert(out.end(), ordered[i]->data.begin(), ordered[i]->data.end());
-  }
-  return out;
+  StegoVolume* const self = this;
+  return stego::load_hidden(Volumes(&self, 1));
 }
 
 Status StegoVolume::panic_erase() {
@@ -328,6 +225,150 @@ Status StegoVolume::reembed_pending() {
     ++used;
   }
   return Status::ok();
+}
+
+namespace {
+
+/// Payload bytes per chunk that every volume can carry.
+std::size_t chunk_capacity(Volumes volumes) {
+  std::size_t per_chunk = SIZE_MAX;
+  for (const StegoVolume* volume : volumes) {
+    per_chunk = std::min(per_chunk, volume->hidden_chunk_capacity());
+  }
+  return volumes.empty() ? 0 : per_chunk;
+}
+
+}  // namespace
+
+Status store_hidden(Volumes volumes, std::span<const std::uint8_t> data) {
+  const std::size_t per_chunk = chunk_capacity(volumes);
+  if (per_chunk == 0) {
+    return Status{ErrorCode::kNoSpace, "hidden chunk capacity is zero"};
+  }
+  const std::size_t chunks =
+      std::max<std::size_t>(1, (data.size() + per_chunk - 1) / per_chunk);
+  if (chunks > 0xffff) {
+    return Status{ErrorCode::kNoSpace, "hidden payload needs too many chunks"};
+  }
+
+  // eligible_blocks finds and excludes every carrier, so the new generation
+  // lands beside the old one: until it is complete the previous payload is
+  // still fully loadable, and a failure costs nothing but scrubbed spares.
+  struct Target {
+    std::size_t volume;
+    std::uint32_t block;
+  };
+  std::vector<Target> targets;  // volume 0's blocks first, then volume 1's
+  std::vector<std::set<std::uint32_t>> old_blocks;
+  for (std::size_t v = 0; v < volumes.size(); ++v) {
+    for (const std::uint32_t b : volumes[v]->eligible_blocks()) {
+      targets.push_back({v, b});
+    }
+    old_blocks.push_back(volumes[v]->hidden_blocks_);
+  }
+  if (targets.size() < chunks) {
+    return Status{ErrorCode::kNoSpace,
+                  "not enough public-data blocks to carry the hidden payload"};
+  }
+
+  std::vector<Target> claimed;
+  std::vector<bool> took_chunk(volumes.size(), false);
+  std::size_t next_target = 0;
+  for (std::size_t i = 0; i < chunks; ++i) {
+    StegoVolume::Chunk chunk;
+    chunk.index = static_cast<std::uint16_t>(i);
+    chunk.total = static_cast<std::uint16_t>(chunks);
+    const std::size_t begin = i * per_chunk;
+    const std::size_t end = std::min(data.size(), begin + per_chunk);
+    if (begin < end) {
+      chunk.data.assign(data.begin() + static_cast<long>(begin),
+                        data.begin() + static_cast<long>(end));
+    }
+    bool embedded = false;
+    while (!embedded && next_target < targets.size()) {
+      const Target target = targets[next_target++];
+      embedded = volumes[target.volume]->embed_verified(target.block, chunk);
+      if (embedded) {
+        claimed.push_back(target);
+        took_chunk[target.volume] = true;
+      }
+    }
+    if (!embedded) {
+      for (const Target& t : claimed) {
+        volumes[t.volume]->hidden_blocks_.erase(t.block);
+        volumes[t.volume]->scrub_block(t.block);
+      }
+      return Status{ErrorCode::kNoSpace,
+                    "no carrier block held a verified hidden embedding"};
+    }
+  }
+
+  // Every new chunk verified: release the old generation everywhere.  The
+  // scrubs are best-effort; a straggler that survives is caught at load by
+  // its total or a duplicate index.  The replacement also supersedes any
+  // chunks rescued out of the old payload.
+  for (std::size_t v = 0; v < volumes.size(); ++v) {
+    StegoVolume& volume = *volumes[v];
+    if (!took_chunk[v]) {
+      (void)volume.discard_hidden();
+      continue;
+    }
+    for (const std::uint32_t b : old_blocks[v]) {
+      volume.hidden_blocks_.erase(b);
+      volume.scrub_block(b);
+    }
+    volume.pending_.clear();
+  }
+  return Status::ok();
+}
+
+Result<std::vector<std::uint8_t>> load_hidden(Volumes volumes) {
+  std::vector<StegoVolume::Chunk> found;
+  for (StegoVolume* volume : volumes) {
+    std::vector<StegoVolume::Chunk> revealed = volume->reveal_carriers();
+    found.insert(found.end(), std::make_move_iterator(revealed.begin()),
+                 std::make_move_iterator(revealed.end()));
+    // Chunks rescued from a GC victim but not yet re-homed are part of the
+    // payload and must survive a load taken before the next write
+    // re-embeds them.
+    found.insert(found.end(), volume->pending_.begin(),
+                 volume->pending_.end());
+  }
+  if (found.empty()) {
+    return Status{ErrorCode::kNotFound, "no hidden volume under this key"};
+  }
+
+  const std::uint16_t total = found.front().total;
+  std::vector<const StegoVolume::Chunk*> ordered(total, nullptr);
+  for (const auto& chunk : found) {
+    if (chunk.total != total || chunk.index >= total) {
+      return Status{ErrorCode::kCorrupted, "inconsistent hidden chunk set"};
+    }
+    if (ordered[chunk.index] != nullptr) {
+      // Two carriers claiming one index means generations got mixed;
+      // splicing whichever block scanned last would be silent corruption.
+      return Status{ErrorCode::kCorrupted,
+                    "duplicate hidden chunk " + std::to_string(chunk.index)};
+    }
+    ordered[chunk.index] = &chunk;
+  }
+  std::vector<std::uint8_t> out;
+  for (std::uint16_t i = 0; i < total; ++i) {
+    if (!ordered[i]) {
+      return Status{ErrorCode::kCorrupted,
+                    "hidden chunk " + std::to_string(i) + " missing"};
+    }
+    out.insert(out.end(), ordered[i]->data.begin(), ordered[i]->data.end());
+  }
+  return out;
+}
+
+std::size_t hidden_capacity_bytes(Volumes volumes) {
+  std::size_t blocks = 0;
+  for (StegoVolume* volume : volumes) {
+    blocks += volume->eligible_blocks().size();
+  }
+  return chunk_capacity(volumes) * blocks;
 }
 
 }  // namespace stash::stego

@@ -28,6 +28,7 @@
 #include "stash/trace/trace.hpp"
 #include "stash/util/rng.hpp"
 #include "stash/util/wire.hpp"
+#include "stash/vthi/codec.hpp"
 
 namespace stash::dev {
 namespace {
@@ -778,21 +779,37 @@ std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
   return out;
 }
 
-/// Hand-frame one device-level hidden segment and store it straight into
-/// chip `c`'s volume, bypassing the device's store path.
-void plant_segment(StashDevice& dev, std::uint32_t c, std::uint16_t index,
-                   std::uint16_t used_chips, std::uint16_t format,
-                   std::uint64_t digest,
-                   std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> segment;
-  util::ByteWriter w(segment);
+/// Blocks of chip `c` whose pages all hold public data: the blocks a store
+/// may embed a chunk into.
+std::vector<std::uint32_t> programmed_blocks(StashDevice& dev,
+                                             std::uint32_t c) {
+  const nand::Geometry& geom = dev.chip(c).geometry();
+  std::vector<std::uint32_t> blocks;
+  for (std::uint32_t b = 0; b < geom.blocks; ++b) {
+    bool full = true;
+    for (std::uint32_t p = 0; p < geom.pages_per_block; ++p) {
+      full = full && dev.chip(c).page_state(b, p) == nand::PageState::kProgrammed;
+    }
+    if (full) blocks.push_back(b);
+  }
+  return blocks;
+}
+
+/// Hand-frame one hidden chunk, [index u16][total u16][data], and embed it
+/// into `block` of chip `c` straight through the VT-HI codec, bypassing
+/// the device's store path.
+void plant_chunk(StashDevice& dev, std::uint32_t c, std::uint32_t block,
+                 std::uint16_t index, std::uint16_t total,
+                 std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t> frame;
+  util::ByteWriter w(frame);
   w.u16(index);
-  w.u16(used_chips);
-  w.u16(format);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.u64(digest);
-  w.raw(payload);
-  ASSERT_TRUE(dev.volume(c).store_hidden(segment).is_ok());
+  w.u16(total);
+  w.raw(data);
+  vthi::VthiCodec codec(dev.chip(c), test_key(), hidden_config(1).vthi);
+  const auto hidden = codec.hide(block, frame);
+  ASSERT_TRUE(hidden.is_ok()) << "chip " << c << " block " << block << ": "
+                              << hidden.status().to_string();
 }
 
 TEST(DevHidden, PayloadShardsAcrossChipsAndRoundTrips) {
@@ -818,10 +835,32 @@ TEST(DevHidden, MissingSegmentIsCorruptionNotSilence) {
   const auto secret = random_bytes(chip0_capacity + 64, 6001);
   ASSERT_TRUE(dev.store_hidden(secret).is_ok());
 
-  // Destroy chip 1's segment; the device-level framing must flag the
-  // incomplete reassembly instead of splicing what remains.
+  // Destroy chip 1's chunks; the reassembly must flag the incomplete
+  // chunk set instead of splicing what remains.
   ASSERT_TRUE(dev.volume(1).panic_erase().is_ok());
   EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kCorrupted);
+}
+
+TEST(DevHidden, LostChunkOnOneChipIsCorruptionNotAbsence) {
+  // The whole object lives on chip 0 of two; losing one of its chunks
+  // leaves an incomplete set, which is damage (kCorrupted), not "no hidden
+  // volume under this key" — chip 1's silence must not hide chip 0's
+  // failure.
+  StashDevice dev(hidden_config(2), test_key());
+  fill_public(dev, 6100);
+  const auto secret =
+      random_bytes(2 * dev.volume(0).hidden_chunk_capacity(), 6101);
+  ASSERT_TRUE(dev.store_hidden(secret).is_ok());
+  const std::set<std::uint32_t> carriers = dev.volume(0).hidden_blocks();
+  ASSERT_GE(carriers.size(), 2u);
+  ASSERT_TRUE(dev.volume(1).hidden_blocks().empty());
+
+  ASSERT_TRUE(dev.chip(0).erase_block(*carriers.begin()).is_ok());
+  const auto loaded = dev.load_hidden();
+  ASSERT_EQ(loaded.status().code(), ErrorCode::kCorrupted)
+      << loaded.status().to_string();
+  EXPECT_NE(loaded.status().message().find("missing"), std::string::npos)
+      << loaded.status().message();
 }
 
 TEST(DevHidden, NoHiddenVolumeIsNotFound) {
@@ -844,47 +883,85 @@ TEST(DevHidden, OversizedPayloadIsRejectedBeforeTouchingFlash) {
 TEST(DevHidden, FailedSpanningStoreKeepsPreviousPayloadLoadable) {
   // A multi-chip store that dies partway through must not leave a
   // Frankenstein hidden volume.  Chip 1's programs are forced to fail, so
-  // the replacement's second segment can never land; the two-phase store
-  // has to abort chip 0's already-prepared segment and leave the previous
-  // generation fully loadable.  Before the fix chip 0 had already been
-  // overwritten by the time chip 1 failed.
+  // the replacement's chunks past chip 0 can never land; the store has to
+  // scrub the chunks it already embedded on chip 0 and leave the previous
+  // generation fully loadable.
   StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 9000);
 
-  const std::size_t cap0 = dev.volume(0).hidden_capacity_bytes();
-  ASSERT_GT(cap0, 0u);
-  const auto first = random_bytes(cap0 + 64, 41);
+  const auto first = random_bytes(32, 41);  // one chunk, on chip 0
   ASSERT_TRUE(dev.store_hidden(first).is_ok());
+  const std::set<std::uint32_t> first_carriers = dev.volume(0).hidden_blocks();
 
   fault::FaultPlan plan(9);
   plan.fail_programs(1.0);
   dev.chip(1).set_fault_injector(&plan);
-  // Sized to span again (capacities may have shrunk since the first
-  // store), so chip 1 must carry a segment — and fail.
-  const auto second =
-      random_bytes(dev.volume(0).hidden_capacity_bytes() + 64, 42);
+  // Sized past chip 0's remaining room, so the store fills chip 0 with new
+  // chunks before chip 1 must carry one — and fails.
+  const std::size_t room0 = dev.volume(0).hidden_capacity_bytes();
+  ASSERT_GT(room0, 0u);
+  const auto second = random_bytes(room0 + 64, 42);
   EXPECT_FALSE(dev.store_hidden(second).is_ok());
   dev.chip(1).set_fault_injector(nullptr);
+  EXPECT_GT(plan.stats().program_fails, 0u);
+  EXPECT_EQ(dev.volume(0).hidden_blocks(), first_carriers);
+  EXPECT_EQ(dev.volume(0).hidden_capacity_bytes(), room0);
 
   const auto loaded = dev.load_hidden();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value(), first);
+
+  // A key-only reader of both chips finds the same generation: the failed
+  // store left no chunk of its own behind.
+  const DeviceConfig config = hidden_config(2);
+  std::vector<std::unique_ptr<stego::StegoVolume>> readers;
+  std::vector<stego::StegoVolume*> volumes;
+  for (std::uint32_t c = 0; c < dev.chips(); ++c) {
+    readers.push_back(std::make_unique<stego::StegoVolume>(
+        dev.chip(c), test_key(), stego::StegoConfig{config.ftl, config.vthi}));
+    volumes.push_back(readers.back().get());
+  }
+  const auto container = stego::load_hidden(volumes);
+  ASSERT_TRUE(container.is_ok()) << container.status().to_string();
+  const auto unpacked = pack::unpack(container.value());
+  ASSERT_TRUE(unpacked.is_ok()) << unpacked.status().to_string();
+  EXPECT_EQ(unpacked.value(), first);
 }
 
-TEST(DevHidden, DuplicateHiddenSegmentIndexIsCorruption) {
-  // Two chips answering with the same segment index is an inconsistent
-  // chip set (a stale generation, a replayed image).  The reassembly used
-  // to let the later chip silently overwrite the earlier one's slot and
-  // report success; it must refuse instead.
+TEST(DevHidden, ShorterReplacementClearsTheChipItNoLongerUses) {
+  // A payload that fills chip 0 and spills onto chip 1, replaced by a
+  // one-chunk payload.  Chip 0's blocks all carry the old generation, so
+  // the replacement lands on chip 1 and chip 0 takes no chunk of it; the
+  // store must still scrub chip 0's old chunks, or they would sit beside
+  // the new set under another total.
+  StashDevice dev(hidden_config(2), test_key());
+  fill_public(dev, 9300);
+  const auto first =
+      random_bytes(dev.volume(0).hidden_capacity_bytes() + 64, 9301);
+  ASSERT_TRUE(dev.store_hidden(first).is_ok());
+  ASSERT_EQ(dev.volume(0).hidden_capacity_bytes(), 0u);
+
+  const auto second = random_bytes(32, 9302);
+  ASSERT_TRUE(dev.store_hidden(second).is_ok());
+  EXPECT_TRUE(dev.volume(0).hidden_blocks().empty());
+  EXPECT_FALSE(dev.volume(1).hidden_blocks().empty());
+  const auto loaded = dev.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), second);
+}
+
+TEST(DevHidden, DuplicateHiddenChunkIndexIsCorruption) {
+  // Two chips answering with the same chunk index is an inconsistent set
+  // (a stale generation, a replayed image): the reassembly must refuse
+  // instead of letting either copy fill the slot.
   StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 9500);
 
-  // Plant the identical segment, index 0 of a 1-segment payload, on BOTH
+  // Plant the identical chunk, index 0 of a 1-chunk payload, on BOTH
   // chips.
   const std::vector<std::uint8_t> payload(48, 0x77);
   for (std::uint32_t c = 0; c < 2; ++c) {
-    plant_segment(dev, c, 0, 1, pack::kFormatVersion, util::fnv1a(payload),
-                  payload);
+    plant_chunk(dev, c, programmed_blocks(dev, c).front(), 0, 1, payload);
   }
 
   const auto loaded = dev.load_hidden();
@@ -892,11 +969,10 @@ TEST(DevHidden, DuplicateHiddenSegmentIndexIsCorruption) {
   EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupted);
 }
 
-TEST(DevHidden, InfoHeadroomStopsAtFirstChipWithoutRoom) {
-  // Chip 1 gets no public data, so it has no hidden capacity.  The store
-  // planner fills chips in order and stops at the first one with no room
-  // (a later segment would leave a gap in the index), so chip 2's
-  // capacity is unreachable and must not count as headroom.
+TEST(DevHidden, PayloadSkipsAChipWithoutRoom) {
+  // Chip 1 gets no public data, so it has no hidden capacity.  Chunks are
+  // numbered across the device, so a payload larger than chip 0 skips
+  // chip 1 and continues on chip 2, and the headroom counts both.
   StashDevice dev(hidden_config(3), test_key());
   for (std::uint64_t lpn = 0; lpn < dev.logical_pages(); ++lpn) {
     if (lpn % 3 == 1) continue;  // lpn -> chip lpn % 3
@@ -905,23 +981,54 @@ TEST(DevHidden, InfoHeadroomStopsAtFirstChipWithoutRoom) {
   }
   ASSERT_TRUE(dev.flush().is_ok());
   ASSERT_EQ(dev.volume(1).hidden_capacity_bytes(), 0u);
-  ASSERT_GT(dev.volume(2).hidden_capacity_bytes(), 18u);
-  ASSERT_TRUE(dev.store_hidden(random_bytes(32, 9701)).is_ok());
+  const std::size_t cap0 = dev.volume(0).hidden_capacity_bytes();
+  ASSERT_GT(dev.volume(2).hidden_capacity_bytes(), 64u);
+
+  const auto secret = random_bytes(cap0, 9701);
+  ASSERT_TRUE(dev.store_hidden(secret).is_ok());
+  EXPECT_FALSE(dev.volume(0).hidden_blocks().empty());
+  EXPECT_TRUE(dev.volume(1).hidden_blocks().empty());
+  EXPECT_FALSE(dev.volume(2).hidden_blocks().empty());
+  const auto loaded = dev.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
 
   const auto info = dev.hidden_info();
   ASSERT_TRUE(info.is_ok()) << info.status().to_string();
-  // 18 = the device's per-chip segment header.
   EXPECT_EQ(info.value().remaining_capacity_bytes,
-            dev.volume(0).hidden_capacity_bytes() - 18);
+            dev.volume(0).hidden_capacity_bytes() +
+                dev.volume(2).hidden_capacity_bytes());
 }
 
-// ---- Hidden segment-set input checks ---------------------------------------
-//
-// A real pack container, split over two chips and planted segment by
-// segment, with one header field or payload byte disturbed per case.
+TEST(DevHidden, ObjectFramedByAnOlderBuildIsCorrupted) {
+  // Builds before the one chunk framing wrapped the container in an
+  // 18-byte per-chip segment header (index, used_chips, format, length,
+  // FNV digest) inside the chunks.  Such an object reassembles into bytes
+  // that are not a pack container: a clean kCorrupted, never bytes.
+  StashDevice dev(hidden_config(1), test_key());
+  fill_public(dev, 9750);
+  auto container = pack::pack(random_bytes(64, 9751), pack::PackConfig{});
+  ASSERT_TRUE(container.is_ok());
+  std::vector<std::uint8_t> segment;
+  util::ByteWriter w(segment);
+  w.u16(0);  // index
+  w.u16(1);  // used_chips
+  w.u16(pack::kFormatVersion);
+  w.u32(static_cast<std::uint32_t>(container.value().size()));
+  w.u64(util::fnv1a(container.value()));
+  w.raw(container.value());
+  ASSERT_TRUE(dev.volume(0).store_hidden(segment).is_ok());
+  EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kCorrupted);
+  EXPECT_EQ(dev.hidden_info().status().code(), ErrorCode::kCorrupted);
+}
 
-/// How a planted two-chip segment set departs from a consistent one.
-enum class SetFault { kNone, kDigest, kUsedChips, kFormat, kPayload };
+// ---- Hidden chunk-set input checks -----------------------------------------
+//
+// A real pack container, split into chunks planted over two chips, with one
+// chunk header field or payload byte disturbed per case.
+
+/// How a planted two-chip chunk set departs from a consistent one.
+enum class SetFault { kNone, kGeneration, kTotal, kIndex, kPayload };
 
 struct PlantedSet {
   std::vector<std::uint8_t> secret;  // what a consistent set loads as
@@ -932,21 +1039,38 @@ PlantedSet plant_two_chip_set(StashDevice& dev, SetFault fault) {
   out.secret = random_bytes(96, 9800);
   auto container = pack::pack(out.secret, pack::PackConfig{});
   EXPECT_TRUE(container.is_ok());
-  const std::vector<std::uint8_t>& bytes = container.value();
-  const std::uint64_t digest = util::fnv1a(bytes);
-  const std::size_t half = bytes.size() / 2;
-  const std::span<const std::uint8_t> head(bytes.data(), half);
-  std::vector<std::uint8_t> tail(bytes.begin() + static_cast<long>(half),
-                                 bytes.end());
-  if (fault == SetFault::kPayload) tail.back() ^= 0x01;
-  plant_segment(dev, 0, 0, 2, pack::kFormatVersion, digest, head);
-  plant_segment(dev, 1, 1, fault == SetFault::kUsedChips ? 3 : 2,
-                fault == SetFault::kFormat ? 0 : pack::kFormatVersion,
-                fault == SetFault::kDigest ? digest ^ 1 : digest, tail);
+  // Another generation of the same size: its last chunk has consistent
+  // chunk headers but belongs to a different container.
+  auto other = pack::pack(random_bytes(96, 9802), pack::PackConfig{});
+  EXPECT_TRUE(other.is_ok());
+  EXPECT_EQ(other.value().size(), container.value().size());
+
+  // Chunks of the device's size, the first half on chip 0 and the rest on
+  // chip 1; the disturbance goes into the last one.
+  const std::size_t per = dev.volume(0).hidden_chunk_capacity();
+  const std::size_t size = container.value().size();
+  const auto total = static_cast<std::uint16_t>((size + per - 1) / per);
+  EXPECT_GE(total, 2u);
+  const std::array<std::vector<std::uint32_t>, 2> blocks = {
+      programmed_blocks(dev, 0), programmed_blocks(dev, 1)};
+  for (std::uint16_t i = 0; i < total; ++i) {
+    const bool last = i + 1 == total;
+    const std::vector<std::uint8_t>& from =
+        last && fault == SetFault::kGeneration ? other.value()
+                                               : container.value();
+    std::vector<std::uint8_t> data(
+        from.begin() + static_cast<long>(i * per),
+        from.begin() + static_cast<long>(std::min(size, (i + 1) * per)));
+    if (last && fault == SetFault::kPayload) data.back() ^= 0x01;
+    const std::uint32_t c = i < total / 2 ? 0 : 1;
+    plant_chunk(dev, c, blocks[c].at(i - (c == 0 ? 0 : total / 2)),
+                last && fault == SetFault::kIndex ? 0 : i,
+                last && fault == SetFault::kTotal ? total + 1 : total, data);
+  }
   return out;
 }
 
-TEST(DevHidden, ConsistentPlantedSegmentSetLoads) {
+TEST(DevHidden, ConsistentPlantedChunkSetLoads) {
   // Control for the cases below: the undisturbed plant reassembles, so
   // each of them fails because of its one disturbance.
   StashDevice dev(hidden_config(2), test_key());
@@ -955,11 +1079,12 @@ TEST(DevHidden, ConsistentPlantedSegmentSetLoads) {
   const auto loaded = dev.load_hidden();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value(), set.secret);
+  EXPECT_TRUE(dev.hidden_info().is_ok());
 }
 
 class DevHiddenInput : public ::testing::TestWithParam<SetFault> {};
 
-TEST_P(DevHiddenInput, InconsistentSegmentSetIsCorruption) {
+TEST_P(DevHiddenInput, InconsistentChunkSetIsCorruption) {
   StashDevice dev(hidden_config(2), test_key());
   fill_public(dev, 9800);
   (void)plant_two_chip_set(dev, GetParam());
@@ -969,41 +1094,49 @@ TEST_P(DevHiddenInput, InconsistentSegmentSetIsCorruption) {
 
 INSTANTIATE_TEST_SUITE_P(
     , DevHiddenInput,
-    ::testing::Values(SetFault::kDigest, SetFault::kUsedChips,
-                      SetFault::kFormat, SetFault::kPayload),
+    ::testing::Values(SetFault::kGeneration, SetFault::kTotal,
+                      SetFault::kIndex, SetFault::kPayload),
     [](const ::testing::TestParamInfo<SetFault>& param) -> std::string {
       switch (param.param) {
-        case SetFault::kDigest: return "digest_differs";
-        case SetFault::kUsedChips: return "used_chips_differs";
-        case SetFault::kFormat: return "format_differs";
+        case SetFault::kGeneration: return "generation_mixed";
+        case SetFault::kTotal: return "total_differs";
+        case SetFault::kIndex: return "index_repeated";
         case SetFault::kPayload: return "payload_altered";
         case SetFault::kNone: break;
       }
       return "none";
     });
 
-class DevHiddenFormat : public ::testing::TestWithParam<std::uint16_t> {};
+class DevHiddenFormat : public ::testing::TestWithParam<std::uint8_t> {};
 
-TEST_P(DevHiddenFormat, UnwrittenSegmentFormatIsUnsupported) {
-  // An intact generation (digest matches) tagged with a format this build
-  // does not write — the old raw tag 0 or a future container version —
-  // is kUnsupported from both load and describe, never bytes.
+TEST_P(DevHiddenFormat, UnwrittenContainerVersionIsUnsupported) {
+  // An intact chunk set whose container carries a version this build does
+  // not write — the old raw tag 0 or a future container version — is
+  // kUnsupported from both load and describe, never bytes.
   StashDevice dev(hidden_config(1), test_key());
   fill_public(dev, 9900);
   auto container = pack::pack(random_bytes(64, 9901), pack::PackConfig{});
   ASSERT_TRUE(container.is_ok());
-  plant_segment(dev, 0, 0, 1, GetParam(), util::fnv1a(container.value()),
-                container.value());
+  std::vector<std::uint8_t> bytes = container.value();
+  bytes[4] = GetParam();  // the version byte, after the u32 magic
+  const std::size_t per = dev.volume(0).hidden_chunk_capacity();
+  const auto total = static_cast<std::uint16_t>((bytes.size() + per - 1) / per);
+  const auto blocks = programmed_blocks(dev, 0);
+  for (std::uint16_t i = 0; i < total; ++i) {
+    const std::size_t end = std::min(bytes.size(), (i + 1) * per);
+    plant_chunk(dev, 0, blocks.at(i), i, total,
+                std::span(bytes).subspan(i * per, end - i * per));
+  }
   EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kUnsupported);
   EXPECT_EQ(dev.hidden_info().status().code(), ErrorCode::kUnsupported);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     , DevHiddenFormat,
-    ::testing::Values(std::uint16_t{0},
-                      static_cast<std::uint16_t>(pack::kFormatVersion + 1)),
-    [](const ::testing::TestParamInfo<std::uint16_t>& param) {
-      return "format" + std::to_string(param.param);
+    ::testing::Values(std::uint8_t{0},
+                      static_cast<std::uint8_t>(pack::kFormatVersion + 1)),
+    [](const ::testing::TestParamInfo<std::uint8_t>& param) {
+      return "version" + std::to_string(param.param);
     });
 
 // ---- Power-cut battery (satellite: write-back cache under stash::fault) ---

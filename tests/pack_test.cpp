@@ -378,14 +378,11 @@ TEST(PackDevice, HiddenInfoDescribesThePackedObject) {
   EXPECT_EQ(info.value().format, kFormatVersion);
   EXPECT_GT(info.value().chunks, 0u);
   EXPECT_GE(info.value().multiplier(), 2.0);
-  // Headroom of a replacement store, as the split planner sees it: each
-  // chip's room past its 18-byte segment header, in chip order, up to the
-  // first chip with no room.
+  // Headroom of a replacement store: every chip's room for chunks beside
+  // the stored generation.
   std::uint64_t headroom = 0;
   for (std::uint32_t c = 0; c < dev.chips(); ++c) {
-    const std::size_t cap = dev.volume(c).hidden_capacity_bytes();
-    if (cap <= 18) break;
-    headroom += cap - 18;
+    headroom += dev.volume(c).hidden_capacity_bytes();
   }
   EXPECT_EQ(info.value().remaining_capacity_bytes, headroom);
 

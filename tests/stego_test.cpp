@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 
 #include "stash/fault/plan.hpp"
 #include "stash/stego/volume.hpp"
+#include "stash/util/wire.hpp"
 
 namespace stash::stego {
 namespace {
@@ -220,19 +222,37 @@ TEST(Stego, ReplacingThePayloadSupersedesItForAFreshReader) {
   EXPECT_EQ(loaded.value(), second);
 }
 
-TEST(Stego, AbortedPrepareKeepsTheOldPayloadLoadable) {
-  // prepare/abort is the no-op arm of the two-phase store the device's
-  // multi-chip coordinator relies on: after an abort the first generation
-  // must still load, tracked and by key-only scan alike.
+TEST(Stego, FailedReplaceKeepsTheOldPayloadLoadable) {
+  // A replacement whose second chunk finds no carrier that verifies must
+  // scrub the chunk it already embedded and keep the first generation:
+  // tracked and by key-only scan alike, the old payload still loads.
   FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 115);
   const std::vector<std::uint8_t> kept(40, 0x6b);
   {
     StegoVolume writer(chip, test_key());
     fill_public(writer, 40, 660);
     ASSERT_TRUE(writer.store_hidden(kept).is_ok());
-    auto txn = writer.prepare_store_hidden(std::vector<std::uint8_t>(24, 0x11));
-    ASSERT_TRUE(txn.is_ok()) << txn.status().to_string();
-    ASSERT_TRUE(writer.abort_store_hidden(txn.value()).is_ok());
+    const std::set<std::uint32_t> old_carriers = writer.hidden_blocks();
+
+    // Every embed after the first new carrier's fails its programs.
+    std::optional<std::uint32_t> first_new;
+    fault::FaultPlan plan(115);
+    plan.fail_when([&](nand::FaultOp op, std::uint32_t block, std::uint32_t) {
+      if (op != nand::FaultOp::kPartialProgram &&
+          op != nand::FaultOp::kFineProgram) {
+        return false;
+      }
+      if (!first_new) first_new = block;
+      return block != *first_new;
+    });
+    chip.set_fault_injector(&plan);
+    const std::vector<std::uint8_t> replacement(
+        writer.hidden_chunk_capacity() + 8, 0x11);  // two chunks
+    EXPECT_EQ(writer.store_hidden(replacement).code(), ErrorCode::kNoSpace);
+    chip.set_fault_injector(nullptr);
+    ASSERT_TRUE(first_new.has_value());
+    EXPECT_EQ(writer.hidden_blocks(), old_carriers);
+
     const auto tracked = writer.load_hidden();
     ASSERT_TRUE(tracked.is_ok()) << tracked.status().to_string();
     EXPECT_EQ(tracked.value(), kept);
@@ -241,6 +261,30 @@ TEST(Stego, AbortedPrepareKeepsTheOldPayloadLoadable) {
   const auto loaded = reader.load_hidden();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value(), kept);
+}
+
+TEST(Stego, ThreeChunkReplaceKnownAnswer) {
+  // Known answer for one volume on a fixed-seed chip: a one-chunk store
+  // replaced by a three-chunk one.  The chip digest covers every cell the
+  // embeds and tombstone scrubs touched and the cost ledger of every probe,
+  // so any change to how a volume chunks, places, verifies or releases a
+  // generation (or how often it scans) moves it.
+  FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 119);
+  StegoVolume volume(chip, test_key());
+  fill_public(volume, 40, 1000);
+  ASSERT_TRUE(volume.store_hidden(std::vector<std::uint8_t>(30, 0x4b)).is_ok());
+
+  std::vector<std::uint8_t> secret(2 * volume.hidden_chunk_capacity() + 21);
+  util::Xoshiro256 rng(119);
+  for (auto& b : secret) b = static_cast<std::uint8_t>(rng());
+  ASSERT_TRUE(volume.store_hidden(secret).is_ok());
+  EXPECT_EQ(volume.hidden_blocks(), (std::set<std::uint32_t>{1, 2, 3}));
+  EXPECT_EQ(chip.state_digest(), 0x7a34c20de005e34dULL);
+
+  const auto loaded = volume.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
+  EXPECT_EQ(util::fnv1a(loaded.value()), 0x348f4811ab1a82cfULL);
 }
 
 TEST(Stego, ChunkCapacityIsConsistent) {

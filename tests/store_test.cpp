@@ -771,7 +771,7 @@ void fill_public(StashDevice& dev, std::uint64_t tag) {
 }
 
 /// Incompressible bytes, four chunks' worth: pack stores them verbatim, so
-/// a middle chunk of the segment is payload bytes and nothing else.
+/// a middle chunk of the container is payload bytes and nothing else.
 std::vector<std::uint8_t> multi_chunk_payload(StashDevice& dev,
                                               std::uint64_t tag) {
   return pattern_bytes(dev.volume(0).hidden_chunk_capacity() * 4, tag);
@@ -1016,11 +1016,58 @@ TEST(HiddenRestart, PowerCutLosesAPendingChunkAndCountsIt) {
   ASSERT_TRUE(dev.power_cycle().is_ok());
   EXPECT_EQ(volume.pending_chunks(), 0u);
   EXPECT_EQ(volume.stats().lost_chunks, lost_before + pending);
-  auto segment = volume.load_hidden();
-  ASSERT_EQ(segment.status().code(), ErrorCode::kCorrupted);
-  EXPECT_NE(segment.status().message().find("missing"), std::string::npos)
-      << segment.status().message();
-  EXPECT_FALSE(dev.load_hidden().is_ok());
+  auto on_chip = volume.load_hidden();
+  ASSERT_EQ(on_chip.status().code(), ErrorCode::kCorrupted);
+  EXPECT_NE(on_chip.status().message().find("missing"), std::string::npos)
+      << on_chip.status().message();
+  auto whole = dev.load_hidden();
+  ASSERT_EQ(whole.status().code(), ErrorCode::kCorrupted)
+      << whole.status().message();
+  EXPECT_NE(whole.status().message().find("missing"), std::string::npos)
+      << whole.status().message();
+}
+
+TEST(HiddenRestart, ScanThatMissedACarrierScansAgainBeforeGc) {
+  // After a restore, the first key-only scan cannot read one carrier: the
+  // chip fails every probe of it.  That scan must leave the carrier set
+  // unknown, so the GC that later collects the block finds it first and
+  // rescues its chunk; a set marked known would let the erase destroy the
+  // chunk without a rescue or a count.
+  ScratchDir dir("restore_unread");
+  std::vector<std::uint8_t> payload;
+  std::uint32_t unread = 0;
+  {
+    StashDevice dev(hidden_dev_config(), test_key());
+    fill_public(dev, 1750);
+    payload = multi_chunk_payload(dev, 1751);
+    ASSERT_TRUE(dev.store_hidden(payload).is_ok());
+    const std::set<std::uint32_t>& carriers = dev.volume(0).hidden_blocks();
+    ASSERT_GE(carriers.size(), 2u);
+    unread = *std::next(carriers.begin());
+    ASSERT_TRUE(dev.save_snapshot(dir.path()).is_ok());
+  }
+  StashDevice dev(hidden_dev_config(), test_key());
+  ASSERT_TRUE(dev.load_snapshot(dir.path()).is_ok());
+  const std::uint32_t pec_before = dev.chip(0).pec(unread);
+
+  fault::FaultPlan plan(1752);
+  plan.fail_when([&](nand::FaultOp op, std::uint32_t block, std::uint32_t) {
+    return op == nand::FaultOp::kRead && block == unread;
+  });
+  dev.chip(0).set_fault_injector(&plan);
+  EXPECT_EQ(dev.load_hidden().status().code(), ErrorCode::kCorrupted);
+  dev.chip(0).set_fault_injector(nullptr);
+  EXPECT_GT(plan.stats().predicate_fails, 0u);
+  EXPECT_EQ(dev.volume(0).hidden_blocks().count(unread), 0u);
+
+  for (std::uint64_t pass = 0; pass < 3; ++pass) {
+    fill_public(dev, 1760 + 100 * pass);
+  }
+  ASSERT_GT(dev.chip(0).pec(unread), pec_before) << "the block was never collected";
+  EXPECT_EQ(dev.volume(0).stats().lost_chunks, 0u);
+  auto hidden = dev.load_hidden();
+  ASSERT_TRUE(hidden.is_ok()) << hidden.status().message();
+  EXPECT_EQ(hidden.value(), payload);
 }
 
 TEST(HiddenRestart, PowerCutWithNothingPendingRescansAndLoads) {
