@@ -71,11 +71,13 @@ struct FtlStats {
 
 class PageMappedFtl {
  public:
-  /// Called once per victim block, before the first page moves and before
-  /// the erase — while every cell of the block is still physically intact.
-  /// This is the last chance to lift hidden data out of the block, and it
-  /// fires even when the block holds no valid public pages at all.
-  using PreEraseHook = std::function<void(std::uint32_t block)>;
+  /// Called once per victim block (GC or wear leveling), before the first
+  /// page moves and before the erase, while every cell is still intact:
+  /// the last chance to lift hidden data out of the block, even one with
+  /// no valid public pages.  A non-OK return refuses the erase: the victim
+  /// keeps its pages, mappings and wear, and the collection ends with that
+  /// status (allocate_page then fails only if no free block is left).
+  using PreEraseHook = std::function<Status(std::uint32_t block)>;
 
   PageMappedFtl(nand::FlashChip& chip, FtlConfig config = {});
 
@@ -170,10 +172,10 @@ class PageMappedFtl {
   Status retire_block(std::uint32_t block);
   /// Relocate every valid page off `block` without erasing it.
   Status drain_block(std::uint32_t block);
-  Status relocate_block(std::uint32_t victim);
-  /// One GC pass over `victim`; kNoSpace if its valid pages do not fit the
-  /// free slack.
-  Status collect(std::uint32_t victim);
+  /// The one way a block leaves service (GC and wear leveling): count the
+  /// pass in `counter`, call the hook, drain, then erase or retire the
+  /// victim.  kNoSpace when re-entered or short of slack.
+  Status collect(std::uint32_t victim, FtlStats::Field counter);
   Status maybe_wear_level();
   [[nodiscard]] std::uint32_t pick_gc_victim() const;
 

@@ -52,19 +52,18 @@ PageMappedFtl::PageMappedFtl(nand::FlashChip& chip, FtlConfig config)
 Result<PageAddr> PageMappedFtl::allocate_page() {
   const auto& geom = chip_->geometry();
   if (!active_block_ || active_next_page_ >= geom.pages_per_block) {
-    if (!gc_active_) {
-      // Collect until the free pool is healthy again.  Each pass frees its
-      // victim but may consume free space relocating valid pages, so guard
-      // against a stuck state where no pass makes net progress.
-      std::uint32_t guard = geom.blocks * 2;
-      while (free_.size() <= kGcLowWatermark && guard-- > 0) {
-        const std::uint32_t victim = pick_gc_victim();
-        if (victim >= geom.blocks) break;  // nothing left to collect
-        const Status collected = collect(victim);
-        if (!collected.is_ok()) {
-          if (free_.empty()) return collected;
-          break;
-        }
+    // Collect until the free pool is healthy again.  Each pass frees its
+    // victim but may consume free space relocating valid pages, so guard
+    // against a stuck state where no pass makes net progress.  A refused
+    // pass (see collect) ends the loop.
+    std::uint32_t guard = geom.blocks * 2;
+    while (free_.size() <= kGcLowWatermark && guard-- > 0) {
+      const std::uint32_t victim = pick_gc_victim();
+      if (victim >= geom.blocks) break;  // nothing left to collect
+      const Status collected = collect(victim, F::gc_runs);
+      if (!collected.is_ok()) {
+        if (free_.empty()) return collected;
+        break;
       }
     }
     if (free_.empty()) {
@@ -260,8 +259,8 @@ std::optional<PageAddr> PageMappedFtl::locate(std::uint64_t lpn) const {
 }
 
 std::uint32_t PageMappedFtl::pick_gc_victim() const {
-  // Greedy: the block with the fewest valid pages, excluding the active
-  // block and free blocks.
+  // Greedy: the block with the fewest valid pages (the first fully invalid
+  // one if any), excluding the active block and free blocks.
   const auto& geom = chip_->geometry();
   std::uint32_t best = geom.blocks;
   std::uint32_t best_valid = std::numeric_limits<std::uint32_t>::max();
@@ -270,16 +269,6 @@ std::uint32_t PageMappedFtl::pick_gc_victim() const {
   for (std::uint32_t b = 0; b < geom.blocks; ++b) {
     if (is_free[b] || bad_[b]) continue;
     if (active_block_ && *active_block_ == b) continue;
-    // Only consider blocks that have been written to.
-    bool touched = false;
-    for (std::uint32_t p = 0; p < geom.pages_per_block && !touched; ++p) {
-      touched = p2l_[static_cast<std::uint64_t>(b) * geom.pages_per_block + p] !=
-                kUnmapped;
-    }
-    if (!touched && valid_count_[b] == 0) {
-      // Fully invalid (or never-used but not in free list): ideal victim.
-      return b;
-    }
     // A fully-valid block reclaims nothing: erasing it costs one PEC and
     // pages_per_block relocation writes for zero net free pages.  Churning
     // such victims when the free pool runs low burns endurance and can
@@ -293,33 +282,19 @@ std::uint32_t PageMappedFtl::pick_gc_victim() const {
   return best;
 }
 
-Status PageMappedFtl::relocate_block(std::uint32_t victim) {
-  if (pre_erase_hook_) pre_erase_hook_(victim);
-  STASH_RETURN_IF_ERROR(drain_block(victim));
-  if (const Status erased = chip_->erase_block(victim); !erased.is_ok()) {
-    if (erased.code() == ErrorCode::kEraseFail ||
-        erased.code() == ErrorCode::kWornOut) {
-      // The block cannot be reclaimed; pull it out of circulation instead
-      // of failing the collection pass (it is already drained).
-      return retire_block(victim);
-    }
-    return erased;
-  }
-  free_.insert(free_.begin(), victim);  // FIFO-ish reuse spreads wear
-  return Status::ok();
-}
-
 Status PageMappedFtl::run_gc() {
-  if (gc_active_) return Status::ok();
   const std::uint32_t victim = pick_gc_victim();
   // No victim means nothing needs collecting: a healthy device, not a
   // capacity error.
   if (victim >= chip_->geometry().blocks) return Status::ok();
-  return collect(victim);
+  return collect(victim, F::gc_runs);
 }
 
-Status PageMappedFtl::collect(std::uint32_t victim) {
+Status PageMappedFtl::collect(std::uint32_t victim, F counter) {
   const auto& geom = chip_->geometry();
+  // Re-entrancy guard: the drain below allocates pages, and a collection
+  // must not start inside it.
+  if (gc_active_) return {ErrorCode::kNoSpace, "collection already running"};
   // Liveness guard: draining the victim allocates one page per valid page
   // it still holds.  If that does not provably fit in the current slack
   // (free blocks plus the active block's remaining pages), the drain would
@@ -331,10 +306,24 @@ Status PageMappedFtl::collect(std::uint32_t victim) {
   if (slack < valid_count_[victim]) {
     return {ErrorCode::kNoSpace, "insufficient slack to relocate GC victim"};
   }
-  counters_.add(F::gc_runs);
+  counters_.add(counter);
   gc_active_ = true;
   trace::ScopedSpan span(trace::Stage::kFtlGc, trace::Op::kGc, victim);
-  const Status status = relocate_block(victim);
+  const Status status = [&]() -> Status {
+    // The hook may refuse the erase; the victim then stays as it is.
+    if (pre_erase_hook_) STASH_RETURN_IF_ERROR(pre_erase_hook_(victim));
+    STASH_RETURN_IF_ERROR(drain_block(victim));
+    const Status erased = chip_->erase_block(victim);
+    if (erased.code() == ErrorCode::kEraseFail ||
+        erased.code() == ErrorCode::kWornOut) {
+      // The block cannot be reclaimed; pull it out of circulation instead
+      // of failing the collection pass (it is already drained).
+      return retire_block(victim);
+    }
+    // FIFO-ish reuse spreads wear.
+    if (erased.is_ok()) free_.insert(free_.begin(), victim);
+    return erased;
+  }();
   span.set_status(static_cast<std::uint8_t>(status.code()));
   gc_active_ = false;
   return status;
@@ -362,12 +351,7 @@ Status PageMappedFtl::maybe_wear_level() {
     return Status::ok();
   }
   if (active_block_ && *active_block_ == coldest) return Status::ok();
-  if (gc_active_) return Status::ok();
-  counters_.add(F::wear_swaps);
-  gc_active_ = true;
-  const Status status = relocate_block(coldest);
-  gc_active_ = false;
-  return status;
+  return collect(coldest, F::wear_swaps);
 }
 
 // ---- Persistence -----------------------------------------------------------

@@ -117,8 +117,9 @@ class FlashChip {
   // ---- Vendor operations (NDA commands on real hardware) -----------------
 
   /// Per-cell voltage measurement in the tester's discrete normalized units.
-  /// Costs one read operation.  Empty on a bad address or an interrupting
-  /// injected fault.
+  /// Costs one read operation.  Empty on a bad address, an injected read
+  /// fault, or a dark chip (after a power cut): the hidden volume relies on
+  /// that to tell an unread carrier from a block without a chunk.
   [[nodiscard]] std::vector<int> probe_voltages(std::uint32_t block,
                                                 std::uint32_t page);
 

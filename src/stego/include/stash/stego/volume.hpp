@@ -11,7 +11,8 @@
 //    a restore or a power cut the volume finds it by key again.
 //  * Migration survival: when the FTL garbage-collects or wear-levels a
 //    block carrying hidden data, the volume rescues the chunk before the
-//    erase and re-embeds it into freshly written public data (§5.1).
+//    erase and re-embeds it into freshly written public data (§5.1).  A
+//    carrier the chip cannot read at that moment is not erased.
 //  * Panic erase: destroying the hidden volume is one erase per block
 //    ("almost instantaneous", §1).
 //
@@ -40,10 +41,10 @@ using util::Result;
 using util::Status;
 
 /// The volume's counters: hidden chunks lifted out of GC victims,
-/// re-embedded into new blocks, lost (unreadable at rescue, or rescued and
-/// dropped by a power cut before a new home took them), and embeds whose
-/// read-back verification failed (worn carrier rejected; the chunk was
-/// retried elsewhere or kept pending, never lost).
+/// re-embedded into new blocks, lost (read at rescue but not authentic, or
+/// rescued and dropped by a power cut before a new home took them), and
+/// embeds whose read-back verification failed (worn carrier rejected; the
+/// chunk was retried elsewhere or kept pending, never lost).
 #define STASH_STEGO_COUNTERS(X) \
   X(rescues) X(reembeds) X(lost_chunks) X(failed_embeds)
 
@@ -119,7 +120,10 @@ class StegoVolume {
   /// case of stego::load_hidden below.
   Result<std::vector<std::uint8_t>> load_hidden();
 
-  /// Destroy all hidden data (and the public data sharing its blocks).
+  /// Destroy all hidden data (and the public data sharing its blocks),
+  /// scanning for forgotten carriers first.  Returns the scan's status: a
+  /// block the chip did not serve may still carry a chunk, so a retry
+  /// scans again.
   Status panic_erase();
 
   /// Re-embed any chunks rescued from relocated blocks.  Called
@@ -171,20 +175,24 @@ class StegoVolume {
 
   /// Reveal the tracked carriers or, when none are tracked or the set is
   /// unknown, scan every fully programmed block by key and adopt each one
-  /// that yields a chunk.  A scan makes the carrier set known only when the
-  /// chip served every probe: a block it did not serve (a read fault, a
-  /// power cut) may be a carrier, so the next operation scans again.
-  /// Returns the chunks found.
-  std::vector<Chunk> reveal_carriers();
-  /// Resolve a forgotten carrier set with the key-only scan.
-  void find_carriers();
+  /// that yields a chunk, appending the chunks to `found` (when non-null).
+  /// A scan makes the carrier set known only when the chip served every
+  /// probe: a block it did not serve (a read fault, a power cut) may be a
+  /// carrier, so the next operation scans again.  Returns the first status
+  /// the chip did not serve, or OK.
+  Status reveal_carriers(std::vector<Chunk>* found);
+  /// Resolve a forgotten carrier set with the key-only scan (its status).
+  Status find_carriers();
 
   /// Blocks whose hidden pages are all programmed with public data and that
   /// do not already carry a hidden chunk.
   [[nodiscard]] std::vector<std::uint32_t> eligible_blocks();
   [[nodiscard]] bool block_fully_programmed(std::uint32_t block) const;
 
-  void on_relocation(nand::PageAddr from);
+  /// The FTL's pre-erase hook: rescue a carrier's chunk into pending_.
+  /// Refuses the erase while the carrier set is unknown after its scan, or
+  /// when the chip did not serve the carrier's reveal.
+  Status on_relocation(std::uint32_t block);
 
   /// Embed `chunk` into `block` and read it back through the full reveal
   /// path.  Only a verified embedding claims the block; a failed one marks

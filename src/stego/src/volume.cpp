@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <iterator>
 #include <string>
 
 namespace stash::stego {
@@ -21,7 +20,7 @@ StegoVolume::StegoVolume(nand::FlashChip& chip, const crypto::HidingKey& key,
   // invalid (a per-page relocation callback would miss those and the erase
   // would silently destroy the hidden chunk).
   ftl_.set_pre_erase_hook(
-      [this](std::uint32_t block) { on_relocation({block, 0}); });
+      [this](std::uint32_t block) { return on_relocation(block); });
 }
 
 Status StegoVolume::write_public(std::uint64_t lpn,
@@ -86,7 +85,7 @@ bool StegoVolume::block_fully_programmed(std::uint32_t block) const {
 std::vector<std::uint32_t> StegoVolume::eligible_blocks() {
   // A forgotten carrier would look eligible, and embedding over it would
   // scramble a live chunk: find the carriers first.
-  find_carriers();
+  (void)find_carriers();
   std::vector<std::uint32_t> blocks;
   for (std::uint32_t b = 0; b < chip_->geometry().blocks; ++b) {
     if (hidden_blocks_.count(b)) continue;
@@ -103,7 +102,7 @@ Status StegoVolume::store_hidden(std::span<const std::uint8_t> data) {
 Status StegoVolume::discard_hidden() {
   // Locate the carriers with a key-only scan when nothing is tracked (the
   // same discovery path load_hidden's scanning mode uses).
-  if (hidden_blocks_.empty()) (void)reveal_carriers();
+  if (hidden_blocks_.empty()) (void)reveal_carriers(nullptr);
   for (const std::uint32_t b : hidden_blocks_) scrub_block(b);
   hidden_blocks_.clear();
   pending_.clear();
@@ -119,37 +118,55 @@ void StegoVolume::scrub_block(std::uint32_t block) {
   (void)codec_.hide(block, tombstone);
 }
 
-std::vector<StegoVolume::Chunk> StegoVolume::reveal_carriers() {
+namespace {
+
+/// A reveal the chip did not serve (an empty probe, a power cut) says
+/// nothing of the block: it may still carry a chunk.
+bool served(const Status& revealed) noexcept {
+  return revealed.code() != ErrorCode::kOutOfBounds &&
+         revealed.code() != ErrorCode::kPowerLoss;
+}
+
+/// Payload bytes per chunk that every volume can carry.
+std::size_t chunk_capacity(Volumes volumes) {
+  std::size_t per_chunk = SIZE_MAX;
+  for (const StegoVolume* volume : volumes) {
+    per_chunk = std::min(per_chunk, volume->hidden_chunk_capacity());
+  }
+  return volumes.empty() ? 0 : per_chunk;
+}
+
+}  // namespace
+
+Status StegoVolume::reveal_carriers(std::vector<Chunk>* found) {
   // Key-only mount: reveal every candidate block; the MAC rejects blocks
   // without (our) hidden data.  When this instance already tracks hidden
   // blocks, restrict to those; otherwise scan everything fully programmed.
   const bool scanning = !carriers_known_ || hidden_blocks_.empty();
-  bool served = true;
-  std::vector<Chunk> found;
+  Status unserved;
   std::vector<std::uint32_t> discovered;
   for (std::uint32_t b = 0; b < chip_->geometry().blocks; ++b) {
     if (!scanning && !hidden_blocks_.count(b)) continue;
     if (scanning && !block_fully_programmed(b)) continue;
     auto revealed = codec_.reveal(b);
     if (!revealed.is_ok()) {
-      // An empty probe (kOutOfBounds) or a cut says nothing of the block.
-      const ErrorCode code = revealed.status().code();
-      served = served && code != ErrorCode::kOutOfBounds &&
-               code != ErrorCode::kPowerLoss;
+      if (unserved.is_ok() && !served(revealed.status())) {
+        unserved = revealed.status();
+      }
       continue;
     }
     if (auto chunk = unpack_chunk(revealed.value())) {
-      found.push_back(std::move(*chunk));
+      if (found) found->push_back(std::move(*chunk));
       if (scanning) discovered.push_back(b);
     }
   }
   hidden_blocks_.insert(discovered.begin(), discovered.end());
-  if (scanning && served) carriers_known_ = true;
-  return found;
+  if (scanning && unserved.is_ok()) carriers_known_ = true;
+  return unserved;
 }
 
-void StegoVolume::find_carriers() {
-  if (!carriers_known_) (void)reveal_carriers();
+Status StegoVolume::find_carriers() {
+  return carriers_known_ ? Status::ok() : reveal_carriers(nullptr);
 }
 
 void StegoVolume::forget_carriers(bool pending_lost) {
@@ -165,34 +182,34 @@ Result<std::vector<std::uint8_t>> StegoVolume::load_hidden() {
 }
 
 Status StegoVolume::panic_erase() {
-  find_carriers();
+  const Status scan = find_carriers();
   for (std::uint32_t b : hidden_blocks_) {
     STASH_RETURN_IF_ERROR(chip_->erase_block(b));
   }
   hidden_blocks_.clear();
   pending_.clear();
-  return Status::ok();
+  return scan;
 }
 
-void StegoVolume::on_relocation(nand::PageAddr from) {
-  // First relocation out of a hidden block: the victim's cells are still
-  // intact (erase happens after all pages move), so rescue the chunk now.
-  // A forgotten carrier set is found first, or the erase would destroy an
-  // untracked chunk without a rescue.
-  find_carriers();
-  if (!hidden_blocks_.count(from.block)) return;
-  hidden_blocks_.erase(from.block);
-  auto revealed = codec_.reveal(from.block);
-  if (!revealed.is_ok()) {
-    ++stats_.lost_chunks;
-    return;
+Status StegoVolume::on_relocation(std::uint32_t block) {
+  // The victim's cells are still intact, so rescue its chunk now.  A
+  // forgotten carrier set is found first, or the erase would destroy an
+  // untracked chunk; while it stays unknown the erase waits.
+  STASH_RETURN_IF_ERROR(find_carriers());
+  if (!hidden_blocks_.count(block)) return Status::ok();
+  auto revealed = codec_.reveal(block);
+  if (!revealed.is_ok() && !served(revealed.status())) {
+    return revealed.status();
   }
-  if (auto chunk = unpack_chunk(revealed.value())) {
+  hidden_blocks_.erase(block);
+  auto chunk = revealed.is_ok() ? unpack_chunk(revealed.value()) : std::nullopt;
+  if (chunk) {
     pending_.push_back(std::move(*chunk));
     ++stats_.rescues;
   } else {
     ++stats_.lost_chunks;
   }
+  return Status::ok();
 }
 
 bool StegoVolume::embed_verified(std::uint32_t block, const Chunk& chunk) {
@@ -226,19 +243,6 @@ Status StegoVolume::reembed_pending() {
   }
   return Status::ok();
 }
-
-namespace {
-
-/// Payload bytes per chunk that every volume can carry.
-std::size_t chunk_capacity(Volumes volumes) {
-  std::size_t per_chunk = SIZE_MAX;
-  for (const StegoVolume* volume : volumes) {
-    per_chunk = std::min(per_chunk, volume->hidden_chunk_capacity());
-  }
-  return volumes.empty() ? 0 : per_chunk;
-}
-
-}  // namespace
 
 Status store_hidden(Volumes volumes, std::span<const std::uint8_t> data) {
   const std::size_t per_chunk = chunk_capacity(volumes);
@@ -325,9 +329,7 @@ Status store_hidden(Volumes volumes, std::span<const std::uint8_t> data) {
 Result<std::vector<std::uint8_t>> load_hidden(Volumes volumes) {
   std::vector<StegoVolume::Chunk> found;
   for (StegoVolume* volume : volumes) {
-    std::vector<StegoVolume::Chunk> revealed = volume->reveal_carriers();
-    found.insert(found.end(), std::make_move_iterator(revealed.begin()),
-                 std::make_move_iterator(revealed.end()));
+    (void)volume->reveal_carriers(&found);
     // Chunks rescued from a GC victim but not yet re-homed are part of the
     // payload and must survive a load taken before the next write
     // re-embeds them.

@@ -61,6 +61,9 @@ class VthiCodec {
   /// codeword that holds the frame's length field first and stops with
   /// kAuthFailure when the length is out of bounds, which is how almost
   /// every block without a frame (a wrong key, a non-carrier) fails.
+  /// kOutOfBounds, which is not retried, includes a probe the chip did not
+  /// serve (FlashChip::probe_voltages came back empty): it says nothing
+  /// of whether the block carries a frame.
   util::Result<std::vector<std::uint8_t>> reveal(std::uint32_t block,
                                                  int* corrected_bits = nullptr);
 

@@ -162,7 +162,7 @@ TEST(Ftl, PreEraseHookSeesEachVictimIntactBeforeItsErase) {
   std::map<std::uint64_t, std::uint64_t> reference;  // lpn -> tag
   std::vector<std::pair<std::uint32_t, std::uint32_t>> victims;  // block, pec
   std::uint64_t valid_pages_seen = 0;
-  ftl.set_pre_erase_hook([&](std::uint32_t block) {
+  const auto check_victim = [&](std::uint32_t block) {
     victims.emplace_back(block, chip.pec(block));
     // Nothing has moved yet: every valid page still maps to the victim and
     // reads back its data from it.
@@ -177,6 +177,10 @@ TEST(Ftl, PreEraseHookSeesEachVictimIntactBeforeItsErase) {
                 4u)
           << "lpn " << lpn;
     }
+  };
+  ftl.set_pre_erase_hook([&](std::uint32_t block) {
+    check_victim(block);
+    return Status::ok();
   });
   const auto write = [&](std::uint64_t lpn, std::uint64_t tag) {
     reference[lpn] = tag;
@@ -210,6 +214,64 @@ TEST(Ftl, PreEraseHookSeesEachVictimIntactBeforeItsErase) {
     const auto readback = read_page(ftl, lpn);
     ASSERT_TRUE(readback.is_ok()) << "lpn " << lpn;
     EXPECT_LE(diff_bits(readback.value(), pattern_page(ftl.page_bits(), tag)),
+              4u)
+        << "lpn " << lpn;
+  }
+}
+
+TEST(Ftl, PreEraseHookVetoLeavesTheVictimInService) {
+  // A hook that refuses the erase (the hidden layer could not read a chunk
+  // it must rescue) leaves the victim as it was: unerased, every page it
+  // holds still mapped to it, the free pool untouched.  A later pass, once
+  // the hook agrees, collects it.
+  FlashChip chip(Geometry::tiny(), NoiseModel::vendor_a(), 52);
+  PageMappedFtl ftl(chip);
+  std::vector<std::uint32_t> refused;
+  bool veto = true;
+  ftl.set_pre_erase_hook([&](std::uint32_t block) {
+    if (!veto) return Status::ok();
+    refused.push_back(block);
+    return Status{ErrorCode::kOutOfBounds, "probe not served"};
+  });
+  // Two full blocks, then half of the first rewritten: block 0 is the
+  // emptiest victim and still holds valid pages to relocate.
+  const std::uint64_t lpns = 2 * chip.geometry().pages_per_block;
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    ASSERT_TRUE(ftl.write(lpn, pattern_page(ftl.page_bits(), lpn)).is_ok());
+  }
+  const std::uint64_t rewritten = chip.geometry().pages_per_block / 2;
+  for (std::uint64_t lpn = 0; lpn < rewritten; ++lpn) {
+    ASSERT_TRUE(
+        ftl.write(lpn, pattern_page(ftl.page_bits(), 100 + lpn)).is_ok());
+  }
+  std::vector<std::optional<nand::PageAddr>> mapped;
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    mapped.push_back(ftl.locate(lpn));
+  }
+  const std::uint32_t free_before = ftl.free_blocks();
+
+  EXPECT_EQ(ftl.run_gc().code(), ErrorCode::kOutOfBounds);
+  ASSERT_EQ(refused, (std::vector<std::uint32_t>{0}));
+  EXPECT_EQ(chip.pec(0), 0u);
+  EXPECT_EQ(ftl.free_blocks(), free_before);
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    EXPECT_EQ(ftl.locate(lpn), mapped[lpn]) << "lpn " << lpn;
+  }
+  EXPECT_EQ(ftl.stats_snapshot().relocations, 0u);
+
+  veto = false;
+  ASSERT_TRUE(ftl.run_gc().is_ok());
+  EXPECT_EQ(chip.pec(0), 1u);
+  EXPECT_EQ(ftl.stats_snapshot().relocations, lpns / 2 - rewritten);
+  for (std::uint64_t lpn = 0; lpn < lpns; ++lpn) {
+    const auto at = ftl.locate(lpn);
+    ASSERT_TRUE(at.has_value()) << "lpn " << lpn;
+    EXPECT_NE(at->block, 0u) << "lpn " << lpn;
+    const auto readback = read_page(ftl, lpn);
+    ASSERT_TRUE(readback.is_ok()) << "lpn " << lpn;
+    EXPECT_LE(diff_bits(readback.value(),
+                        pattern_page(ftl.page_bits(),
+                                     lpn < rewritten ? 100 + lpn : lpn)),
               4u)
         << "lpn " << lpn;
   }

@@ -133,6 +133,37 @@ TEST(Stego, PanicEraseDestroysHiddenVolume) {
   EXPECT_FALSE(volume.load_hidden().is_ok());
 }
 
+TEST(Stego, PanicEraseReportsAScanTheChipDidNotServe) {
+  // Carriers forgotten, and the scan that looks for them cannot read block
+  // 1: panic_erase must not report the hidden volume destroyed while a
+  // chunk it could not see survives.  Once the fault clears, a retry
+  // erases it.
+  FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 113);
+  StegoVolume volume(chip, test_key());
+  fill_public(volume, 40, 600);
+  const std::vector<std::uint8_t> secret(volume.hidden_chunk_capacity() + 10,
+                                         0x71);
+  ASSERT_TRUE(volume.store_hidden(secret).is_ok());
+  ASSERT_EQ(volume.hidden_blocks(), (std::set<std::uint32_t>{0, 1}));
+  volume.forget_carriers(false);
+
+  fault::FaultPlan plan(113);
+  plan.fail_when([](nand::FaultOp op, std::uint32_t block, std::uint32_t) {
+    return op == nand::FaultOp::kRead && block == 1;
+  });
+  chip.set_fault_injector(&plan);
+  const Status first = volume.panic_erase();
+  chip.set_fault_injector(nullptr);
+  EXPECT_FALSE(first.is_ok());
+  EXPECT_EQ(chip.pec(1), 0u);
+
+  ASSERT_TRUE(volume.panic_erase().is_ok());
+  EXPECT_GT(chip.pec(0), 0u);
+  EXPECT_GT(chip.pec(1), 0u);
+  StegoVolume reader(chip, test_key());
+  EXPECT_EQ(reader.load_hidden().status().code(), ErrorCode::kNotFound);
+}
+
 TEST(Stego, HiddenDataSurvivesGarbageCollection) {
   FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 117);
   StegoConfig config;
@@ -162,6 +193,66 @@ TEST(Stego, HiddenDataSurvivesGarbageCollection) {
   const auto loaded = volume.load_hidden();
   ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
   EXPECT_EQ(loaded.value(), secret);
+}
+
+/// HiddenDataSurvivesGarbageCollection's churn with one transient read
+/// fault: the first probe of page 0 of a carrier after the store fails,
+/// once.  The GC hook meets it first: in the rescue reveal of its victim
+/// or, after forget_carriers, in the key-only scan that looks for the
+/// carriers.  Either way GC must keep the chunk: no erase until a pass
+/// whose reads were served.
+void churn_past_one_carrier_read_fault(bool forget) {
+  FlashChip chip(stego_geometry(), NoiseModel::vendor_a(), 117);
+  StegoConfig config;
+  config.ftl.overprovision = 0.25;
+  StegoVolume volume(chip, test_key(), config);
+  fill_public(volume, 30, 900);
+  const std::vector<std::uint8_t> secret(80, 0xc4);
+  ASSERT_TRUE(volume.store_hidden(secret).is_ok());
+  const std::set<std::uint32_t> carriers = volume.hidden_blocks();
+  ASSERT_EQ(carriers, (std::set<std::uint32_t>{0, 1}));
+  if (forget) volume.forget_carriers(true);
+
+  std::optional<std::uint32_t> faulted;
+  fault::FaultPlan plan(117);
+  plan.fail_when(
+      [&](nand::FaultOp op, std::uint32_t block, std::uint32_t page) {
+        if (faulted || op != nand::FaultOp::kRead || page != 0 ||
+            !carriers.count(block)) {
+          return false;
+        }
+        faulted = block;
+        return true;
+      });
+  chip.set_fault_injector(&plan);
+  util::Xoshiro256 rng(117);
+  for (int i = 0; i < 400; ++i) {
+    const std::uint64_t lpn = rng.below(30);
+    ASSERT_TRUE(
+        volume
+            .write_public(lpn, page_pattern(volume.page_bits(), 10000 + i))
+            .is_ok())
+        << "write " << i;
+  }
+  chip.set_fault_injector(nullptr);
+  ASSERT_TRUE(faulted.has_value());
+  EXPECT_EQ(plan.stats().predicate_fails, 1u);
+  EXPECT_GT(chip.pec(*faulted), 0u);  // collected by a later pass
+
+  ASSERT_TRUE(volume.reembed_pending().is_ok());
+  EXPECT_EQ(volume.stats().lost_chunks, 0u);
+  EXPECT_GT(volume.stats().rescues, 0u);
+  const auto loaded = volume.load_hidden();
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  EXPECT_EQ(loaded.value(), secret);
+}
+
+TEST(Stego, GcKeepsACarrierItsRescueCouldNotRead) {
+  churn_past_one_carrier_read_fault(/*forget=*/false);
+}
+
+TEST(Stego, GcKeepsACarrierTheScanCouldNotRead) {
+  churn_past_one_carrier_read_fault(/*forget=*/true);
 }
 
 TEST(Stego, CarrierThatFailsVerificationIsSkippedAndCounted) {
