@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 #include <stdexcept>
 
+#include "stash/crypto/chacha20.hpp"
+#include "stash/crypto/sha256.hpp"
+#include "stash/ecc/bch.hpp"
 #include "stash/nand/chip.hpp"
 #include "stash/trace/trace.hpp"
 #include "stash/util/bitvec.hpp"
@@ -433,6 +437,160 @@ TEST(Codec, RevealOfANonCarrierBlockWalksTheWholeRetryLadder) {
   constexpr std::size_t kRungs = 1 + kMaxReadRetries;
   EXPECT_EQ(probes, pages * kRungs);
   EXPECT_EQ(decodes, kRungs);
+}
+
+// The hidden frame format written out independently of VthiCodec:
+// [len u32 LE][payload] under ChaCha20 (nonce "vthi" + block), a 16-byte
+// HMAC-SHA256 tag over [block u32 LE][ciphertext], then padding up to the
+// layout's data bits.  Reveal reads the length and the MAC-covered bytes
+// and nothing after them.
+
+struct ReferenceLayout {
+  std::vector<std::uint32_t> pages;
+  std::size_t bits_per_page = 0;
+  std::size_t total_bits = 0;
+  std::size_t data_bits = 0;
+  std::vector<std::size_t> data_lens;  // per codeword
+  ecc::BchCode bch;
+};
+
+ReferenceLayout reference_layout(const VthiCodec& codec) {
+  const auto pages = codec.hidden_pages();
+  const std::size_t per_page = codec.config().hidden_bits_per_page;
+  const std::size_t total = pages.size() * per_page;
+  const std::size_t n = (1u << kBchM) - 1;
+  const std::size_t codewords = (total + n - 1) / n;
+  const int t = ecc::BchCode::pick_t_for_codeword(
+      kBchM, (total + codewords - 1) / codewords,
+      codec.config().raw_ber_estimate);
+  ReferenceLayout lay{pages, per_page, total, 0, {},
+                      ecc::BchCode(kBchM, t == 0 ? 1 : t)};
+  lay.data_bits = total - codewords * lay.bch.parity_bits();
+  for (std::size_t c = 0; c < codewords; ++c) {
+    lay.data_lens.push_back(lay.data_bits / codewords +
+                            (c < lay.data_bits % codewords ? 1 : 0));
+  }
+  return lay;
+}
+
+std::array<std::uint8_t, 12> reference_nonce(std::uint32_t block) {
+  std::array<std::uint8_t, 12> nonce{'v', 't', 'h', 'i'};
+  for (int i = 0; i < 4; ++i) {
+    nonce[4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(block >> (8 * i));
+  }
+  return nonce;
+}
+
+crypto::Digest256 reference_tag(const HidingKey& key, std::uint32_t block,
+                                std::span<const std::uint8_t> ciphertext) {
+  std::vector<std::uint8_t> input(4);
+  for (int i = 0; i < 4; ++i) {
+    input[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(block >> (8 * i));
+  }
+  input.insert(input.end(), ciphertext.begin(), ciphertext.end());
+  return crypto::hmac_sha256(key.mac_key(), input);
+}
+
+/// The frame bytes for `payload`, padded with zeros (what hide() writes)
+/// or with the ChaCha20 stream's next bytes.
+std::vector<std::uint8_t> reference_frame(const HidingKey& key,
+                                          std::uint32_t block,
+                                          std::span<const std::uint8_t> payload,
+                                          std::size_t data_bits,
+                                          bool keystream_pad) {
+  std::vector<std::uint8_t> frame(4 + payload.size());
+  for (int i = 0; i < 4; ++i) {
+    frame[static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(payload.size() >> (8 * i));
+  }
+  std::copy(payload.begin(), payload.end(), frame.begin() + 4);
+  crypto::ChaCha20 cipher(key.cipher_key(), reference_nonce(block));
+  cipher.apply(frame);
+  const auto tag = reference_tag(key, block, frame);
+  frame.insert(frame.end(), tag.begin(), tag.begin() + 16);
+  std::vector<std::uint8_t> pad((data_bits + 7) / 8 - frame.size(), 0);
+  if (keystream_pad) cipher.apply(pad);
+  frame.insert(frame.end(), pad.begin(), pad.end());
+  return frame;
+}
+
+/// Embed `frame` into `block` the way hide() does: BCH-encode its data
+/// bits codeword by codeword, interleave across the hidden pages, embed.
+void reference_embed(VthiCodec& codec, std::uint32_t block,
+                     std::span<const std::uint8_t> frame) {
+  const ReferenceLayout lay = reference_layout(codec);
+  auto data = util::bytes_to_bits(frame);
+  data.resize(lay.data_bits);
+  std::vector<std::uint8_t> coded;
+  std::size_t offset = 0;
+  for (const std::size_t len : lay.data_lens) {
+    const auto cw = lay.bch.encode(std::span(data).subspan(offset, len));
+    coded.insert(coded.end(), cw.begin(), cw.end());
+    offset += len;
+  }
+  ASSERT_EQ(coded.size(), lay.total_bits);
+  const std::size_t pages = lay.pages.size();
+  for (std::size_t pi = 0; pi < pages; ++pi) {
+    std::vector<std::uint8_t> bits(lay.bits_per_page);
+    for (std::size_t j = 0; j < bits.size(); ++j) bits[j] = coded[j * pages + pi];
+    ASSERT_TRUE(codec.channel().embed(block, lay.pages[pi], bits).is_ok());
+  }
+}
+
+/// Read `block`'s frame bytes back the way reveal does at the nominal
+/// reference: extract, de-interleave, BCH-decode.
+std::vector<std::uint8_t> reference_extract(VthiCodec& codec,
+                                            std::uint32_t block) {
+  const ReferenceLayout lay = reference_layout(codec);
+  const std::size_t pages = lay.pages.size();
+  std::vector<std::uint8_t> coded(lay.total_bits);
+  for (std::size_t pi = 0; pi < pages; ++pi) {
+    const auto bits =
+        codec.channel().extract(block, lay.pages[pi], lay.bits_per_page);
+    EXPECT_TRUE(bits.is_ok());
+    if (!bits.is_ok()) return {};
+    for (std::size_t j = 0; j < bits.value().size(); ++j) {
+      coded[j * pages + pi] = bits.value()[j];
+    }
+  }
+  std::vector<std::uint8_t> data;
+  std::size_t offset = 0;
+  for (const std::size_t len : lay.data_lens) {
+    const std::size_t cw_len = len + lay.bch.parity_bits();
+    const auto decoded =
+        lay.bch.decode(std::span(coded).subspan(offset, cw_len));
+    EXPECT_TRUE(decoded.ok);
+    data.insert(data.end(), decoded.data_bits.begin(), decoded.data_bits.end());
+    offset += cw_len;
+  }
+  return util::bits_to_bytes(data);
+}
+
+TEST(Codec, FrameMatchesItsWrittenOutFormat) {
+  // hide() writes the reference frame with zero padding, and reveal opens
+  // a frame by its length and MAC alone: a frame padded with the stream's
+  // next bytes instead (charging about half the padding's cells, as
+  // ciphertext does) reveals on this build too.
+  FlashChip chip(vthi_geometry(), NoiseModel::vendor_a(), 81);
+  (void)chip.program_block_random(3, 21);
+  (void)chip.program_block_random(4, 22);
+  VthiCodec codec(chip, test_key());
+  const std::size_t data_bits = reference_layout(codec).data_bits;
+  const std::vector<std::uint8_t> payload(40, 0x6d);
+
+  ASSERT_TRUE(codec.hide(3, payload).is_ok());
+  const auto written = reference_extract(codec, 3);
+  EXPECT_EQ(written,
+            reference_frame(test_key(), 3, payload, data_bits, false));
+
+  const auto keystream_padded =
+      reference_frame(test_key(), 4, payload, data_bits, true);
+  reference_embed(codec, 4, keystream_padded);
+  const auto revealed = codec.reveal(4);
+  ASSERT_TRUE(revealed.is_ok()) << revealed.status().to_string();
+  EXPECT_EQ(revealed.value(), payload);
 }
 
 TEST(Codec, EraseDestroysHiddenData) {
